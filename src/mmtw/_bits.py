@@ -23,18 +23,3 @@ def bits(mask: int) -> Iterator[int]:
 def to_set(mask: int) -> frozenset[int]:
     return frozenset(bits(mask))
 
-
-def lowest_bit(mask: int) -> int:
-    if not mask:
-        raise ValueError("empty mask")
-    return (mask & -mask).bit_length() - 1
-
-
-def subsets_of(mask: int) -> Iterator[int]:
-    """All subsets of a mask, including 0 and the mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask

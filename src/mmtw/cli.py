@@ -9,6 +9,7 @@ input.  With --json the report goes to stdout as a single JSON object with a
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -32,7 +33,9 @@ EXIT_RESOURCE = 20
 EXIT_INVALID = 2
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused after it."""
     p = argparse.ArgumentParser(
         prog="mmtw",
         description="Minor-matching hypertree width: decompositions, blocker "
@@ -49,10 +52,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="resource caps: nodes=N (branch nodes, default "
                              "200000), depth=N (branch depth, default "
                              "unlimited), table=N (DP/guess table entries, "
-                             "default 200000)")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for parallel-friendly steps "
-                             "(default 1)")
+                             "default 200000); nodes and depth bound the "
+                             "blocker trace, which solve runs only for mwis")
 
     sp = sub.add_parser("decompose", help="approximate a bounded-width "
                         "decomposition or refute the width bound")

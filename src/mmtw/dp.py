@@ -8,6 +8,12 @@ isolated vertex, and merging across a separator) are enough to evaluate the
 root table of any valid decomposition.  Three instances are provided:
 maximum weighted independent set, k-colouring and uniform hypergraph
 homomorphism.  All vertex sets are ambient bitmasks of the input hypergraph.
+
+Only a problem whose merge reads the blocker trace tr_S(i(H)) pays for it:
+``run_dp`` computes the trace of each merge when the problem's
+``reads_trace`` is true (MWIS) and passes ``trace=None`` otherwise (the
+covering tables of colouring and homomorphism).  The trace caps therefore
+bound only MWIS runs.
 """
 
 from __future__ import annotations
@@ -52,9 +58,16 @@ def _mis_trace(h: Hypergraph, vmask: int, smask: int,
 
 
 class BlockerReadable:
-    """Operational contract of a function that can be read from the blocker."""
+    """Operational contract of a function that can be read from the blocker.
+
+    ``merge`` receives the member masks of tr_S(i(H)) for the merged
+    subtree when ``reads_trace`` is true, and ``None`` when it is false; a
+    problem that never looks at the trace sets it to false and spares
+    ``run_dp`` the blocker-trace computation.
+    """
 
     arity: int = 1
+    reads_trace: bool = True
 
     def leaf_init(self, mis: list[int], s: int):
         raise NotImplementedError
@@ -65,7 +78,7 @@ class BlockerReadable:
     def add_isolated(self, table, s: int, v: int):
         raise NotImplementedError
 
-    def merge(self, trace: frozenset[int], t1, t2, s: int):
+    def merge(self, trace: frozenset[int] | None, t1, t2, s: int):
         raise NotImplementedError
 
     def table_size(self, table) -> int:
@@ -113,11 +126,13 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
                 tbl = f.add_isolated(tbl, s, v)
                 s |= 1 << v
             acc_v |= subtree_v[c]
-            try:
-                trace = _mis_trace(h, acc_v, bag, trace_caps)
-            except ResourceError as exc:
-                raise ResourceError(f"trace cap exceeded at bag {node}",
-                                    bag=node, **exc.stats) from exc
+            trace = None
+            if f.reads_trace:
+                try:
+                    trace = _mis_trace(h, acc_v, bag, trace_caps)
+                except ResourceError as exc:
+                    raise ResourceError(f"trace cap exceeded at bag {node}",
+                                        bag=node, **exc.stats) from exc
             acc = f.merge(trace, acc, tbl, bag)
             if f.table_size(acc) > table_cap:
                 raise ResourceError(f"table cap exceeded at bag {node}",
@@ -164,16 +179,26 @@ class MwisDP(BlockerReadable):
                 for a, (val, wit) in table.items()}
 
     def merge(self, trace, t1, t2, s):
-        out = {}
+        # value(a1, a2) = v1 + v2 - w(a1) - w(a2) + w(a1 & a2): the first two
+        # differences are per entry, and w(a1 & a2) is the same for every
+        # pair with that intersection, so the best pair for an intersection
+        # is found on v1 - w(a1) + v2 - w(a2) and w(a) is added once at the
+        # end.  The first best pair in table order keeps its witness.
+        wsum = self.wsum
+        rows2 = [(a2, v2 - wsum(a2), w2 & ~s) for a2, (v2, w2) in t2.items()]
+        best: dict[int, tuple] = {}
         for a1, (v1, w1) in t1.items():
-            for a2, (v2, w2) in t2.items():
+            x1 = v1 - wsum(a1)
+            w1 &= ~s
+            for a2, x2, w2 in rows2:
                 a = a1 & a2
                 if a not in trace:
                     continue
-                val = v1 + v2 - self.wsum(a1) - self.wsum(a2) + self.wsum(a)
-                if a not in out or out[a][0] < val:
-                    out[a] = (val, (w1 & ~s) | (w2 & ~s) | a)
-        return out
+                x = x1 + x2
+                got = best.get(a)
+                if got is None or got[0] < x:
+                    best[a] = (x, w1 | w2 | a)
+        return {a: (x + wsum(a), wit) for a, (x, wit) in best.items()}
 
 
 def mwis(h: Hypergraph, weights, t: TreeDecomposition,
@@ -210,6 +235,8 @@ class CoverDP(BlockerReadable):
     intersects tuples pairwise and refilters against the base.
     """
 
+    reads_trace = False
+
     def __init__(self, arity: int, cover_fn, full_mask: int, bound_fn=None):
         self.arity = arity
         self.cover_fn = cover_fn
@@ -219,10 +246,29 @@ class CoverDP(BlockerReadable):
         self.bound_fn = bound_fn
 
     def _compress(self, tuples):
+        """The maximal tuples, largest total size first (ties in set order).
+
+        Each tuple is packed into one int, component i shifted by
+        i * |full| bits, so componentwise domination is one ``p & g == p``.
+        A tuple dominated by another has a smaller total size and so meets
+        a kept dominator earlier in the order.
+        """
+        shift = self.full.bit_length()
+        packed = []
+        for t in set(tuples):
+            p = 0
+            for i, x in enumerate(t):
+                p |= x << (i * shift)
+            packed.append((p.bit_count(), p, t))
+        packed.sort(key=lambda e: e[0], reverse=True)
         kept: list[tuple[int, ...]] = []
-        for t in sorted(set(tuples), key=lambda tt: sum(x.bit_count() for x in tt),
-                        reverse=True):
-            if not any(all(a & b == a for a, b in zip(t, g)) for g in kept):
+        kept_p: list[int] = []
+        for _, p, t in packed:
+            for g in kept_p:
+                if p & g == p:
+                    break
+            else:
+                kept_p.append(p)
                 kept.append(t)
         return kept
 

@@ -8,7 +8,8 @@ from mmtw.cli import main
 from mmtw.formats import parse_td, serialize_hypergraph, serialize_td
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_decomposition, rng_from_seed)
-from mmtw.decomposition import validate, width
+from mmtw.decomposition import TreeDecomposition, validate, width
+from mmtw.oracles import chromatic_bruteforce, hom_bruteforce
 
 
 @pytest.fixture
@@ -105,6 +106,28 @@ def test_resource_exit_code(files, capsys):
                        "--caps", "nodes=1", "--json")
     assert code == 20
     assert json.loads(out)["status"] == "resource-exceeded"
+
+
+def test_covering_solves_ignore_the_trace_caps(files, capsys):
+    # nodes/depth bound the blocker trace, which only mwis reads
+    c5 = cycle_graph(5)
+    hg = files("c5.hg", serialize_hypergraph(c5))
+    k2 = files("k2.hg", serialize_hypergraph(complete_graph(2)))
+    t = TreeDecomposition([0b00111, 0b01101, 0b11001], [(0, 1), (1, 2)])
+    td = files("c5.td", serialize_td(t, 5))
+    for k in (2, 3):
+        code, out, _ = run(capsys, "solve", "--problem", "color", "-k", str(k),
+                           hg, td, "--caps", "nodes=1", "--json")
+        want = chromatic_bruteforce(c5, k)
+        assert code == (0 if want else 10)
+        assert json.loads(out)["colorable"] == want
+    code, out, _ = run(capsys, "solve", "--problem", "hom", hg, td,
+                       "--target", k2, "--caps", "nodes=1,depth=1", "--json")
+    assert code == 10
+    assert json.loads(out)["homomorphic"] == hom_bruteforce(c5, complete_graph(2))
+    code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td,
+                       "--caps", "nodes=1", "--json")
+    assert code == 20
 
 
 def test_reduce_outputs_parse(files, capsys):

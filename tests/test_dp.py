@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import mmtw.dp
 from mmtw._bits import bits, mask_of
-from mmtw.blocker import enumerate_mis
+from mmtw.blocker import BranchCaps, enumerate_mis
 from mmtw.decomposition import TreeDecomposition, single_bag
-from mmtw.dp import (CoverDP, MwisDP, chromatic_decide, hom_decide, mwis,
-                     run_dp)
+from mmtw.dp import (CoverDP, MwisDP, _mis_of, _mis_trace, chromatic_decide,
+                     hom_decide, mwis, run_dp)
 from mmtw.errors import InputError, ResourceError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_decomposition, random_graph,
@@ -204,3 +205,129 @@ def test_merge_associative_in_value():
         lv = {k: v[0] for k, v in left.items()}
         rv = {k: v[0] for k, v in right.items()}
         assert lv == rv
+
+
+# only a solver that reads the blocker trace pays for it
+
+
+def test_cover_solvers_never_compute_the_trace(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("blocker trace computed for a covering DP")
+
+    monkeypatch.setattr(mmtw.dp, "trace_blocker", refuse)
+    rng = rng_from_seed(60)
+    k3 = complete_graph(3)
+    merges = 0
+    for it in range(40):
+        n = rng.randrange(3, 10)
+        if it % 2:
+            h = random_graph(rng, n, rng.uniform(0.2, 0.6))
+            t = random_decomposition(rng, h)
+            assert hom_decide(h, k3, t) == hom_bruteforce(h, k3)
+        else:
+            h = random_hypergraph(rng, n, rng.randrange(1, n + 3), rank=3)
+            t = random_decomposition(rng, h)
+            k = rng.randrange(1, 4)
+            assert chromatic_decide(h, k, t) == chromatic_bruteforce(h, k)
+        merges += t.node_count - 1
+    assert merges > 0
+
+
+def test_mwis_still_computes_the_trace(monkeypatch):
+    calls = []
+    original = mmtw.dp.trace_blocker
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mmtw.dp, "trace_blocker", counting)
+    p3 = path_graph(3)
+    t = TreeDecomposition([0b011, 0b110], [(0, 1)])
+    assert mwis(p3, [1, 1, 1], t) == (2, mask_of((0, 2)))
+    assert len(calls) == 1
+
+
+# the rewritten kernels against plain reference formulations
+
+
+def maximal_reference(tuples):
+    """Tuples not componentwise below another one of the family."""
+    fam = set(tuples)
+
+    def below(t, g):
+        return all(a & b == a for a, b in zip(t, g))
+
+    return {t for t in fam if not any(g != t and below(t, g) for g in fam)}
+
+
+def test_compress_keeps_exactly_the_maximal_tuples():
+    rng = rng_from_seed(61)
+    for _ in range(300):
+        arity = rng.randrange(1, 5)
+        n = rng.randrange(1, 9)
+        family = [tuple(rng.getrandbits(n) for _ in range(arity))
+                  for _ in range(rng.randrange(0, 40))]
+        family += [tuple(a & rng.getrandbits(n) for a in t)
+                   for t in family[:10]]
+        dp = CoverDP(arity, None, (1 << n) - 1)
+        out = dp._compress(family)
+        assert len(out) == len(set(out))
+        assert set(out) == maximal_reference(family)
+        sizes = [sum(a.bit_count() for a in t) for t in out]
+        assert sizes == sorted(sizes, reverse=True)
+        for t in out:
+            for g in out:
+                assert t == g or not all(a & b == a for a, b in zip(t, g))
+
+
+def merge_reference(w, trace, t1, t2, s):
+    """MwisDP.merge as three weight sums per pair of entries."""
+    out = {}
+    for a1, (v1, w1) in t1.items():
+        for a2, (v2, w2) in t2.items():
+            a = a1 & a2
+            if a not in trace:
+                continue
+            val = v1 + v2 - wsum(w, a1) - wsum(w, a2) + wsum(w, a)
+            if a not in out or out[a][0] < val:
+                out[a] = (val, (w1 & ~s) | (w2 & ~s) | a)
+    return out
+
+
+def test_mwis_merge_matches_per_pair_formula():
+    rng = rng_from_seed(62)
+    for it in range(150):
+        n = rng.randrange(2, 10)
+        full = (1 << n) - 1
+        # two parts V1, V2 meeting in S; every edge lies inside one part
+        side = [rng.randrange(3) for _ in range(n)]
+        v1 = mask_of(v for v in range(n) if side[v] != 1)
+        v2 = mask_of(v for v in range(n) if side[v] != 2)
+        s = v1 & v2
+        edges = []
+        for _ in range(rng.randrange(0, n + 3)):
+            part = v1 if rng.random() < 0.5 else v2
+            e = part & rng.getrandbits(n)
+            if e.bit_count() >= 2:
+                edges.append(e)
+        h = Hypergraph(n, edges)
+        w = random_weights(rng, n, lo=0)
+        dp = MwisDP(w)
+        tabs = []
+        for part in (v1, v2):
+            mis = sorted(_mis_of(h, part, n))
+            tabs.append(dp.restrict(dp.leaf_init(mis, part), part, s))
+        if it % 3 == 0:
+            trace = frozenset(a1 & a2 for a1 in tabs[0] for a2 in tabs[1]
+                              if rng.random() < 0.6)
+        else:
+            trace = _mis_trace(h, full, s, BranchCaps())
+        got = dp.merge(trace, tabs[0], tabs[1], s)
+        want = merge_reference(w, trace, tabs[0], tabs[1], s)
+        assert {a: v for a, (v, _) in got.items()} == \
+            {a: v for a, (v, _) in want.items()}
+        for a, (val, wit) in got.items():
+            assert wit & s == a
+            assert independent_in(h, wit)
+            assert wsum(w, wit) == val
