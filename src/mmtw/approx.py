@@ -112,24 +112,24 @@ def _is_clique(adj, mask: int) -> bool:
     return True
 
 
-def _component_of(adj, start: int, allowed: int) -> int:
-    comp = 1 << start
-    frontier = comp
+def _reach_avoiding(adj, seeds: int, avoid: int) -> int:
+    """Vertices reachable from ``seeds`` without entering ``avoid``."""
+    seen = seeds & ~avoid
+    frontier = seen
     while frontier:
         nxt = 0
         for u in bits(frontier):
             nxt |= adj[u]
-        nxt &= allowed & ~comp
-        comp |= nxt
+        nxt &= ~(seen | avoid)
+        seen |= nxt
         frontier = nxt
-    return comp
+    return seen
 
 
 def _components(adj, allowed: int):
     rest = allowed
     while rest:
-        v = (rest & -rest).bit_length() - 1
-        comp = _component_of(adj, v, allowed)
+        comp = _reach_avoiding(adj, rest & -rest, ~allowed)
         yield comp
         rest &= ~comp
 
@@ -156,7 +156,7 @@ def atoms(adj, universe: int) -> list[int]:
             continue
         if not (vprime >> x) & 1:
             continue
-        comp = _component_of(adj, x, (vprime & ~higher) & universe)
+        comp = _reach_avoiding(adj, 1 << x, ~(vprime & ~higher & universe))
         if vprime & ~(higher | comp) == 0:
             continue  # the clique does not separate what remains
         out.append(higher | comp)
@@ -300,19 +300,6 @@ def _independent_sets_upto(adj, universe: int, size: int):
     if size >= 1:
         grow(0, 0, universe)
     return out
-
-
-def _reach_avoiding(adj, seeds: int, avoid: int) -> int:
-    seen = seeds & ~avoid
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= adj[u]
-        nxt &= ~(seen | avoid)
-        seen |= nxt
-        frontier = nxt
-    return seen
 
 
 def _is_separator(adj, s: int, a: int, b: int) -> bool:

@@ -18,13 +18,13 @@ from . import __version__
 from ._bits import bits
 from .approx import Refutation, approx_decomposition, width_bound
 from .blocker import BranchCaps, trace_blocker
-from .decomposition import MEASURE_NAMES, validate, width
+from .decomposition import validate, width
 from .dp import (DEFAULT_TABLE_CAP, chromatic_decide, hom_decide, mwis)
 from .errors import InputError, ResourceError
 from .formats import (parse_hypergraph, parse_td, serialize_hypergraph,
                       serialize_td)
 from .hypergraph import Graph, Hypergraph
-from .measures import MEASURES, get_measure
+from .measures import BAG_MEASURES, MEASURES, get_measure
 from .reductions import approximate_mu_tw, line_square, pendant_extend
 
 EXIT_OK = 0
@@ -76,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("width", help="per-bag measure values and the width")
     sp.add_argument("hypergraph")
     sp.add_argument("decomposition")
-    sp.add_argument("--measure", choices=MEASURE_NAMES, default="mu")
+    sp.add_argument("--measure", choices=tuple(BAG_MEASURES), default="mu")
     common(sp)
 
     sp = sub.add_parser("trace", help="trace of the blocker on a vertex set")
@@ -396,9 +396,10 @@ def main(argv=None) -> int:
         report.fields = {"error": str(exc)}
         report.payload_text = None
         print(f"error: {exc}", file=sys.stderr)
-    except ResourceError as exc:
+    except (ResourceError, RecursionError) as exc:
+        # an input deeper than the interpreter's stack is a resource limit too
         report.status = "resource-exceeded"
-        report.fields = {"error": str(exc), **exc.stats}
+        report.fields = {"error": str(exc), **getattr(exc, "stats", {})}
         report.payload_text = None
         print(f"error: {exc}", file=sys.stderr)
     return report.emit()

@@ -1,6 +1,6 @@
-"""Tree decompositions: representation, validation, width evaluation, and the
-exhaustive oracles for alpha(G[S]), the S-intersecting induced matching number
-of graphs and the S-intersecting minor-matching number of hypergraphs."""
+"""Tree decompositions: representation, validation, width evaluation under the
+bag measures of ``mmtw.measures``, and decompositions from elimination
+orders."""
 
 from __future__ import annotations
 
@@ -9,10 +9,8 @@ from typing import Iterable, Optional, Sequence
 
 from ._bits import bits, to_set
 from .errors import InputError, ResourceError
-from .hypergraph import Graph, Hypergraph, _minimal_masks, gaifman
-
-MEASURE_NAMES = ("kappa", "alpha", "rho", "mu")
-DEFAULT_ORACLE_CAP = 2_000_000
+from .hypergraph import Hypergraph
+from .measures import BAG_MEASURES
 
 
 class TreeDecomposition:
@@ -148,177 +146,6 @@ def validate(h: Hypergraph, t: TreeDecomposition) -> Validity:
 
 
 # ---------------------------------------------------------------------------
-# per-set oracles
-
-
-def alpha_set(g: Graph | Hypergraph, s: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """alpha(G[S]) for the (Gaifman) graph, by independent-set extension search."""
-    adj = g.adj if isinstance(g, Graph) else gaifman(g).adj
-    return _alpha_mask(adj, s, cap)
-
-
-def _alpha_mask(adj, s: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    best = 0
-    steps = 0
-
-    def grow(chosen_count: int, candidates: int):
-        nonlocal best, steps
-        best = max(best, chosen_count)
-        rest = candidates
-        while rest:
-            steps += 1
-            if steps > cap:
-                raise ResourceError("alpha oracle cap exceeded", best=best)
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            grow(chosen_count + 1, rest & ~adj[v])
-
-    grow(0, s)
-    return best
-
-
-def _alpha_at_least(adj, s: int, target: int, cap: int = DEFAULT_ORACLE_CAP) -> bool:
-    """Is there an independent subset of ``s`` of size ``target``?"""
-    if target <= 0:
-        return True
-    steps = 0
-
-    def grow(chosen_count: int, candidates: int) -> bool:
-        nonlocal steps
-        if chosen_count >= target:
-            return True
-        if chosen_count + candidates.bit_count() < target:
-            return False
-        rest = candidates
-        while rest:
-            steps += 1
-            if steps > cap:
-                raise ResourceError("alpha decide cap exceeded")
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            if grow(chosen_count + 1, rest & ~adj[v]):
-                return True
-        return False
-
-    return grow(0, s)
-
-
-def induced_matching_intersecting(g: Graph, s: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """Maximum induced matching of G with every matched edge meeting S."""
-    closed = [g.adj[v] | (1 << v) for v in range(g.n)]
-    edges = [e for e in g.edges if e & s]
-    blockers = []
-    for e in edges:
-        u, v = bits(e)
-        blockers.append(closed[u] | closed[v])
-    best = 0
-    steps = 0
-
-    def grow(count: int, start: int, blocked: int):
-        nonlocal best, steps
-        best = max(best, count)
-        for i in range(start, len(edges)):
-            if edges[i] & blocked:
-                continue
-            steps += 1
-            if steps > cap:
-                raise ResourceError("induced matching cap exceeded", best=best)
-            grow(count + 1, i + 1, blocked | blockers[i])
-
-    grow(0, 0, 0)
-    return best
-
-
-def minor_matching_intersecting(h: Hypergraph, s: int,
-                                cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """mu_H(S): the largest matching minor of cl(H) with every edge meeting S.
-
-    Exhaustive delete/contract/keep search over vertices, memoized on the
-    partially reduced clutter.  Exact, exponential; meant for desk scale.
-    """
-    edges = _minimal_masks(h.edges)
-    n = h.n
-    best = 0
-    steps = 0
-    memo: dict[tuple, int] = {}
-
-    def final_value(es) -> int:
-        # es is over kept vertices only: a matching iff all edges have size 2
-        # and are pairwise disjoint and each meets S
-        used = 0
-        for e in es:
-            if e.bit_count() != 2 or e & used or not e & s:
-                return -1
-            used |= e
-        return len(es)
-
-    def search(es: tuple[int, ...], v: int) -> int:
-        nonlocal steps
-        key = (es, v)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        steps += 1
-        if steps > cap:
-            raise ResourceError("minor matching cap exceeded", best=best)
-        if any(e == 0 for e in es):
-            memo[key] = -1
-            return -1
-        if v == n:
-            r = final_value(es)
-            memo[key] = r
-            return r
-        if len(es) == 0:
-            memo[key] = 0
-            return 0
-        bv = 1 << v
-        # keep v untouched
-        r = search(es, v + 1)
-        # delete v
-        r = max(r, search(tuple(e for e in es if not e & bv), v + 1))
-        # contract v
-        r = max(r, search(_minimal_masks(e & ~bv for e in es), v + 1))
-        memo[key] = r
-        return r
-
-    return max(0, search(edges, 0))
-
-
-def mu_intersecting(h: Hypergraph, s: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
-    """mu_H(S); graphs take the induced-matching fast path."""
-    if s & ~h.vertex_mask:
-        raise InputError("S contains an unknown vertex id")
-    if all(e.bit_count() == 2 for e in h.edges):
-        adj_graph = Graph(h.n, _minimal_masks(h.edges))
-        return induced_matching_intersecting(adj_graph, s, cap)
-    return minor_matching_intersecting(h, s, cap)
-
-
-def rho_set(h: Hypergraph, s: int, cap: int = 64) -> float | int:
-    """Minimum number of edges of H covering S; inf if some vertex is uncoverable."""
-    for v in bits(s):
-        if not any(e & (1 << v) for e in h.edges):
-            return float("inf")
-    best: list[float] = [float("inf")]
-
-    def branch(uncovered: int, used: int):
-        if used >= best[0] or used > cap:
-            return
-        if uncovered == 0:
-            best[0] = used
-            return
-        v = (uncovered & -uncovered).bit_length() - 1
-        for e in h.edges:
-            if e & (1 << v):
-                branch(uncovered & ~e, used + 1)
-
-    branch(s, 0)
-    return int(best[0]) if best[0] != float("inf") else float("inf")
-
-
-# ---------------------------------------------------------------------------
 # width
 
 
@@ -330,26 +157,19 @@ class WidthReport:
     witness_bag: int
 
 
-def width(h: Hypergraph, t: TreeDecomposition, measure: str,
-          cap: int = DEFAULT_ORACLE_CAP) -> WidthReport:
+def width(h: Hypergraph, t: TreeDecomposition, measure: str) -> WidthReport:
     """Per-bag measure values and their maximum over the decomposition."""
-    if measure not in MEASURE_NAMES:
-        raise InputError(f"unknown measure {measure!r}; pick one of {MEASURE_NAMES}")
+    m = BAG_MEASURES.get(measure)
+    if m is None:
+        raise InputError(f"unknown measure {measure!r}; "
+                         f"pick one of {tuple(BAG_MEASURES)}")
     ok = validate(h, t)
     if not ok:
         raise InputError(f"invalid decomposition: {ok.reason}")
-    adj = h.gaifman_adj()
     values = []
     for i, bag in enumerate(t.bags):
         try:
-            if measure == "kappa":
-                values.append(bag.bit_count() - 1)
-            elif measure == "alpha":
-                values.append(_alpha_mask(adj, bag, cap))
-            elif measure == "mu":
-                values.append(mu_intersecting(h, bag, cap))
-            else:
-                values.append(rho_set(h, bag))
+            values.append(m.value(h, bag))
         except ResourceError as exc:
             raise ResourceError(f"width oracle cap exceeded on bag {i}",
                                 bag=i, **exc.stats) from exc

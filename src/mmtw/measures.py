@@ -1,11 +1,17 @@
-"""Well-behaved width measures.
+"""Bag measures and their per-set oracles.
 
 A well-behaved measure assigns a value to every vertex set of a hypergraph
 and satisfies five axioms (unit singletons, subadditivity, additivity across
 non-adjacent parts, monotonicity, bounded-budget decidability).  Two concrete
-instances are provided: independence number of the Gaifman graph (alpha) and
-edge cover number (rho).  rho* (fractional cover) is declared but not
-implemented; it would need exact rational LP.
+instances are provided, and they are the ones ``MEASURES`` offers to the
+approximation pipeline: independence number of the Gaifman graph (alpha) and
+edge cover number (rho).
+
+kappa (|S| - 1) and the S-intersecting minor-matching number mu are bag
+measures too, used to report the width of a decomposition, but they are not
+well-behaved: neither has unit singletons (kappa({v}) = 0, and mu({v}) = 0
+for a vertex in no edge).  They are in ``BAG_MEASURES`` only; the pipeline
+reaches mu through the L^2 reduction to alpha.
 """
 
 from __future__ import annotations
@@ -14,21 +20,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .decomposition import _alpha_at_least, alpha_set, rho_set
-from .errors import InputError
-from .hypergraph import Hypergraph
+from ._bits import bits
+from .errors import InputError, ResourceError
+from .hypergraph import Hypergraph, _minimal_masks
 
-
-class _CapExceeded:
-    """Marker returned by measure_value when no k <= cap decides true."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "CAP_EXCEEDED"
-
-
-CAP_EXCEEDED = _CapExceeded()
+DEFAULT_ORACLE_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -41,37 +37,204 @@ class WellBehavedMeasure:
         """True iff the measure of S in H is at most k."""
         if s & ~h.vertex_mask:
             raise InputError("S contains an unknown vertex id")
-        if k < 0:
-            return False
         return self.decide_fn(h, s, k)
 
     def value(self, h: Hypergraph, s: int):
-        """Exact measure of S (int, or math.inf for undefined rho)."""
+        """Exact measure of S (int, or math.inf for uncoverable rho)."""
         if s & ~h.vertex_mask:
             raise InputError("S contains an unknown vertex id")
         return self.value_fn(h, s)
 
 
+# ---------------------------------------------------------------------------
+# per-set oracles
+
+
+def _alpha_search(adj, s: int, best: int, first: bool,
+                  cap: int = DEFAULT_ORACLE_CAP) -> int:
+    """max(best, alpha(G[S])) by branch-and-bound over independent sets.
+
+    A branch is cut when its size plus its candidates cannot beat ``best``;
+    with ``first`` the search stops at the first set larger than ``best``.
+    """
+    steps = 0
+
+    def grow(count: int, cand: int) -> bool:
+        nonlocal best, steps
+        if count > best:
+            best = count
+            if first:
+                return True
+        while cand and count + cand.bit_count() > best:
+            steps += 1
+            if steps > cap:
+                raise ResourceError("alpha oracle cap exceeded",
+                                    **({} if first else {"best": best}))
+            low = cand & -cand
+            cand ^= low
+            if grow(count + 1, cand & ~adj[low.bit_length() - 1]):
+                return True
+        return False
+
+    grow(0, s)
+    return best
+
+
+def alpha_set(h: Hypergraph, s: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
+    """alpha(G[S]) for the Gaifman graph G of H."""
+    return _alpha_search(h.gaifman_adj(), s, 0, False, cap)
+
+
 def alpha_decide(h: Hypergraph, s: int, k: int) -> bool:
     """True iff the Gaifman graph has no independent (k+1)-subset of S."""
-    return not _alpha_at_least(h.gaifman_adj(), s, k + 1)
+    return _alpha_search(h.gaifman_adj(), s, k, True) <= k
+
+
+def _rho_below(h: Hypergraph, s: int, best: int):
+    """min(best, rho(S)), or math.inf if some vertex of S lies in no edge."""
+    edges = h.edges
+    covered = 0
+    for e in edges:
+        covered |= e
+    if s & ~covered:
+        return math.inf
+
+    def branch(uncovered: int, used: int):
+        nonlocal best
+        if not uncovered:
+            best = used
+            return
+        if used + 1 >= best:
+            return
+        low = uncovered & -uncovered
+        for e in edges:
+            if e & low:
+                branch(uncovered & ~e, used + 1)
+
+    branch(s, 0)
+    return best
+
+
+def rho_set(h: Hypergraph, s: int):
+    """Minimum number of edges of H covering S; math.inf if some vertex of S
+    lies in no edge."""
+    return _rho_below(h, s, s.bit_count() + 1)
 
 
 def rho_decide(h: Hypergraph, s: int, k: int) -> bool:
     """True iff k edges of H cover S; false for every k if S is uncoverable."""
-    val = rho_set(h, s, cap=k)
-    return val is not math.inf and val <= k
+    return _rho_below(h, s, k + 1) <= k
 
 
-def _rho_value(h: Hypergraph, s: int):
-    v = rho_set(h, s)
-    return math.inf if v == float("inf") else v
+def induced_matching_intersecting(g: Hypergraph, s: int,
+                                  cap: int = DEFAULT_ORACLE_CAP) -> int:
+    """Maximum induced matching of the graph G with every matched edge
+    meeting S (G given as a hypergraph whose edges are all pairs)."""
+    adj = g.gaifman_adj()
+    closed = [adj[v] | (1 << v) for v in range(g.n)]
+    edges = [e for e in g.edges if e & s]
+    blockers = []
+    for e in edges:
+        u, v = bits(e)
+        blockers.append(closed[u] | closed[v])
+    best = 0
+    steps = 0
+
+    def grow(count: int, start: int, blocked: int):
+        nonlocal best, steps
+        best = max(best, count)
+        for i in range(start, len(edges)):
+            if edges[i] & blocked:
+                continue
+            steps += 1
+            if steps > cap:
+                raise ResourceError("induced matching cap exceeded", best=best)
+            grow(count + 1, i + 1, blocked | blockers[i])
+
+    grow(0, 0, 0)
+    return best
 
 
-ALPHA = WellBehavedMeasure("alpha", alpha_decide, lambda h, s: alpha_set(h, s))
-RHO = WellBehavedMeasure("rho", rho_decide, _rho_value)
+def minor_matching_intersecting(h: Hypergraph, s: int,
+                                cap: int = DEFAULT_ORACLE_CAP) -> int:
+    """mu_H(S): the largest matching minor of cl(H) with every edge meeting S.
+
+    Exhaustive delete/contract/keep search over vertices, memoized on the
+    partially reduced clutter.  Exact, exponential; meant for desk scale.
+    """
+    edges = _minimal_masks(h.edges)
+    n = h.n
+    best = 0
+    steps = 0
+    memo: dict[tuple, int] = {}
+
+    def final_value(es) -> int:
+        # es is over kept vertices only: a matching iff all edges have size 2
+        # and are pairwise disjoint and each meets S
+        used = 0
+        for e in es:
+            if e.bit_count() != 2 or e & used or not e & s:
+                return -1
+            used |= e
+        return len(es)
+
+    def search(es: tuple[int, ...], v: int) -> int:
+        nonlocal steps
+        key = (es, v)
+        got = memo.get(key)
+        if got is not None:
+            return got
+        steps += 1
+        if steps > cap:
+            raise ResourceError("minor matching cap exceeded", best=best)
+        if any(e == 0 for e in es):
+            memo[key] = -1
+            return -1
+        if v == n:
+            r = final_value(es)
+            memo[key] = r
+            return r
+        if len(es) == 0:
+            memo[key] = 0
+            return 0
+        bv = 1 << v
+        # keep v untouched
+        r = search(es, v + 1)
+        # delete v
+        r = max(r, search(tuple(e for e in es if not e & bv), v + 1))
+        # contract v
+        r = max(r, search(_minimal_masks(e & ~bv for e in es), v + 1))
+        memo[key] = r
+        return r
+
+    return max(0, search(edges, 0))
+
+
+def mu_intersecting(h: Hypergraph, s: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
+    """mu_H(S); graphs take the induced-matching fast path."""
+    if s & ~h.vertex_mask:
+        raise InputError("S contains an unknown vertex id")
+    if all(e.bit_count() == 2 for e in h.edges):
+        return induced_matching_intersecting(h, s, cap)
+    return minor_matching_intersecting(h, s, cap)
+
+
+# ---------------------------------------------------------------------------
+# registry
+
+
+def _kappa(h: Hypergraph, s: int) -> int:
+    return s.bit_count() - 1
+
+
+KAPPA = WellBehavedMeasure("kappa", lambda h, s, k: _kappa(h, s) <= k, _kappa)
+ALPHA = WellBehavedMeasure("alpha", alpha_decide, alpha_set)
+RHO = WellBehavedMeasure("rho", rho_decide, rho_set)
+MU = WellBehavedMeasure("mu", lambda h, s, k: mu_intersecting(h, s) <= k,
+                        mu_intersecting)
 
 MEASURES = {"alpha": ALPHA, "rho": RHO}
+BAG_MEASURES = {"kappa": KAPPA, **MEASURES, "mu": MU}
 
 
 def get_measure(name: str) -> WellBehavedMeasure:
@@ -79,16 +242,6 @@ def get_measure(name: str) -> WellBehavedMeasure:
         return MEASURES[name]
     except KeyError:
         raise InputError(f"unknown measure {name!r}; pick one of {sorted(MEASURES)}")
-
-
-def measure_value(m: WellBehavedMeasure, h: Hypergraph, s: int, cap: int):
-    """Least k <= cap with decide true, or the CAP_EXCEEDED marker."""
-    if cap < 0:
-        raise InputError("cap must be nonnegative")
-    for k in range(cap + 1):
-        if m.decide(h, s, k):
-            return k
-    return CAP_EXCEEDED
 
 
 @dataclass

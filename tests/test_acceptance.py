@@ -12,7 +12,7 @@ from fractions import Fraction
 from mmtw._bits import bits
 from mmtw.approx import Refutation, find_separator, width_bound
 from mmtw.blocker import trace_blocker
-from mmtw.decomposition import (alpha_set, mu_intersecting, validate, width)
+from mmtw.decomposition import validate, width
 from mmtw.dp import chromatic_decide, hom_decide, mwis
 from mmtw.formats import (parse_hypergraph, parse_td, serialize_hypergraph,
                           serialize_td)
@@ -21,7 +21,7 @@ from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_decomposition, random_graph,
                            random_hypergraph, random_weights, rng_from_seed)
 from mmtw.hypergraph import Hypergraph, blocker_bruteforce, minimalize, trace
-from mmtw.measures import ALPHA, RHO
+from mmtw.measures import ALPHA, RHO, alpha_set, mu_intersecting
 from mmtw.oracles import (_separates, chromatic_bruteforce, hom_bruteforce,
                           independent_in, lambda_tw_exact, mwis_bruteforce,
                           separator_exists_bruteforce)

@@ -108,6 +108,16 @@ def test_resource_exit_code(files, capsys):
     assert json.loads(out)["status"] == "resource-exceeded"
 
 
+def test_recursion_depth_is_a_resource_exit(files, capsys):
+    # the blocker trace recurses once per vertex; 1200 is past the default
+    # interpreter stack, and the answer must be exit 20, not a traceback
+    hg = files("p1200.hg", serialize_hypergraph(path_graph(1200)))
+    code, out, _ = run(capsys, "trace", "-S", "1,1200", hg, "--json")
+    assert code == 20
+    doc = json.loads(out)
+    assert doc["status"] == "resource-exceeded" and doc["error"]
+
+
 def test_covering_solves_ignore_the_trace_caps(files, capsys):
     # nodes/depth bound the blocker trace, which only mwis reads
     c5 = cycle_graph(5)

@@ -5,14 +5,15 @@ import math
 import pytest
 
 from mmtw._bits import mask_of
-from mmtw.decomposition import (TreeDecomposition, alpha_set, from_elimination_order,
-                                induced_matching_intersecting, mu_intersecting,
-                                rho_set, single_bag, validate, width)
+from mmtw.decomposition import (TreeDecomposition, from_elimination_order,
+                                single_bag, validate, width)
 from mmtw.errors import InputError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_decomposition, random_graph,
                            random_hypergraph, rng_from_seed)
 from mmtw.hypergraph import Graph, Hypergraph
+from mmtw.measures import (alpha_set, induced_matching_intersecting,
+                           minor_matching_intersecting, mu_intersecting, rho_set)
 from mmtw.oracles import independent_in
 
 
@@ -101,7 +102,7 @@ def test_induced_matching_on_graphs_matches_mu():
     for _ in range(40):
         g = random_graph(rng, rng.randrange(1, 9), 0.4)
         s = rng.getrandbits(g.n)
-        assert induced_matching_intersecting(g, s) == mu_intersecting(g, s)
+        assert induced_matching_intersecting(g, s) == minor_matching_intersecting(g, s)
 
 
 def test_width_report():

@@ -1,14 +1,18 @@
-"""The five well-behaved-measure axioms, checked by sampling."""
+"""The five well-behaved-measure axioms, checked by sampling, and the bag
+measure oracles against references."""
 
 import math
 
 import pytest
 
 from mmtw._bits import bits
+from mmtw.decomposition import single_bag, width
 from mmtw.errors import InputError
 from mmtw.generate import random_graph, random_hypergraph, rng_from_seed
-from mmtw.measures import (ALPHA, CAP_EXCEEDED, MEASURES, MeasureContext,
-                           get_measure, measure_value)
+from mmtw.hypergraph import Hypergraph, gaifman, induced
+from mmtw.measures import (ALPHA, BAG_MEASURES, MEASURES, RHO, MeasureContext,
+                           get_measure)
+from mmtw.oracles import mwis_bruteforce
 
 
 def instances(seed, count):
@@ -75,15 +79,6 @@ def test_axiom_decide_consistent_with_value(name):
             assert m.decide(h, s, k) == (val <= k)
 
 
-def test_measure_value_cap():
-    for rng, h in instances(25, 30):
-        s = rng.getrandbits(h.n)
-        val = ALPHA.value(h, s)
-        assert measure_value(ALPHA, h, s, h.n + 1) == val
-        if val > 0:
-            assert measure_value(ALPHA, h, s, val - 1) is CAP_EXCEEDED
-
-
 def test_context_memoizes():
     rng = rng_from_seed(26)
     h = random_graph(rng, 7, 0.4)
@@ -97,3 +92,40 @@ def test_context_memoizes():
 def test_unknown_measure():
     with pytest.raises(InputError):
         get_measure("kappa")
+
+
+def test_rho_exact_beyond_64_edges():
+    h = Hypergraph(70, [1 << i for i in range(70)])
+    v = h.vertex_mask
+    assert RHO.value(h, v) == 70
+    assert width(h, single_bag(h), "rho").width == 70
+    assert not RHO.decide(h, v, 69)
+    assert RHO.decide(h, v, 70)
+
+
+def test_rho_uncoverable_is_math_inf():
+    h = Hypergraph(3, [0b011])
+    assert RHO.value(h, 0b100) is math.inf
+    assert RHO.value(h, 0b011) == 1
+
+
+@pytest.mark.parametrize("name", list(BAG_MEASURES))
+def test_bag_measure_decide_consistent_with_value(name):
+    m = BAG_MEASURES[name]
+    for rng, h in instances(27, 60):
+        s = rng.getrandbits(h.n)
+        val = m.value(h, s)
+        for k in range(-1, h.n + 2):
+            assert m.decide(h, s, k) == (val <= k)
+
+
+def test_alpha_matches_unit_weight_mwis():
+    rng = rng_from_seed(28)
+    for _ in range(120):
+        n = rng.randrange(1, 10)
+        h = random_hypergraph(rng, n, rng.randrange(1, n + 3))
+        s = rng.getrandbits(n)
+        g, _ = induced(gaifman(h), s)
+        want = mwis_bruteforce(g, [1] * g.n)[0]
+        assert ALPHA.value(h, s) == want
+        assert ALPHA.decide(h, s, want) and not ALPHA.decide(h, s, want - 1)

@@ -2,10 +2,10 @@
 
 from mmtw._bits import bits
 from mmtw.approx import Refutation
-from mmtw.decomposition import (alpha_set, mu_intersecting, single_bag,
-                                validate, width)
+from mmtw.decomposition import single_bag, validate, width
 from mmtw.generate import (complete_graph, path_graph, random_cobipartite,
                            random_decomposition, random_graph, rng_from_seed)
+from mmtw.measures import alpha_set, mu_intersecting
 from mmtw.reductions import (approximate_mu_tw, line_square,
                              line_square_pullback, pendant_extend,
                              pendant_pullback)
