@@ -23,3 +23,17 @@ def bits(mask: int) -> Iterator[int]:
 def to_set(mask: int) -> frozenset[int]:
     return frozenset(bits(mask))
 
+
+def reach(adj, seeds: int, allowed: int) -> int:
+    """Vertices of ``allowed`` reachable from ``seeds & allowed`` through
+    ``allowed`` in the graph given by adjacency masks; ``allowed`` may be a
+    complement ``~avoid``."""
+    seen = frontier = seeds & allowed
+    while frontier:
+        nxt = 0
+        for u in bits(frontier):
+            nxt |= adj[u]
+        frontier = nxt & allowed & ~seen
+        seen |= frontier
+    return seen
+

@@ -16,13 +16,13 @@ from fractions import Fraction
 from itertools import product
 from typing import Optional
 
-from ._bits import bits
+from ._bits import bits, reach
 from .decomposition import TreeDecomposition
 from .errors import InputError, ResourceError
 from .hypergraph import Hypergraph, induced
 from .measures import MeasureContext, WellBehavedMeasure
 
-DEFAULT_GUESS_CAP = 5_000_000
+GUESS_CAP = 200_000
 
 
 @dataclass(frozen=True)
@@ -112,24 +112,10 @@ def _is_clique(adj, mask: int) -> bool:
     return True
 
 
-def _reach_avoiding(adj, seeds: int, avoid: int) -> int:
-    """Vertices reachable from ``seeds`` without entering ``avoid``."""
-    seen = seeds & ~avoid
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= adj[u]
-        nxt &= ~(seen | avoid)
-        seen |= nxt
-        frontier = nxt
-    return seen
-
-
 def _components(adj, allowed: int):
     rest = allowed
     while rest:
-        comp = _reach_avoiding(adj, rest & -rest, ~allowed)
+        comp = reach(adj, rest & -rest, allowed)
         yield comp
         rest &= ~comp
 
@@ -156,7 +142,7 @@ def atoms(adj, universe: int) -> list[int]:
             continue
         if not (vprime >> x) & 1:
             continue
-        comp = _reach_avoiding(adj, 1 << x, ~(vprime & ~higher & universe))
+        comp = reach(adj, 1 << x, vprime & ~higher & universe)
         if vprime & ~(higher | comp) == 0:
             continue  # the clique does not separate what remains
         out.append(higher | comp)
@@ -268,7 +254,6 @@ def _tarjan_scc(graph) -> list[int]:
 @dataclass(frozen=True)
 class SeparatorResult:
     separator: Optional[int] = None
-    lam_value: object = None
     refutation: Optional[str] = None  # "lambda-tw exceeded" | "not separable"
 
     @property
@@ -306,14 +291,12 @@ def _is_separator(adj, s: int, a: int, b: int) -> bool:
     """S separates A from B: A cap B inside S, no A\\S -- B\\S path avoiding S."""
     if a & b & ~s:
         return False
-    reach = _reach_avoiding(adj, a & ~s, s)
-    return not reach & (b & ~s)
+    return not reach(adj, a, ~s) & (b & ~s)
 
 
 def find_separator(h: Hypergraph, a: int, b: int, k: int,
                    m: WellBehavedMeasure,
-                   ctx: Optional[MeasureContext] = None,
-                   guess_cap: int = DEFAULT_GUESS_CAP) -> SeparatorResult:
+                   ctx: Optional[MeasureContext] = None) -> SeparatorResult:
     """(A,B)-separator with lambda at most C(k+1,2)*k, or a refutation.
 
     The refutation is the disjunction "no separator with lambda <= k exists,
@@ -346,7 +329,7 @@ def find_separator(h: Hypergraph, a: int, b: int, k: int,
                 z |= km
             for j1_bits in range(1 << len(members)):
                 guesses += 1
-                if guesses > guess_cap:
+                if guesses > GUESS_CAP:
                     raise ResourceError("separator guess cap exceeded",
                                         guesses=guesses)
                 j1 = {members[i] for i in range(len(members))
@@ -359,8 +342,8 @@ def find_separator(h: Hypergraph, a: int, b: int, k: int,
 
 
 def _try_branch(h, gaif, adj2, a, b, k, ctx, members, j1, k_v, x_mask, z):
-    reach_a = _reach_avoiding(adj2, a, z)
-    reach_b = _reach_avoiding(adj2, b, z)
+    reach_a = reach(adj2, a, ~z)
+    reach_b = reach(adj2, b, ~z)
     bad = 0
     for v in members:
         side_seed, side_set = (b, reach_b) if v in j1 else (a, reach_a)
@@ -413,7 +396,7 @@ def _try_branch(h, gaif, adj2, a, b, k, ctx, members, j1, k_v, x_mask, z):
     sep = s_prime | x_mask
     if not _is_separator(gaif, sep, a, b):
         return None
-    return SeparatorResult(separator=sep, lam_value=ctx.value(sep))
+    return SeparatorResult(separator=sep)
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +416,7 @@ class SplitResult:
 
 
 def balanced_split(h: Hypergraph, w: int, k: int, m: WellBehavedMeasure,
-                   r=None, ctx: Optional[MeasureContext] = None,
-                   guess_cap: int = DEFAULT_GUESS_CAP) -> SplitResult:
+                   r=None, ctx: Optional[MeasureContext] = None) -> SplitResult:
     """Partition (A,B) of W plus an (A,B)-separator S with lambda(S) bounded
     by C(k+1,2)*k and lambda(A\\S), lambda(B\\S) at most (2/3)r + k; or the
     refutation lambda-tw(H) > k."""
@@ -456,7 +438,7 @@ def balanced_split(h: Hypergraph, w: int, k: int, m: WellBehavedMeasure,
         b = w & ~gamma
         if not ctx.at_most(a, side_cap) or not ctx.at_most(b, side_cap):
             continue
-        res = find_separator(h, a, b, k, m, ctx, guess_cap)
+        res = find_separator(h, a, b, k, m, ctx)
         if res.ok:
             return SplitResult(a=a, b=b, separator=res.separator)
         if res.refutation == "lambda-tw exceeded":
@@ -483,8 +465,7 @@ def _grow_wstar(ctx: MeasureContext, w: int, big_k: int, full: int):
 
 
 def approx_decomposition(h: Hypergraph, k: int, m: WellBehavedMeasure,
-                         w: int = 0,
-                         guess_cap: int = DEFAULT_GUESS_CAP):
+                         w: int = 0):
     """Tree decomposition of lambda-width <= 2k^3+2k^2+3k+3 with W inside one
     bag, or a Refutation that lambda-tw(H) > k."""
     if k < 1:
@@ -495,7 +476,7 @@ def approx_decomposition(h: Hypergraph, k: int, m: WellBehavedMeasure,
     ctx = MeasureContext(h, m)
     if ctx.value(w) > big_k:
         raise InputError("lambda(W) exceeds the admissible bound")
-    out = _recurse(h, k, m, w, big_k, guess_cap)
+    out = _recurse(h, k, m, w, big_k)
     if isinstance(out, Refutation):
         return out
     td, _ = out
@@ -503,7 +484,7 @@ def approx_decomposition(h: Hypergraph, k: int, m: WellBehavedMeasure,
 
 
 def _recurse(h: Hypergraph, k: int, m: WellBehavedMeasure, w: int,
-             big_k: int, guess_cap: int):
+             big_k: int):
     """Returns (TreeDecomposition, index of a bag containing w) or Refutation."""
     ctx = MeasureContext(h, m)
     full = h.vertex_mask
@@ -513,8 +494,7 @@ def _recurse(h: Hypergraph, k: int, m: WellBehavedMeasure, w: int,
     if overshoot:
         # a single vertex has unbounded measure; no decomposition of width k
         return Refutation()
-    split = balanced_split(h, wstar, k, m, r=big_k, ctx=ctx,
-                           guess_cap=guess_cap)
+    split = balanced_split(h, wstar, k, m, r=big_k, ctx=ctx)
     if not split.ok:
         return Refutation()
     sep = split.separator
@@ -536,7 +516,7 @@ def _recurse(h: Hypergraph, k: int, m: WellBehavedMeasure, w: int,
         for old, new in remap.items():
             if (ai | sep) >> old & 1:
                 wi |= 1 << new
-        out = _recurse(sub, k, m, wi, big_k, guess_cap)
+        out = _recurse(sub, k, m, wi, big_k)
         if isinstance(out, Refutation):
             return out
         td, attach = out

@@ -18,7 +18,7 @@ from ._bits import bits
 from .errors import InputError, ResourceError
 from .hypergraph import Hypergraph, TraceFamily, _minimal_masks
 
-DEFAULT_NODE_CAP = 10_000_000
+DEFAULT_NODE_CAP = 200_000
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,11 @@ Subcommands: decompose, validate, width, trace, solve, reduce, stats,
 selftest.  Exit codes: 0 ok, 10 refuted, 20 resource cap exceeded, 2 invalid
 input.  With --json the report goes to stdout as a single JSON object with a
 "schema" field; diagnostics always go to stderr.
+
+``--caps`` exists on trace and solve only, the two subcommands that read it:
+nodes and depth bound the blocker trace, table bounds DP tables.  The other
+caps (separator guesses in decompose, per-set oracle steps) are fixed module
+constants and still exit 20 when hit.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from fractions import Fraction
 from . import __version__
 from ._bits import bits
 from .approx import Refutation, approx_decomposition, width_bound
-from .blocker import BranchCaps, trace_blocker
+from .blocker import DEFAULT_NODE_CAP, BranchCaps, trace_blocker
 from .decomposition import validate, width
 from .dp import (DEFAULT_TABLE_CAP, chromatic_decide, hom_decide, mwis)
 from .errors import InputError, ResourceError
@@ -48,12 +53,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="emit a JSON report on stdout")
         sp.add_argument("-o", "--output", metavar="PATH",
                         help="write the main payload to PATH instead of stdout")
+
+    def caps(sp):
         sp.add_argument("--caps", metavar="K=V[,K=V...]", default="",
                         help="resource caps: nodes=N (branch nodes, default "
-                             "200000), depth=N (branch depth, default "
-                             "unlimited), table=N (DP/guess table entries, "
-                             "default 200000); nodes and depth bound the "
-                             "blocker trace, which solve runs only for mwis")
+                             f"{DEFAULT_NODE_CAP}), depth=N (branch depth, "
+                             "default unlimited), table=N (DP table entries, "
+                             f"default {DEFAULT_TABLE_CAP}); nodes and depth "
+                             "bound the blocker trace, which solve runs only "
+                             "for mwis")
 
     sp = sub.add_parser("decompose", help="approximate a bounded-width "
                         "decomposition or refute the width bound")
@@ -84,6 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("-S", required=True, metavar="V1,V2,...",
                     help="comma-separated 1-based vertex ids (empty for S=∅)")
     common(sp)
+    caps(sp)
 
     sp = sub.add_parser("solve", help="run a DP solver over a decomposition")
     sp.add_argument("hypergraph")
@@ -94,6 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", metavar="PATH",
                     help="target hypergraph file (hom)")
     common(sp)
+    caps(sp)
 
     sp = sub.add_parser("reduce", help="apply a width-preserving reduction")
     sp.add_argument("hypergraph")
@@ -113,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_caps(spec: str) -> dict:
-    caps = {"nodes": 200_000, "depth": None, "table": DEFAULT_TABLE_CAP}
+    caps = {"nodes": DEFAULT_NODE_CAP, "depth": None, "table": DEFAULT_TABLE_CAP}
     if not spec:
         return caps
     for part in spec.split(","):
@@ -196,16 +206,15 @@ class _Report:
 
 def _cmd_decompose(args, report: _Report) -> None:
     h = _load_hypergraph(args.hypergraph)
-    caps = _parse_caps(args.caps)
     if args.k < 1:
         raise InputError("-k must be at least 1")
     if args.measure is None:
         g = _as_graph(h)
-        out = approximate_mu_tw(g, args.k, guess_cap=caps["table"])
+        out = approximate_mu_tw(g, args.k)
         measure_name = "mu"
     else:
         m = get_measure(args.measure)
-        out = approx_decomposition(h, args.k, m, guess_cap=caps["table"])
+        out = approx_decomposition(h, args.k, m)
         measure_name = args.measure
     if isinstance(out, Refutation):
         report.status = "refuted"

@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from ._bits import bits, to_set
+from ._bits import bits, reach, to_set
 from .errors import InputError, ResourceError
 from .hypergraph import Hypergraph
 from .measures import BAG_MEASURES
@@ -34,29 +34,13 @@ class TreeDecomposition:
                 raise InputError(f"bad tree edge ({a}, {b})")
         if len(edges) != k - 1:
             raise InputError("tree edge count must be node count minus one")
-        adj = [set() for _ in range(k)]
-        for a, b in edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = [False] * k
-        stack = [0]
-        seen[0] = True
-        while stack:
-            t = stack.pop()
-            for u in adj[t]:
-                if not seen[u]:
-                    seen[u] = True
-                    stack.append(u)
-        if not all(seen):
+        full = (1 << k) - 1
+        if reach(_node_adj(k, edges), 1, full) != full:
             raise InputError("tree edges do not connect all nodes")
         bags, edges = _merge_adjacent_equal(bags, edges)
         self.bags = tuple(bags)
         self.tree_edges = tuple(sorted(edges))
-        adj2: list[int] = [0] * len(self.bags)
-        for a, b in self.tree_edges:
-            adj2[a] |= 1 << b
-            adj2[b] |= 1 << a
-        self._adj = tuple(adj2)
+        self._adj = _node_adj(len(self.bags), self.tree_edges)
 
     @property
     def node_count(self) -> int:
@@ -75,6 +59,14 @@ class TreeDecomposition:
     def __repr__(self):
         return (f"TreeDecomposition(bags={[sorted(to_set(b)) for b in self.bags]}, "
                 f"tree={list(self.tree_edges)})")
+
+
+def _node_adj(k: int, edges) -> tuple[int, ...]:
+    adj = [0] * k
+    for a, b in edges:
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    return tuple(adj)
 
 
 def _merge_adjacent_equal(bags, edges):
@@ -116,21 +108,14 @@ def validate(h: Hypergraph, t: TreeDecomposition) -> Validity:
     for bag in t.bags:
         if bag & ~h.vertex_mask:
             raise InputError("bag contains a vertex outside the hypergraph")
-    k = t.node_count
-    for v in range(h.n):
-        nodes = [i for i in range(k) if (t.bags[i] >> v) & 1]
+    nodes_of = [0] * h.n
+    for i, bag in enumerate(t.bags):
+        for v in bits(bag):
+            nodes_of[v] |= 1 << i
+    for v, nodes in enumerate(nodes_of):
         if not nodes:
             return Validity(False, f"vertex {v} appears in no bag", bad_vertex=v)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        node_set = set(nodes)
-        while stack:
-            a = stack.pop()
-            for b in t.neighbors(a):
-                if b in node_set and b not in seen:
-                    seen.add(b)
-                    stack.append(b)
-        if len(seen) != len(nodes):
+        if reach(t._adj, nodes & -nodes, nodes) != nodes:
             return Validity(False, f"bags containing vertex {v} are disconnected",
                             bad_vertex=v)
     adj = h.gaifman_adj()
@@ -182,18 +167,13 @@ def single_bag(h: Hypergraph) -> TreeDecomposition:
 
 
 def _fill_neighborhood(adj, v: int, eliminated: int) -> int:
-    """Non-eliminated vertices reachable from v via eliminated-internal paths."""
-    seen = 1 << v
-    frontier = 1 << v
+    """Non-eliminated vertices reachable from v via eliminated-internal paths:
+    the neighbours of v's component in eliminated + v, outside that set."""
+    inside = eliminated | (1 << v)
     out = 0
-    while frontier:
-        nxt = 0
-        for u in bits(frontier):
-            nxt |= adj[u] & ~seen
-        seen |= nxt
-        out |= nxt & ~eliminated
-        frontier = nxt & eliminated
-    return out & ~(1 << v)
+    for u in bits(reach(adj, 1 << v, inside)):
+        out |= adj[u]
+    return out & ~inside
 
 
 def from_elimination_order(h: Hypergraph, order: Sequence[int]) -> TreeDecomposition:

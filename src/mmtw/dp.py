@@ -27,7 +27,8 @@ from .errors import InputError, ResourceError
 from .hypergraph import Hypergraph, complement_trace, induced
 
 DEFAULT_TABLE_CAP = 200_000
-DEFAULT_MIS_CAP = 25
+MIS_CAP = 25
+TARGET_CAP = 10
 
 
 def _lift(mask: int, back: list[int]) -> int:
@@ -87,8 +88,7 @@ class BlockerReadable:
 
 def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
            trace_caps: BranchCaps = BranchCaps(),
-           table_cap: int = DEFAULT_TABLE_CAP,
-           mis_cap: int = DEFAULT_MIS_CAP):
+           table_cap: int = DEFAULT_TABLE_CAP):
     """Table of f over the empty base set, computed bottom-up over T.
 
     The tree is rooted at node 0; each node's hypergraph is the subhypergraph
@@ -117,7 +117,7 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
     subtree_v: dict[int, int] = {}
     for node in reversed(order):
         bag = t.bags[node]
-        acc = f.leaf_init(_mis_of(h, bag, mis_cap), bag)
+        acc = f.leaf_init(_mis_of(h, bag, MIS_CAP), bag)
         acc_v = bag
         for c in sorted(children[node]):
             tbl = f.restrict(tables.pop(c), t.bags[c], bag & t.bags[c])
@@ -327,8 +327,7 @@ def chromatic_decide(h: Hypergraph, k: int, t: TreeDecomposition,
 
 def hom_decide(h: Hypergraph, f: Hypergraph, t: TreeDecomposition,
                trace_caps: BranchCaps = BranchCaps(),
-               table_cap: int = DEFAULT_TABLE_CAP,
-               target_cap: int = 10) -> bool:
+               table_cap: int = DEFAULT_TABLE_CAP) -> bool:
     """True iff there is a homomorphism from H to F (both r-uniform)."""
     ranks_h = {e.bit_count() for e in h.edges}
     ranks_f = {e.bit_count() for e in f.edges}
@@ -336,13 +335,13 @@ def hom_decide(h: Hypergraph, f: Hypergraph, t: TreeDecomposition,
         raise InputError("hypergraphs must be uniform")
     if ranks_h and ranks_f and ranks_h != ranks_f:
         raise InputError("hypergraphs must be uniform of the same rank")
-    if f.n > target_cap:
-        raise ResourceError(f"target cap {target_cap} exceeded (n={f.n})", n=f.n)
+    if f.n > TARGET_CAP:
+        raise ResourceError(f"target cap {TARGET_CAP} exceeded (n={f.n})", n=f.n)
     if h.n == 0:
         return True
     if f.n == 0:
         return False
-    target_mis = sorted(enumerate_mis(f, target_cap))
+    target_mis = sorted(enumerate_mis(f, TARGET_CAP))
     arity = len(target_mis)
     if arity == 0:
         # F has an empty edge: no independent sets at all, and any map sends

@@ -6,7 +6,9 @@ class InputError(ValueError):
 
 
 class ResourceError(RuntimeError):
-    """A configured resource cap (node budget, depth, table size) was hit.
+    """A resource cap was hit: a settable one (blocker trace node budget or
+    depth, DP table size) or a fixed one (separator guesses, per-set oracle
+    steps, MIS and target sizes).
 
     Carries whatever partial statistics the aborted computation collected.
     """

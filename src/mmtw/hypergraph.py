@@ -117,22 +117,16 @@ class Clutter(Hypergraph):
 class Graph(Clutter):
     """A clutter whose edges all have size exactly two."""
 
-    __slots__ = ("_adj",)
+    __slots__ = ()
 
     def __init__(self, n: int, edges: Iterable[int] = (), weights: Weights = None):
         super().__init__(n, edges, weights)
         if any(h.bit_count() != 2 for h in self.edges):
             raise InputError("graph edge of size != 2")
-        adj = [0] * n
-        for h in self.edges:
-            u, v = bits(h)
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self._adj = tuple(adj)
 
     @property
     def adj(self) -> tuple[int, ...]:
-        return self._adj
+        return self.gaifman_adj()
 
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
@@ -200,13 +194,9 @@ def minimalize(h: Hypergraph) -> Clutter:
 
 def gaifman(h: Hypergraph) -> Graph:
     """Graph joining vertices that co-occur in a hyperedge."""
-    pairs = set()
-    for e in h.edges:
-        vs = list(bits(e))
-        for i, u in enumerate(vs):
-            for v in vs[i + 1:]:
-                pairs.add((1 << u) | (1 << v))
-    return Graph(h.n, pairs)
+    adj = h.gaifman_adj()
+    return Graph(h.n, ((1 << u) | (1 << v)
+                       for u in range(h.n) for v in bits(adj[u]) if v > u))
 
 
 def induced(h: Hypergraph, s: int) -> tuple[Hypergraph, dict[int, int]]:

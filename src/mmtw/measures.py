@@ -24,7 +24,7 @@ from ._bits import bits
 from .errors import InputError, ResourceError
 from .hypergraph import Hypergraph, _minimal_masks
 
-DEFAULT_ORACLE_CAP = 2_000_000
+ORACLE_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -50,8 +50,7 @@ class WellBehavedMeasure:
 # per-set oracles
 
 
-def _alpha_search(adj, s: int, best: int, first: bool,
-                  cap: int = DEFAULT_ORACLE_CAP) -> int:
+def _alpha_search(adj, s: int, best: int, first: bool) -> int:
     """max(best, alpha(G[S])) by branch-and-bound over independent sets.
 
     A branch is cut when its size plus its candidates cannot beat ``best``;
@@ -67,7 +66,7 @@ def _alpha_search(adj, s: int, best: int, first: bool,
                 return True
         while cand and count + cand.bit_count() > best:
             steps += 1
-            if steps > cap:
+            if steps > ORACLE_CAP:
                 raise ResourceError("alpha oracle cap exceeded",
                                     **({} if first else {"best": best}))
             low = cand & -cand
@@ -80,9 +79,9 @@ def _alpha_search(adj, s: int, best: int, first: bool,
     return best
 
 
-def alpha_set(h: Hypergraph, s: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
+def alpha_set(h: Hypergraph, s: int) -> int:
     """alpha(G[S]) for the Gaifman graph G of H."""
-    return _alpha_search(h.gaifman_adj(), s, 0, False, cap)
+    return _alpha_search(h.gaifman_adj(), s, 0, False)
 
 
 def alpha_decide(h: Hypergraph, s: int, k: int) -> bool:
@@ -126,8 +125,7 @@ def rho_decide(h: Hypergraph, s: int, k: int) -> bool:
     return _rho_below(h, s, k + 1) <= k
 
 
-def induced_matching_intersecting(g: Hypergraph, s: int,
-                                  cap: int = DEFAULT_ORACLE_CAP) -> int:
+def induced_matching_intersecting(g: Hypergraph, s: int) -> int:
     """Maximum induced matching of the graph G with every matched edge
     meeting S (G given as a hypergraph whose edges are all pairs)."""
     adj = g.gaifman_adj()
@@ -147,7 +145,7 @@ def induced_matching_intersecting(g: Hypergraph, s: int,
             if edges[i] & blocked:
                 continue
             steps += 1
-            if steps > cap:
+            if steps > ORACLE_CAP:
                 raise ResourceError("induced matching cap exceeded", best=best)
             grow(count + 1, i + 1, blocked | blockers[i])
 
@@ -155,8 +153,7 @@ def induced_matching_intersecting(g: Hypergraph, s: int,
     return best
 
 
-def minor_matching_intersecting(h: Hypergraph, s: int,
-                                cap: int = DEFAULT_ORACLE_CAP) -> int:
+def minor_matching_intersecting(h: Hypergraph, s: int) -> int:
     """mu_H(S): the largest matching minor of cl(H) with every edge meeting S.
 
     Exhaustive delete/contract/keep search over vertices, memoized on the
@@ -179,19 +176,20 @@ def minor_matching_intersecting(h: Hypergraph, s: int,
         return len(es)
 
     def search(es: tuple[int, ...], v: int) -> int:
-        nonlocal steps
+        nonlocal best, steps
         key = (es, v)
         got = memo.get(key)
         if got is not None:
             return got
         steps += 1
-        if steps > cap:
+        if steps > ORACLE_CAP:
             raise ResourceError("minor matching cap exceeded", best=best)
         if any(e == 0 for e in es):
             memo[key] = -1
             return -1
         if v == n:
             r = final_value(es)
+            best = max(best, r)
             memo[key] = r
             return r
         if len(es) == 0:
@@ -210,13 +208,13 @@ def minor_matching_intersecting(h: Hypergraph, s: int,
     return max(0, search(edges, 0))
 
 
-def mu_intersecting(h: Hypergraph, s: int, cap: int = DEFAULT_ORACLE_CAP) -> int:
+def mu_intersecting(h: Hypergraph, s: int) -> int:
     """mu_H(S); graphs take the induced-matching fast path."""
     if s & ~h.vertex_mask:
         raise InputError("S contains an unknown vertex id")
     if all(e.bit_count() == 2 for e in h.edges):
-        return induced_matching_intersecting(h, s, cap)
-    return minor_matching_intersecting(h, s, cap)
+        return induced_matching_intersecting(h, s)
+    return minor_matching_intersecting(h, s)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,6 @@ so that mu_G(S) = alpha_L(L(S)).  Both come with decomposition pullbacks, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 from ._bits import bits
 from .approx import Refutation, approx_decomposition
 from .decomposition import TreeDecomposition
@@ -71,6 +69,7 @@ class LineSquare:
 
 def line_square(g: Graph) -> LineSquare:
     edges = g.edges
+    adj = g.gaifman_adj()
     m = len(edges)
     pairs = []
     for i in range(m):
@@ -80,7 +79,7 @@ def line_square(g: Graph) -> LineSquare:
                 pairs.append((i, j))
                 continue
             for u in bits(e):
-                if g.adj[u] & f:
+                if adj[u] & f:
                     pairs.append((i, j))
                     break
     return LineSquare(g, Graph.from_pairs(m, pairs), edges)
@@ -112,14 +111,13 @@ def line_square_pullback(x: LineSquare, t: TreeDecomposition
     return TreeDecomposition(bags, t.tree_edges), isolated
 
 
-def approximate_mu_tw(g: Graph, k: int, guess_cap: Optional[int] = None):
+def approximate_mu_tw(g: Graph, k: int):
     """Decomposition of G with mu-width <= 2k^3+2k^2+3k+3, or a Refutation
     meaning mu-tw(G) > k.  Runs the alpha pipeline on L^2(G) and pulls back."""
     if k < 1:
         raise InputError("k must be at least 1")
     ls = line_square(g)
-    kwargs = {} if guess_cap is None else {"guess_cap": guess_cap}
-    out = approx_decomposition(ls.line, k, ALPHA, 0, **kwargs)
+    out = approx_decomposition(ls.line, k, ALPHA, 0)
     if isinstance(out, Refutation):
         return Refutation("mu-tw exceeds k")
     td, _ = line_square_pullback(ls, out)

@@ -166,3 +166,20 @@ def test_bad_caps_rejected(files, capsys):
     hg = files("p3.hg", serialize_hypergraph(path_graph(3)))
     code, _, _ = run(capsys, "trace", "-S", "1", hg, "--caps", "bogus=3")
     assert code == 2
+
+
+def test_caps_rejected_where_unread(files, capsys):
+    # --caps exists only on trace and solve, the subcommands that read it
+    hg = files("p3.hg", serialize_hypergraph(path_graph(3)))
+    td = files("p3.td", "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
+    with pytest.raises(SystemExit) as info:
+        main(["validate", hg, td, "--caps", "nodes=1"])
+    assert info.value.code == 2
+
+
+def test_decompose_has_no_table_cap(files, capsys):
+    # table bounds DP tables only; separator guesses have their own fixed cap
+    hg = files("p40.hg", serialize_hypergraph(path_graph(40)))
+    with pytest.raises(SystemExit) as info:
+        main(["decompose", "-k", "1", hg, "--caps", "table=1"])
+    assert info.value.code == 2

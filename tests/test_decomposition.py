@@ -4,9 +4,10 @@ import math
 
 import pytest
 
-from mmtw._bits import mask_of
-from mmtw.decomposition import (TreeDecomposition, from_elimination_order,
-                                single_bag, validate, width)
+from mmtw._bits import mask_of, reach
+from mmtw.decomposition import (TreeDecomposition, _fill_neighborhood,
+                                from_elimination_order, single_bag, validate,
+                                width)
 from mmtw.errors import InputError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_decomposition, random_graph,
@@ -125,3 +126,46 @@ def test_measures_monotone_in_s():
         assert alpha_set(h, t) <= alpha_set(h, s)
         assert rho_set(h, t) <= rho_set(h, s)
         assert mu_intersecting(h, t) <= mu_intersecting(h, s)
+
+
+def _neighbours(adj, u):
+    return {w for w in range(len(adj)) if (adj[u] >> w) & 1}
+
+
+def test_reach_matches_set_bfs():
+    rng = rng_from_seed(17)
+    for _ in range(200):
+        n = rng.randrange(1, 13)
+        adj = random_graph(rng, n, rng.uniform(0.1, 0.5)).gaifman_adj()
+        seeds = rng.getrandbits(n)
+        s = rng.getrandbits(n)
+        for allowed in (s, ~s):
+            inside = {v for v in range(n) if (allowed >> v) & 1}
+            seen = {v for v in inside if (seeds >> v) & 1}
+            stack = list(seen)
+            while stack:
+                for w in (_neighbours(adj, stack.pop()) & inside) - seen:
+                    seen.add(w)
+                    stack.append(w)
+            assert reach(adj, seeds, allowed) == mask_of(seen)
+
+
+def test_fill_neighborhood_matches_path_search():
+    rng = rng_from_seed(18)
+    for _ in range(200):
+        n = rng.randrange(1, 11)
+        adj = random_graph(rng, n, rng.uniform(0.1, 0.5)).gaifman_adj()
+        v = rng.randrange(n)
+        eliminated = rng.getrandbits(n) & ~(1 << v)
+        want = set()
+
+        def walk(u, path):
+            # every simple path from v whose inner vertices are eliminated
+            for w in _neighbours(adj, u) - path:
+                if (eliminated >> w) & 1:
+                    walk(w, path | {w})
+                else:
+                    want.add(w)
+
+        walk(v, {v})
+        assert _fill_neighborhood(adj, v, eliminated) == mask_of(want)

@@ -7,11 +7,11 @@ import pytest
 
 from mmtw._bits import bits
 from mmtw.decomposition import single_bag, width
-from mmtw.errors import InputError
+from mmtw.errors import InputError, ResourceError
 from mmtw.generate import random_graph, random_hypergraph, rng_from_seed
 from mmtw.hypergraph import Hypergraph, gaifman, induced
 from mmtw.measures import (ALPHA, BAG_MEASURES, MEASURES, RHO, MeasureContext,
-                           get_measure)
+                           get_measure, minor_matching_intersecting)
 from mmtw.oracles import mwis_bruteforce
 
 
@@ -129,3 +129,12 @@ def test_alpha_matches_unit_weight_mwis():
         want = mwis_bruteforce(g, [1] * g.n)[0]
         assert ALPHA.value(h, s) == want
         assert ALPHA.decide(h, s, want) and not ALPHA.decide(h, s, want - 1)
+
+
+def test_minor_matching_cap_reports_best(monkeypatch):
+    # the exact value is 2; a cap hit after the search has seen it says so
+    monkeypatch.setattr("mmtw.measures.ORACLE_CAP", 60)
+    h = Hypergraph(6, [0b000111, 0b111000, 0b011110])
+    with pytest.raises(ResourceError) as info:
+        minor_matching_intersecting(h, 0b111111)
+    assert info.value.stats["best"] == 2
