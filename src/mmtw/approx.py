@@ -267,24 +267,31 @@ class Refutation:
 
 
 def _independent_sets_upto(adj, universe: int, size: int):
-    """All independent sets of the graph with at most ``size`` vertices,
-    lexicographically by smallest added vertex; includes the empty set."""
-    out = [0]
+    """Yield every independent set of the graph with at most ``size``
+    vertices, the empty set first, then depth first by smallest added vertex.
 
-    def grow(current: int, count: int, candidates: int):
-        rest = candidates
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            v = low.bit_length() - 1
-            nxt = current | low
-            out.append(nxt)
-            if count + 1 < size:
-                grow(nxt, count + 1, rest & ~adj[v])
-
-    if size >= 1:
-        grow(0, 0, universe)
-    return out
+    Lazy, so a caller that stops at the first useful set builds no others;
+    the stack holds one frame [set, size of its extensions, candidates left]
+    per vertex of the current set, at most ``size`` frames.
+    """
+    yield 0
+    if size < 1:
+        return
+    stack = [[0, 1, universe]]
+    while stack:
+        frame = stack[-1]
+        rest = frame[2]
+        if not rest:
+            stack.pop()
+            continue
+        low = rest & -rest
+        rest ^= low
+        frame[2] = rest
+        nxt = frame[0] | low
+        yield nxt
+        if frame[1] < size:
+            stack.append([nxt, frame[1] + 1,
+                          rest & ~adj[low.bit_length() - 1]])
 
 
 def _is_separator(adj, s: int, a: int, b: int) -> bool:
@@ -296,19 +303,22 @@ def _is_separator(adj, s: int, a: int, b: int) -> bool:
 
 def find_separator(h: Hypergraph, a: int, b: int, k: int,
                    m: WellBehavedMeasure,
-                   ctx: Optional[MeasureContext] = None) -> SeparatorResult:
+                   ctx: Optional[MeasureContext] = None,
+                   cg: Optional[ClosureGraph] = None) -> SeparatorResult:
     """(A,B)-separator with lambda at most C(k+1,2)*k, or a refutation.
 
     The refutation is the disjunction "no separator with lambda <= k exists,
     or lambda-tw(H) > k"; the two causes are not distinguished, except that
     the early-exit clique check reports "lambda-tw exceeded" on its own.
+    ``cg`` is ``closure(h, k, m)`` when the caller has built it already.
     """
     if k < 1:
         raise InputError("k must be at least 1")
     if (a | b) & ~h.vertex_mask:
         raise InputError("A or B contains an unknown vertex id")
     ctx = ctx or MeasureContext(h, m)
-    cg = closure(h, k, m)
+    if cg is None:
+        cg = closure(h, k, m)
     adj2 = cg.adj
     gaif = h.gaifman_adj()
     guesses = 0
@@ -327,6 +337,7 @@ def find_separator(h: Hypergraph, a: int, b: int, k: int,
             z = x_mask
             for km in combo:
                 z |= km
+            shared = _GuessFacts(adj2, h.vertex_mask, a, b, k_v, x_mask, z)
             for j1_bits in range(1 << len(members)):
                 guesses += 1
                 if guesses > GUESS_CAP:
@@ -334,54 +345,74 @@ def find_separator(h: Hypergraph, a: int, b: int, k: int,
                                         guesses=guesses)
                 j1 = {members[i] for i in range(len(members))
                       if (j1_bits >> i) & 1}
-                result = _try_branch(h, gaif, adj2, a, b, k, ctx,
-                                     members, j1, k_v, x_mask, z)
+                result = _try_branch(gaif, adj2, a, b, k, ctx,
+                                     members, j1, k_v, x_mask, shared)
                 if result is not None:
                     return result
     return SeparatorResult(refutation="not separable")
 
 
-def _try_branch(h, gaif, adj2, a, b, k, ctx, members, j1, k_v, x_mask, z):
-    reach_a = reach(adj2, a, ~z)
-    reach_b = reach(adj2, b, ~z)
+class _GuessFacts:
+    """What every J1/J2 guess over one choice of atoms K_v shares; it
+    depends on A, B and Z = X plus the atoms, never on the guess."""
+
+    def __init__(self, adj2, universe, a, b, k_v, x_mask, z):
+        reach_a = reach(adj2, a, ~z)
+        reach_b = reach(adj2, b, ~z)
+        # per member: atom vertices that must join S when v sits on side A
+        # (resp. B), as they touch the other side's seed or its reach
+        self.bad = {}
+        for v, km in k_v.items():
+            on_a = on_b = 0
+            for u in bits(km):
+                bu = 1 << u
+                if a & bu or adj2[u] & reach_a:
+                    on_a |= bu
+                if b & bu or adj2[u] & reach_b:
+                    on_b |= bu
+            self.bad[v] = (on_a, on_b)
+        var_mask = z & ~x_mask
+        self.var_of = var_of = {v: i for i, v in enumerate(bits(var_mask))}
+        # near[u]: the components outside Z that u touches; u and v are
+        # linked when adjacent or when both touch one component
+        self.near = near = dict.fromkeys(var_of, 0)
+        for comp in _components(adj2, universe & ~z):
+            touching = 0
+            for x in bits(comp):
+                touching |= adj2[x]
+            for u in bits(touching & var_mask):
+                near[u] |= comp
+        self.inner = []   # no two non-adjacent vertices of one atom in S
+        for km in k_v.values():
+            for u1 in bits(km):
+                for u2 in bits(km & ~((1 << (u1 + 1)) - 1)):
+                    if not (adj2[u1] >> u2) & 1:
+                        self.inner.append(((var_of[u1], False),
+                                           (var_of[u2], False)))
+
+
+def _try_branch(gaif, adj2, a, b, k, ctx, members, j1, k_v, x_mask,
+                shared: _GuessFacts):
     bad = 0
-    for v in members:
-        side_seed, side_set = (b, reach_b) if v in j1 else (a, reach_a)
-        for u in bits(k_v[v]):
-            bu = 1 << u
-            if side_seed & bu or adj2[u] & side_set:
-                bad |= bu
-    # bad pairs across J1/J2 atoms, connected outside Z or directly adjacent
-    free_comps = list(_components(adj2, h.vertex_mask & ~z))
     k1 = 0
     k2 = 0
     for v in members:
         if v in j1:
             k1 |= k_v[v]
+            bad |= shared.bad[v][1]
         else:
             k2 |= k_v[v]
-    var_mask = z & ~x_mask
-    var_of = {v: i for i, v in enumerate(bits(var_mask))}
+            bad |= shared.bad[v][0]
+    var_of = shared.var_of
+    # bad pairs across J1/J2 atoms, connected outside Z or directly adjacent
     clauses = []
     for u in bits(k1):
+        linked_to = adj2[u]
+        near = shared.near[u]
         for v in bits(k2):
-            if u == v:
-                continue
-            linked = bool((adj2[u] >> v) & 1)
-            if not linked:
-                for comp in free_comps:
-                    if adj2[u] & comp and adj2[v] & comp:
-                        linked = True
-                        break
-            if linked:
+            if u != v and ((linked_to >> v) & 1 or adj2[v] & near):
                 clauses.append(((var_of[u], True), (var_of[v], True)))
-    for v in members:
-        km = k_v[v]
-        for u1 in bits(km):
-            for u2 in bits(km & ~((1 << (u1 + 1)) - 1)):
-                if not (adj2[u1] >> u2) & 1:
-                    clauses.append(((var_of[u1], False), (var_of[u2], False)))
-    formula = TwoSatFormula(len(var_of), clauses,
+    formula = TwoSatFormula(len(var_of), clauses + shared.inner,
                             {var_of[u] for u in bits(bad)})
     assignment = two_sat_solve(formula)
     if assignment is None:
@@ -430,15 +461,23 @@ def balanced_split(h: Hypergraph, w: int, k: int, m: WellBehavedMeasure,
     side_cap = Fraction(2 * r, 3) + k if r != float("inf") else float("inf")
     gaif = h.gaifman_adj()
     max_i = int(Fraction(2 * r, 3)) if r != float("inf") else h.n
+    cg = None
+    # b = W \ a, so a side that was tried before fails the same way again
+    tried = set()
     for i_set in _independent_sets_upto(gaif, h.vertex_mask, max_i):
         gamma = i_set
         for v in bits(i_set):
             gamma |= gaif[v]
         a = gamma & w
+        if a in tried:
+            continue
+        tried.add(a)
         b = w & ~gamma
         if not ctx.at_most(a, side_cap) or not ctx.at_most(b, side_cap):
             continue
-        res = find_separator(h, a, b, k, m, ctx)
+        if cg is None:
+            cg = closure(h, k, m)
+        res = find_separator(h, a, b, k, m, ctx, cg)
         if res.ok:
             return SplitResult(a=a, b=b, separator=res.separator)
         if res.refutation == "lambda-tw exceeded":

@@ -53,30 +53,58 @@ class WellBehavedMeasure:
 def _alpha_search(adj, s: int, best: int, first: bool) -> int:
     """max(best, alpha(G[S])) by branch-and-bound over independent sets.
 
-    A branch is cut when its size plus its candidates cannot beat ``best``;
-    with ``first`` the search stops at the first set larger than ``best``.
+    A branch is cut when its size plus a greedy clique cover of its
+    candidates cannot beat ``best`` (each clique holds at most one vertex of
+    an independent set: Tomita and Seki's colouring bound, on the
+    complement).  With ``first`` the search stops at the first set larger
+    than ``best``.  The stack holds one frame per vertex of the current set.
     """
+    if best < 0:
+        best = 0
+        if first:
+            return best
     steps = 0
-
-    def grow(count: int, cand: int) -> bool:
-        nonlocal best, steps
-        if count > best:
-            best = count
-            if first:
-                return True
-        while cand and count + cand.bit_count() > best:
+    count, cand = 0, s
+    stack = []
+    while True:
+        if (cand and count + cand.bit_count() > best
+                and _clique_cover_exceeds(adj, cand, best - count)):
             steps += 1
             if steps > ORACLE_CAP:
                 raise ResourceError("alpha oracle cap exceeded",
                                     **({} if first else {"best": best}))
             low = cand & -cand
             cand ^= low
-            if grow(count + 1, cand & ~adj[low.bit_length() - 1]):
-                return True
-        return False
+            stack.append((count, cand))
+            count += 1
+            cand &= ~adj[low.bit_length() - 1]
+            if count > best:
+                best = count
+                if first:
+                    return best
+        elif stack:
+            count, cand = stack.pop()
+        else:
+            return best
 
-    grow(0, s)
-    return best
+
+def _clique_cover_exceeds(adj, cand: int, limit: int) -> bool:
+    """True iff the greedy cover of ``cand`` by cliques (lowest vertex
+    first, each clique grown by its lowest common neighbour) needs more than
+    ``limit`` cliques."""
+    cliques = 0
+    while cand:
+        cliques += 1
+        if cliques > limit:
+            return True
+        low = cand & -cand
+        cand ^= low
+        grow = cand & adj[low.bit_length() - 1]
+        while grow:
+            u = grow & -grow
+            cand ^= u
+            grow &= adj[u.bit_length() - 1]
+    return False
 
 
 def alpha_set(h: Hypergraph, s: int) -> int:
@@ -125,32 +153,34 @@ def rho_decide(h: Hypergraph, s: int, k: int) -> bool:
     return _rho_below(h, s, k + 1) <= k
 
 
+def _edge_conflicts(g: Hypergraph, s: int) -> tuple[list[int], int]:
+    """Conflict graph of the edges of the graph G that meet S, as (adjacency
+    masks over edge indices, mask of all indices).  Two edges conflict when
+    they share a vertex or an edge of G joins them, so the induced matchings
+    meeting S are its independent sets."""
+    adj = g.gaifman_adj()
+    edges = [e for e in g.edges if e & s]
+    at = [0] * g.n   # at[v]: indices of the edges with an end in N[v]
+    for i, e in enumerate(edges):
+        for v in bits(e):
+            at[v] |= 1 << i
+    conflicts = []
+    for i, e in enumerate(edges):
+        near = 0
+        for v in bits(e):
+            near |= adj[v] | (1 << v)
+        hit = 0
+        for v in bits(near):
+            hit |= at[v]
+        conflicts.append(hit & ~(1 << i))
+    return conflicts, (1 << len(edges)) - 1
+
+
 def induced_matching_intersecting(g: Hypergraph, s: int) -> int:
     """Maximum induced matching of the graph G with every matched edge
     meeting S (G given as a hypergraph whose edges are all pairs)."""
-    adj = g.gaifman_adj()
-    closed = [adj[v] | (1 << v) for v in range(g.n)]
-    edges = [e for e in g.edges if e & s]
-    blockers = []
-    for e in edges:
-        u, v = bits(e)
-        blockers.append(closed[u] | closed[v])
-    best = 0
-    steps = 0
-
-    def grow(count: int, start: int, blocked: int):
-        nonlocal best, steps
-        best = max(best, count)
-        for i in range(start, len(edges)):
-            if edges[i] & blocked:
-                continue
-            steps += 1
-            if steps > ORACLE_CAP:
-                raise ResourceError("induced matching cap exceeded", best=best)
-            grow(count + 1, i + 1, blocked | blockers[i])
-
-    grow(0, 0, 0)
-    return best
+    conflicts, everything = _edge_conflicts(g, s)
+    return _alpha_search(conflicts, everything, 0, False)
 
 
 def minor_matching_intersecting(h: Hypergraph, s: int) -> int:
@@ -208,13 +238,25 @@ def minor_matching_intersecting(h: Hypergraph, s: int) -> int:
     return max(0, search(edges, 0))
 
 
+def _is_graph(h: Hypergraph) -> bool:
+    return all(e.bit_count() == 2 for e in h.edges)
+
+
 def mu_intersecting(h: Hypergraph, s: int) -> int:
     """mu_H(S); graphs take the induced-matching fast path."""
     if s & ~h.vertex_mask:
         raise InputError("S contains an unknown vertex id")
-    if all(e.bit_count() == 2 for e in h.edges):
+    if _is_graph(h):
         return induced_matching_intersecting(h, s)
     return minor_matching_intersecting(h, s)
+
+
+def mu_decide(h: Hypergraph, s: int, k: int) -> bool:
+    """True iff mu_H(S) <= k; on graphs the search stops at a (k+1)-edge
+    induced matching."""
+    if _is_graph(h):
+        return _alpha_search(*_edge_conflicts(h, s), k, True) <= k
+    return minor_matching_intersecting(h, s) <= k
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +270,7 @@ def _kappa(h: Hypergraph, s: int) -> int:
 KAPPA = WellBehavedMeasure("kappa", lambda h, s, k: _kappa(h, s) <= k, _kappa)
 ALPHA = WellBehavedMeasure("alpha", alpha_decide, alpha_set)
 RHO = WellBehavedMeasure("rho", rho_decide, rho_set)
-MU = WellBehavedMeasure("mu", lambda h, s, k: mu_intersecting(h, s) <= k,
-                        mu_intersecting)
+MU = WellBehavedMeasure("mu", mu_decide, mu_intersecting)
 
 MEASURES = {"alpha": ALPHA, "rho": RHO}
 BAG_MEASURES = {"kappa": KAPPA, **MEASURES, "mu": MU}

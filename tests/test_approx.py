@@ -1,11 +1,14 @@
 """Closure, atoms, 2-SAT, separators and the approximation pipeline."""
 
 import math
+from itertools import islice
 
 import pytest
 
+from mmtw import approx
 from mmtw._bits import mask_of
-from mmtw.approx import (Refutation, SeparatorResult, TwoSatFormula, atoms,
+from mmtw.approx import (Refutation, SeparatorResult, TwoSatFormula,
+                         _independent_sets_upto, atoms,
                          balanced_split, closure, find_separator,
                          approx_decomposition, two_sat_solve, width_bound)
 from mmtw.decomposition import validate, width
@@ -124,6 +127,68 @@ def test_balanced_split_contract():
             assert _separates(g.gaifman_adj(), n, s, out.a & ~s, out.b & ~s)
 
 
+def _independent_sets_eager(adj, universe, size):
+    """Reference: the whole list, built recursively."""
+    out = [0]
+
+    def grow(current, count, candidates):
+        rest = candidates
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            nxt = current | low
+            out.append(nxt)
+            if count + 1 < size:
+                grow(nxt, count + 1, rest & ~adj[low.bit_length() - 1])
+
+    if size >= 1:
+        grow(0, 0, universe)
+    return out
+
+
+def test_independent_sets_match_eager_reference():
+    rng = rng_from_seed(36)
+    for _ in range(60):
+        n = rng.randrange(0, 11)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.7))
+        universe = rng.getrandbits(n) if rng.random() < 0.5 else g.vertex_mask
+        for size in range(0, 5):
+            assert list(_independent_sets_upto(g.adj, universe, size)) == \
+                _independent_sets_eager(g.adj, universe, size)
+
+
+def test_independent_sets_are_lazy_and_iterative():
+    p = path_graph(1200)
+    first = list(islice(_independent_sets_upto(p.adj, p.vertex_mask, 1200),
+                        5000))
+    assert len(first) == 5000
+    assert first[600] == sum(1 << v for v in range(0, 1200, 2))
+
+
+def test_balanced_split_builds_closure_once_and_tries_each_side_once(
+        monkeypatch):
+    built = []
+    sides = []
+    closure_fn, find_fn = approx.closure, approx.find_separator
+
+    def counting_closure(*args):
+        built.append(args)
+        return closure_fn(*args)
+
+    def counting_find(h, a, b, *rest):
+        sides.append(a)
+        return find_fn(h, a, b, *rest)
+
+    monkeypatch.setattr(approx, "closure", counting_closure)
+    monkeypatch.setattr(approx, "find_separator", counting_find)
+    g = path_graph(30)
+    # this W and r make the split reject 8 sides before it finds one
+    out = balanced_split(g, 0x3E04C310, 1, ALPHA, 5, MeasureContext(g, ALPHA))
+    assert out.ok
+    assert len(built) == 1
+    assert len(sides) == len(set(sides)) == 9
+
+
 def test_approx_decomposition_alpha():
     rng = rng_from_seed(34)
     for _ in range(40):
@@ -160,3 +225,11 @@ def test_approx_rejects_bad_k():
     g = path_graph(3)
     with pytest.raises(InputError):
         approx_decomposition(g, 0, ALPHA)
+
+
+def test_approx_decomposition_scales_on_paths():
+    for n, k in ((200, 1), (60, 2)):
+        g = path_graph(n)
+        out = approx_decomposition(g, k, ALPHA)
+        assert validate(g, out)
+        assert width(g, out, "alpha").width <= width_bound(k)

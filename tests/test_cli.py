@@ -92,6 +92,21 @@ def test_decompose_json_payload_validates(files, capsys):
     assert width(c5, t, "mu").width <= doc["width_bound"] == 33
 
 
+@pytest.mark.parametrize("n", [40, 100, 200])
+def test_decompose_long_cycles_exact_mu_width(files, capsys, n):
+    # the final mu check stays within the oracle cap on long cycles
+    cn = cycle_graph(n)
+    hg = files(f"c{n}.hg", serialize_hypergraph(cn))
+    code, out, _ = run(capsys, "decompose", "-k", "2", hg, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    t = parse_td(doc["payload"])
+    assert validate(cn, t)
+    assert doc["width"] == width(cn, t, "mu").width <= 33
+    if n == 40:
+        assert doc["width"] == 13
+
+
 def test_invalid_input_exit_code(files, capsys):
     hg = files("bad.hg", "p hg 3 1\ne 1 4\n")
     code, out, err = run(capsys, "stats", hg, "--json")

@@ -8,10 +8,13 @@ import pytest
 from mmtw._bits import bits
 from mmtw.decomposition import single_bag, width
 from mmtw.errors import InputError, ResourceError
-from mmtw.generate import random_graph, random_hypergraph, rng_from_seed
-from mmtw.hypergraph import Hypergraph, gaifman, induced
-from mmtw.measures import (ALPHA, BAG_MEASURES, MEASURES, RHO, MeasureContext,
-                           get_measure, minor_matching_intersecting)
+from mmtw.generate import (cycle_graph, path_graph, random_graph,
+                           random_hypergraph, rng_from_seed)
+from mmtw.hypergraph import Graph, Hypergraph, gaifman, induced
+from mmtw.measures import (ALPHA, BAG_MEASURES, MEASURES, MU, RHO,
+                           MeasureContext, alpha_decide, alpha_set,
+                           get_measure, induced_matching_intersecting,
+                           minor_matching_intersecting)
 from mmtw.oracles import mwis_bruteforce
 
 
@@ -138,3 +141,60 @@ def test_minor_matching_cap_reports_best(monkeypatch):
     with pytest.raises(ResourceError) as info:
         minor_matching_intersecting(h, 0b111111)
     assert info.value.stats["best"] == 2
+
+
+def test_alpha_and_induced_matching_closed_forms():
+    for n in range(3, 201):
+        p, c = path_graph(n), cycle_graph(n)
+        assert alpha_set(p, p.vertex_mask) == (n + 1) // 2
+        assert alpha_set(c, c.vertex_mask) == n // 2
+        assert induced_matching_intersecting(p, p.vertex_mask) == (n + 1) // 3
+        assert induced_matching_intersecting(c, c.vertex_mask) == n // 3
+
+
+def _conflict_graph(g, s):
+    """Edges of g meeting s; two conflict when they share a vertex or an
+    edge of g joins them (written from the definition, pair by pair)."""
+    edges = [set(bits(e)) for e in g.edges if e & s]
+    pairs = []
+    for i, e in enumerate(edges):
+        for j in range(i + 1, len(edges)):
+            f = edges[j]
+            if e & f or any((1 << u | 1 << v) in g.edges for u in e for v in f):
+                pairs.append((i, j))
+    return Graph.from_pairs(len(edges), pairs)
+
+
+def test_alpha_and_mu_oracles_match_bruteforce_on_graphs():
+    rng = rng_from_seed(29)
+    for _ in range(150):
+        n = rng.randrange(1, 13)
+        g = random_graph(rng, n, rng.uniform(0.15, 0.6))
+        s = rng.getrandbits(n)
+        sub, _ = induced(g, s)
+        alpha = mwis_bruteforce(sub, [1] * sub.n, cap=sub.n)[0]
+        assert alpha_set(g, s) == alpha
+        conflict = _conflict_graph(g, s)
+        mu = mwis_bruteforce(conflict, [1] * conflict.n, cap=conflict.n)[0]
+        assert induced_matching_intersecting(g, s) == mu
+        for k in range(-1, n + 1):
+            assert alpha_decide(g, s, k) == (alpha <= k)
+            assert MU.decide(g, s, k) == (mu <= k)
+
+
+def test_oracles_on_a_long_path():
+    # the search keeps its own stack, so depth in n raises no RecursionError
+    p = path_graph(1200)
+    assert alpha_set(p, p.vertex_mask) == 600
+    assert induced_matching_intersecting(p, p.vertex_mask) == 400
+    assert MU.decide(p, p.vertex_mask, 400)
+    assert not MU.decide(p, p.vertex_mask, 399)
+
+
+def test_mu_cap_on_graphs_reports_best(monkeypatch):
+    monkeypatch.setattr("mmtw.measures.ORACLE_CAP", 3)
+    c = cycle_graph(30)
+    with pytest.raises(ResourceError) as info:
+        MU.value(c, c.vertex_mask)
+    assert str(info.value) == "alpha oracle cap exceeded"
+    assert info.value.stats["best"] == 3
