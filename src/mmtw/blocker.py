@@ -147,17 +147,20 @@ class _Brancher:
         bx = 1 << x
         result = {}
 
-        # type 1: transversals that survive deleting the pivot
+        # type 1: transversals that survive deleting the pivot; such a
+        # transversal already hits every edge avoiding x, so only the
+        # pivot's edges decide whether x must be added
         sub_edges = tuple(e for e in edges if not e & bx)
+        x_edges = tuple(e for e in edges if e & bx)
         for w in self.run(sub_edges, alive & ~bx, qm_len, depth + 1).values():
-            lifted = w if _hits_all(w, edges) else w | bx
+            lifted = w if _hits_all(w, x_edges) else w | bx
             result.setdefault(lifted & s, lifted)
 
         # type 2: pin an S-vertex z on an edge through the pivot
         for z in bits(alive & s & ~bx):
             bz = 1 << z
-            for h in edges:
-                if h & bx and h & bz:
+            for h in x_edges:
+                if h & bz:
                     self.max_qm = max(self.max_qm, qm_len + 1)
                     comp = _compose_masks(edges, h, x, z)
                     sub = self.run(comp, alive & ~h, qm_len + 1, depth + 1)

@@ -365,7 +365,8 @@ def _cmd_selftest(args, report: _Report) -> None:
     for _ in range(25):
         n = rng.randrange(2, 9)
         h = random_hypergraph(rng, n, rng.randrange(1, n + 2))
-        w = random_weights(rng, n)
+        # non-integer weights, so the check covers mwis's integer scaling
+        w = tuple(x / rng.randint(1, 6) for x in random_weights(rng, n))
         t = random_decomposition(rng, h)
         if mwis(h, w, t)[0] != mwis_bruteforce(h, w)[0]:
             raise RuntimeError("selftest: mwis mismatch")

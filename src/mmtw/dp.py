@@ -14,11 +14,32 @@ Only a problem whose merge reads the blocker trace tr_S(i(H)) pays for it:
 ``reads_trace`` is true (MWIS) and passes ``trace=None`` otherwise (the
 covering tables of colouring and homomorphism).  The trace caps therefore
 bound only MWIS runs.
+
+Each trace is taken on the bag's closed neighbourhood, not on the whole
+subtree.  For a vertex set X and a bag S, let N_X[S] be S together with
+every edge of H[X] that meets S.  Then
+
+    tr_S(i(H[X])) = tr_S(i(H[N_X[S]])).
+
+Proof.  Let M be a maximal independent set of H[X] and extend M ∩ N_X[S]
+to a maximal independent set I of H[N_X[S]].  A vertex v of S \\ M is
+blocked in H[X] by an edge e ∋ v with e - v ⊆ M; e meets S, so e ⊆ N_X[S]
+and e - v ⊆ I, and v stays out of I: I ∩ S = M ∩ S.  Conversely, extend a
+maximal independent set I of H[N_X[S]] to a maximal independent set of
+H[X]; a vertex of N_X[S] \\ I is already blocked by an edge inside N_X[S],
+so the extension adds only vertices outside N_X[S] and keeps I ∩ S.  So
+the trace of a merge costs what the bag's neighbourhood costs, however
+large the subtree below it, and the node and depth caps bound that local
+search.
+
+MWIS weights are scaled to integers by the least common multiple of their
+denominators before the DP runs, so the tables add and compare ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from ._bits import bits
 from .blocker import BranchCaps, enumerate_mis, trace_blocker
@@ -46,10 +67,22 @@ def _mis_of(h: Hypergraph, vmask: int, mis_cap: int) -> list[int]:
 
 
 def _mis_trace(h: Hypergraph, vmask: int, smask: int,
-               caps: BranchCaps) -> frozenset[int]:
-    """tr_S(i(H[vmask])) member masks (ambient), via the blocker trace."""
-    sub, remap = induced(h, vmask)
-    back = list(bits(vmask))
+               caps: BranchCaps = BranchCaps()) -> frozenset[int]:
+    """tr_S(i(H[vmask])) member masks (ambient), via the blocker trace.
+
+    The trace is computed on H[N[S]], where N[S] is S plus every edge of
+    H[vmask] that meets S; it is the same family.  A maximal independent
+    set M of H[vmask] keeps M ∩ S when M ∩ N[S] is extended in H[N[S]]: a
+    vertex of S \\ M is blocked by an edge meeting S, which lies in N[S].
+    A maximal independent set I of H[N[S]] keeps I ∩ S when extended in
+    H[vmask]: a vertex of N[S] \\ I is blocked by an edge inside N[S].
+    """
+    near = smask
+    for e in h.edges:
+        if e & smask and not e & ~vmask:
+            near |= e
+    sub, remap = induced(h, near)
+    back = list(bits(near))
     s_local = 0
     for v in bits(smask):
         s_local |= 1 << remap[v]
@@ -152,10 +185,11 @@ class MwisDP(BlockerReadable):
     arity = 1
 
     def __init__(self, weights):
-        self.w = [Fraction(x) for x in weights]
+        # any numbers that add and compare exactly; ``mwis`` passes ints
+        self.w = list(weights)
 
-    def wsum(self, mask: int) -> Fraction:
-        return sum((self.w[v] for v in bits(mask)), Fraction(0))
+    def wsum(self, mask: int):
+        return sum(map(self.w.__getitem__, bits(mask)))
 
     def leaf_init(self, mis, s):
         table = {}
@@ -215,12 +249,14 @@ def mwis(h: Hypergraph, weights, t: TreeDecomposition,
         if w[v] < 0:
             neg |= 1 << v
     h2 = Hypergraph(h.n, (e for e in h.edges if not e & neg))
-    w2 = [x if x >= 0 else Fraction(0) for x in w]
+    # scaling by a positive d keeps every comparison, hence every witness
+    d = lcm(*(x.denominator for x in w))
+    w2 = [x.numerator * (d // x.denominator) if x >= 0 else 0 for x in w]
     final = run_dp(h2, t, MwisDP(w2), trace_caps, table_cap)
     if not final:
         return Fraction(0), 0
     val, wit = final[0]
-    return val, wit & ~neg
+    return Fraction(val, d), wit & ~neg
 
 
 # ---------------------------------------------------------------------------

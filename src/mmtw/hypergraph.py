@@ -31,9 +31,14 @@ def _canonical_edges(n: int, edges: Iterable[int]) -> tuple[int, ...]:
 
 
 def _minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
+    # masks of one size never contain each other, so sorting by size alone
+    # meets every subset before its supersets
     kept: list[int] = []
-    for h in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
-        if not any(g & h == g for g in kept):
+    for h in sorted(set(masks), key=int.bit_count):
+        for g in kept:
+            if g & h == g:
+                break
+        else:
             kept.append(h)
     return tuple(sorted(kept))
 

@@ -4,12 +4,13 @@ import json
 
 import pytest
 
+from mmtw._bits import mask_of
 from mmtw.cli import main
 from mmtw.formats import parse_td, serialize_hypergraph, serialize_td
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_decomposition, rng_from_seed)
 from mmtw.decomposition import TreeDecomposition, validate, width
-from mmtw.oracles import chromatic_bruteforce, hom_bruteforce
+from mmtw.oracles import chromatic_bruteforce, hom_bruteforce, independent_in
 
 
 @pytest.fixture
@@ -198,3 +199,34 @@ def test_decompose_has_no_table_cap(files, capsys):
     with pytest.raises(SystemExit) as info:
         main(["decompose", "-k", "1", hg, "--caps", "table=1"])
     assert info.value.code == 2
+
+
+def _path_bags_td(n):
+    lines = [f"s td {n - 1} 2 {n}"]
+    lines += [f"b {i} {i} {i + 1}" for i in range(1, n)]
+    lines += [f"{i} {i + 1}" for i in range(1, n - 1)]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [300, 1200])
+def test_solve_mwis_long_paths(files, capsys, n):
+    # each merge traces only its bag's closed neighbourhood, so the trace
+    # depth no longer grows with the path
+    p = path_graph(n)
+    hg = files(f"p{n}.hg", serialize_hypergraph(p))
+    td = files(f"p{n}.td", _path_bags_td(n))
+    code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["value"] == str(n // 2)
+    wit = mask_of(v - 1 for v in doc["witness"])
+    assert wit.bit_count() == n // 2 and independent_in(p, wit)
+
+
+def test_solve_mwis_fractional_weights(files, capsys):
+    hg = files("frac.hg", "p hg 5 3\ne 1 2\ne 2 3 4\ne 4 5\nw 1 7/6\n"
+                          "w 2 1/2\nw 3 5/4\nw 4 2/3\nw 5 -1/3\n")
+    td = files("frac.td", "s td 3 3 5\nb 1 1 2\nb 2 2 3 4\nb 3 4 5\n1 2\n2 3\n")
+    code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td)
+    assert code == 0
+    assert out == "status: ok\nproblem: mwis\nvalue: 37/12\nwitness: [1, 3, 4]\n"

@@ -331,3 +331,75 @@ def test_mwis_merge_matches_per_pair_formula():
             assert wit & s == a
             assert independent_in(h, wit)
             assert wsum(w, wit) == val
+
+
+# traces are taken on the bag's closed neighbourhood
+
+
+def test_local_trace_equals_trace_of_the_whole_set():
+    # tr_S(i(H[X])) = tr_S(i(H[N_X[S]])): vertices of X at distance >= 2
+    # from S change no trace
+    rng = rng_from_seed(63)
+    far_cases = 0
+    for _ in range(600):
+        n = rng.randrange(1, 12)
+        h = random_hypergraph(rng, n, rng.randrange(0, n + 4),
+                              rank=rng.randrange(2, 5))
+        v = rng.getrandbits(n) | rng.getrandbits(n)
+        s = v & rng.getrandbits(n)
+        near = s
+        for e in h.edges:
+            if e & s and not e & ~v:
+                near |= e
+        if v & ~near:
+            far_cases += 1
+        want = frozenset(m & s for m in _mis_of(h, v, n))
+        assert _mis_trace(h, v, s) == want
+    assert far_cases >= 200
+
+
+def test_mwis_traces_only_the_closed_neighbourhood(monkeypatch):
+    calls = []
+    original = mmtw.dp.trace_blocker
+
+    def spy(sub, s, *args, **kwargs):
+        calls.append(sub.n)
+        return original(sub, s, *args, **kwargs)
+
+    monkeypatch.setattr(mmtw.dp, "trace_blocker", spy)
+    n = 30
+    p = path_graph(n)
+    t = TreeDecomposition([0b11 << i for i in range(n - 1)],
+                          [(i, i + 1) for i in range(n - 2)])
+    adj = p.gaifman_adj()
+    bound = max((b | mask_of(u for v in bits(b) for u in bits(adj[v])))
+                .bit_count() for b in t.bags)
+    assert bound == 4
+    val, wit = mwis(p, [1] * n, t)
+    assert val == n // 2 and independent_in(p, wit)
+    assert len(calls) == t.node_count - 1
+    assert max(calls) <= bound
+
+
+# fractional weights: the DP runs on integers scaled by a common denominator
+
+
+FRACTIONS = [Fraction(1, 2), Fraction(2, 3), Fraction(5, 4), Fraction(0),
+             Fraction(-1, 3)]
+
+
+def test_mwis_fractional_weights_vs_oracle():
+    rng = rng_from_seed(64)
+    for it in range(120):
+        n = rng.randrange(1, 11)
+        if it % 2:
+            h = random_graph(rng, n, rng.uniform(0.2, 0.6))
+        else:
+            h = random_hypergraph(rng, n, rng.randrange(1, n + 3), rank=3)
+        w = [rng.choice(FRACTIONS) for _ in range(n)]
+        t = random_decomposition(rng, h)
+        val, wit = mwis(h, w, t)
+        assert isinstance(val, Fraction)
+        assert val == mwis_bruteforce(h, w)[0]
+        assert independent_in(h, wit)
+        assert wsum(w, wit) == val
