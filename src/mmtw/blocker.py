@@ -1,12 +1,29 @@
 """Blocker traces by branching.
 
-``trace_blocker`` computes tr_S(b(cl(H))) without enumerating the blocker:
-at every node it picks a pivot x (outside S when possible) and splits the
-minimal transversals into those that survive deleting x and those that pin a
-single S-vertex z on an edge through x, recursing on the composed clutter in
-the second case.  Candidate traces from the composition branches are verified
-against the current clutter before being kept, so the returned family is
-exact; the brute-force route (``enumerate_mis`` + restriction) is kept as an
+``trace_blocker`` computes tr_S(b(cl(H))) without enumerating the blocker.
+A search node is a clutter, memoised on its sorted edge tuple alone: the live
+vertices are the union of the edges, because deleting a pivot drops its edges
+and a composition drops the pinned edge, so no edge ever leaves them.
+
+- **Berge leaf.**  When every edge lies inside S, the trace is the blocker
+  itself, and the node returns the minimal transversals from ``_berge``, each
+  its own witness.  The leaf is charged to the caps as if each transversal
+  were a child: one node per transversal, with the depth budget checked at
+  depth + 1.  Berge's partial families (over a prefix of the edges) can
+  outgrow the final one, so the enumeration stops as soon as one has more
+  members than the nodes left, and the leaf is then charged one node past
+  the cap, so its work grows with the cap, not with the blocker.
+- **Cheapest pivot.**  Otherwise the pivot x is the vertex outside S with the
+  fewest type-2 branches, Σ_{h∋x} |h ∩ S|, ties going to the lowest id.  The
+  costs are summed in one pass over the edges, and the scan over the
+  outside vertices stops at the first one that costs 0.
+  The minimal transversals split into those that survive deleting x (type 1)
+  and those that pin a single S-vertex z on an edge h through x (type 2),
+  which recurse on the clutter composed along (h, x, z).
+
+Candidate traces from the composition branches are verified against the
+current clutter before being kept, so the returned family is exact; the
+brute-force route (``enumerate_mis`` + restriction) is kept as an
 independent oracle.
 """
 
@@ -34,9 +51,19 @@ class TraceResult:
     max_quasimatching_len: int
 
 
-def _berge(edges) -> tuple[int, ...]:
-    """Minimal transversal masks; () if some edge is empty, (0,) if no edges."""
-    trans: tuple[int, ...] = (0,)
+def _berge(edges, limit: int | None = None) -> tuple[int, ...] | None:
+    """Minimal transversal masks, sorted; () if some edge is empty, (0,) if
+    no edges, None as soon as a partial family has more than ``limit``
+    members.
+
+    The edges are added one at a time.  A transversal meeting the new edge h
+    stays minimal; one missing h grows by each v ∈ h that lies outside every
+    edge private to one of its vertices, since those are exactly the growths
+    that keep each old vertex's private edge.  These growths are minimal and
+    distinct, so a step costs O(family × edges) with nothing to minimalise.
+    """
+    trans = [0]
+    done: list[int] = []
     for h in sorted(set(edges)):
         if h == 0:
             return ()
@@ -45,9 +72,23 @@ def _berge(edges) -> tuple[int, ...]:
             if t & h:
                 nxt.append(t)
             else:
-                nxt.extend(t | (1 << v) for v in bits(h))
-        trans = _minimal_masks(nxt)
-    return trans
+                private: dict[int, int] = {}
+                for e in done:
+                    m = e & t
+                    if m and not m & (m - 1):
+                        private[m] = private.get(m, e) & e
+                grow = h
+                for p in private.values():
+                    grow &= ~p
+                while grow:
+                    b = grow & -grow
+                    nxt.append(t | b)
+                    grow ^= b
+            if limit is not None and len(nxt) > limit:
+                return None
+        done.append(h)
+        trans = nxt
+    return tuple(sorted(trans))
 
 
 def enumerate_mis(h: Hypergraph, cap: int = 20) -> frozenset[int]:
@@ -58,18 +99,16 @@ def enumerate_mis(h: Hypergraph, cap: int = 20) -> frozenset[int]:
     return frozenset(full & ~t for t in _berge(_minimal_masks(h.edges)))
 
 
-def _hits_all(t: int, edges) -> bool:
-    return all(t & e for e in edges)
-
-
 def _is_minimal_transversal(t: int, edges) -> bool:
-    if not _hits_all(t, edges):
-        return False
-    for v in bits(t):
-        bv = 1 << v
-        if not any(e & t == bv for e in edges):
+    """T hits every edge and each of its vertices has a private edge."""
+    private = 0
+    for e in edges:
+        m = e & t
+        if not m:
             return False
-    return True
+        if not m & (m - 1):
+            private |= m
+    return private == t
 
 
 def _compose_masks(edges, h: int, x: int, z: int) -> tuple[int, ...]:
@@ -88,12 +127,16 @@ class _Brancher:
         self.caps = caps
         self.nodes = 0
         self.max_qm = 0
-        self.memo: dict[tuple, dict[int, int]] = {}
+        self.memo: dict[tuple[int, ...], dict[int, int]] = {}
 
-    def _tick(self):
-        self.nodes += 1
+    def _tick(self, depth: int, count: int = 1):
+        """Charge ``count`` search nodes at ``depth`` to the caps."""
+        self.nodes += count
         if self.nodes > self.caps.nodes:
             raise ResourceError("branch node budget exceeded",
+                                nodes=self.nodes, max_quasimatching_len=self.max_qm)
+        if self.caps.depth is not None and depth > self.caps.depth:
+            raise ResourceError("branch depth budget exceeded",
                                 nodes=self.nodes, max_quasimatching_len=self.max_qm)
 
     def _semantic_witness(self, a: int, edges) -> int | None:
@@ -122,60 +165,99 @@ class _Brancher:
                 return a | t0
         return None
 
-    def run(self, edges: tuple[int, ...], alive: int, qm_len: int, depth: int) -> dict[int, int]:
-        """Map from trace mask to one witness minimal transversal of ``edges``."""
-        key = (edges, alive)
-        hit = self.memo.get(key)
+    def run(self, edges: tuple[int, ...], qm_len: int, depth: int) -> dict[int, int]:
+        """Map from trace mask to one witness minimal transversal of ``edges``.
+
+        ``edges`` is a sorted clutter; its union is the set of live vertices.
+        If every edge lies inside S, the node is a Berge leaf: it returns
+        each minimal transversal as its own witness and is charged one node
+        per transversal at depth + 1, or one node past the cap once a
+        partial Berge family outgrows the nodes left.  Otherwise it branches
+        on the pivot x outside S with the fewest type-2 branches
+        Σ_{h∋x} |h ∩ S| (lowest id on ties; the scan stops at a cost of 0):
+        type 1 recurses on the edges avoiding x, type 2 on the clutter
+        composed along each edge h through x and each z in h ∩ S.
+        """
+        memo = self.memo
+        hit = memo.get(edges)
         if hit is not None:
             return hit
-        self._tick()
-        if self.caps.depth is not None and depth > self.caps.depth:
-            raise ResourceError("branch depth budget exceeded",
-                                nodes=self.nodes, max_quasimatching_len=self.max_qm)
+        self._tick(depth)
         s = self.s
-        if edges and edges[0] == 0:
-            result: dict[int, int] = {}
-            self.memo[key] = result
-            return result
-        if not edges or alive == 0:
-            result = {0: 0} if not edges else {}
-            self.memo[key] = result
+        if not edges or edges[0] == 0:
+            result = {} if edges else {0: 0}
+            memo[edges] = result
             return result
 
-        outside = alive & ~s
-        x = ((outside & -outside) if outside else (alive & -alive)).bit_length() - 1
-        bx = 1 << x
+        # one pass: the live vertices and each outside vertex's type-2 count
+        union = 0
+        cost: dict[int, int] = {}
+        for e in edges:
+            union |= e
+            m = e & s
+            if m:
+                c = m.bit_count()
+                out = e & ~s
+                while out:
+                    b = out & -out
+                    cost[b] = cost.get(b, 0) + c
+                    out ^= b
+        outside = union & ~s
+        if not outside:
+            # a Berge leaf: one node per transversal, one level down
+            left = self.caps.nodes - self.nodes
+            trans = _berge(edges, left)
+            self._tick(depth + 1, left + 1 if trans is None else len(trans))
+            result = {t: t for t in trans}
+            memo[edges] = result
+            return result
+        bx = outside & -outside
+        best = cost.get(bx, 0)
+        out = outside ^ bx
+        while best and out:
+            b = out & -out
+            c = cost.get(b, 0)
+            if c < best:
+                bx, best = b, c
+            out ^= b
+        sub_edges: list[int] = []
+        x_edges: list[int] = []
+        for e in edges:
+            if e & bx:
+                x_edges.append(e)
+            else:
+                sub_edges.append(e)
         result = {}
 
         # type 1: transversals that survive deleting the pivot; such a
         # transversal already hits every edge avoiding x, so only the
         # pivot's edges decide whether x must be added
-        sub_edges = tuple(e for e in edges if not e & bx)
-        x_edges = tuple(e for e in edges if e & bx)
-        for w in self.run(sub_edges, alive & ~bx, qm_len, depth + 1).values():
-            lifted = w if _hits_all(w, x_edges) else w | bx
-            result.setdefault(lifted & s, lifted)
+        for w in self.run(tuple(sub_edges), qm_len, depth + 1).values():
+            for e in x_edges:
+                if not e & w:
+                    w |= bx
+                    break
+            result.setdefault(w & s, w)
 
-        # type 2: pin an S-vertex z on an edge through the pivot
-        for z in bits(alive & s & ~bx):
-            bz = 1 << z
-            for h in x_edges:
-                if h & bz:
-                    self.max_qm = max(self.max_qm, qm_len + 1)
-                    comp = _compose_masks(edges, h, x, z)
-                    sub = self.run(comp, alive & ~h, qm_len + 1, depth + 1)
-                    for tr, w in sub.items():
-                        a = (tr | bz) & s
-                        if a in result:
-                            continue
-                        cand = w | bz
-                        if _is_minimal_transversal(cand, edges):
-                            result[a] = cand
-                        else:
-                            witness = self._semantic_witness(a, edges)
-                            if witness is not None:
-                                result[a] = witness
-        self.memo[key] = result
+        # type 2: pin an S-vertex z on an edge h through the pivot
+        x = bx.bit_length() - 1
+        for h in x_edges:
+            for z in bits(h & s):
+                self.max_qm = max(self.max_qm, qm_len + 1)
+                bz = 1 << z
+                sub = self.run(_compose_masks(edges, h, x, z), qm_len + 1, depth + 1)
+                for tr, w in sub.items():
+                    a = (tr | bz) & s
+                    if a in result:
+                        continue
+                    cand = w | bz
+                    if _is_minimal_transversal(cand, edges):
+                        result[a] = cand
+                    else:
+                        witness = self._semantic_witness(a, edges)
+                        if witness is not None:
+                            result[a] = witness
+        memo[edges] = result
         return result
 
 
@@ -183,7 +265,6 @@ def trace_blocker(h: Hypergraph, s: int, caps: BranchCaps = BranchCaps()) -> Tra
     """tr_S(b(cl(H))) by branching; exact, with node/depth budgets."""
     if s & ~h.vertex_mask:
         raise InputError("S contains an unknown vertex id")
-    edges = _minimal_masks(h.edges)
     brancher = _Brancher(s, caps)
-    res = brancher.run(edges, h.vertex_mask, 0, 0)
+    res = brancher.run(_minimal_masks(h.edges), 0, 0)
     return TraceResult(TraceFamily(s, res.keys()), brancher.nodes, brancher.max_qm)

@@ -123,8 +123,7 @@ def validate(h: Hypergraph, t: TreeDecomposition) -> Validity:
         for v in bits(adj[u]):
             if v <= u:
                 continue
-            pair = (1 << u) | (1 << v)
-            if not any(bag & pair == pair for bag in t.bags):
+            if not nodes_of[u] & nodes_of[v]:
                 return Validity(False, f"edge ({u}, {v}) covered by no bag",
                                 bad_edge=(u, v))
     return Validity(True)

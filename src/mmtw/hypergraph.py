@@ -208,7 +208,7 @@ def induced(h: Hypergraph, s: int) -> tuple[Hypergraph, dict[int, int]]:
     """H[S]: keep only edges contained in S; vertices reindexed, map returned."""
     if s & ~h.vertex_mask:
         raise InputError("S contains an unknown vertex id")
-    remap = removal_remap(h.n, h.vertex_mask & ~s)
+    remap = {v: i for i, v in enumerate(bits(s))}
     edges = [_remap_mask(e, remap) for e in h.edges if e & ~s == 0]
     weights = None
     if h.weights is not None:

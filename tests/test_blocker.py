@@ -7,7 +7,8 @@ from mmtw.blocker import BranchCaps, enumerate_mis, trace_blocker
 from mmtw.errors import ResourceError
 from mmtw.generate import (path_graph, random_clutter, random_hypergraph,
                            rng_from_seed)
-from mmtw.hypergraph import (Clutter, blocker_bruteforce, minimalize, trace)
+from mmtw.hypergraph import (Clutter, Hypergraph, blocker_bruteforce,
+                             minimalize, trace)
 
 
 def brute_trace(h, s):
@@ -35,6 +36,79 @@ def test_trace_matches_bruteforce_random():
         h = random_hypergraph(rng, n, rng.randrange(0, n + 3), rank=4)
         s = rng.getrandbits(n)
         assert trace_blocker(h, s).traces == brute_trace(h, s)
+
+
+def _solve_shaped(rng, n):
+    """G(n, 0.2 C(n,2)) or a rank-3 hypergraph with n edges, as in the MWIS
+    benchmark pools."""
+    if rng.random() < 0.5:
+        pairs = [(1 << u) | (1 << v) for u in range(n) for v in range(u + 1, n)]
+        return Hypergraph(n, rng.sample(pairs, round(0.2 * len(pairs))))
+    return random_hypergraph(rng, n, n, rank=3, min_size=2)
+
+
+def test_trace_matches_bruteforce_on_closed_neighbourhoods():
+    # H restricted to N[S], the edges meeting a bag S, over the same ids
+    # (vertices outside N[S] lie in no edge); plus the Berge leaf, where
+    # every edge lies inside S, and an S that meets no edge
+    rng = rng_from_seed(13)
+    for i in range(240):
+        n = rng.randrange(7, 15)
+        h = _solve_shaped(rng, n)
+        s = mask_of(rng.sample(range(n), rng.randrange(3, 8)))
+        kind = i % 3
+        if kind == 0:
+            h = Hypergraph(n, [e for e in h.edges if e & s])
+        elif kind == 1:
+            h = Hypergraph(n, [e for e in h.edges if not e & ~s])
+        else:
+            s = h.vertex_mask
+            for e in h.edges:
+                s &= ~e
+        assert trace_blocker(h, s).traces == brute_trace(h, s), (h.edges, s)
+
+
+def test_berge_leaf_ticks_one_node_per_transversal():
+    rng = rng_from_seed(14)
+    for _ in range(60):
+        c = random_clutter(rng, rng.randrange(1, 9), rng.randrange(1, 6))
+        if c.edges[0] == 0:
+            continue
+        res = trace_blocker(c, c.vertex_mask)
+        b = blocker_bruteforce(c).edges
+        assert res.nodes_explored == 1 + len(b)
+        assert res.max_quasimatching_len == 0
+        with pytest.raises(ResourceError):
+            trace_blocker(c, c.vertex_mask, BranchCaps(nodes=len(b)))
+        with pytest.raises(ResourceError):
+            trace_blocker(c, c.vertex_mask, BranchCaps(depth=0))
+        assert trace_blocker(c, c.vertex_mask, BranchCaps(depth=1)
+                             ).traces.members == set(b)
+
+
+def _matching(k):
+    return Hypergraph(2 * k, [3 << 2 * i for i in range(k)])
+
+
+def test_berge_leaf_stops_at_the_node_cap():
+    # a matching of k edges has 2^k minimal transversals, and its partial
+    # families (2^i after i edges) never outgrow the final one, so the
+    # leaf fits exactly when the cap leaves one node per transversal
+    for k in (1, 4, 9):
+        h = _matching(k)
+        res = trace_blocker(h, h.vertex_mask, BranchCaps(nodes=1 + 2 ** k))
+        assert len(res.traces.members) == 2 ** k
+        with pytest.raises(ResourceError):
+            trace_blocker(h, h.vertex_mask, BranchCaps(nodes=2 ** k))
+    # the enumeration stops once a partial family outgrows the nodes left,
+    # charged as one past the cap, so a 2^40-member leaf ends at once
+    h = _matching(40)
+    with pytest.raises(ResourceError) as err:
+        trace_blocker(h, h.vertex_mask, BranchCaps(nodes=1))
+    assert err.value.stats["nodes"] == 2
+    with pytest.raises(ResourceError) as err:
+        trace_blocker(h, h.vertex_mask, BranchCaps(nodes=1000))
+    assert err.value.stats["nodes"] == 1001
 
 
 def test_trace_empty_base():

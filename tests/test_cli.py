@@ -10,6 +10,7 @@ from mmtw.formats import parse_td, serialize_hypergraph, serialize_td
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_decomposition, rng_from_seed)
 from mmtw.decomposition import TreeDecomposition, validate, width
+from mmtw.hypergraph import Hypergraph
 from mmtw.oracles import chromatic_bruteforce, hom_bruteforce, independent_in
 
 
@@ -122,6 +123,29 @@ def test_resource_exit_code(files, capsys):
                        "--caps", "nodes=1", "--json")
     assert code == 20
     assert json.loads(out)["status"] == "resource-exceeded"
+
+
+def test_trace_caps_bound_the_berge_leaf(files, capsys):
+    # every edge lies in S, so the root answers with the blocker at once;
+    # its transversals are still charged as nodes one level down
+    hg = files("k4.hg", serialize_hypergraph(complete_graph(4)))
+    code, out, _ = run(capsys, "trace", "-S", "1,2,3,4", hg, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == 4 and doc["nodes_explored"] == 5
+    for caps in ("nodes=1", "depth=0"):
+        code, out, _ = run(capsys, "trace", "-S", "1,2,3,4", hg,
+                           "--caps", caps, "--json")
+        assert code == 20
+        assert json.loads(out)["status"] == "resource-exceeded"
+    # a 30-edge matching inside S has 2^30 transversals; the leaf stops at
+    # the cap instead of enumerating them
+    matching = Hypergraph(60, [3 << 2 * i for i in range(30)])
+    hg = files("m30.hg", serialize_hypergraph(matching))
+    code, out, _ = run(capsys, "trace", "-S", ",".join(map(str, range(1, 61))),
+                       hg, "--caps", "nodes=1", "--json")
+    assert code == 20
+    assert json.loads(out)["nodes"] == 2
 
 
 def test_recursion_depth_is_a_resource_exit(files, capsys):

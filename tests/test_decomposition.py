@@ -53,6 +53,65 @@ def test_validate_positive_and_negative():
     assert not validate(Hypergraph(3, []), disconn)
 
 
+def _validate_reference(h, t):
+    """validate() with the edge-cover check written against every bag."""
+    nodes_of = [0] * h.n
+    for i, bag in enumerate(t.bags):
+        for v in range(h.n):
+            if bag >> v & 1:
+                nodes_of[v] |= 1 << i
+    for v, nodes in enumerate(nodes_of):
+        if not nodes:
+            return (False, f"vertex {v} appears in no bag", v, None)
+        if reach(t._adj, nodes & -nodes, nodes) != nodes:
+            return (False, f"bags containing vertex {v} are disconnected", v, None)
+    adj = h.gaifman_adj()
+    for u in range(h.n):
+        for v in range(u + 1, h.n):
+            pair = (1 << u) | (1 << v)
+            if adj[u] >> v & 1 and not any(bag & pair == pair for bag in t.bags):
+                return (False, f"edge ({u}, {v}) covered by no bag", None, (u, v))
+    return (True, "", None, None)
+
+
+def test_validate_matches_reference_on_invalid_decompositions():
+    # every vertex gets a connected set of nodes, so most failures are
+    # uncovered Gaifman edges; dropping a vertex from a bag adds the others
+    rng = rng_from_seed(15)
+    kinds = {True: 0, "edge": 0, "vertex": 0}
+    for _ in range(400):
+        n = rng.randrange(1, 11)
+        h = random_hypergraph(rng, n, rng.randrange(0, n + 4), rank=3)
+        k = rng.randrange(1, 7)
+        tree = [(i, rng.randrange(i)) for i in range(1, k)]
+        adj = [0] * k
+        for a, b in tree:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+        bags = [0] * k
+        for v in range(n):
+            nodes = 1 << rng.randrange(k)
+            for _ in range(rng.randrange(3)):
+                nb = 0
+                for i in range(k):
+                    if nodes >> i & 1:
+                        nb |= adj[i]
+                if nb & ~nodes:
+                    nodes |= 1 << rng.choice([i for i in range(k) if (nb & ~nodes) >> i & 1])
+            for i in range(k):
+                if nodes >> i & 1:
+                    bags[i] |= 1 << v
+        if n and rng.random() < 0.2:
+            i = rng.randrange(k)
+            bags[i] &= ~(1 << rng.randrange(n))
+        t = TreeDecomposition(bags, tree)
+        got = validate(h, t)
+        want = _validate_reference(h, t)
+        assert (got.ok, got.reason, got.bad_vertex, got.bad_edge) == want
+        kinds[True if want[0] else ("edge" if want[3] else "vertex")] += 1
+    assert min(kinds.values()) >= 20, kinds
+
+
 def test_from_elimination_order_always_valid():
     rng = rng_from_seed(13)
     for _ in range(80):
