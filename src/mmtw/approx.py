@@ -6,12 +6,22 @@ lambda-width at most 2k^3 + 2k^2 + 3k + 3 or correctly concludes that
 lambda-tw(H) > k.  The machinery: a saturated "closure" supergraph of the
 Gaifman graph, clique-separator atoms from a minimal triangulation, a 2-SAT
 driven (A,B)-separator search, and a balanced split of a working set W.
+
+One ``balanced_split`` builds one closure graph and asks ``find_separator``
+for many sides (A, B) on it.  The guesses (I, K_v, J1) and every fact about
+them that depends on the closure alone are built once per closure, in a
+``_GuessPlan`` kept on the ``ClosureGraph``: the atoms of each independent
+set I, the components outside Z = X + K_v with their neighbourhoods, the
+2-SAT variables and clauses of each J1, the 2-SAT answer (with its measure
+check) per forced set, and the components of the Gaifman graph minus each
+separator tried.  Per side, a call computes only which of those components
+meet A or B and the forced set they imply.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Optional
@@ -28,12 +38,16 @@ GUESS_CAP = 200_000
 @dataclass(frozen=True)
 class ClosureGraph:
     """Gaifman graph saturated with edges between vertices whose common
-    neighborhood (at insertion time) has measure above k."""
+    neighborhood (at insertion time) has measure above k.
+
+    ``plans`` holds the separator guesses ``find_separator`` has built on
+    this graph, one ``_GuessPlan`` per (k, measure)."""
 
     h: Hypergraph
     k: int
     adj: tuple[int, ...]
     added: tuple[int, ...]  # pair masks, insertion order
+    plans: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def closure(h: Hypergraph, k: int, m: WellBehavedMeasure) -> ClosureGraph:
@@ -45,6 +59,7 @@ def closure(h: Hypergraph, k: int, m: WellBehavedMeasure) -> ClosureGraph:
         raise InputError("k must be at least 1")
     adj = list(h.gaifman_adj())
     added = []
+    fits: dict[int, bool] = {}  # m.decide(h, common, k) per common mask
     changed = True
     while changed:
         changed = False
@@ -53,7 +68,10 @@ def closure(h: Hypergraph, k: int, m: WellBehavedMeasure) -> ClosureGraph:
                 if (adj[u] >> v) & 1:
                     continue
                 common = adj[u] & adj[v]
-                if not m.decide(h, common, k):
+                fit = fits.get(common)
+                if fit is None:
+                    fit = fits[common] = m.decide(h, common, k)
+                if not fit:
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
                     added.append((1 << u) | (1 << v))
@@ -266,18 +284,20 @@ class Refutation:
     message: str = "lambda-tw exceeds k"
 
 
-def _independent_sets_upto(adj, universe: int, size: int):
-    """Yield every independent set of the graph with at most ``size``
-    vertices, the empty set first, then depth first by smallest added vertex.
+def _independent_sets_with_neighbourhoods(adj, universe: int, size: int):
+    """Yield (I, N[I]) for every independent set I of the graph with at
+    most ``size`` vertices, the empty set first, then depth first by
+    smallest added vertex.
 
     Lazy, so a caller that stops at the first useful set builds no others;
-    the stack holds one frame [set, size of its extensions, candidates left]
-    per vertex of the current set, at most ``size`` frames.
+    the stack holds one frame [set, size of its extensions, candidates left,
+    closed neighbourhood of the set] per vertex of the current set, at most
+    ``size`` frames.
     """
-    yield 0
+    yield 0, 0
     if size < 1:
         return
-    stack = [[0, 1, universe]]
+    stack = [[0, 1, universe, 0]]
     while stack:
         frame = stack[-1]
         rest = frame[2]
@@ -288,17 +308,22 @@ def _independent_sets_upto(adj, universe: int, size: int):
         rest ^= low
         frame[2] = rest
         nxt = frame[0] | low
-        yield nxt
+        near = adj[low.bit_length() - 1]
+        closed = frame[3] | near | low
+        yield nxt, closed
         if frame[1] < size:
-            stack.append([nxt, frame[1] + 1,
-                          rest & ~adj[low.bit_length() - 1]])
+            stack.append([nxt, frame[1] + 1, rest & ~near, closed])
 
 
-def _is_separator(adj, s: int, a: int, b: int) -> bool:
-    """S separates A from B: A cap B inside S, no A\\S -- B\\S path avoiding S."""
-    if a & b & ~s:
-        return False
-    return not reach(adj, a, ~s) & (b & ~s)
+def _independent_sets_upto(adj, universe: int, size: int):
+    """Yield every independent set of the graph with at most ``size``
+    vertices, in the order of ``_independent_sets_with_neighbourhoods``."""
+    for i_set, _ in _independent_sets_with_neighbourhoods(adj, universe, size):
+        yield i_set
+
+
+_UNSAT = -1      # verdict: the 2-SAT formula has no solution
+_EXCEEDED = -2   # verdict: a solution's part in some atom has measure > k
 
 
 def find_separator(h: Hypergraph, a: int, b: int, k: int,
@@ -311,6 +336,16 @@ def find_separator(h: Hypergraph, a: int, b: int, k: int,
     or lambda-tw(H) > k"; the two causes are not distinguished, except that
     the early-exit clique check reports "lambda-tw exceeded" on its own.
     ``cg`` is ``closure(h, k, m)`` when the caller has built it already.
+
+    The guesses and what they need apart from the side (atoms, components
+    outside Z, 2-SAT clauses, 2-SAT answers and their measure checks,
+    components of the Gaifman graph minus a separator) are read from the
+    ``_GuessPlan`` of ``cg`` and built there on first use, so calls on one
+    closure share them.  Per side and atom choice, a call ORs the
+    neighbourhoods of the components outside Z that meet A (resp. B), reads
+    each guess's forced set off those masks, and checks separation against
+    the cached components.  Every guess counts towards ``GUESS_CAP``,
+    cached or not.
     """
     if k < 1:
         raise InputError("k must be at least 1")
@@ -319,115 +354,201 @@ def find_separator(h: Hypergraph, a: int, b: int, k: int,
     ctx = ctx or MeasureContext(h, m)
     if cg is None:
         cg = closure(h, k, m)
-    adj2 = cg.adj
-    gaif = h.gaifman_adj()
+    plan = cg.plans.get((k, m))
+    if plan is None:
+        plan = cg.plans[(k, m)] = _GuessPlan(cg, k)
     guesses = 0
 
-    for i_set in _independent_sets_upto(adj2, h.vertex_mask, k):
+    for i_set in plan.sets():
+        for combo in i_set.combos():
+            # A (resp. B) plus the neighbours of its reach outside Z: an
+            # atom vertex there must join S when its member sits on the
+            # other side
+            near_a, near_b = a, b
+            for comp, touch in combo.comps:
+                if comp & a:
+                    near_a |= touch
+                if comp & b:
+                    near_b |= touch
+            for j1 in range(len(combo.splits)):
+                guesses += 1
+                if guesses > GUESS_CAP:
+                    raise ResourceError("separator guess cap exceeded",
+                                        guesses=guesses)
+                split = combo.split(j1)
+                bad = (split.k1 & near_b) | (split.k2 & near_a)
+                sep = split.verdicts.get(bad)
+                if sep is None:
+                    sep = split.verdicts[bad] = _verdict(
+                        i_set, combo, split, bad, k, ctx)
+                if sep == _EXCEEDED:
+                    return SeparatorResult(refutation="lambda-tw exceeded")
+                if sep >= 0 and plan.separates(sep, a, b):
+                    return SeparatorResult(separator=sep)
+    return SeparatorResult(refutation="not separable")
+
+
+def _verdict(i_set: _SetGuesses, combo: _AtomChoice, split: _Split,
+             bad: int, k: int, ctx: MeasureContext) -> int:
+    """The separator candidate S' + X of one guess with forced set ``bad``,
+    or ``_UNSAT`` or ``_EXCEEDED``."""
+    var_of = combo.var_of
+    assignment = two_sat_solve(TwoSatFormula(
+        len(var_of), split.clauses, {var_of[u] for u in bits(bad)}))
+    if assignment is None:
+        return _UNSAT
+    s_prime = 0
+    for v, i in var_of.items():
+        if assignment[i]:
+            s_prime |= 1 << v
+    for km in combo.k_v:
+        if not ctx.at_most(s_prime & km, k):
+            return _EXCEEDED
+    return s_prime | i_set.x_mask
+
+
+def _read_through(built: list, pending, make):
+    """Yield the items of ``built``, then extend it with ``make(x)`` for
+    each x that the iterator ``pending`` (which never yields None) gives,
+    yielding each new item as it is added."""
+    i = 0
+    while True:
+        if i == len(built):
+            x = next(pending, None)
+            if x is None:
+                return
+            built.append(make(x))
+        yield built[i]
+        i += 1
+
+
+class _GuessPlan:
+    """The guesses (I, K_v, J1) of ``find_separator`` on one closure graph
+    and what the checks found about them, for every side.
+
+    Built lazily, in the order the calls read it, so a call that stops early
+    builds no more than it reads.  ``split`` maps each separator tried to
+    the components of the Gaifman graph without it.
+    """
+
+    def __init__(self, cg: ClosureGraph, k: int):
+        self.adj2 = cg.adj
+        self.gaif = cg.h.gaifman_adj()
+        self.universe = cg.h.vertex_mask
+        self._pending = _independent_sets_upto(cg.adj, self.universe, k)
+        self._built: list[_SetGuesses] = []
+        self.split: dict[int, list[int]] = {}
+
+    def sets(self):
+        return _read_through(self._built, self._pending, lambda i_set:
+                             _SetGuesses(self.adj2, self.universe, i_set))
+
+    def separates(self, sep: int, a: int, b: int) -> bool:
+        """S separates A from B: A cap B inside S, and no component of the
+        Gaifman graph minus S meets both."""
+        if a & b & ~sep:
+            return False
+        comps = self.split.get(sep)
+        if comps is None:
+            comps = self.split[sep] = list(
+                _components(self.gaif, self.universe & ~sep))
+        for comp in comps:
+            if comp & a and comp & b:
+                return False
+        return True
+
+
+class _SetGuesses:
+    """One independent set I of the closure: X (the common neighbours of two
+    members) and the atom choices K_v, one atom per member, built as read."""
+
+    def __init__(self, adj2, universe: int, i_set: int):
+        self.adj2 = adj2
+        self.universe = universe
         members = list(bits(i_set))
         x_mask = 0
         for ii, u in enumerate(members):
             for v in members[ii + 1:]:
                 x_mask |= adj2[u] & adj2[v]
-        n_v = {v: ((adj2[v] & ~x_mask) | (1 << v)) for v in members}
-        atom_choices = [atoms(tuple(av & n_v[v] for av in adj2), n_v[v])
-                        for v in members]
-        for combo in product(*atom_choices) if members else [()]:
-            k_v = dict(zip(members, combo))
-            z = x_mask
-            for km in combo:
-                z |= km
-            shared = _GuessFacts(adj2, h.vertex_mask, a, b, k_v, x_mask, z)
-            for j1_bits in range(1 << len(members)):
-                guesses += 1
-                if guesses > GUESS_CAP:
-                    raise ResourceError("separator guess cap exceeded",
-                                        guesses=guesses)
-                j1 = {members[i] for i in range(len(members))
-                      if (j1_bits >> i) & 1}
-                result = _try_branch(gaif, adj2, a, b, k, ctx,
-                                     members, j1, k_v, x_mask, shared)
-                if result is not None:
-                    return result
-    return SeparatorResult(refutation="not separable")
+        self.x_mask = x_mask
+        choices = []
+        for v in members:
+            n_v = (adj2[v] & ~x_mask) | (1 << v)
+            choices.append(atoms(tuple(av & n_v for av in adj2), n_v))
+        self._pending = product(*choices)
+        self._built: list[_AtomChoice] = []
+
+    def combos(self):
+        return _read_through(self._built, self._pending,
+                             lambda k_v: _AtomChoice(self, k_v))
 
 
-class _GuessFacts:
-    """What every J1/J2 guess over one choice of atoms K_v shares; it
-    depends on A, B and Z = X plus the atoms, never on the guess."""
+class _AtomChoice:
+    """What every J1/J2 guess over one choice of atoms K_v shares, given
+    Z = X plus the atoms: the components outside Z with their
+    neighbourhoods, the 2-SAT variables (Z minus X), the components each
+    variable touches and the same-atom clauses."""
 
-    def __init__(self, adj2, universe, a, b, k_v, x_mask, z):
-        reach_a = reach(adj2, a, ~z)
-        reach_b = reach(adj2, b, ~z)
-        # per member: atom vertices that must join S when v sits on side A
-        # (resp. B), as they touch the other side's seed or its reach
-        self.bad = {}
-        for v, km in k_v.items():
-            on_a = on_b = 0
-            for u in bits(km):
-                bu = 1 << u
-                if a & bu or adj2[u] & reach_a:
-                    on_a |= bu
-                if b & bu or adj2[u] & reach_b:
-                    on_b |= bu
-            self.bad[v] = (on_a, on_b)
+    def __init__(self, i_set: _SetGuesses, k_v: tuple[int, ...]):
+        self.adj2 = adj2 = i_set.adj2
+        self.k_v = k_v
+        z = x_mask = i_set.x_mask
+        for km in k_v:
+            z |= km
         var_mask = z & ~x_mask
         self.var_of = var_of = {v: i for i, v in enumerate(bits(var_mask))}
         # near[u]: the components outside Z that u touches; u and v are
         # linked when adjacent or when both touch one component
         self.near = near = dict.fromkeys(var_of, 0)
-        for comp in _components(adj2, universe & ~z):
+        self.comps = []
+        for comp in _components(adj2, i_set.universe & ~z):
             touching = 0
             for x in bits(comp):
                 touching |= adj2[x]
+            self.comps.append((comp, touching))
             for u in bits(touching & var_mask):
                 near[u] |= comp
         self.inner = []   # no two non-adjacent vertices of one atom in S
-        for km in k_v.values():
+        for km in k_v:
             for u1 in bits(km):
                 for u2 in bits(km & ~((1 << (u1 + 1)) - 1)):
                     if not (adj2[u1] >> u2) & 1:
                         self.inner.append(((var_of[u1], False),
                                            (var_of[u2], False)))
+        self.splits: list[Optional[_Split]] = [None] * (1 << len(k_v))
+
+    def split(self, j1: int) -> _Split:
+        got = self.splits[j1]
+        if got is None:
+            got = self.splits[j1] = _Split(self, j1)
+        return got
 
 
-def _try_branch(gaif, adj2, a, b, k, ctx, members, j1, k_v, x_mask,
-                shared: _GuessFacts):
-    bad = 0
-    k1 = 0
-    k2 = 0
-    for v in members:
-        if v in j1:
-            k1 |= k_v[v]
-            bad |= shared.bad[v][1]
-        else:
-            k2 |= k_v[v]
-            bad |= shared.bad[v][0]
-    var_of = shared.var_of
-    # bad pairs across J1/J2 atoms, connected outside Z or directly adjacent
-    clauses = []
-    for u in bits(k1):
-        linked_to = adj2[u]
-        near = shared.near[u]
-        for v in bits(k2):
-            if u != v and ((linked_to >> v) & 1 or adj2[v] & near):
-                clauses.append(((var_of[u], True), (var_of[v], True)))
-    formula = TwoSatFormula(len(var_of), clauses + shared.inner,
-                            {var_of[u] for u in bits(bad)})
-    assignment = two_sat_solve(formula)
-    if assignment is None:
-        return None
-    s_prime = 0
-    for v, i in var_of.items():
-        if assignment[i]:
-            s_prime |= 1 << v
-    for v in members:
-        if not ctx.at_most(s_prime & k_v[v], k):
-            return SeparatorResult(refutation="lambda-tw exceeded")
-    sep = s_prime | x_mask
-    if not _is_separator(gaif, sep, a, b):
-        return None
-    return SeparatorResult(separator=sep)
+class _Split:
+    """One J1 (bit i: member i sits on side A's atom part): K1, K2, the
+    2-SAT clauses and the verdict of ``_verdict`` per forced set."""
+
+    __slots__ = ("k1", "k2", "clauses", "verdicts")
+
+    def __init__(self, combo: _AtomChoice, j1: int):
+        k1 = k2 = 0
+        for i, km in enumerate(combo.k_v):
+            if (j1 >> i) & 1:
+                k1 |= km
+            else:
+                k2 |= km
+        self.k1, self.k2 = k1, k2
+        adj2, var_of = combo.adj2, combo.var_of
+        # bad pairs across J1/J2 atoms: adjacent, or connected outside Z
+        clauses = []
+        for u in bits(k1):
+            linked_to = adj2[u]
+            near = combo.near[u]
+            for v in bits(k2):
+                if u != v and ((linked_to >> v) & 1 or adj2[v] & near):
+                    clauses.append(((var_of[u], True), (var_of[v], True)))
+        self.clauses = clauses + combo.inner
+        self.verdicts: dict[int, int] = {}
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +585,8 @@ def balanced_split(h: Hypergraph, w: int, k: int, m: WellBehavedMeasure,
     cg = None
     # b = W \ a, so a side that was tried before fails the same way again
     tried = set()
-    for i_set in _independent_sets_upto(gaif, h.vertex_mask, max_i):
-        gamma = i_set
-        for v in bits(i_set):
-            gamma |= gaif[v]
+    for _, gamma in _independent_sets_with_neighbourhoods(
+            gaif, h.vertex_mask, max_i):
         a = gamma & w
         if a in tried:
             continue
@@ -495,10 +614,10 @@ def _grow_wstar(ctx: MeasureContext, w: int, big_k: int, full: int):
     Returns (W*, overshoot) where overshoot means a single vertex pushed the
     measure past big_k (only possible for measures with infinite jumps)."""
     wstar = w
-    while wstar != full and ctx.value(wstar) < big_k:
+    while wstar != full and ctx.at_most(wstar, big_k - 1):
         rest = full & ~wstar
         wstar |= rest & -rest
-        if ctx.value(wstar) > big_k:
+        if not ctx.at_most(wstar, big_k):
             return wstar, True
     return wstar, False
 

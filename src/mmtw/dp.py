@@ -324,7 +324,11 @@ class CoverDP(BlockerReadable):
                 prefix.pop()
 
         rec()
-        return self._compress(out)
+        # the components are maximal independent sets of H[s], so one tuple
+        # dominates another only when they are equal: sorting is all that
+        # ``_compress`` would do here
+        return sorted(set(out), key=lambda t: sum(x.bit_count() for x in t),
+                      reverse=True)
 
     def restrict(self, table, s_old, s_new):
         return self._compress(tuple(a & s_new for a in t) for t in table)

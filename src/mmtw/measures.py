@@ -118,11 +118,23 @@ def alpha_decide(h: Hypergraph, s: int, k: int) -> bool:
 
 
 def _rho_below(h: Hypergraph, s: int, best: int):
-    """min(best, rho(S)), or math.inf if some vertex of S lies in no edge."""
-    edges = h.edges
+    """min(best, rho(S)), or math.inf if some vertex of S lies in no edge.
+
+    A branch is cut when its edges plus a lower bound cannot beat ``best``.
+    Two bounds count edges still to come: the uncovered vertices over the
+    largest edge size, and a greedy packing of uncovered vertices no two of
+    which share an edge (lowest first, dropping the span of each pick),
+    since each of those needs an edge of its own.
+    """
+    rank = max((e.bit_count() for e in h.edges), default=1)
     covered = 0
-    for e in edges:
+    through = [[] for _ in range(h.n)]   # the edges through v, in order
+    span = [0] * h.n   # span[v]: the union of the edges through v
+    for e in h.edges:
         covered |= e
+        for v in bits(e):
+            through[v].append(e)
+            span[v] |= e
     if s & ~covered:
         return math.inf
 
@@ -131,12 +143,17 @@ def _rho_below(h: Hypergraph, s: int, best: int):
         if not uncovered:
             best = used
             return
-        if used + 1 >= best:
+        if used - (-uncovered.bit_count() // rank) >= best:
             return
+        bound, rest = used, uncovered
+        while rest:
+            bound += 1
+            if bound >= best:
+                return
+            rest &= ~span[(rest & -rest).bit_length() - 1]
         low = uncovered & -uncovered
-        for e in edges:
-            if e & low:
-                branch(uncovered & ~e, used + 1)
+        for e in through[low.bit_length() - 1]:
+            branch(uncovered & ~e, used + 1)
 
     branch(s, 0)
     return best

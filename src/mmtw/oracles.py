@@ -9,7 +9,9 @@ triangulations.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Optional
 
 from ._bits import bits
@@ -49,6 +51,19 @@ def mwis_bruteforce(h: Hypergraph, weights=None, cap: int = 20) -> tuple[Fractio
         if total > best:
             best, witness = total, m
     return best, witness
+
+
+def rho_bruteforce(h: Hypergraph, s: int):
+    """Fewest edges of H whose union contains s, trying every edge subset by
+    increasing size; math.inf if no subset does."""
+    for size in range(len(h.edges) + 1):
+        for chosen in combinations(h.edges, size):
+            union = 0
+            for e in chosen:
+                union |= e
+            if s & ~union == 0:
+                return size
+    return math.inf
 
 
 def chromatic_bruteforce(h: Hypergraph, k: int) -> bool:

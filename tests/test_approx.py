@@ -1,12 +1,12 @@
 """Closure, atoms, 2-SAT, separators and the approximation pipeline."""
 
 import math
-from itertools import islice
+from itertools import combinations, islice, product
 
 import pytest
 
 from mmtw import approx
-from mmtw._bits import mask_of
+from mmtw._bits import bits, mask_of, reach
 from mmtw.approx import (Refutation, SeparatorResult, TwoSatFormula,
                          _independent_sets_upto, atoms,
                          balanced_split, closure, find_separator,
@@ -16,9 +16,10 @@ from mmtw.errors import InputError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_graph, random_hypergraph, rng_from_seed)
 from mmtw.hypergraph import Graph
-from mmtw.measures import ALPHA, RHO, MeasureContext
+from mmtw.measures import ALPHA, MU, RHO, MeasureContext
 from mmtw.oracles import (_separates, lambda_tw_exact,
                           separator_exists_bruteforce)
+from mmtw.reductions import approximate_mu_tw
 
 
 def test_width_bound_constants():
@@ -187,6 +188,177 @@ def test_balanced_split_builds_closure_once_and_tries_each_side_once(
     assert out.ok
     assert len(built) == 1
     assert len(sides) == len(set(sides)) == 9
+
+
+def _find_separator_reference(h, a, b, k, m):
+    """Reference: every guess (I, K_v, J1) built from scratch, with the
+    clauses and forced set in the order ``find_separator`` gives them."""
+    adj2 = closure(h, k, m).adj
+    ctx = MeasureContext(h, m)
+    for i_set in _independent_sets_upto(adj2, h.vertex_mask, k):
+        members = list(bits(i_set))
+        x_mask = 0
+        for u, v in combinations(members, 2):
+            x_mask |= adj2[u] & adj2[v]
+        choices = []
+        for v in members:
+            n_v = (adj2[v] & ~x_mask) | (1 << v)
+            choices.append(atoms(tuple(av & n_v for av in adj2), n_v))
+        for k_v in product(*choices):
+            z = x_mask
+            for km in k_v:
+                z |= km
+            var_of = {v: i for i, v in enumerate(bits(z & ~x_mask))}
+            outside = [c for c in range(h.n) if not (z >> c) & 1]
+            reach_a = reach(adj2, a, ~z)
+            reach_b = reach(adj2, b, ~z)
+
+            def linked(u, v):
+                # adjacent, or both next to one component outside Z
+                if (adj2[u] >> v) & 1:
+                    return True
+                return any(adj2[u] & reach(adj2, 1 << c, ~z)
+                           and adj2[v] & reach(adj2, 1 << c, ~z)
+                           for c in outside)
+
+            for j1 in range(1 << len(members)):
+                k1 = k2 = bad = 0
+                for i, km in enumerate(k_v):
+                    if (j1 >> i) & 1:
+                        k1 |= km
+                        seed, near = b, reach_b
+                    else:
+                        k2 |= km
+                        seed, near = a, reach_a
+                    for u in bits(km):
+                        if (seed >> u) & 1 or adj2[u] & near:
+                            bad |= 1 << u
+                clauses = [((var_of[u], True), (var_of[v], True))
+                           for u in bits(k1) for v in bits(k2)
+                           if u != v and linked(u, v)]
+                clauses += [((var_of[u], False), (var_of[v], False))
+                            for km in k_v
+                            for u, v in combinations(bits(km), 2)
+                            if not (adj2[u] >> v) & 1]
+                model = two_sat_solve(TwoSatFormula(
+                    len(var_of), clauses, {var_of[u] for u in bits(bad)}))
+                if model is None:
+                    continue
+                s_prime = sum(1 << v for v, i in var_of.items() if model[i])
+                if not all(ctx.at_most(s_prime & km, k) for km in k_v):
+                    return SeparatorResult(refutation="lambda-tw exceeded")
+                sep = s_prime | x_mask
+                if _separates(h.gaifman_adj(), h.n, sep, a & ~sep, b & ~sep):
+                    return SeparatorResult(separator=sep)
+    return SeparatorResult(refutation="not separable")
+
+
+# (n, edges, A, B) at k = 2 where the forced set decides which separator
+# comes first: a wrong reach of A or B changes the answer
+_FORCED_SET_CASES = [
+    (9, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (0, 5), (0, 6), (2, 6),
+         (3, 6), (4, 6), (5, 6), (0, 7), (1, 7), (3, 7), (2, 8), (5, 8),
+         (6, 8), (7, 8)], 0x64, 0x14F),
+    (11, [(1, 4), (2, 4), (3, 4), (1, 7), (4, 7), (6, 7), (1, 8), (2, 8),
+          (3, 8), (4, 8), (6, 8), (0, 9), (2, 9), (3, 9), (7, 9), (0, 10),
+          (1, 10), (6, 10)], 0x202, 0x3D4),
+    (11, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4),
+          (0, 5), (1, 5), (4, 5), (1, 6), (2, 6), (4, 6), (5, 6), (3, 7),
+          (6, 7), (2, 8), (4, 8), (5, 8), (6, 8), (7, 8), (2, 9), (4, 9),
+          (5, 9), (8, 9), (0, 10), (4, 10)], 0x415, 0x36A),
+]
+
+
+def test_find_separator_on_a_shared_closure_matches_the_reference():
+    rng = rng_from_seed(37)
+    cases = []
+    for _ in range(24):
+        n = rng.randrange(3, 13)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.5))
+        for k in (1, 2):
+            sides = []
+            for _ in range(8):
+                a = rng.getrandbits(n)
+                b = rng.getrandbits(n)
+                if rng.random() < 0.7:
+                    b &= ~a
+                sides.append((a, b))
+            cases.append((g, k, sides))
+    for n, pairs, a, b in _FORCED_SET_CASES:
+        g = Graph.from_pairs(n, pairs)
+        cases.append((g, 2, [(a, b), (b, a), (a, b)]))
+    for g, k, sides in cases:
+        cg = closure(g, k, ALPHA)
+        ctx = MeasureContext(g, ALPHA)
+        for a, b in sides:
+            shared = find_separator(g, a, b, k, ALPHA, ctx, cg)
+            assert shared == find_separator(g, a, b, k, ALPHA)
+            assert shared == _find_separator_reference(g, a, b, k, ALPHA)
+
+
+def _caterpillar(spine, legs):
+    pairs = [(i, i + 1) for i in range(spine - 1)]
+    pairs += [(v, spine + j) for j, v in enumerate(legs)]
+    return Graph.from_pairs(spine + len(legs), pairs)
+
+
+def test_balanced_split_builds_atoms_once_per_independent_set(monkeypatch):
+    built = []
+    sides = []
+    atoms_fn, find_fn = approx.atoms, approx.find_separator
+
+    def counting_atoms(*args):
+        built.append(args[1])
+        return atoms_fn(*args)
+
+    def counting_find(h, a, b, *rest):
+        sides.append(a)
+        return find_fn(h, a, b, *rest)
+
+    monkeypatch.setattr(approx, "atoms", counting_atoms)
+    monkeypatch.setattr(approx, "find_separator", counting_find)
+    g = _caterpillar(10, [3, 6, 7, 8, 9])
+    # this W and r make the split try 5 sides on one closure
+    out = balanced_split(g, 0x3D7F, 1, ALPHA, 5, MeasureContext(g, ALPHA))
+    assert out.ok
+    assert len(sides) == 5
+    # with k = 1 each I has one member, so one atoms call per I
+    cg = closure(g, 1, ALPHA)
+    sets = list(_independent_sets_upto(cg.adj, g.vertex_mask, 1))
+    assert len(built) <= len(sets) - 1
+
+
+def _grow_wstar_by_values(ctx, w, big_k, full):
+    """Reference: W* grown on exact measure values."""
+    wstar = w
+    while wstar != full and ctx.value(wstar) < big_k:
+        rest = full & ~wstar
+        wstar |= rest & -rest
+        if ctx.value(wstar) > big_k:
+            return wstar, True
+    return wstar, False
+
+
+def test_grow_wstar_matches_exact_values():
+    rng = rng_from_seed(38)
+    graphs = [path_graph(n) for n in (3, 8, 15)]
+    graphs += [cycle_graph(n) for n in (4, 9, 16)]
+    graphs += [random_graph(rng, rng.randrange(2, 12), rng.uniform(0.05, 0.6))
+               for _ in range(20)]
+    for g in graphs:
+        for m in (ALPHA, RHO, MU):
+            for _ in range(4):
+                w = rng.getrandbits(g.n)
+                big_k = rng.randrange(0, 8)
+                args = (w, big_k, g.vertex_mask)
+                assert approx._grow_wstar(MeasureContext(g, m), *args) == \
+                    _grow_wstar_by_values(MeasureContext(g, m), *args)
+
+
+def test_long_cycles_are_refuted():
+    assert isinstance(approx_decomposition(cycle_graph(40), 1, ALPHA),
+                      Refutation)
+    assert isinstance(approximate_mu_tw(cycle_graph(30), 1), Refutation)
 
 
 def test_approx_decomposition_alpha():

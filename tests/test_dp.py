@@ -281,6 +281,30 @@ def test_compress_keeps_exactly_the_maximal_tuples():
                 assert t == g or not all(a & b == a for a, b in zip(t, g))
 
 
+def test_cover_leaf_table_is_already_compressed(monkeypatch):
+    seen = []
+    leaf_init = CoverDP.leaf_init
+
+    def spy(self, mis, s):
+        table = leaf_init(self, mis, s)
+        seen.append((self, table))
+        return table
+
+    monkeypatch.setattr(CoverDP, "leaf_init", spy)
+    rng = rng_from_seed(62)
+    for _ in range(30):
+        h = random_graph(rng, rng.randrange(2, 10), rng.uniform(0.15, 0.6))
+        t = random_decomposition(rng, h)
+        chromatic_decide(h, rng.randrange(1, 4), t)
+        hom_decide(h, rng.choice((complete_graph(3), cycle_graph(5))), t)
+    assert {dp.arity for dp, _ in seen} >= {1, 2, 3, 5}
+    for dp, table in seen:
+        assert len(table) == len(set(table))
+        assert set(table) == set(dp._compress(table))
+        sizes = [sum(a.bit_count() for a in t) for t in table]
+        assert sizes == sorted(sizes, reverse=True)
+
+
 def merge_reference(w, trace, t1, t2, s):
     """MwisDP.merge as three weight sums per pair of entries."""
     out = {}

@@ -14,8 +14,8 @@ from mmtw.hypergraph import Graph, Hypergraph, gaifman, induced
 from mmtw.measures import (ALPHA, BAG_MEASURES, MEASURES, MU, RHO,
                            MeasureContext, alpha_decide, alpha_set,
                            get_measure, induced_matching_intersecting,
-                           minor_matching_intersecting)
-from mmtw.oracles import mwis_bruteforce
+                           minor_matching_intersecting, rho_set)
+from mmtw.oracles import mwis_bruteforce, rho_bruteforce
 
 
 def instances(seed, count):
@@ -198,3 +198,23 @@ def test_mu_cap_on_graphs_reports_best(monkeypatch):
         MU.value(c, c.vertex_mask)
     assert str(info.value) == "alpha oracle cap exceeded"
     assert info.value.stats["best"] == 3
+
+
+def test_rho_matches_bruteforce_and_closed_forms():
+    rng = rng_from_seed(41)
+    for _ in range(150):
+        n = rng.randrange(1, 13)
+        if rng.random() < 0.5:
+            h = random_graph(rng, n, rng.uniform(0.15, 0.6))
+        else:
+            h = random_hypergraph(rng, n, rng.randrange(1, n + 3))
+        s = rng.getrandbits(n)
+        want = rho_bruteforce(h, s)
+        assert RHO.value(h, s) == want
+        for k in range(-1, n + 1):
+            assert RHO.decide(h, s, k) == (want <= k)
+    # the packing bound keeps long paths and cycles fast
+    for n in [*range(3, 41), 60, 100, 150, 200]:
+        p, c = path_graph(n), cycle_graph(n)
+        assert rho_set(p, p.vertex_mask) == (n + 1) // 2
+        assert rho_set(c, c.vertex_mask) == (n + 1) // 2
