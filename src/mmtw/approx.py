@@ -6,6 +6,10 @@ lambda-width at most 2k^3 + 2k^2 + 3k + 3 or correctly concludes that
 lambda-tw(H) > k.  The machinery: a saturated "closure" supergraph of the
 Gaifman graph, clique-separator atoms from a minimal triangulation, a 2-SAT
 driven (A,B)-separator search, and a balanced split of a working set W.
+When V is too large for one bag, a min-fill elimination (Bodlaender and
+Koster, "Treewidth computations I. Upper bounds", 2010) is tried first and
+answers if each of its bags has measure at most k; the recursion runs only
+when one does not, so it alone refutes.
 
 One ``balanced_split`` builds one closure graph and asks ``find_separator``
 for many sides (A, B) on it.  The guesses (I, K_v, J1) and every fact about
@@ -27,7 +31,7 @@ from itertools import product
 from typing import Optional
 
 from ._bits import bits, reach
-from .decomposition import TreeDecomposition
+from .decomposition import TreeDecomposition, elimination_tree, eliminate
 from .errors import InputError, ResourceError
 from .hypergraph import Hypergraph, induced
 from .measures import MeasureContext, WellBehavedMeasure
@@ -622,18 +626,84 @@ def _grow_wstar(ctx: MeasureContext, w: int, big_k: int, full: int):
     return wstar, False
 
 
+def _fill_in(adj, v: int, live: int) -> int:
+    """Pairs of v's live neighbours that are not adjacent in ``adj``."""
+    near = adj[v] & live
+    missing = 0
+    for u in bits(near):
+        missing += (near & ~adj[u]).bit_count() - 1
+    return missing // 2
+
+
+def _min_fill_elimination(h: Hypergraph, k: int, ctx: MeasureContext):
+    """(order, bags) of a min-fill elimination of the Gaifman graph if every
+    bag has measure at most k, else None.
+
+    Each step eliminates the live vertex whose neighbours need the fewest
+    fill edges, the lowest id on ties; a vertex with fill 0 is taken as soon
+    as the scan meets it.  Its bag, the vertex plus its live neighbours in
+    the filled graph, is checked as it is formed and the pass stops at the
+    first bag above k.  A fill count is recomputed only after a step that
+    changed the vertex's neighbourhood: it is a neighbour of the eliminated
+    vertex or adjacent to one.
+    """
+    adj = list(h.gaifman_adj())
+    live = h.vertex_mask
+    fill: list[Optional[int]] = [None] * h.n
+    order, bags = [], []
+    while live:
+        best = best_fill = None
+        for v in bits(live):
+            f = fill[v]
+            if f is None:
+                f = fill[v] = _fill_in(adj, v, live)
+            if best_fill is None or f < best_fill:
+                best, best_fill = v, f
+                if f == 0:
+                    break
+        bag = eliminate(adj, best, live)
+        if not ctx.at_most(bag, k):
+            return None
+        live &= ~(1 << best)
+        order.append(best)
+        bags.append(bag)
+        stale = bag
+        for u in bits(bag):
+            stale |= adj[u]
+        for u in bits(stale & live):
+            fill[u] = None
+    return order, bags
+
+
+def _big_k(k: int) -> int:
+    """big_K: the measure up to which a part of the recursion is one bag."""
+    return (3 * (k ** 3 + k ** 2)) // 2 + 3 * k + 3
+
+
 def approx_decomposition(h: Hypergraph, k: int, m: WellBehavedMeasure,
                          w: int = 0):
     """Tree decomposition of lambda-width <= 2k^3+2k^2+3k+3 with W inside one
-    bag, or a Refutation that lambda-tw(H) > k."""
+    bag, or a Refutation that lambda-tw(H) > k.
+
+    With W empty, a set V whose measure exceeds big_K first gets a min-fill
+    elimination checked at k (``_min_fill_elimination``).  If every bag
+    passes, its decomposition proves lambda-tw(H) <= k and is returned;
+    otherwise the paper's recursion runs, so every refutation comes from it.
+    """
     if k < 1:
         raise InputError("k must be at least 1")
     if w & ~h.vertex_mask:
         raise InputError("W contains an unknown vertex id")
-    big_k = (3 * (k ** 3 + k ** 2)) // 2 + 3 * k + 3
+    big_k = _big_k(k)
     ctx = MeasureContext(h, m)
     if ctx.value(w) > big_k:
         raise InputError("lambda(W) exceeds the admissible bound")
+    if w == 0:
+        if ctx.at_most(h.vertex_mask, big_k):
+            return TreeDecomposition([h.vertex_mask], [])
+        eliminated = _min_fill_elimination(h, k, ctx)
+        if eliminated is not None:
+            return elimination_tree(*eliminated)
     out = _recurse(h, k, m, w, big_k)
     if isinstance(out, Refutation):
         return out

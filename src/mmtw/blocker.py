@@ -112,13 +112,14 @@ def _is_minimal_transversal(t: int, edges) -> bool:
 
 
 def _compose_masks(edges, h: int, x: int, z: int) -> tuple[int, ...]:
-    """Edges of the clutter composed along (h, x, z), over the same id space."""
-    bx, bz = 1 << x, 1 << z
-    con_x = h & ~bx
-    con_z = h & ~bz
-    merged = [e & ~con_x for e in edges if not e & bx]
-    merged += [e & ~con_z for e in edges if not e & bz]
-    return _minimal_masks(merged)
+    """Edges of the clutter composed along (h, x, z), over the same id space.
+
+    The composition keeps e - (h - x) for each edge e avoiding x and
+    e - (h - z) for each edge avoiding z; both are e - h, so one pass keeps
+    e - h for every edge that does not hold both x and z.
+    """
+    both = (1 << x) | (1 << z)
+    return _minimal_masks([e & ~h for e in edges if e & both != both])
 
 
 class _Brancher:

@@ -175,30 +175,45 @@ def _fill_neighborhood(adj, v: int, eliminated: int) -> int:
     return out & ~inside
 
 
+def eliminate(adj: list, v: int, live: int) -> int:
+    """Eliminate v from the filled graph ``adj`` (adjacency masks, updated in
+    place) whose not yet eliminated vertices are ``live``: join v's live
+    neighbours into a clique and return v's bag, v plus those neighbours."""
+    near = adj[v] & live & ~(1 << v)
+    for u in bits(near):
+        adj[u] |= near & ~(1 << u)
+    return near | (1 << v)
+
+
+def elimination_tree(order: Sequence[int], bags: Sequence[int]) -> TreeDecomposition:
+    """Decomposition with one bag per eliminated vertex, ``bags[i]`` that of
+    ``order[i]``.  A bag's parent is the bag of the member of its
+    neighbourhood eliminated first, with a link to the next bag when the
+    neighbourhood is empty.  An empty order gives one empty bag."""
+    pos = {v: i for i, v in enumerate(order)}
+    tree = []
+    for i, (v, bag) in enumerate(zip(order, bags)):
+        q = bag & ~(1 << v)
+        if q:
+            tree.append((i, min(pos[u] for u in bits(q))))
+        elif i + 1 < len(order):
+            tree.append((i, i + 1))
+    return TreeDecomposition(bags or [0], tree)
+
+
 def from_elimination_order(h: Hypergraph, order: Sequence[int]) -> TreeDecomposition:
     """Tree decomposition whose bags are the elimination neighborhoods.
 
-    Bag of v is {v} plus the later-eliminated vertices reachable from v through
-    already-eliminated ones; the bag's parent is the bag of the member of that
-    neighborhood eliminated first, with a fallback link for empty neighborhoods.
+    Bag of v is {v} plus its later-eliminated neighbours in the filled graph,
+    which are the later-eliminated vertices reachable from v through
+    already-eliminated ones; the tree is ``elimination_tree``'s.
     """
-    n = h.n
-    if sorted(order) != list(range(n)):
+    if sorted(order) != list(range(h.n)):
         raise InputError("order must be a permutation of the vertices")
-    if n == 0:
-        return TreeDecomposition([0], [])
-    adj = h.gaifman_adj()
-    pos = {v: i for i, v in enumerate(order)}
+    adj = list(h.gaifman_adj())
+    live = h.vertex_mask
     bags = []
-    tree = []
-    eliminated = 0
-    for i, v in enumerate(order):
-        q = _fill_neighborhood(adj, v, eliminated)
-        bags.append((1 << v) | q)
-        if q:
-            u = min(bits(q), key=pos.__getitem__)
-            tree.append((i, pos[u]))
-        elif i + 1 < n:
-            tree.append((i, i + 1))
-        eliminated |= 1 << v
-    return TreeDecomposition(bags, tree)
+    for v in order:
+        bags.append(eliminate(adj, v, live))
+        live &= ~(1 << v)
+    return elimination_tree(order, bags)

@@ -315,8 +315,14 @@ class MeasureContext:
         return got
 
     def at_most(self, s: int, k) -> bool:
+        """lambda(S) <= k for a bound k that need not be an int.  Every
+        measure is an int or infinite, so a finite bound is decided at its
+        floor and an infinite one holds without asking the oracle."""
         got = self._memo.get(s)
         if got is not None:
             return got <= k
-        return self.measure.decide(self.h, s, k) if isinstance(k, int) \
-            else self.value(s) <= k
+        if not isinstance(k, int):
+            if k == math.inf:
+                return True
+            k = math.floor(k)
+        return self.measure.decide(self.h, s, k)

@@ -8,15 +8,18 @@ import pytest
 from mmtw import approx
 from mmtw._bits import bits, mask_of, reach
 from mmtw.approx import (Refutation, SeparatorResult, TwoSatFormula,
-                         _independent_sets_upto, atoms,
+                         _big_k, _independent_sets_upto,
+                         _min_fill_elimination, _recurse, atoms,
                          balanced_split, closure, find_separator,
                          approx_decomposition, two_sat_solve, width_bound)
-from mmtw.decomposition import validate, width
+from mmtw.decomposition import (_fill_neighborhood, elimination_tree,
+                                from_elimination_order, validate, width)
 from mmtw.errors import InputError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_graph, random_hypergraph, rng_from_seed)
-from mmtw.hypergraph import Graph
-from mmtw.measures import ALPHA, MU, RHO, MeasureContext
+from mmtw.hypergraph import Graph, Hypergraph
+from mmtw.measures import ALPHA, KAPPA, MU, RHO, MeasureContext
+from mmtw.reductions import line_square
 from mmtw.oracles import (_separates, lambda_tw_exact,
                           separator_exists_bruteforce)
 from mmtw.reductions import approximate_mu_tw
@@ -405,3 +408,206 @@ def test_approx_decomposition_scales_on_paths():
         out = approx_decomposition(g, k, ALPHA)
         assert validate(g, out)
         assert width(g, out, "alpha").width <= width_bound(k)
+
+
+# ---------------------------------------------------------------------------
+# the min-fill first pass
+
+
+def _interval_graph(rng, n):
+    ivs = []
+    for _ in range(n):
+        a = rng.uniform(0, n)
+        ivs.append((a, a + rng.uniform(0.5, 2.5)))
+    return Graph.from_pairs(n, [
+        (i, j) for i in range(n) for j in range(i + 1, n)
+        if ivs[i][0] <= ivs[j][1] and ivs[j][0] <= ivs[i][1]])
+
+
+def _random_tree(rng, n):
+    return Graph.from_pairs(n, [(rng.randrange(v), v) for v in range(1, n)])
+
+
+def _no_recursion(*args, **kwargs):
+    raise AssertionError("the recursion ran")
+
+
+def test_first_pass_answers_chordal_inputs_with_their_exact_width(
+        monkeypatch):
+    monkeypatch.setattr(approx, "balanced_split", _no_recursion)
+    rng = rng_from_seed(40)
+    graphs = [path_graph(n) for n in (20, 41, 60)]
+    for spine in (14, 20, 27, 33, 40):
+        graphs.append(_caterpillar(
+            spine, sorted(rng.sample(range(spine), spine // 2))))
+    graphs += [_interval_graph(rng, rng.randrange(20, 61)) for _ in range(8)]
+    graphs += [_random_tree(rng, rng.randrange(20, 61)) for _ in range(8)]
+    first_pass = 0
+    for g in graphs:
+        out = approx_decomposition(g, 1, ALPHA)
+        assert validate(g, out)
+        if ALPHA.value(g, g.vertex_mask) > _big_k(1):
+            first_pass += 1
+            assert width(g, out, "alpha").width == 1
+    assert first_pass >= 20
+
+
+def _first_pass_cases(seed, count):
+    rng = rng_from_seed(seed)
+    for _ in range(count):
+        k = rng.randrange(1, 3)
+        shape = rng.random()
+        if shape < 0.25:
+            # a small core with pendant leaves, so that alpha(V) can pass
+            # big_K(1) = 9 at n <= 12
+            core = rng.randrange(2, 5)
+            pairs = [(u, v) for u in range(core) for v in range(u + 1, core)
+                     if rng.random() < 0.6]
+            pairs += [(rng.randrange(core), v) for v in range(core, 12)]
+            h = Graph.from_pairs(12, pairs)
+        elif shape < 0.5:
+            h = random_graph(rng, rng.randrange(2, 13), rng.uniform(0.1, 0.6))
+        else:
+            n = rng.randrange(2, 13)
+            h = random_hypergraph(rng, n, rng.randrange(1, n + 2))
+        yield h, k
+
+
+def _check_first_pass(h, k, m, name, out) -> bool:
+    """``out`` is approx_decomposition's answer on (h, k, m).  It refutes iff
+    the recursion run alone refutes; a min-fill elimination that passes at k
+    validates with width at most k, and the recursion never refutes it.
+    True iff the answer came from the first pass."""
+    ctx = MeasureContext(h, m)
+    eliminated = _min_fill_elimination(h, k, ctx)
+    recursed = _recurse(h, k, m, 0, _big_k(k))
+    assert isinstance(out, Refutation) == isinstance(recursed, Refutation)
+    if eliminated is None:
+        return False
+    td = elimination_tree(*eliminated)
+    assert validate(h, td)
+    assert width(h, td, name).width <= k
+    assert not isinstance(recursed, Refutation)
+    if ctx.at_most(h.vertex_mask, _big_k(k)):
+        return False
+    assert td == out
+    return True
+
+
+def test_first_pass_refutes_iff_the_recursion_refutes():
+    answered = refuted = 0
+    for h, k in _first_pass_cases(41, 80):
+        for m in (ALPHA, RHO):
+            out = approx_decomposition(h, k, m)
+            answered += _check_first_pass(h, k, m, m.name, out)
+            refuted += isinstance(out, Refutation)
+    assert answered >= 4 and refuted >= 5
+
+
+def test_first_pass_through_the_line_square_refutes_iff_the_recursion_does():
+    # mu reaches the pipeline as alpha on L^2(G)
+    graphs = 0
+    for h, k in _first_pass_cases(42, 80):
+        if any(e.bit_count() != 2 for e in h.edges):
+            continue
+        graphs += 1
+        g = Graph(h.n, h.edges)
+        line = line_square(g).line
+        out = approx_decomposition(line, k, ALPHA)
+        _check_first_pass(line, k, ALPHA, "alpha", out)
+        mu_out = approximate_mu_tw(g, k)
+        assert isinstance(mu_out, Refutation) == isinstance(out, Refutation)
+        if not isinstance(mu_out, Refutation):
+            assert width(g, mu_out, "mu").width <= width_bound(k)
+    assert graphs >= 20
+
+
+def test_first_pass_stops_at_its_first_failing_bag(monkeypatch):
+    checks = []
+    at_most = MeasureContext.at_most
+
+    def counted(self, s, k):
+        checks.append(k)
+        return at_most(self, s, k)
+
+    monkeypatch.setattr(MeasureContext, "at_most", counted)
+    c40 = cycle_graph(40)
+    assert _min_fill_elimination(c40, 1, MeasureContext(c40, ALPHA)) is None
+    assert 0 < len(checks) < 40
+
+
+def test_first_pass_bags_match_the_elimination_order():
+    rng = rng_from_seed(43)
+    for _ in range(60):
+        n = rng.randrange(1, 16)
+        if rng.random() < 0.5:
+            h = random_graph(rng, n, rng.uniform(0.1, 0.6))
+        else:
+            h = random_hypergraph(rng, n, rng.randrange(1, n + 2))
+        # kappa at k = n - 1 passes every bag, so the whole order is built
+        order, bags = _min_fill_elimination(h, n, MeasureContext(h, KAPPA))
+        assert sorted(order) == list(range(n))
+        assert elimination_tree(order, bags) == from_elimination_order(h, order)
+        adj = h.gaifman_adj()
+        eliminated = 0
+        for v, bag in zip(order, bags):
+            assert bag == (1 << v) | _fill_neighborhood(adj, v, eliminated)
+            eliminated |= 1 << v
+
+
+def test_first_pass_takes_min_fill_steps():
+    # C4 plus a pendant vertex 4 on 0: 4 (fill 0) goes first, then the
+    # cycle's lowest id; every bag of the cycle holds a fill edge or two
+    g = Graph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+    order, bags = _min_fill_elimination(g, 4, MeasureContext(g, KAPPA))
+    assert order[:2] == [4, 0]
+    assert bags[:2] == [0b10001, 0b01011]
+
+
+# ---------------------------------------------------------------------------
+# the paper's recursion, driven on its own
+
+
+def _grid(rows, cols):
+    pairs = []
+    for i in range(rows):
+        for j in range(cols):
+            v = i * cols + j
+            if j + 1 < cols:
+                pairs.append((v, v + 1))
+            if i + 1 < rows:
+                pairs.append((v, v + cols))
+    return Graph.from_pairs(rows * cols, pairs)
+
+
+def _hyperedge_chain(m, extra=0):
+    """m rank-3 hyperedges, each sharing one vertex with the next, plus
+    ``extra`` vertices in no edge."""
+    return Hypergraph(2 * m + 1 + extra,
+                      [0b111 << (2 * i) for i in range(m)])
+
+
+def test_recursion_alone_on_paths_cycles_grids_and_chains():
+    cases = [(path_graph(n), ALPHA, 1) for n in (12, 14, 30, 60)]
+    cases += [(path_graph(60), ALPHA, 2), (path_graph(40), RHO, 1)]
+    cases += [(cycle_graph(n), ALPHA, 1) for n in (10, 14, 20, 24)]
+    cases += [(cycle_graph(60), ALPHA, 2)]
+    cases += [(_grid(r, c), ALPHA, 1)
+              for r, c in ((2, 5), (2, 7), (3, 4), (2, 20), (3, 10), (3, 20))]
+    cases += [(_hyperedge_chain(m), m_, 1)
+              for m in (6, 20, 29) for m_ in (ALPHA, RHO)]
+    cases += [(_hyperedge_chain(29), RHO, 2), (_hyperedge_chain(6, 1), RHO, 1)]
+    recursed = refuted = 0
+    for h, m, k in cases:
+        recursed += not MeasureContext(h, m).at_most(h.vertex_mask, _big_k(k))
+        out = _recurse(h, k, m, 0, _big_k(k))
+        if isinstance(out, Refutation):
+            refuted += 1
+            if h.n <= 14:
+                val, _ = lambda_tw_exact(h, lambda s: m.value(h, s))
+                assert val > k
+            continue
+        td, _ = out
+        assert validate(h, td)
+        assert width(h, td, m.name).width <= width_bound(k)
+    assert recursed >= 15 and refuted >= 4

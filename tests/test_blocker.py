@@ -2,13 +2,14 @@
 
 import pytest
 
-from mmtw._bits import mask_of
-from mmtw.blocker import BranchCaps, enumerate_mis, trace_blocker
+from mmtw._bits import bits, mask_of
+from mmtw.blocker import (BranchCaps, _compose_masks, enumerate_mis,
+                          trace_blocker)
 from mmtw.errors import ResourceError
 from mmtw.generate import (path_graph, random_clutter, random_hypergraph,
                            rng_from_seed)
-from mmtw.hypergraph import (Clutter, Hypergraph, blocker_bruteforce,
-                             minimalize, trace)
+from mmtw.hypergraph import (Clutter, Hypergraph, _minimal_masks,
+                             blocker_bruteforce, minimalize, trace)
 
 
 def brute_trace(h, s):
@@ -149,3 +150,26 @@ def test_counters_reported():
     res = trace_blocker(p3, mask_of((0, 2)))
     assert res.nodes_explored >= 1
     assert res.max_quasimatching_len >= 0
+
+
+def _compose_masks_two_lists(edges, h, x, z):
+    """Reference: the composition as two lists, e - (h - x) for the edges
+    avoiding x and e - (h - z) for the edges avoiding z."""
+    bx, bz = 1 << x, 1 << z
+    merged = [e & ~(h & ~bx) for e in edges if not e & bx]
+    merged += [e & ~(h & ~bz) for e in edges if not e & bz]
+    return _minimal_masks(merged)
+
+
+def test_compose_masks_matches_the_two_list_formula():
+    rng = rng_from_seed(13)
+    checked = 0
+    for _ in range(200):
+        c = random_clutter(rng, rng.randrange(2, 10), rng.randrange(1, 8))
+        for h in c.edges:
+            for x in bits(h):
+                for z in bits(h & ~(1 << x)):
+                    assert _compose_masks(c.edges, h, x, z) == \
+                        _compose_masks_two_lists(c.edges, h, x, z)
+                    checked += 1
+    assert checked > 500

@@ -2,6 +2,7 @@
 measure oracles against references."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,7 @@ from mmtw.generate import (cycle_graph, path_graph, random_graph,
                            random_hypergraph, rng_from_seed)
 from mmtw.hypergraph import Graph, Hypergraph, gaifman, induced
 from mmtw.measures import (ALPHA, BAG_MEASURES, MEASURES, MU, RHO,
-                           MeasureContext, alpha_decide, alpha_set,
+                           MeasureContext, WellBehavedMeasure, alpha_decide, alpha_set,
                            get_measure, induced_matching_intersecting,
                            minor_matching_intersecting, rho_set)
 from mmtw.oracles import mwis_bruteforce, rho_bruteforce
@@ -90,6 +91,31 @@ def test_context_memoizes():
     assert ctx.value(s) == ALPHA.value(h, s)
     assert ctx.at_most(s, ctx.value(s))
     assert not ctx.at_most(s, ctx.value(s) - 1)
+
+
+@pytest.mark.parametrize("name", sorted(BAG_MEASURES))
+def test_context_decides_a_fractional_bound_at_its_floor(name, monkeypatch):
+    m = BAG_MEASURES[name]
+    for rng, h in instances(27, 40):
+        s = rng.getrandbits(h.n)
+        val = m.value(h, s)
+        bounds = [Fraction(rng.randrange(-2, 3 * h.n + 3), 3)
+                  for _ in range(4)] + [math.inf]
+        with monkeypatch.context() as patch:
+            def no_value(self, h, s):
+                raise AssertionError("at_most asked for an exact value")
+            patch.setattr(WellBehavedMeasure, "value", no_value)
+            got = [MeasureContext(h, m).at_most(s, b) for b in bounds]
+        assert got == [val <= b for b in bounds]
+
+
+def test_context_answers_an_infinite_bound_without_the_oracle(monkeypatch):
+    def no_oracle(self, h, s, k=None):
+        raise AssertionError("the oracle was asked")
+    monkeypatch.setattr(WellBehavedMeasure, "value", no_oracle)
+    monkeypatch.setattr(WellBehavedMeasure, "decide", no_oracle)
+    h = Hypergraph(3, [0b011])
+    assert MeasureContext(h, RHO).at_most(0b111, math.inf)
 
 
 def test_unknown_measure():
