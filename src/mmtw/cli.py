@@ -136,6 +136,8 @@ def _parse_caps(spec: str) -> dict:
             caps[key] = int(val)
         except ValueError:
             raise InputError(f"bad cap value {val!r}")
+        if caps[key] < 0:
+            raise InputError(f"bad cap value {val!r}, expected >= 0")
     return caps
 
 
@@ -343,7 +345,6 @@ def _cmd_stats(args, report: _Report) -> None:
 
 
 def _cmd_selftest(args, report: _Report) -> None:
-    from .blocker import enumerate_mis
     from .generate import (random_clutter, random_decomposition, random_graph,
                            random_hypergraph, random_weights, rng_from_seed)
     from .hypergraph import blocker_bruteforce

@@ -13,6 +13,8 @@ ids; ``removal_remap`` gives the accompanying id map.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, islice
+from operator import lt, ne
 from typing import Iterable, Optional, Sequence
 
 from ._bits import bits, mask_of, to_set
@@ -22,7 +24,14 @@ Weights = Optional[tuple]
 
 
 def _canonical_edges(n: int, edges: Iterable[int]) -> tuple[int, ...]:
-    out = sorted(set(edges))
+    # Dedupe by sorting, not with set(): CPython hashes an int modulo
+    # 2**61 - 1, so the mask 2**i | 2**j hashes to 2**(i % 61) + 2**(j % 61).
+    # Pair masks over more than 61 vertices crowd into a few thousand hash
+    # values (the 303,810 edges of L^2(K_40) share 1,891), and set() of
+    # them is more than ten times slower than sorting them.
+    out = sorted(edges)
+    if not all(map(lt, out, islice(out, 1, None))):
+        out[1:] = compress(out[1:], map(ne, out[1:], out))
     if out and out[-1] >> n:
         raise InputError("edge contains a vertex id outside [0, n)")
     if out and out[0] < 0:
@@ -137,6 +146,22 @@ class Graph(Clutter):
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         return cls(n, (mask_of(p) for p in pairs))
 
+    @classmethod
+    def from_adj(cls, adj: Sequence[int]) -> "Graph":
+        """The graph on len(adj) vertices whose adjacency masks are ``adj``
+        (symmetric, no loops); ``adj`` becomes its cached Gaifman adjacency."""
+        edges = []
+        for v, a in enumerate(adj):
+            bv = 1 << v
+            low = a & (bv - 1)
+            while low:  # pairs u < v in increasing mask order
+                bu = low & -low
+                edges.append(bu | bv)
+                low ^= bu
+        g = cls(len(adj), edges)
+        g._gaifman_adj = tuple(adj)
+        return g
+
 
 class TraceFamily:
     """The restriction of a set family to a base set: members are subsets of base."""
@@ -199,9 +224,7 @@ def minimalize(h: Hypergraph) -> Clutter:
 
 def gaifman(h: Hypergraph) -> Graph:
     """Graph joining vertices that co-occur in a hyperedge."""
-    adj = h.gaifman_adj()
-    return Graph(h.n, ((1 << u) | (1 << v)
-                       for u in range(h.n) for v in bits(adj[u]) if v > u))
+    return Graph.from_adj(h.gaifman_adj())
 
 
 def induced(h: Hypergraph, s: int) -> tuple[Hypergraph, dict[int, int]]:

@@ -170,11 +170,12 @@ def rho_decide(h: Hypergraph, s: int, k: int) -> bool:
     return _rho_below(h, s, k + 1) <= k
 
 
-def _edge_conflicts(g: Hypergraph, s: int) -> tuple[list[int], int]:
+def edge_conflicts(g: Hypergraph, s: int) -> tuple[list[int], int]:
     """Conflict graph of the edges of the graph G that meet S, as (adjacency
     masks over edge indices, mask of all indices).  Two edges conflict when
     they share a vertex or an edge of G joins them, so the induced matchings
-    meeting S are its independent sets."""
+    meeting S are its independent sets.  With S = V it is the squared line
+    graph L^2(G), on the edges of G in their stored order."""
     adj = g.gaifman_adj()
     edges = [e for e in g.edges if e & s]
     at = [0] * g.n   # at[v]: indices of the edges with an end in N[v]
@@ -196,7 +197,7 @@ def _edge_conflicts(g: Hypergraph, s: int) -> tuple[list[int], int]:
 def induced_matching_intersecting(g: Hypergraph, s: int) -> int:
     """Maximum induced matching of the graph G with every matched edge
     meeting S (G given as a hypergraph whose edges are all pairs)."""
-    conflicts, everything = _edge_conflicts(g, s)
+    conflicts, everything = edge_conflicts(g, s)
     return _alpha_search(conflicts, everything, 0, False)
 
 
@@ -272,7 +273,7 @@ def mu_decide(h: Hypergraph, s: int, k: int) -> bool:
     """True iff mu_H(S) <= k; on graphs the search stops at a (k+1)-edge
     induced matching."""
     if _is_graph(h):
-        return _alpha_search(*_edge_conflicts(h, s), k, True) <= k
+        return _alpha_search(*edge_conflicts(h, s), k, True) <= k
     return minor_matching_intersecting(h, s) <= k
 
 

@@ -3,7 +3,9 @@
 Two constructions: the pendant extension M(G), which adds a private leaf to
 every vertex so that alpha_G(S) = mu_M(S), and the squared line graph L^2(G),
 whose vertices are the edges of G with e ~ f when G[e union f] is connected,
-so that mu_G(S) = alpha_L(L(S)).  Both come with decomposition pullbacks, and
+so that mu_G(S) = alpha_L(L(S)).  L^2 is the edge conflict graph that mu
+itself searches (``measures.edge_conflicts`` with S = V), so the adjacency
+rule is stated once.  Both come with decomposition pullbacks, and
 ``approximate_mu_tw`` chains L^2 with the well-behaved approximation pipeline.
 """
 
@@ -15,7 +17,7 @@ from .approx import Refutation, approx_decomposition
 from .decomposition import TreeDecomposition
 from .errors import InputError
 from .hypergraph import Graph
-from .measures import ALPHA
+from .measures import ALPHA, edge_conflicts
 
 
 @dataclass(frozen=True)
@@ -68,21 +70,9 @@ class LineSquare:
 
 
 def line_square(g: Graph) -> LineSquare:
-    edges = g.edges
-    adj = g.gaifman_adj()
-    m = len(edges)
-    pairs = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            e, f = edges[i], edges[j]
-            if e & f:
-                pairs.append((i, j))
-                continue
-            for u in bits(e):
-                if adj[u] & f:
-                    pairs.append((i, j))
-                    break
-    return LineSquare(g, Graph.from_pairs(m, pairs), edges)
+    # with S = V every edge meets S, so L-vertex i is g.edges[i]
+    return LineSquare(g, Graph.from_adj(edge_conflicts(g, g.vertex_mask)[0]),
+                      g.edges)
 
 
 def line_square_pullback(x: LineSquare, t: TreeDecomposition

@@ -254,3 +254,21 @@ def test_solve_mwis_fractional_weights(files, capsys):
     code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td)
     assert code == 0
     assert out == "status: ok\nproblem: mwis\nvalue: 37/12\nwitness: [1, 3, 4]\n"
+
+
+def test_negative_caps_rejected(files, capsys):
+    # a negative cap is bad input (exit 2), not a cap that fired (exit 20)
+    hg = files("p3.hg", serialize_hypergraph(path_graph(3)))
+    td = files("p3.td", "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
+    for caps in ("nodes=-5", "depth=-1", "table=-1"):
+        code, out, err = run(capsys, "solve", "--problem", "mwis", hg, td,
+                             "--caps", caps, "--json")
+        assert code == 2
+        assert json.loads(out)["status"] == "invalid-input"
+        assert "bad cap value" in err
+    code, out, _ = run(capsys, "trace", "-S", "1,3", hg, "--caps", "depth=-1",
+                       "--json")
+    assert code == 2
+    code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td,
+                       "--caps", "table=0", "--json")
+    assert code == 20

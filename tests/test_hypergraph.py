@@ -2,9 +2,9 @@
 
 import pytest
 
-from mmtw._bits import mask_of
+from mmtw._bits import bits, mask_of
 from mmtw.errors import InputError
-from mmtw.generate import random_clutter, rng_from_seed
+from mmtw.generate import random_clutter, random_hypergraph, rng_from_seed
 from mmtw.hypergraph import (Clutter, Graph, Hypergraph, TraceFamily,
                              blocker_bruteforce, complement_trace, compose,
                              contract, delete, gaifman, induced, join, meet,
@@ -116,3 +116,29 @@ def test_graph_requires_pairs():
         Graph(3, [0b111])
     g = Graph.from_pairs(3, [(0, 1), (1, 2)])
     assert g.adj[1] == 0b101
+
+
+def test_graph_from_adj_matches_pair_list():
+    rng = rng_from_seed(46)
+    for _ in range(50):
+        n = rng.randrange(1, 71)
+        h = random_hypergraph(rng, n, rng.randrange(0, 2 * n), rank=4)
+        pairs = {(u, v) for e in h.edges for u in bits(e) for v in bits(e) if u < v}
+        g = Graph.from_adj(h.gaifman_adj())
+        assert g == Graph.from_pairs(n, pairs)
+        assert g == gaifman(h)
+        assert g.gaifman_adj() == Hypergraph(n, g.edges).gaifman_adj()
+
+
+def test_hypergraph_sorts_and_dedupes_wide_masks():
+    rng = rng_from_seed(47)
+    masks = [(1 << rng.randrange(200)) | (1 << rng.randrange(200))
+             for _ in range(300)]
+    listed = masks + masks
+    rng.shuffle(listed)
+    assert Hypergraph(200, listed).edges == tuple(sorted(set(masks)))
+    assert Hypergraph(3, [5, 5, 5]).edges == (5,)
+    with pytest.raises(InputError):
+        Hypergraph(200, listed + [1 << 200])
+    with pytest.raises(InputError):
+        Hypergraph(200, listed + [-3])

@@ -3,8 +3,10 @@
 from mmtw._bits import bits
 from mmtw.approx import Refutation
 from mmtw.decomposition import single_bag, validate, width
-from mmtw.generate import (complete_graph, path_graph, random_cobipartite,
-                           random_decomposition, random_graph, rng_from_seed)
+from mmtw.generate import (complete_graph, cycle_graph, path_graph,
+                           random_cobipartite, random_decomposition,
+                           random_graph, rng_from_seed)
+from mmtw.hypergraph import Graph
 from mmtw.measures import alpha_set, mu_intersecting
 from mmtw.reductions import (approximate_mu_tw, line_square,
                              line_square_pullback, pendant_extend,
@@ -78,3 +80,35 @@ def test_pendant_ids():
     assert x.extended.n == 6
     assert x.pendant_of(1) == 4
     assert x.extended.adj[4] == 0b000010
+
+
+def _pair_rule_l2(g):
+    """L^2(G) pair by pair: edges e, f of G are adjacent when they meet or
+    an edge of G joins them."""
+    es = g.edges
+    edge_set = set(es)
+    pairs = []
+    for i, e in enumerate(es):
+        for j in range(i + 1, len(es)):
+            f = es[j]
+            if e & f or any((1 << u) | (1 << v) in edge_set
+                            for u in bits(e) for v in bits(f)):
+                pairs.append((i, j))
+    return Graph.from_pairs(len(es), pairs)
+
+
+def test_line_square_matches_pair_rule():
+    rng = rng_from_seed(45)
+    graphs = []
+    for _ in range(40):
+        g = random_graph(rng, rng.randrange(1, 13), rng.uniform(0.1, 0.6))
+        graphs.append(Graph(g.n + 2, g.edges))  # two isolated vertices
+    # more than 61 edges and vertices: masks wider than one hash period
+    graphs += [path_graph(70), cycle_graph(80)]
+    graphs += [random_graph(rng, n, 2.5 / n) for n in (70, 85, 100)]
+    for g in graphs:
+        x = line_square(g)
+        want = _pair_rule_l2(g)
+        assert x.edge_of == g.edges
+        assert x.line == want
+        assert x.line.adj == want.adj
