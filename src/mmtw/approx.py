@@ -12,28 +12,29 @@ answers if each of its bags has measure at most k; the recursion runs only
 when one does not, so it alone refutes.
 
 One ``balanced_split`` builds one closure graph and asks ``find_separator``
-for many sides (A, B) on it.  The guesses (I, K_v, J1) and every fact about
-them that depends on the closure alone are built once per closure, in a
-``_GuessPlan`` kept on the ``ClosureGraph``: the atoms of each independent
-set I, the components outside Z = X + K_v with their neighbourhoods, the
-2-SAT variables and clauses of each J1, the 2-SAT answer (with its measure
-check) per forced set, and the components of the Gaifman graph minus each
-separator tried.  Per side, a call computes only which of those components
-meet A or B and the forced set they imply.
+for many sides (A, B) on it.  The guesses (I, K_v, J1) come from one
+generator, ``_guesses``, and one lazily read list per closure holds them: a
+``_GuessPlan`` kept on the ``ClosureGraph``.  Each guess is built when a
+call first reads it, with every fact about it that depends on the closure
+alone: the atoms of its independent set I, the components outside
+Z = X + K_v with their neighbourhoods, the 2-SAT variables and clauses of
+its J1, and the 2-SAT answer (with its measure check) per forced set.  The
+plan also keeps the components of the Gaifman graph minus each separator
+tried.  Per side, a call computes only which of those components meet A or
+B and the forced set they imply.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import product
 from typing import Optional
 
 from ._bits import bits, reach
 from .decomposition import TreeDecomposition, elimination_tree, eliminate
 from .errors import InputError, ResourceError
-from .hypergraph import Hypergraph, induced
+from .hypergraph import Hypergraph, _remap_mask, induced
 from .measures import MeasureContext, WellBehavedMeasure
 
 GUESS_CAP = 200_000
@@ -341,15 +342,15 @@ def find_separator(h: Hypergraph, a: int, b: int, k: int,
     the early-exit clique check reports "lambda-tw exceeded" on its own.
     ``cg`` is ``closure(h, k, m)`` when the caller has built it already.
 
-    The guesses and what they need apart from the side (atoms, components
-    outside Z, 2-SAT clauses, 2-SAT answers and their measure checks,
-    components of the Gaifman graph minus a separator) are read from the
-    ``_GuessPlan`` of ``cg`` and built there on first use, so calls on one
-    closure share them.  Per side and atom choice, a call ORs the
-    neighbourhoods of the components outside Z that meet A (resp. B), reads
-    each guess's forced set off those masks, and checks separation against
-    the cached components.  Every guess counts towards ``GUESS_CAP``,
-    cached or not.
+    The guesses are read from the ``_GuessPlan`` of ``cg``, which builds
+    each one on first read, so calls on one closure share them and what
+    they need apart from the side (atoms, components outside Z, 2-SAT
+    clauses, 2-SAT answers and their measure checks, components of the
+    Gaifman graph minus a separator).  Per atom choice, a call ORs the
+    neighbourhoods of the components outside Z that meet A (resp. B); per
+    guess it reads the forced set off those masks and checks separation
+    against the cached components.  Every guess counts towards
+    ``GUESS_CAP``, cached or not.
     """
     if k < 1:
         raise InputError("k must be at least 1")
@@ -362,43 +363,41 @@ def find_separator(h: Hypergraph, a: int, b: int, k: int,
     if plan is None:
         plan = cg.plans[(k, m)] = _GuessPlan(cg, k)
     guesses = 0
-
-    for i_set in plan.sets():
-        for combo in i_set.combos():
+    combo = None
+    while (guess := plan.guess(guesses)) is not None:
+        guesses += 1
+        if guesses > GUESS_CAP:
+            raise ResourceError("separator guess cap exceeded",
+                                guesses=guesses)
+        if guess.combo is not combo:
             # A (resp. B) plus the neighbours of its reach outside Z: an
             # atom vertex there must join S when its member sits on the
             # other side
+            combo = guess.combo
             near_a, near_b = a, b
             for comp, touch in combo.comps:
                 if comp & a:
                     near_a |= touch
                 if comp & b:
                     near_b |= touch
-            for j1 in range(len(combo.splits)):
-                guesses += 1
-                if guesses > GUESS_CAP:
-                    raise ResourceError("separator guess cap exceeded",
-                                        guesses=guesses)
-                split = combo.split(j1)
-                bad = (split.k1 & near_b) | (split.k2 & near_a)
-                sep = split.verdicts.get(bad)
-                if sep is None:
-                    sep = split.verdicts[bad] = _verdict(
-                        i_set, combo, split, bad, k, ctx)
-                if sep == _EXCEEDED:
-                    return SeparatorResult(refutation="lambda-tw exceeded")
-                if sep >= 0 and plan.separates(sep, a, b):
-                    return SeparatorResult(separator=sep)
+        bad = (guess.k1 & near_b) | (guess.k2 & near_a)
+        sep = guess.verdicts.get(bad)
+        if sep is None:
+            sep = guess.verdicts[bad] = _verdict(guess, bad, k, ctx)
+        if sep == _EXCEEDED:
+            return SeparatorResult(refutation="lambda-tw exceeded")
+        if sep >= 0 and plan.separates(sep, a, b):
+            return SeparatorResult(separator=sep)
     return SeparatorResult(refutation="not separable")
 
 
-def _verdict(i_set: _SetGuesses, combo: _AtomChoice, split: _Split,
-             bad: int, k: int, ctx: MeasureContext) -> int:
+def _verdict(guess: _Guess, bad: int, k: int, ctx: MeasureContext) -> int:
     """The separator candidate S' + X of one guess with forced set ``bad``,
     or ``_UNSAT`` or ``_EXCEEDED``."""
+    combo = guess.combo
     var_of = combo.var_of
     assignment = two_sat_solve(TwoSatFormula(
-        len(var_of), split.clauses, {var_of[u] for u in bits(bad)}))
+        len(var_of), guess.clauses, {var_of[u] for u in bits(bad)}))
     if assignment is None:
         return _UNSAT
     s_prime = 0
@@ -408,44 +407,58 @@ def _verdict(i_set: _SetGuesses, combo: _AtomChoice, split: _Split,
     for km in combo.k_v:
         if not ctx.at_most(s_prime & km, k):
             return _EXCEEDED
-    return s_prime | i_set.x_mask
+    return s_prime | combo.x_mask
 
 
-def _read_through(built: list, pending, make):
-    """Yield the items of ``built``, then extend it with ``make(x)`` for
-    each x that the iterator ``pending`` (which never yields None) gives,
-    yielding each new item as it is added."""
-    i = 0
-    while True:
-        if i == len(built):
-            x = next(pending, None)
-            if x is None:
-                return
-            built.append(make(x))
-        yield built[i]
-        i += 1
+def _guesses(adj2, universe: int, k: int):
+    """Yield one ``_Guess`` per (I, K_v, J1) of the closure ``adj2``: I an
+    independent set of at most k vertices, K_v one atom of N[v] - X per
+    member v of I, where X holds the common neighbours of two members, and
+    J1 the members whose atoms sit on side A.  The guesses of one choice of
+    atoms share one ``_AtomChoice``; a set's atoms are built when its first
+    guess is read."""
+    for i_set in _independent_sets_upto(adj2, universe, k):
+        members = list(bits(i_set))
+        x_mask = 0
+        for ii, u in enumerate(members):
+            for v in members[ii + 1:]:
+                x_mask |= adj2[u] & adj2[v]
+        choices = []
+        for v in members:
+            n_v = (adj2[v] & ~x_mask) | (1 << v)
+            choices.append(atoms(tuple(av & n_v for av in adj2), n_v))
+        for k_v in product(*choices):
+            combo = _AtomChoice(adj2, universe, x_mask, k_v)
+            for j1 in range(1 << len(k_v)):
+                yield _Guess(combo, j1)
 
 
 class _GuessPlan:
-    """The guesses (I, K_v, J1) of ``find_separator`` on one closure graph
-    and what the checks found about them, for every side.
+    """The guesses of ``find_separator`` on one closure graph and what the
+    checks found about them, for every side.
 
-    Built lazily, in the order the calls read it, so a call that stops early
-    builds no more than it reads.  ``split`` maps each separator tried to
-    the components of the Gaifman graph without it.
+    ``built`` holds the guesses read so far, in the order ``_guesses``
+    yields them; a call that stops early builds no more than it reads.
+    ``split`` maps each separator tried to the components of the Gaifman
+    graph without it.
     """
 
     def __init__(self, cg: ClosureGraph, k: int):
-        self.adj2 = cg.adj
         self.gaif = cg.h.gaifman_adj()
         self.universe = cg.h.vertex_mask
-        self._pending = _independent_sets_upto(cg.adj, self.universe, k)
-        self._built: list[_SetGuesses] = []
+        self.built: list[_Guess] = []
+        self.pending = _guesses(cg.adj, self.universe, k)
         self.split: dict[int, list[int]] = {}
 
-    def sets(self):
-        return _read_through(self._built, self._pending, lambda i_set:
-                             _SetGuesses(self.adj2, self.universe, i_set))
+    def guess(self, i: int) -> Optional[_Guess]:
+        """Guess i, built now if no call has read it yet; None past the
+        last one.  Calls read the guesses in order, from guess 0."""
+        if i == len(self.built):
+            got = next(self.pending, None)
+            if got is None:
+                return None
+            self.built.append(got)
+        return self.built[i]
 
     def separates(self, sep: int, a: int, b: int) -> bool:
         """S separates A from B: A cap B inside S, and no component of the
@@ -462,41 +475,18 @@ class _GuessPlan:
         return True
 
 
-class _SetGuesses:
-    """One independent set I of the closure: X (the common neighbours of two
-    members) and the atom choices K_v, one atom per member, built as read."""
-
-    def __init__(self, adj2, universe: int, i_set: int):
-        self.adj2 = adj2
-        self.universe = universe
-        members = list(bits(i_set))
-        x_mask = 0
-        for ii, u in enumerate(members):
-            for v in members[ii + 1:]:
-                x_mask |= adj2[u] & adj2[v]
-        self.x_mask = x_mask
-        choices = []
-        for v in members:
-            n_v = (adj2[v] & ~x_mask) | (1 << v)
-            choices.append(atoms(tuple(av & n_v for av in adj2), n_v))
-        self._pending = product(*choices)
-        self._built: list[_AtomChoice] = []
-
-    def combos(self):
-        return _read_through(self._built, self._pending,
-                             lambda k_v: _AtomChoice(self, k_v))
-
-
 class _AtomChoice:
     """What every J1/J2 guess over one choice of atoms K_v shares, given
     Z = X plus the atoms: the components outside Z with their
     neighbourhoods, the 2-SAT variables (Z minus X), the components each
     variable touches and the same-atom clauses."""
 
-    def __init__(self, i_set: _SetGuesses, k_v: tuple[int, ...]):
-        self.adj2 = adj2 = i_set.adj2
+    def __init__(self, adj2, universe: int, x_mask: int,
+                 k_v: tuple[int, ...]):
+        self.adj2 = adj2
+        self.x_mask = x_mask
         self.k_v = k_v
-        z = x_mask = i_set.x_mask
+        z = x_mask
         for km in k_v:
             z |= km
         var_mask = z & ~x_mask
@@ -505,7 +495,7 @@ class _AtomChoice:
         # linked when adjacent or when both touch one component
         self.near = near = dict.fromkeys(var_of, 0)
         self.comps = []
-        for comp in _components(adj2, i_set.universe & ~z):
+        for comp in _components(adj2, universe & ~z):
             touching = 0
             for x in bits(comp):
                 touching |= adj2[x]
@@ -519,22 +509,17 @@ class _AtomChoice:
                     if not (adj2[u1] >> u2) & 1:
                         self.inner.append(((var_of[u1], False),
                                            (var_of[u2], False)))
-        self.splits: list[Optional[_Split]] = [None] * (1 << len(k_v))
-
-    def split(self, j1: int) -> _Split:
-        got = self.splits[j1]
-        if got is None:
-            got = self.splits[j1] = _Split(self, j1)
-        return got
 
 
-class _Split:
-    """One J1 (bit i: member i sits on side A's atom part): K1, K2, the
-    2-SAT clauses and the verdict of ``_verdict`` per forced set."""
+class _Guess:
+    """One guess (I, K_v, J1) over ``combo``, its atom choice (bit i of J1:
+    member i sits on side A's atom part): K1, K2, the 2-SAT clauses and the
+    verdict of ``_verdict`` per forced set."""
 
-    __slots__ = ("k1", "k2", "clauses", "verdicts")
+    __slots__ = ("combo", "k1", "k2", "clauses", "verdicts")
 
     def __init__(self, combo: _AtomChoice, j1: int):
+        self.combo = combo
         k1 = k2 = 0
         for i, km in enumerate(combo.k_v):
             if (j1 >> i) & 1:
@@ -572,20 +557,18 @@ class SplitResult:
 
 
 def balanced_split(h: Hypergraph, w: int, k: int, m: WellBehavedMeasure,
-                   r=None, ctx: Optional[MeasureContext] = None) -> SplitResult:
+                   r: int, ctx: MeasureContext) -> SplitResult:
     """Partition (A,B) of W plus an (A,B)-separator S with lambda(S) bounded
     by C(k+1,2)*k and lambda(A\\S), lambda(B\\S) at most (2/3)r + k; or the
-    refutation lambda-tw(H) > k."""
+    refutation lambda-tw(H) > k.  Measures are ints, so the side bound is
+    decided at its floor."""
     if k < 1:
         raise InputError("k must be at least 1")
     if w & ~h.vertex_mask:
         raise InputError("W contains an unknown vertex id")
-    ctx = ctx or MeasureContext(h, m)
-    if r is None:
-        r = ctx.value(w)
-    side_cap = Fraction(2 * r, 3) + k if r != float("inf") else float("inf")
+    max_i = 2 * r // 3
+    side_cap = max_i + k
     gaif = h.gaifman_adj()
-    max_i = int(Fraction(2 * r, 3)) if r != float("inf") else h.n
     cg = None
     # b = W \ a, so a side that was tried before fails the same way again
     tried = set()
@@ -680,31 +663,25 @@ def _big_k(k: int) -> int:
     return (3 * (k ** 3 + k ** 2)) // 2 + 3 * k + 3
 
 
-def approx_decomposition(h: Hypergraph, k: int, m: WellBehavedMeasure,
-                         w: int = 0):
-    """Tree decomposition of lambda-width <= 2k^3+2k^2+3k+3 with W inside one
-    bag, or a Refutation that lambda-tw(H) > k.
+def approx_decomposition(h: Hypergraph, k: int, m: WellBehavedMeasure):
+    """Tree decomposition of lambda-width <= 2k^3+2k^2+3k+3, or a Refutation
+    that lambda-tw(H) > k.
 
-    With W empty, a set V whose measure exceeds big_K first gets a min-fill
-    elimination checked at k (``_min_fill_elimination``).  If every bag
-    passes, its decomposition proves lambda-tw(H) <= k and is returned;
-    otherwise the paper's recursion runs, so every refutation comes from it.
+    A set V whose measure exceeds big_K first gets a min-fill elimination
+    checked at k (``_min_fill_elimination``).  If every bag passes, its
+    decomposition proves lambda-tw(H) <= k and is returned; otherwise the
+    paper's recursion runs, so every refutation comes from it.
     """
     if k < 1:
         raise InputError("k must be at least 1")
-    if w & ~h.vertex_mask:
-        raise InputError("W contains an unknown vertex id")
     big_k = _big_k(k)
     ctx = MeasureContext(h, m)
-    if ctx.value(w) > big_k:
-        raise InputError("lambda(W) exceeds the admissible bound")
-    if w == 0:
-        if ctx.at_most(h.vertex_mask, big_k):
-            return TreeDecomposition([h.vertex_mask], [])
-        eliminated = _min_fill_elimination(h, k, ctx)
-        if eliminated is not None:
-            return elimination_tree(*eliminated)
-    out = _recurse(h, k, m, w, big_k)
+    if ctx.at_most(h.vertex_mask, big_k):
+        return TreeDecomposition([h.vertex_mask], [])
+    eliminated = _min_fill_elimination(h, k, ctx)
+    if eliminated is not None:
+        return elimination_tree(*eliminated)
+    out = _recurse(h, k, m, 0, big_k)
     if isinstance(out, Refutation):
         return out
     td, _ = out
@@ -738,22 +715,16 @@ def _recurse(h: Hypergraph, k: int, m: WellBehavedMeasure, w: int,
     for vi, ai in ((v1, split.a), (v2, split.b)):
         if vi & ~ai == 0:
             continue
+        # a separator keeps A and B in different components, so
+        # Ai + S lies inside Vi + S
         sub, remap = induced(h, vi | sep)
-        back = {new: old for old, new in remap.items()}
-        wi = 0
-        for old, new in remap.items():
-            if (ai | sep) >> old & 1:
-                wi |= 1 << new
-        out = _recurse(sub, k, m, wi, big_k)
+        out = _recurse(sub, k, m, _remap_mask(ai | sep, remap), big_k)
         if isinstance(out, Refutation):
             return out
         td, attach = out
         offset = len(bags)
-        for bmask in td.bags:
-            lifted = 0
-            for nb in bits(bmask):
-                lifted |= 1 << back[nb]
-            bags.append(lifted)
+        back = list(bits(vi | sep))
+        bags.extend(_remap_mask(bmask, back) for bmask in td.bags)
         tree.extend((x + offset, y + offset) for x, y in td.tree_edges)
         tree.append((0, attach + offset))
     return TreeDecomposition(bags, tree), 0

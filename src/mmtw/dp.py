@@ -42,28 +42,30 @@ from fractions import Fraction
 from math import lcm
 
 from ._bits import bits
-from .blocker import BranchCaps, enumerate_mis, trace_blocker
+from .blocker import BranchCaps, _berge, enumerate_mis, trace_blocker
 from .decomposition import TreeDecomposition, validate
 from .errors import InputError, ResourceError
-from .hypergraph import Hypergraph, complement_trace, induced
+from .hypergraph import (Hypergraph, _minimal_masks, _remap_mask,
+                         complement_trace, induced)
 
 DEFAULT_TABLE_CAP = 200_000
-MIS_CAP = 25
+# hom_decide's target F is capped by vertex count: |i(F)| is the arity of
+# its tables, and leaf_init enumerates up to |i(H[bag])|^arity tuples before
+# any table check, which no cap on one family bounds
 TARGET_CAP = 10
 
 
-def _lift(mask: int, back: list[int]) -> int:
-    out = 0
-    for b in bits(mask):
-        out |= 1 << back[b]
-    return out
-
-
-def _mis_of(h: Hypergraph, vmask: int, mis_cap: int) -> list[int]:
-    """Maximal independent sets of H[vmask], as ambient masks."""
-    sub, _ = induced(h, vmask)
-    back = list(bits(vmask))
-    return [_lift(m, back) for m in enumerate_mis(sub, mis_cap)]
+def _mis_of(h: Hypergraph, vmask: int, limit: int) -> list[int]:
+    """Maximal independent sets of H[vmask], as ambient masks: the
+    complements in vmask of the minimal transversals of the edges inside
+    vmask.  ResourceError as soon as a partial Berge family (over a prefix
+    of those edges) has more than ``limit`` members."""
+    trans = _berge(_minimal_masks(e for e in h.edges if not e & ~vmask),
+                   limit)
+    if trans is None:
+        raise ResourceError(f"more than {limit} maximal independent sets",
+                            limit=limit)
+    return [vmask & ~t for t in trans]
 
 
 def _mis_trace(h: Hypergraph, vmask: int, smask: int,
@@ -82,13 +84,10 @@ def _mis_trace(h: Hypergraph, vmask: int, smask: int,
         if e & smask and not e & ~vmask:
             near |= e
     sub, remap = induced(h, near)
+    res = trace_blocker(sub, _remap_mask(smask, remap), caps)
     back = list(bits(near))
-    s_local = 0
-    for v in bits(smask):
-        s_local |= 1 << remap[v]
-    res = trace_blocker(sub, s_local, caps)
-    mis_traces = complement_trace(res.traces)
-    return frozenset(_lift(m, back) for m in mis_traces.members)
+    return frozenset(_remap_mask(m, back)
+                     for m in complement_trace(res.traces).members)
 
 
 class BlockerReadable:
@@ -100,7 +99,6 @@ class BlockerReadable:
     ``run_dp`` the blocker-trace computation.
     """
 
-    arity: int = 1
     reads_trace: bool = True
 
     def leaf_init(self, mis: list[int], s: int):
@@ -115,9 +113,6 @@ class BlockerReadable:
     def merge(self, trace: frozenset[int] | None, t1, t2, s: int):
         raise NotImplementedError
 
-    def table_size(self, table) -> int:
-        return len(table)
-
 
 def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
            trace_caps: BranchCaps = BranchCaps(),
@@ -127,7 +122,9 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
     The tree is rooted at node 0; each node's hypergraph is the subhypergraph
     of H induced by its descendant bags, and child tables are restricted to
     the shared bag part, padded with isolated vertices and merged in
-    increasing child order.
+    increasing child order.  Every table, leaf tables included, holds at
+    most ``table_cap`` entries, and a leaf's maximal independent sets are
+    enumerated under the same cap; past it, ResourceError names the bag.
     """
     ok = validate(h, t)
     if not ok:
@@ -150,7 +147,12 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
     subtree_v: dict[int, int] = {}
     for node in reversed(order):
         bag = t.bags[node]
-        acc = f.leaf_init(_mis_of(h, bag, MIS_CAP), bag)
+        try:
+            acc = f.leaf_init(_mis_of(h, bag, table_cap), bag)
+        except ResourceError as exc:
+            raise ResourceError(f"table cap exceeded at bag {node}",
+                                bag=node, **exc.stats) from exc
+        _check_table(acc, node, table_cap)
         acc_v = bag
         for c in sorted(children[node]):
             tbl = f.restrict(tables.pop(c), t.bags[c], bag & t.bags[c])
@@ -167,12 +169,16 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
                     raise ResourceError(f"trace cap exceeded at bag {node}",
                                         bag=node, **exc.stats) from exc
             acc = f.merge(trace, acc, tbl, bag)
-            if f.table_size(acc) > table_cap:
-                raise ResourceError(f"table cap exceeded at bag {node}",
-                                    bag=node, size=f.table_size(acc))
+            _check_table(acc, node, table_cap)
         subtree_v[node] = acc_v
         tables[node] = acc
     return f.restrict(tables[0], t.bags[0], 0)
+
+
+def _check_table(table, node: int, table_cap: int):
+    if len(table) > table_cap:
+        raise ResourceError(f"table cap exceeded at bag {node}",
+                            bag=node, size=len(table))
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +187,6 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
 
 class MwisDP(BlockerReadable):
     """Arity-1 tables mapping a trace A to (best weight, witness set)."""
-
-    arity = 1
 
     def __init__(self, weights):
         # any numbers that add and compare exactly; ``mwis`` passes ints

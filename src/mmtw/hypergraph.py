@@ -209,8 +209,13 @@ def removal_remap(n: int, removed: int) -> dict[int, int]:
     return remap
 
 
-def _remap_mask(mask: int, remap: dict[int, int]) -> int:
-    return mask_of(remap[v] for v in bits(mask))
+def _remap_mask(mask: int, table) -> int:
+    """Bit v of ``mask`` moved to bit ``table[v]``; ``table`` is an id map
+    (a dict, or a list indexed by old id)."""
+    out = 0
+    for v in bits(mask):
+        out |= 1 << table[v]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def approximate_mu_tw(g: Graph, k: int):
     if k < 1:
         raise InputError("k must be at least 1")
     ls = line_square(g)
-    out = approx_decomposition(ls.line, k, ALPHA, 0)
+    out = approx_decomposition(ls.line, k, ALPHA)
     if isinstance(out, Refutation):
         return Refutation("mu-tw exceeds k")
     td, _ = line_square_pullback(ls, out)

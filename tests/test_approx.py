@@ -14,7 +14,7 @@ from mmtw.approx import (Refutation, SeparatorResult, TwoSatFormula,
                          approx_decomposition, two_sat_solve, width_bound)
 from mmtw.decomposition import (_fill_neighborhood, elimination_tree,
                                 from_elimination_order, validate, width)
-from mmtw.errors import InputError
+from mmtw.errors import InputError, ResourceError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_graph, random_hypergraph, rng_from_seed)
 from mmtw.hypergraph import Graph, Hypergraph
@@ -356,6 +356,30 @@ def test_grow_wstar_matches_exact_values():
                 args = (w, big_k, g.vertex_mask)
                 assert approx._grow_wstar(MeasureContext(g, m), *args) == \
                     _grow_wstar_by_values(MeasureContext(g, m), *args)
+
+
+def test_guess_cap_counts_guesses_and_the_plan_builds_what_it_reads(
+        monkeypatch):
+    built = []
+    atoms_fn = approx.atoms
+
+    def counting_atoms(*args):
+        built.append(args[1])
+        return atoms_fn(*args)
+
+    monkeypatch.setattr(approx, "atoms", counting_atoms)
+    c20 = cycle_graph(20)
+    assert isinstance(approx_decomposition(c20, 1, ALPHA), Refutation)
+    assert len(built) == 20
+    # a search stopped by the cap has built the atoms of the guesses it
+    # read, and no more
+    built.clear()
+    monkeypatch.setattr(approx, "GUESS_CAP", 30)
+    with pytest.raises(ResourceError,
+                       match="separator guess cap exceeded") as info:
+        approx_decomposition(c20, 1, ALPHA)
+    assert info.value.stats["guesses"] == 31
+    assert len(built) == 8
 
 
 def test_long_cycles_are_refuted():

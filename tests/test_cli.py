@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from mmtw._bits import mask_of
+from mmtw._bits import bits, mask_of
 from mmtw.cli import main
 from mmtw.formats import parse_td, serialize_hypergraph, serialize_td
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
-                           random_decomposition, rng_from_seed)
+                           random_cobipartite, random_decomposition,
+                           rng_from_seed)
 from mmtw.decomposition import TreeDecomposition, validate, width
 from mmtw.hypergraph import Hypergraph
 from mmtw.oracles import chromatic_bruteforce, hom_bruteforce, independent_in
@@ -271,4 +272,64 @@ def test_negative_caps_rejected(files, capsys):
     assert code == 2
     code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td,
                        "--caps", "table=0", "--json")
+    assert code == 20
+
+
+def _two_colourable(adj):
+    side = {}
+    for root in range(len(adj)):
+        if root in side:
+            continue
+        side[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v in bits(adj[u]):
+                if v not in side:
+                    side[v] = 1 - side[u]
+                    stack.append(v)
+                elif side[v] == side[u]:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("family,n,p", [("complete", 30, None),
+                                        ("complete", 40, None),
+                                        ("cobipartite", 4, 0.0),
+                                        ("cobipartite", 12, 0.3),
+                                        ("cobipartite", 40, 0.3)])
+def test_solve_reads_one_bag_of_many_vertices(files, capsys, tmp_path,
+                                              family, n, p):
+    # mu <= 2 on both families, so decompose -k 2 answers with one bag of n
+    # vertices; the solves bound its leaf table by the table cap, not by n.
+    # Two cliques of two vertices and no cross edge are 2-colourable.
+    rng = rng_from_seed(n)
+    if family == "complete":
+        g, weights, colours = complete_graph(n), [1] * n, 3
+    else:
+        g = random_cobipartite(rng, n, p)
+        weights, colours = [rng.randint(0, 9) for _ in range(n)], 2
+    hg = files(f"{family}{n}.hg",
+               serialize_hypergraph(Hypergraph(n, g.edges, weights)))
+    td = str(tmp_path / f"{family}{n}.td")
+    code, _, _ = run(capsys, "decompose", "-k", "2", hg, "-o", td)
+    assert code == 0
+    with open(td) as fh:
+        assert list(parse_td(fh.read()).bags) == [g.vertex_mask]
+    # an independent set meets each of the two cliques at most once
+    adj = g.gaifman_adj()
+    best = max(weights)
+    for u in range(n):
+        for v in bits(g.vertex_mask & ~adj[u] & ~((2 << u) - 1)):
+            best = max(best, weights[u] + weights[v])
+    code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td, "--json")
+    assert code == 0
+    assert json.loads(out)["value"] == str(best)
+    want = colours == 2 and _two_colourable(adj)
+    code, out, _ = run(capsys, "solve", "--problem", "color", "-k",
+                       str(colours), hg, td, "--json")
+    assert code == (0 if want else 10)
+    assert json.loads(out)["colorable"] == want
+    code, _, _ = run(capsys, "solve", "--problem", "mwis", hg, td,
+                     "--caps", "table=0")
     assert code == 20

@@ -8,8 +8,8 @@ import mmtw.dp
 from mmtw._bits import bits, mask_of
 from mmtw.blocker import BranchCaps, enumerate_mis
 from mmtw.decomposition import TreeDecomposition, single_bag
-from mmtw.dp import (CoverDP, MwisDP, _mis_of, _mis_trace, chromatic_decide,
-                     hom_decide, mwis, run_dp)
+from mmtw.dp import (DEFAULT_TABLE_CAP, CoverDP, MwisDP, _mis_of, _mis_trace,
+                     chromatic_decide, hom_decide, mwis, run_dp)
 from mmtw.errors import InputError, ResourceError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_decomposition, random_graph,
@@ -340,7 +340,7 @@ def test_mwis_merge_matches_per_pair_formula():
         dp = MwisDP(w)
         tabs = []
         for part in (v1, v2):
-            mis = sorted(_mis_of(h, part, n))
+            mis = sorted(_mis_of(h, part, DEFAULT_TABLE_CAP))
             tabs.append(dp.restrict(dp.leaf_init(mis, part), part, s))
         if it % 3 == 0:
             trace = frozenset(a1 & a2 for a1 in tabs[0] for a2 in tabs[1]
@@ -377,7 +377,7 @@ def test_local_trace_equals_trace_of_the_whole_set():
                 near |= e
         if v & ~near:
             far_cases += 1
-        want = frozenset(m & s for m in _mis_of(h, v, n))
+        want = frozenset(m & s for m in _mis_of(h, v, DEFAULT_TABLE_CAP))
         assert _mis_trace(h, v, s) == want
     assert far_cases >= 200
 
