@@ -9,19 +9,22 @@ driven (A,B)-separator search, and a balanced split of a working set W.
 When V is too large for one bag, a min-fill elimination (Bodlaender and
 Koster, "Treewidth computations I. Upper bounds", 2010) is tried first and
 answers if each of its bags has measure at most k; the recursion runs only
-when one does not, so it alone refutes.
+when one does not, so it alone refutes.  The pipeline reads the measure
+only through the bounded-budget question lambda(S) <= k?, which
+``WellBehavedMeasure.decide`` answers.
 
-One ``balanced_split`` builds one closure graph and asks ``find_separator``
-for many sides (A, B) on it.  The guesses (I, K_v, J1) come from one
-generator, ``_guesses``, and one lazily read list per closure holds them: a
-``_GuessPlan`` kept on the ``ClosureGraph``.  Each guess is built when a
-call first reads it, with every fact about it that depends on the closure
-alone: the atoms of its independent set I, the components outside
-Z = X + K_v with their neighbourhoods, the 2-SAT variables and clauses of
-its J1, and the 2-SAT answer (with its measure check) per forced set.  The
-plan also keeps the components of the Gaifman graph minus each separator
-tried.  Per side, a call computes only which of those components meet A or
-B and the forced set they imply.
+One ``balanced_split`` builds one closure graph, which carries its (H, k,
+lambda), and asks ``find_separator`` for many sides (A, B) on it.  The
+guesses (I, K_v, J1) come from one generator, ``_guesses``, and one lazily
+read list per closure holds them: a ``_GuessPlan`` kept on the
+``ClosureGraph``.  Each guess is built when a call first reads it, with
+every fact about it that depends on the closure alone: the atoms of its
+independent set I, the components outside Z = X + K_v with their
+neighbourhoods, the 2-SAT variables and clauses of its J1, and the 2-SAT
+answer (with its measure check) per forced set.  The plan also keeps the
+components of the Gaifman graph minus each separator tried.  Per side, a
+call computes only which of those components meet A or B and the forced set
+they imply.
 """
 
 from __future__ import annotations
@@ -35,24 +38,25 @@ from ._bits import bits, reach
 from .decomposition import TreeDecomposition, elimination_tree, eliminate
 from .errors import InputError, ResourceError
 from .hypergraph import Hypergraph, _remap_mask, induced
-from .measures import MeasureContext, WellBehavedMeasure
+from .measures import WellBehavedMeasure
 
 GUESS_CAP = 200_000
 
 
 @dataclass(frozen=True)
 class ClosureGraph:
-    """Gaifman graph saturated with edges between vertices whose common
-    neighborhood (at insertion time) has measure above k.
+    """Gaifman graph of H saturated with edges between vertices whose common
+    neighborhood (at insertion time) has measure m above k.
 
-    ``plans`` holds the separator guesses ``find_separator`` has built on
-    this graph, one ``_GuessPlan`` per (k, measure)."""
+    It is built for one (H, k, m), and ``plan`` holds the separator guesses
+    ``find_separator`` reads on it."""
 
     h: Hypergraph
     k: int
+    m: WellBehavedMeasure
     adj: tuple[int, ...]
     added: tuple[int, ...]  # pair masks, insertion order
-    plans: dict = field(default_factory=dict, compare=False, repr=False)
+    plan: _GuessPlan = field(compare=False, repr=False)
 
 
 def closure(h: Hypergraph, k: int, m: WellBehavedMeasure) -> ClosureGraph:
@@ -81,7 +85,8 @@ def closure(h: Hypergraph, k: int, m: WellBehavedMeasure) -> ClosureGraph:
                     adj[v] |= 1 << u
                     added.append((1 << u) | (1 << v))
                     changed = True
-    return ClosureGraph(h, k, tuple(adj), tuple(added))
+    adj = tuple(adj)
+    return ClosureGraph(h, k, m, adj, tuple(added), _GuessPlan(h, adj, k))
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +336,14 @@ _UNSAT = -1      # verdict: the 2-SAT formula has no solution
 _EXCEEDED = -2   # verdict: a solution's part in some atom has measure > k
 
 
-def find_separator(h: Hypergraph, a: int, b: int, k: int,
-                   m: WellBehavedMeasure,
-                   ctx: Optional[MeasureContext] = None,
-                   cg: Optional[ClosureGraph] = None) -> SeparatorResult:
-    """(A,B)-separator with lambda at most C(k+1,2)*k, or a refutation.
+def find_separator(cg: ClosureGraph, a: int, b: int) -> SeparatorResult:
+    """(A,B)-separator with lambda at most C(k+1,2)*k, or a refutation, for
+    the (H, k, lambda) the closure ``cg`` was built for.
 
     The refutation is the disjunction "no separator with lambda <= k exists,
     or lambda-tw(H) > k"; the two causes are not distinguished, except that
-    the early-exit clique check reports "lambda-tw exceeded" on its own.
-    ``cg`` is ``closure(h, k, m)`` when the caller has built it already.
+    a 2-SAT solution whose part in some atom has measure above k
+    (``_EXCEEDED``) reports "lambda-tw exceeded" on its own.
 
     The guesses are read from the ``_GuessPlan`` of ``cg``, which builds
     each one on first read, so calls on one closure share them and what
@@ -352,16 +355,9 @@ def find_separator(h: Hypergraph, a: int, b: int, k: int,
     against the cached components.  Every guess counts towards
     ``GUESS_CAP``, cached or not.
     """
-    if k < 1:
-        raise InputError("k must be at least 1")
-    if (a | b) & ~h.vertex_mask:
+    if (a | b) & ~cg.h.vertex_mask:
         raise InputError("A or B contains an unknown vertex id")
-    ctx = ctx or MeasureContext(h, m)
-    if cg is None:
-        cg = closure(h, k, m)
-    plan = cg.plans.get((k, m))
-    if plan is None:
-        plan = cg.plans[(k, m)] = _GuessPlan(cg, k)
+    plan = cg.plan
     guesses = 0
     combo = None
     while (guess := plan.guess(guesses)) is not None:
@@ -383,7 +379,7 @@ def find_separator(h: Hypergraph, a: int, b: int, k: int,
         bad = (guess.k1 & near_b) | (guess.k2 & near_a)
         sep = guess.verdicts.get(bad)
         if sep is None:
-            sep = guess.verdicts[bad] = _verdict(guess, bad, k, ctx)
+            sep = guess.verdicts[bad] = _verdict(guess, bad, cg)
         if sep == _EXCEEDED:
             return SeparatorResult(refutation="lambda-tw exceeded")
         if sep >= 0 and plan.separates(sep, a, b):
@@ -391,7 +387,7 @@ def find_separator(h: Hypergraph, a: int, b: int, k: int,
     return SeparatorResult(refutation="not separable")
 
 
-def _verdict(guess: _Guess, bad: int, k: int, ctx: MeasureContext) -> int:
+def _verdict(guess: _Guess, bad: int, cg: ClosureGraph) -> int:
     """The separator candidate S' + X of one guess with forced set ``bad``,
     or ``_UNSAT`` or ``_EXCEEDED``."""
     combo = guess.combo
@@ -405,7 +401,7 @@ def _verdict(guess: _Guess, bad: int, k: int, ctx: MeasureContext) -> int:
         if assignment[i]:
             s_prime |= 1 << v
     for km in combo.k_v:
-        if not ctx.at_most(s_prime & km, k):
+        if not cg.m.decide(cg.h, s_prime & km, cg.k):
             return _EXCEEDED
     return s_prime | combo.x_mask
 
@@ -443,11 +439,11 @@ class _GuessPlan:
     graph without it.
     """
 
-    def __init__(self, cg: ClosureGraph, k: int):
-        self.gaif = cg.h.gaifman_adj()
-        self.universe = cg.h.vertex_mask
+    def __init__(self, h: Hypergraph, adj2, k: int):
+        self.gaif = h.gaifman_adj()
+        self.universe = h.vertex_mask
         self.built: list[_Guess] = []
-        self.pending = _guesses(cg.adj, self.universe, k)
+        self.pending = _guesses(adj2, self.universe, k)
         self.split: dict[int, list[int]] = {}
 
     def guess(self, i: int) -> Optional[_Guess]:
@@ -557,7 +553,7 @@ class SplitResult:
 
 
 def balanced_split(h: Hypergraph, w: int, k: int, m: WellBehavedMeasure,
-                   r: int, ctx: MeasureContext) -> SplitResult:
+                   r: int) -> SplitResult:
     """Partition (A,B) of W plus an (A,B)-separator S with lambda(S) bounded
     by C(k+1,2)*k and lambda(A\\S), lambda(B\\S) at most (2/3)r + k; or the
     refutation lambda-tw(H) > k.  Measures are ints, so the side bound is
@@ -579,11 +575,11 @@ def balanced_split(h: Hypergraph, w: int, k: int, m: WellBehavedMeasure,
             continue
         tried.add(a)
         b = w & ~gamma
-        if not ctx.at_most(a, side_cap) or not ctx.at_most(b, side_cap):
+        if not m.decide(h, a, side_cap) or not m.decide(h, b, side_cap):
             continue
         if cg is None:
             cg = closure(h, k, m)
-        res = find_separator(h, a, b, k, m, ctx, cg)
+        res = find_separator(cg, a, b)
         if res.ok:
             return SplitResult(a=a, b=b, separator=res.separator)
         if res.refutation == "lambda-tw exceeded":
@@ -595,16 +591,17 @@ def width_bound(k: int) -> int:
     return 2 * k ** 3 + 2 * k ** 2 + 3 * k + 3
 
 
-def _grow_wstar(ctx: MeasureContext, w: int, big_k: int, full: int):
+def _grow_wstar(h: Hypergraph, m: WellBehavedMeasure, w: int, big_k: int):
     """Greedy min-id growth of W until lambda hits big_k or W covers V.
 
     Returns (W*, overshoot) where overshoot means a single vertex pushed the
     measure past big_k (only possible for measures with infinite jumps)."""
+    full = h.vertex_mask
     wstar = w
-    while wstar != full and ctx.at_most(wstar, big_k - 1):
+    while wstar != full and m.decide(h, wstar, big_k - 1):
         rest = full & ~wstar
         wstar |= rest & -rest
-        if not ctx.at_most(wstar, big_k):
+        if not m.decide(h, wstar, big_k):
             return wstar, True
     return wstar, False
 
@@ -618,7 +615,7 @@ def _fill_in(adj, v: int, live: int) -> int:
     return missing // 2
 
 
-def _min_fill_elimination(h: Hypergraph, k: int, ctx: MeasureContext):
+def _min_fill_elimination(h: Hypergraph, k: int, m: WellBehavedMeasure):
     """(order, bags) of a min-fill elimination of the Gaifman graph if every
     bag has measure at most k, else None.
 
@@ -645,7 +642,7 @@ def _min_fill_elimination(h: Hypergraph, k: int, ctx: MeasureContext):
                 if f == 0:
                     break
         bag = eliminate(adj, best, live)
-        if not ctx.at_most(bag, k):
+        if not m.decide(h, bag, k):
             return None
         live &= ~(1 << best)
         order.append(best)
@@ -675,10 +672,9 @@ def approx_decomposition(h: Hypergraph, k: int, m: WellBehavedMeasure):
     if k < 1:
         raise InputError("k must be at least 1")
     big_k = _big_k(k)
-    ctx = MeasureContext(h, m)
-    if ctx.at_most(h.vertex_mask, big_k):
+    if m.decide(h, h.vertex_mask, big_k):
         return TreeDecomposition([h.vertex_mask], [])
-    eliminated = _min_fill_elimination(h, k, ctx)
+    eliminated = _min_fill_elimination(h, k, m)
     if eliminated is not None:
         return elimination_tree(*eliminated)
     out = _recurse(h, k, m, 0, big_k)
@@ -691,15 +687,14 @@ def approx_decomposition(h: Hypergraph, k: int, m: WellBehavedMeasure):
 def _recurse(h: Hypergraph, k: int, m: WellBehavedMeasure, w: int,
              big_k: int):
     """Returns (TreeDecomposition, index of a bag containing w) or Refutation."""
-    ctx = MeasureContext(h, m)
     full = h.vertex_mask
-    if ctx.at_most(full, big_k):
+    if m.decide(h, full, big_k):
         return TreeDecomposition([full], []), 0
-    wstar, overshoot = _grow_wstar(ctx, w, big_k, full)
+    wstar, overshoot = _grow_wstar(h, m, w, big_k)
     if overshoot:
         # a single vertex has unbounded measure; no decomposition of width k
         return Refutation()
-    split = balanced_split(h, wstar, k, m, r=big_k, ctx=ctx)
+    split = balanced_split(h, wstar, k, m, r=big_k)
     if not split.ok:
         return Refutation()
     sep = split.separator

@@ -73,11 +73,8 @@ def _mis_trace(h: Hypergraph, vmask: int, smask: int,
     """tr_S(i(H[vmask])) member masks (ambient), via the blocker trace.
 
     The trace is computed on H[N[S]], where N[S] is S plus every edge of
-    H[vmask] that meets S; it is the same family.  A maximal independent
-    set M of H[vmask] keeps M ∩ S when M ∩ N[S] is extended in H[N[S]]: a
-    vertex of S \\ M is blocked by an edge meeting S, which lies in N[S].
-    A maximal independent set I of H[N[S]] keeps I ∩ S when extended in
-    H[vmask]: a vertex of N[S] \\ I is blocked by an edge inside N[S].
+    H[vmask] that meets S; the module docstring proves it is the same
+    family.
     """
     near = smask
     for e in h.edges:

@@ -17,7 +17,7 @@ reaches mu through the L^2 reduction to alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ._bits import bits
@@ -120,11 +120,14 @@ def alpha_decide(h: Hypergraph, s: int, k: int) -> bool:
 def _rho_below(h: Hypergraph, s: int, best: int):
     """min(best, rho(S)), or math.inf if some vertex of S lies in no edge.
 
-    A branch is cut when its edges plus a lower bound cannot beat ``best``.
-    Two bounds count edges still to come: the uncovered vertices over the
-    largest edge size, and a greedy packing of uncovered vertices no two of
-    which share an edge (lowest first, dropping the span of each pick),
-    since each of those needs an edge of its own.
+    Branches on the edges through the lowest uncovered vertex, the edge
+    covering the most uncovered vertices first, so that the first descent
+    is greedy.  A branch is cut when its edges plus a lower bound cannot
+    beat ``best``.  Two bounds count edges still to come: the uncovered
+    vertices over the largest edge size, and a greedy packing of uncovered
+    vertices no two of which share an edge (lowest first, dropping the span
+    of each pick), since each of those needs an edge of its own.  The
+    search keeps its own stack of (uncovered, edges used) branches.
     """
     rank = max((e.bit_count() for e in h.edges), default=1)
     covered = 0
@@ -137,25 +140,24 @@ def _rho_below(h: Hypergraph, s: int, best: int):
             span[v] |= e
     if s & ~covered:
         return math.inf
-
-    def branch(uncovered: int, used: int):
-        nonlocal best
+    stack = [(s, 0)]
+    while stack:
+        uncovered, used = stack.pop()
+        if used - (-uncovered.bit_count() // rank) >= best:
+            continue
         if not uncovered:
             best = used
-            return
-        if used - (-uncovered.bit_count() // rank) >= best:
-            return
+            continue
         bound, rest = used, uncovered
-        while rest:
+        while rest and bound < best:
             bound += 1
-            if bound >= best:
-                return
             rest &= ~span[(rest & -rest).bit_length() - 1]
-        low = uncovered & -uncovered
-        for e in through[low.bit_length() - 1]:
-            branch(uncovered & ~e, used + 1)
-
-    branch(s, 0)
+        if bound >= best:
+            continue
+        edges = through[(uncovered & -uncovered).bit_length() - 1]
+        # the edge covering the most is pushed last, so it is popped first
+        for e in sorted(edges, key=lambda e: (uncovered & e).bit_count()):
+            stack.append((uncovered & ~e, used + 1))
     return best
 
 
@@ -299,31 +301,3 @@ def get_measure(name: str) -> WellBehavedMeasure:
         return MEASURES[name]
     except KeyError:
         raise InputError(f"unknown measure {name!r}; pick one of {sorted(MEASURES)}")
-
-
-@dataclass
-class MeasureContext:
-    """A hypergraph paired with a measure and a memo of exact values."""
-
-    h: Hypergraph
-    measure: WellBehavedMeasure
-    _memo: dict = field(default_factory=dict)
-
-    def value(self, s: int):
-        got = self._memo.get(s)
-        if got is None:
-            got = self._memo[s] = self.measure.value(self.h, s)
-        return got
-
-    def at_most(self, s: int, k) -> bool:
-        """lambda(S) <= k for a bound k that need not be an int.  Every
-        measure is an int or infinite, so a finite bound is decided at its
-        floor and an infinite one holds without asking the oracle."""
-        got = self._memo.get(s)
-        if got is not None:
-            return got <= k
-        if not isinstance(k, int):
-            if k == math.inf:
-                return True
-            k = math.floor(k)
-        return self.measure.decide(self.h, s, k)

@@ -10,7 +10,7 @@ import time
 from fractions import Fraction
 
 from mmtw._bits import bits
-from mmtw.approx import Refutation, find_separator, width_bound
+from mmtw.approx import Refutation, closure, find_separator, width_bound
 from mmtw.blocker import trace_blocker
 from mmtw.decomposition import validate, width
 from mmtw.dp import chromatic_decide, hom_decide, mwis
@@ -162,7 +162,7 @@ def test_criterion_7_separator_bound():
         k = rng.randrange(1, 3)
         a = rng.getrandbits(n) or 1
         b = rng.getrandbits(n) or (1 << (n - 1))
-        out = find_separator(g, a, b, k, ALPHA)
+        out = find_separator(closure(g, k, ALPHA), a, b)
         lam = lambda m: ALPHA.value(g, m)
         if out.separator is not None:
             s = out.separator

@@ -18,7 +18,7 @@ from mmtw.errors import InputError, ResourceError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_graph, random_hypergraph, rng_from_seed)
 from mmtw.hypergraph import Graph, Hypergraph
-from mmtw.measures import ALPHA, KAPPA, MU, RHO, MeasureContext
+from mmtw.measures import ALPHA, KAPPA, MU, RHO, WellBehavedMeasure
 from mmtw.reductions import line_square
 from mmtw.oracles import (_separates, lambda_tw_exact,
                           separator_exists_bruteforce)
@@ -92,7 +92,7 @@ def test_find_separator_soundness():
         k = rng.randrange(1, 3)
         a = rng.getrandbits(n) or 1
         b = rng.getrandbits(n) or (1 << (n - 1))
-        out = find_separator(g, a, b, k, ALPHA)
+        out = find_separator(closure(g, k, ALPHA), a, b)
         bound = k * k * (k + 1) // 2
         if out.separator is not None:
             s = out.separator
@@ -107,6 +107,14 @@ def test_find_separator_soundness():
             assert no_sep or val > k
 
 
+def test_find_separator_rejects_sides_outside_the_vertex_set():
+    g = path_graph(4)
+    with pytest.raises(InputError):
+        find_separator(closure(g, 1, ALPHA), 1 << g.n, 1)
+    with pytest.raises(InputError):
+        find_separator(closure(g, 1, ALPHA), 1, 1 << g.n)
+
+
 def test_balanced_split_contract():
     rng = rng_from_seed(33)
     for _ in range(40):
@@ -115,8 +123,7 @@ def test_balanced_split_contract():
         k = rng.randrange(1, 3)
         w = rng.getrandbits(n) or 1
         r = max(ALPHA.value(g, w), 3 * k)
-        ctx = MeasureContext(g, ALPHA)
-        out = balanced_split(g, w, k, ALPHA, r, ctx)
+        out = balanced_split(g, w, k, ALPHA, r)
         if not out.ok:
             val, _ = lambda_tw_exact(g, lambda m: ALPHA.value(g, m))
             assert val > k
@@ -179,15 +186,15 @@ def test_balanced_split_builds_closure_once_and_tries_each_side_once(
         built.append(args)
         return closure_fn(*args)
 
-    def counting_find(h, a, b, *rest):
+    def counting_find(cg, a, b):
         sides.append(a)
-        return find_fn(h, a, b, *rest)
+        return find_fn(cg, a, b)
 
     monkeypatch.setattr(approx, "closure", counting_closure)
     monkeypatch.setattr(approx, "find_separator", counting_find)
     g = path_graph(30)
     # this W and r make the split reject 8 sides before it finds one
-    out = balanced_split(g, 0x3E04C310, 1, ALPHA, 5, MeasureContext(g, ALPHA))
+    out = balanced_split(g, 0x3E04C310, 1, ALPHA, 5)
     assert out.ok
     assert len(built) == 1
     assert len(sides) == len(set(sides)) == 9
@@ -197,7 +204,6 @@ def _find_separator_reference(h, a, b, k, m):
     """Reference: every guess (I, K_v, J1) built from scratch, with the
     clauses and forced set in the order ``find_separator`` gives them."""
     adj2 = closure(h, k, m).adj
-    ctx = MeasureContext(h, m)
     for i_set in _independent_sets_upto(adj2, h.vertex_mask, k):
         members = list(bits(i_set))
         x_mask = 0
@@ -248,7 +254,7 @@ def _find_separator_reference(h, a, b, k, m):
                 if model is None:
                     continue
                 s_prime = sum(1 << v for v, i in var_of.items() if model[i])
-                if not all(ctx.at_most(s_prime & km, k) for km in k_v):
+                if not all(m.decide(h, s_prime & km, k) for km in k_v):
                     return SeparatorResult(refutation="lambda-tw exceeded")
                 sep = s_prime | x_mask
                 if _separates(h.gaifman_adj(), h.n, sep, a & ~sep, b & ~sep):
@@ -292,10 +298,9 @@ def test_find_separator_on_a_shared_closure_matches_the_reference():
         cases.append((g, 2, [(a, b), (b, a), (a, b)]))
     for g, k, sides in cases:
         cg = closure(g, k, ALPHA)
-        ctx = MeasureContext(g, ALPHA)
         for a, b in sides:
-            shared = find_separator(g, a, b, k, ALPHA, ctx, cg)
-            assert shared == find_separator(g, a, b, k, ALPHA)
+            shared = find_separator(cg, a, b)
+            assert shared == find_separator(closure(g, k, ALPHA), a, b)
             assert shared == _find_separator_reference(g, a, b, k, ALPHA)
 
 
@@ -314,15 +319,15 @@ def test_balanced_split_builds_atoms_once_per_independent_set(monkeypatch):
         built.append(args[1])
         return atoms_fn(*args)
 
-    def counting_find(h, a, b, *rest):
+    def counting_find(cg, a, b):
         sides.append(a)
-        return find_fn(h, a, b, *rest)
+        return find_fn(cg, a, b)
 
     monkeypatch.setattr(approx, "atoms", counting_atoms)
     monkeypatch.setattr(approx, "find_separator", counting_find)
     g = _caterpillar(10, [3, 6, 7, 8, 9])
     # this W and r make the split try 5 sides on one closure
-    out = balanced_split(g, 0x3D7F, 1, ALPHA, 5, MeasureContext(g, ALPHA))
+    out = balanced_split(g, 0x3D7F, 1, ALPHA, 5)
     assert out.ok
     assert len(sides) == 5
     # with k = 1 each I has one member, so one atoms call per I
@@ -331,13 +336,14 @@ def test_balanced_split_builds_atoms_once_per_independent_set(monkeypatch):
     assert len(built) <= len(sets) - 1
 
 
-def _grow_wstar_by_values(ctx, w, big_k, full):
+def _grow_wstar_by_values(h, m, w, big_k):
     """Reference: W* grown on exact measure values."""
+    full = h.vertex_mask
     wstar = w
-    while wstar != full and ctx.value(wstar) < big_k:
+    while wstar != full and m.value(h, wstar) < big_k:
         rest = full & ~wstar
         wstar |= rest & -rest
-        if ctx.value(wstar) > big_k:
+        if m.value(h, wstar) > big_k:
             return wstar, True
     return wstar, False
 
@@ -353,9 +359,8 @@ def test_grow_wstar_matches_exact_values():
             for _ in range(4):
                 w = rng.getrandbits(g.n)
                 big_k = rng.randrange(0, 8)
-                args = (w, big_k, g.vertex_mask)
-                assert approx._grow_wstar(MeasureContext(g, m), *args) == \
-                    _grow_wstar_by_values(MeasureContext(g, m), *args)
+                assert approx._grow_wstar(g, m, w, big_k) == \
+                    _grow_wstar_by_values(g, m, w, big_k)
 
 
 def test_guess_cap_counts_guesses_and_the_plan_builds_what_it_reads(
@@ -502,8 +507,7 @@ def _check_first_pass(h, k, m, name, out) -> bool:
     the recursion run alone refutes; a min-fill elimination that passes at k
     validates with width at most k, and the recursion never refutes it.
     True iff the answer came from the first pass."""
-    ctx = MeasureContext(h, m)
-    eliminated = _min_fill_elimination(h, k, ctx)
+    eliminated = _min_fill_elimination(h, k, m)
     recursed = _recurse(h, k, m, 0, _big_k(k))
     assert isinstance(out, Refutation) == isinstance(recursed, Refutation)
     if eliminated is None:
@@ -512,7 +516,7 @@ def _check_first_pass(h, k, m, name, out) -> bool:
     assert validate(h, td)
     assert width(h, td, name).width <= k
     assert not isinstance(recursed, Refutation)
-    if ctx.at_most(h.vertex_mask, _big_k(k)):
+    if m.decide(h, h.vertex_mask, _big_k(k)):
         return False
     assert td == out
     return True
@@ -548,15 +552,15 @@ def test_first_pass_through_the_line_square_refutes_iff_the_recursion_does():
 
 def test_first_pass_stops_at_its_first_failing_bag(monkeypatch):
     checks = []
-    at_most = MeasureContext.at_most
+    decide = WellBehavedMeasure.decide
 
-    def counted(self, s, k):
+    def counted(self, h, s, k):
         checks.append(k)
-        return at_most(self, s, k)
+        return decide(self, h, s, k)
 
-    monkeypatch.setattr(MeasureContext, "at_most", counted)
+    monkeypatch.setattr(WellBehavedMeasure, "decide", counted)
     c40 = cycle_graph(40)
-    assert _min_fill_elimination(c40, 1, MeasureContext(c40, ALPHA)) is None
+    assert _min_fill_elimination(c40, 1, ALPHA) is None
     assert 0 < len(checks) < 40
 
 
@@ -569,7 +573,7 @@ def test_first_pass_bags_match_the_elimination_order():
         else:
             h = random_hypergraph(rng, n, rng.randrange(1, n + 2))
         # kappa at k = n - 1 passes every bag, so the whole order is built
-        order, bags = _min_fill_elimination(h, n, MeasureContext(h, KAPPA))
+        order, bags = _min_fill_elimination(h, n, KAPPA)
         assert sorted(order) == list(range(n))
         assert elimination_tree(order, bags) == from_elimination_order(h, order)
         adj = h.gaifman_adj()
@@ -583,7 +587,7 @@ def test_first_pass_takes_min_fill_steps():
     # C4 plus a pendant vertex 4 on 0: 4 (fill 0) goes first, then the
     # cycle's lowest id; every bag of the cycle holds a fill edge or two
     g = Graph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
-    order, bags = _min_fill_elimination(g, 4, MeasureContext(g, KAPPA))
+    order, bags = _min_fill_elimination(g, 4, KAPPA)
     assert order[:2] == [4, 0]
     assert bags[:2] == [0b10001, 0b01011]
 
@@ -623,7 +627,7 @@ def test_recursion_alone_on_paths_cycles_grids_and_chains():
     cases += [(_hyperedge_chain(29), RHO, 2), (_hyperedge_chain(6, 1), RHO, 1)]
     recursed = refuted = 0
     for h, m, k in cases:
-        recursed += not MeasureContext(h, m).at_most(h.vertex_mask, _big_k(k))
+        recursed += not m.decide(h, h.vertex_mask, _big_k(k))
         out = _recurse(h, k, m, 0, _big_k(k))
         if isinstance(out, Refutation):
             refuted += 1

@@ -159,6 +159,18 @@ def test_recursion_depth_is_a_resource_exit(files, capsys):
     assert doc["status"] == "resource-exceeded" and doc["error"]
 
 
+def test_rho_width_of_a_long_path_bag(files, capsys):
+    # the rho search keeps its own stack, so one bag of 1200 path vertices
+    # is measured, not refused at the interpreter's recursion limit
+    p = path_graph(1200)
+    hg = files("p1200.hg", serialize_hypergraph(p))
+    td = files("p1200.td", serialize_td(TreeDecomposition([p.vertex_mask], []),
+                                        p.n))
+    code, out, _ = run(capsys, "width", hg, td, "--measure", "rho", "--json")
+    assert code == 0
+    assert json.loads(out)["width"] == 600
+
+
 def test_covering_solves_ignore_the_trace_caps(files, capsys):
     # nodes/depth bound the blocker trace, which only mwis reads
     c5 = cycle_graph(5)
