@@ -234,8 +234,8 @@ def _tarjan_scc(graph) -> list[int]:
     comp = [-1] * n
     on_stack = [False] * n
     stack: list[int] = []
-    counter = [1]
-    ncomp = [0]
+    counter = 1
+    ncomp = 0
 
     for root in range(n):
         if index[root]:
@@ -244,8 +244,8 @@ def _tarjan_scc(graph) -> list[int]:
         while work:
             v, pi = work[-1]
             if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
+                index[v] = low[v] = counter
+                counter += 1
                 stack.append(v)
                 on_stack[v] = True
             recurse = False
@@ -265,10 +265,10 @@ def _tarjan_scc(graph) -> list[int]:
                 while True:
                     w = stack.pop()
                     on_stack[w] = False
-                    comp[w] = ncomp[0]
+                    comp[w] = ncomp
                     if w == v:
                         break
-                ncomp[0] += 1
+                ncomp += 1
             if work:
                 u, _ = work[-1]
                 low[u] = min(low[u], low[v])

@@ -23,8 +23,12 @@ and a composition drops the pinned edge, so no edge ever leaves them.
 
 Candidate traces from the composition branches are verified against the
 current clutter before being kept, so the returned family is exact; the
-brute-force route (``enumerate_mis`` + restriction) is kept as an
-independent oracle.
+independent oracle is ``hypergraph.blocker_bruteforce`` followed by
+``hypergraph.trace``.
+
+``enumerate_mis`` lists the maximal independent sets of an induced
+subhypergraph as complements of ``_berge``'s transversals; every leaf set of
+the DP in ``dp.py`` comes from it.
 """
 
 from __future__ import annotations
@@ -91,12 +95,21 @@ def _berge(edges, limit: int | None = None) -> tuple[int, ...] | None:
     return tuple(sorted(trans))
 
 
-def enumerate_mis(h: Hypergraph, cap: int = 20) -> frozenset[int]:
-    """All maximal independent sets of cl(H), as complements of the blocker."""
-    if h.n > cap:
-        raise ResourceError(f"MIS enumeration cap {cap} exceeded (n={h.n})", n=h.n)
-    full = h.vertex_mask
-    return frozenset(full & ~t for t in _berge(_minimal_masks(h.edges)))
+def enumerate_mis(h: Hypergraph, within: int | None = None,
+                  limit: int | None = None) -> list[int]:
+    """Maximal independent sets of H[within] (all of H by default), as
+    ambient masks in ``_berge``'s order: the complements in ``within`` of
+    the minimal transversals of the edges inside it.  ResourceError as soon
+    as a partial Berge family (over a prefix of those edges) has more than
+    ``limit`` members."""
+    if within is None:
+        within = h.vertex_mask
+    trans = _berge(_minimal_masks(e for e in h.edges if not e & ~within),
+                   limit)
+    if trans is None:
+        raise ResourceError(f"more than {limit} maximal independent sets",
+                            limit=limit)
+    return [within & ~t for t in trans]
 
 
 def _is_minimal_transversal(t: int, edges) -> bool:

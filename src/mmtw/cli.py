@@ -182,27 +182,25 @@ class _Report:
         code = {"ok": EXIT_OK, "refuted": EXIT_REFUTED,
                 "resource-exceeded": EXIT_RESOURCE,
                 "invalid-input": EXIT_INVALID}[self.status]
+        text = self.payload_text
         if self.args.json:
             doc = {"schema": 1, "status": self.status}
             doc.update({k: _jsonable(v) for k, v in self.fields.items()})
-            if self.payload_text is not None:
-                doc["payload"] = self.payload_text
+            if text is not None:
+                doc["payload"] = text
             print(json.dumps(doc, sort_keys=True))
-            if self.args.output and self.payload_text is not None:
-                with open(self.args.output, "w", encoding="utf-8") as fh:
-                    fh.write(self.payload_text)
-            return code
-        lines = [f"status: {self.status}"]
-        lines += [f"{k}: {_jsonable(v)}" for k, v in self.fields.items()]
-        if self.payload_text is not None and not self.args.output:
-            # keep stdout clean for the payload; report goes to stderr
-            print("\n".join(lines), file=sys.stderr)
-            print(self.payload_text, end="")
         else:
-            print("\n".join(lines))
-            if self.payload_text is not None:
-                with open(self.args.output, "w", encoding="utf-8") as fh:
-                    fh.write(self.payload_text)
+            lines = [f"status: {self.status}"]
+            lines += [f"{k}: {_jsonable(v)}" for k, v in self.fields.items()]
+            if text is not None and not self.args.output:
+                # keep stdout clean for the payload; report goes to stderr
+                print("\n".join(lines), file=sys.stderr)
+                print(text, end="")
+            else:
+                print("\n".join(lines))
+        if self.args.output and text is not None:
+            with open(self.args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
         return code
 
 

@@ -42,30 +42,16 @@ from fractions import Fraction
 from math import lcm
 
 from ._bits import bits
-from .blocker import BranchCaps, _berge, enumerate_mis, trace_blocker
+from .blocker import BranchCaps, enumerate_mis, trace_blocker
 from .decomposition import TreeDecomposition, validate
 from .errors import InputError, ResourceError
-from .hypergraph import (Hypergraph, _minimal_masks, _remap_mask,
-                         complement_trace, induced)
+from .hypergraph import Hypergraph, _remap_mask, complement_trace, induced
 
 DEFAULT_TABLE_CAP = 200_000
 # hom_decide's target F is capped by vertex count: |i(F)| is the arity of
 # its tables, and leaf_init enumerates up to |i(H[bag])|^arity tuples before
 # any table check, which no cap on one family bounds
 TARGET_CAP = 10
-
-
-def _mis_of(h: Hypergraph, vmask: int, limit: int) -> list[int]:
-    """Maximal independent sets of H[vmask], as ambient masks: the
-    complements in vmask of the minimal transversals of the edges inside
-    vmask.  ResourceError as soon as a partial Berge family (over a prefix
-    of those edges) has more than ``limit`` members."""
-    trans = _berge(_minimal_masks(e for e in h.edges if not e & ~vmask),
-                   limit)
-    if trans is None:
-        raise ResourceError(f"more than {limit} maximal independent sets",
-                            limit=limit)
-    return [vmask & ~t for t in trans]
 
 
 def _mis_trace(h: Hypergraph, vmask: int, smask: int,
@@ -145,7 +131,7 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
     for node in reversed(order):
         bag = t.bags[node]
         try:
-            acc = f.leaf_init(_mis_of(h, bag, table_cap), bag)
+            acc = f.leaf_init(enumerate_mis(h, bag, table_cap), bag)
         except ResourceError as exc:
             raise ResourceError(f"table cap exceeded at bag {node}",
                                 bag=node, **exc.stats) from exc
@@ -193,12 +179,8 @@ class MwisDP(BlockerReadable):
         return sum(map(self.w.__getitem__, bits(mask)))
 
     def leaf_init(self, mis, s):
-        table = {}
-        for j in mis:
-            val = self.wsum(j)
-            if j not in table or table[j][0] < val:
-                table[j] = (val, j)
-        return table
+        # the leaf sets are distinct, so each is its own key
+        return {j: (self.wsum(j), j) for j in mis}
 
     def restrict(self, table, s_old, s_new):
         out = {}
@@ -267,20 +249,37 @@ def mwis(h: Hypergraph, weights, t: TreeDecomposition,
 class CoverDP(BlockerReadable):
     """Arity-k boolean tables compressed as antichains of dominating tuples.
 
-    A tuple (A_1..A_k) evaluates true iff it is componentwise below some
-    stored tuple and its coverage (cover_fn) contains the base set; merging
-    intersects tuples pairwise and refilters against the base.
+    Homomorphism to a target F indexes the components by i(F) =
+    {M_0..M_{k-1}}: A_i is an independent set that may hold the vertices
+    sent into M_i, ``incidence[x]`` lists the i with x ∈ M_i, and a vertex
+    can be sent to x when it lies in every such A_i.  A tuple evaluates
+    true iff it is componentwise below some stored tuple and its coverage
+    (``cover``) contains the base set; merging intersects tuples pairwise
+    and refilters against the base.  k-colouring is homomorphism to K_k,
+    whose maximal independent sets are its k single vertices: incidence
+    [[0], ..., [k-1]].
     """
 
     reads_trace = False
 
-    def __init__(self, arity: int, cover_fn, full_mask: int, bound_fn=None):
+    def __init__(self, arity: int, incidence, full_mask: int):
         self.arity = arity
-        self.cover_fn = cover_fn
+        self.incidence = incidence
         self.full = full_mask
-        # optimistic coverage of any completion of a prefix; used to prune
-        # the leaf product, which antichain compression alone cannot shrink
-        self.bound_fn = bound_fn
+
+    def cover(self, tup):
+        """The vertices that can be sent to some target vertex x: the union
+        over x of the intersection of tup[i] over the i in incidence[x]."""
+        full = self.full
+        out = 0
+        for idxs in self.incidence:
+            c = full
+            for i in idxs:
+                c &= tup[i]
+            out |= c
+            if out == full:
+                break
+        return out
 
     def _compress(self, tuples):
         """The maximal tuples, largest total size first (ties in set order).
@@ -310,21 +309,32 @@ class CoverDP(BlockerReadable):
         return kept
 
     def leaf_init(self, mis, s):
+        # a depth-first search over mis^arity, one level per component; the
+        # components not yet fixed hold ``full``, so the coverage of a
+        # prefix bounds that of every completion (intersections only shrink)
+        # and a prefix that cannot cover s is cut.  Each target vertex adds
+        # (the rest of its intersection) & row[i], and & distributes over |,
+        # so with row[i] = j the coverage is lo | (hi & j), where lo and hi
+        # are the coverages with row[i] = 0 and row[i] = full
         out = []
-        prefix: list[int] = []
+        full = self.full
+        row = [full] * self.arity
 
-        def rec():
-            if len(prefix) == self.arity:
-                if self.cover_fn(tuple(prefix)) & s == s:
-                    out.append(tuple(prefix))
+        def rec(i):
+            if i == self.arity:
+                out.append(tuple(row))
                 return
+            row[i] = 0
+            lo = self.cover(row)
+            row[i] = full
+            hi = self.cover(row)
             for j in mis:
-                prefix.append(j)
-                if self.bound_fn is None or self.bound_fn(prefix) & s == s:
-                    rec()
-                prefix.pop()
+                if (lo | hi & j) & s == s:
+                    row[i] = j
+                    rec(i + 1)
+            row[i] = full
 
-        rec()
+        rec(0)
         # the components are maximal independent sets of H[s], so one tuple
         # dominates another only when they are equal: sorting is all that
         # ``_compress`` would do here
@@ -343,7 +353,7 @@ class CoverDP(BlockerReadable):
         for d1 in t1:
             for d2 in t2:
                 c = tuple(a & b for a, b in zip(d1, d2))
-                if self.cover_fn(c) & s == s:
+                if self.cover(c) & s == s:
                     out.append(c)
         return self._compress(out)
 
@@ -354,14 +364,7 @@ def chromatic_decide(h: Hypergraph, k: int, t: TreeDecomposition,
     """True iff H has a colouring with k colours and no monochromatic edge."""
     if k < 1:
         raise InputError("k must be positive")
-
-    def cover(tup):
-        out = 0
-        for a in tup:
-            out |= a
-        return out
-
-    final = run_dp(h, t, CoverDP(k, cover, h.vertex_mask),
+    final = run_dp(h, t, CoverDP(k, [[i] for i in range(k)], h.vertex_mask),
                    trace_caps, table_cap)
     return bool(final)
 
@@ -382,7 +385,7 @@ def hom_decide(h: Hypergraph, f: Hypergraph, t: TreeDecomposition,
         return True
     if f.n == 0:
         return False
-    target_mis = sorted(enumerate_mis(f, TARGET_CAP))
+    target_mis = sorted(enumerate_mis(f))
     arity = len(target_mis)
     if arity == 0:
         # F has an empty edge: no independent sets at all, and any map sends
@@ -391,33 +394,6 @@ def hom_decide(h: Hypergraph, f: Hypergraph, t: TreeDecomposition,
         return not h.edges
     incidence = [[i for i, mi in enumerate(target_mis) if (mi >> x) & 1]
                  for x in range(f.n)]
-    full = h.vertex_mask
-
-    def cover(tup):
-        out = 0
-        for idxs in incidence:
-            c = full
-            for i in idxs:
-                c &= tup[i]
-            out |= c
-            if out == full:
-                break
-        return out
-
-    def bound(prefix):
-        # intersections can only shrink as the prefix grows
-        j = len(prefix)
-        out = 0
-        for idxs in incidence:
-            c = full
-            for i in idxs:
-                if i < j:
-                    c &= prefix[i]
-            out |= c
-            if out == full:
-                break
-        return out
-
-    final = run_dp(h, t, CoverDP(arity, cover, full, bound),
+    final = run_dp(h, t, CoverDP(arity, incidence, h.vertex_mask),
                    trace_caps, table_cap)
     return bool(final)

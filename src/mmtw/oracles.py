@@ -43,9 +43,12 @@ def mwis_bruteforce(h: Hypergraph, weights=None, cap: int = 20) -> tuple[Fractio
     for v in range(h.n):
         if w[v] < 0:
             neg |= 1 << v
+    if h.n > cap:
+        raise ResourceError(f"MIS enumeration cap {cap} exceeded (n={h.n})",
+                            n=h.n)
     kept = Hypergraph(h.n, (e for e in h.edges if not e & neg))
     best, witness = Fraction(0), 0
-    for m in enumerate_mis(kept, cap):
+    for m in enumerate_mis(kept):
         m &= ~neg
         total = sum((w[v] for v in bits(m)), Fraction(0))
         if total > best:

@@ -138,11 +138,28 @@ def test_depth_cap_raises():
 
 def test_enumerate_mis_complements_blocker():
     rng = rng_from_seed(12)
+    stopped = 0
     for _ in range(60):
         c = random_clutter(rng, rng.randrange(1, 9), rng.randrange(0, 6))
-        mis = enumerate_mis(c)
+        mis = frozenset(enumerate_mis(c))
         b = blocker_bruteforce(c)
         assert mis == frozenset(c.vertex_mask & ~t for t in b.edges)
+        # H[within]: the blocker of the edges inside it, complemented there
+        within = rng.getrandbits(c.n)
+        inside = Clutter(c.n, [e for e in c.edges if not e & ~within])
+        got = enumerate_mis(c, within)
+        assert len(got) == len(set(got))
+        assert frozenset(got) == frozenset(
+            within & ~t for t in blocker_bruteforce(inside).edges)
+        # a limit below the family size stops Berge's expansion; with no
+        # edge inside, there is nothing to expand and the one set is within
+        if inside.edges:
+            limit = rng.randrange(len(got))
+            with pytest.raises(ResourceError) as err:
+                enumerate_mis(c, within, limit)
+            assert err.value.stats == {"limit": limit}
+            stopped += 1
+    assert stopped >= 10
 
 
 def test_counters_reported():

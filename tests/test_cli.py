@@ -95,6 +95,26 @@ def test_decompose_json_payload_validates(files, capsys):
     assert width(c5, t, "mu").width <= doc["width_bound"] == 33
 
 
+def test_decompose_output_file_in_both_modes(files, capsys, tmp_path):
+    c5 = cycle_graph(5)
+    hg = files("c5.hg", serialize_hypergraph(c5))
+    # --json -o: stdout is the report with its payload, the file the payload
+    path = tmp_path / "json.td"
+    code, out, _ = run(capsys, "decompose", "-k", "2", hg, "--json",
+                       "-o", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["status"] == "ok"
+    assert path.read_text() == doc["payload"]
+    assert validate(c5, parse_td(doc["payload"]))
+    # -o alone: stdout is the plain report, the file the decomposition
+    path = tmp_path / "plain.td"
+    code, out, _ = run(capsys, "decompose", "-k", "2", hg, "-o", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "status: ok"
+    assert path.read_text() == doc["payload"]
+
+
 @pytest.mark.parametrize("n", [40, 100, 200])
 def test_decompose_long_cycles_exact_mu_width(files, capsys, n):
     # the final mu check stays within the oracle cap on long cycles

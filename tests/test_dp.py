@@ -1,6 +1,7 @@
 """DP solvers over tree decompositions vs exhaustive oracles."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -8,7 +9,7 @@ import mmtw.dp
 from mmtw._bits import bits, mask_of
 from mmtw.blocker import BranchCaps, enumerate_mis
 from mmtw.decomposition import TreeDecomposition, single_bag
-from mmtw.dp import (DEFAULT_TABLE_CAP, CoverDP, MwisDP, _mis_of, _mis_trace,
+from mmtw.dp import (DEFAULT_TABLE_CAP, CoverDP, MwisDP, _mis_trace,
                      chromatic_decide, hom_decide, mwis, run_dp)
 from mmtw.errors import InputError, ResourceError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
@@ -270,7 +271,7 @@ def test_compress_keeps_exactly_the_maximal_tuples():
                   for _ in range(rng.randrange(0, 40))]
         family += [tuple(a & rng.getrandbits(n) for a in t)
                    for t in family[:10]]
-        dp = CoverDP(arity, None, (1 << n) - 1)
+        dp = CoverDP(arity, (), (1 << n) - 1)
         out = dp._compress(family)
         assert len(out) == len(set(out))
         assert set(out) == maximal_reference(family)
@@ -303,6 +304,56 @@ def test_cover_leaf_table_is_already_compressed(monkeypatch):
         assert set(table) == set(dp._compress(table))
         sizes = [sum(a.bit_count() for a in t) for t in table]
         assert sizes == sorted(sizes, reverse=True)
+
+
+def test_cover_leaf_init_matches_the_filtered_product():
+    # the leaf table is every tuple of mis^arity whose coverage holds the
+    # bag: some target vertex x takes v when v lies in each component i
+    # with x in M_i (colouring at k: x = i, incidence [[0], ..., [k-1]])
+    targets = [[[i] for i in range(k)] for k in (1, 2, 3)]
+    for f in (complete_graph(3), cycle_graph(5)):
+        fmis = sorted(enumerate_mis(f))
+        targets.append([[i for i, m in enumerate(fmis) if m >> x & 1]
+                        for x in range(f.n)])
+    rng = rng_from_seed(64)
+    nonempty = 0
+    for it in range(100):
+        incidence = targets[it % len(targets)]
+        arity = max(max(i) for i in incidence) + 1
+        n = rng.randrange(2, 9 if arity < 5 else 7)
+        h = random_graph(rng, n, rng.uniform(0.2, 0.7))
+        s = h.vertex_mask & ~(rng.getrandbits(n) & rng.getrandbits(n))
+        mis = enumerate_mis(h, s)
+        want = {tup for tup in product(mis, repeat=arity)
+                if all(any(all(tup[i] >> v & 1 for i in idxs)
+                           for idxs in incidence) for v in bits(s))}
+        got = CoverDP(arity, incidence, h.vertex_mask).leaf_init(mis, s)
+        assert len(got) == len(set(got))
+        assert set(got) == want
+        nonempty += bool(want)
+        sizes = [sum(a.bit_count() for a in t) for t in got]
+        assert sizes == sorted(sizes, reverse=True)
+    assert nonempty >= 50
+
+
+def test_leaf_sets_come_from_enumerate_mis(monkeypatch):
+    calls = []
+    original = mmtw.dp.enumerate_mis
+
+    def spy(h, within=None, limit=None):
+        calls.append(within)
+        return original(h, within, limit)
+
+    monkeypatch.setattr(mmtw.dp, "enumerate_mis", spy)
+    n = 8
+    p = path_graph(n)
+    t = TreeDecomposition([0b11 << i for i in range(n - 1)],
+                          [(i, i + 1) for i in range(n - 2)])
+    assert mwis(p, None, t)[0] == 4
+    assert sorted(calls) == sorted(t.bags)
+    calls.clear()
+    assert chromatic_decide(p, 2, t)
+    assert sorted(calls) == sorted(t.bags)
 
 
 def merge_reference(w, trace, t1, t2, s):
@@ -340,7 +391,7 @@ def test_mwis_merge_matches_per_pair_formula():
         dp = MwisDP(w)
         tabs = []
         for part in (v1, v2):
-            mis = sorted(_mis_of(h, part, DEFAULT_TABLE_CAP))
+            mis = sorted(enumerate_mis(h, part, DEFAULT_TABLE_CAP))
             tabs.append(dp.restrict(dp.leaf_init(mis, part), part, s))
         if it % 3 == 0:
             trace = frozenset(a1 & a2 for a1 in tabs[0] for a2 in tabs[1]
@@ -377,7 +428,7 @@ def test_local_trace_equals_trace_of_the_whole_set():
                 near |= e
         if v & ~near:
             far_cases += 1
-        want = frozenset(m & s for m in _mis_of(h, v, DEFAULT_TABLE_CAP))
+        want = frozenset(m & s for m in enumerate_mis(h, v, DEFAULT_TABLE_CAP))
         assert _mis_trace(h, v, s) == want
     assert far_cases >= 200
 
