@@ -26,6 +26,11 @@ current clutter before being kept, so the returned family is exact; the
 independent oracle is ``hypergraph.blocker_bruteforce`` followed by
 ``hypergraph.trace``.
 
+A node's answer depends on its clutter and S alone, so ``trace_blocker``
+takes ``within``, a vertex set whose induced edges are traced, and
+``memo``, which calls with the same S may share: ``dp.run_dp`` gives every
+merge at one bag the bag's memo.
+
 ``enumerate_mis`` lists the maximal independent sets of an induced
 subhypergraph as complements of ``_berge``'s transversals; every leaf set of
 the DP in ``dp.py`` comes from it.
@@ -136,12 +141,17 @@ def _compose_masks(edges, h: int, x: int, z: int) -> tuple[int, ...]:
 
 
 class _Brancher:
-    def __init__(self, s: int, caps: BranchCaps):
+    """One search for one base set S.  ``memo`` maps a clutter to its node
+    result, which depends on the clutter and S alone, so searches with the
+    same S may share it; ``nodes`` counts only what this search computed."""
+
+    def __init__(self, s: int, caps: BranchCaps,
+                 memo: dict[tuple[int, ...], dict[int, int]] | None = None):
         self.s = s
         self.caps = caps
         self.nodes = 0
         self.max_qm = 0
-        self.memo: dict[tuple[int, ...], dict[int, int]] = {}
+        self.memo = {} if memo is None else memo
 
     def _tick(self, depth: int, count: int = 1):
         """Charge ``count`` search nodes at ``depth`` to the caps."""
@@ -157,17 +167,25 @@ class _Brancher:
         """A minimal transversal T with T & S == a, or None if none exists.
 
         T must be a ∪ T0 with T0 outside S: T0 has to hit every edge missing
-        a, and each vertex of a needs a private edge avoiding T0.
+        a, and each vertex of a needs a private edge avoiding T0.  Such an
+        edge meets a in that vertex alone, so a vertex of a with no edge e
+        where e ∩ a = {v} answers None before any search.
         """
         s = self.s
+        alone = 0
         rest = []
         for e in edges:
-            if e & a:
+            m = e & a
+            if m:
+                if not m & (m - 1):
+                    alone |= m
                 continue
             f = e & ~s
             if f == 0:
                 return None
             rest.append(f)
+        if alone != a:
+            return None
         for t0 in _berge(_minimal_masks(rest)):
             ok = True
             for v in bits(a):
@@ -253,32 +271,53 @@ class _Brancher:
                     break
             result.setdefault(w & s, w)
 
-        # type 2: pin an S-vertex z on an edge h through the pivot
+        # type 2: pin an S-vertex z on an edge h through the pivot; a trace
+        # with no minimal transversal here is kept in ``failed``, so later
+        # children do not search for it again
         x = bx.bit_length() - 1
+        failed: set[int] = set()
         for h in x_edges:
-            for z in bits(h & s):
-                self.max_qm = max(self.max_qm, qm_len + 1)
-                bz = 1 << z
-                sub = self.run(_compose_masks(edges, h, x, z), qm_len + 1, depth + 1)
+            zs = h & s
+            if zs and self.max_qm <= qm_len:
+                self.max_qm = qm_len + 1
+            while zs:
+                bz = zs & -zs
+                zs ^= bz
+                sub = self.run(_compose_masks(edges, h, x, bz.bit_length() - 1),
+                               qm_len + 1, depth + 1)
                 for tr, w in sub.items():
                     a = (tr | bz) & s
-                    if a in result:
+                    if a in result or a in failed:
                         continue
                     cand = w | bz
                     if _is_minimal_transversal(cand, edges):
                         result[a] = cand
                     else:
                         witness = self._semantic_witness(a, edges)
-                        if witness is not None:
+                        if witness is None:
+                            failed.add(a)
+                        else:
                             result[a] = witness
         memo[edges] = result
         return result
 
 
-def trace_blocker(h: Hypergraph, s: int, caps: BranchCaps = BranchCaps()) -> TraceResult:
-    """tr_S(b(cl(H))) by branching; exact, with node/depth budgets."""
+def trace_blocker(h: Hypergraph, s: int, caps: BranchCaps = BranchCaps(),
+                  within: int | None = None,
+                  memo: dict[tuple[int, ...], dict[int, int]] | None = None
+                  ) -> TraceResult:
+    """tr_S(b(cl(H[within]))) by branching (all of H by default); exact,
+    with node/depth budgets.
+
+    ``memo`` is the brancher's memo, which calls with the same S may share:
+    a clutter one call answered costs a later call nothing, so the later
+    call's ``nodes_explored`` and its caps count only the clutters that no
+    earlier call answered.
+    """
     if s & ~h.vertex_mask:
         raise InputError("S contains an unknown vertex id")
-    brancher = _Brancher(s, caps)
-    res = brancher.run(_minimal_masks(h.edges), 0, 0)
+    edges = h.edges if within is None else \
+        [e for e in h.edges if not e & ~within]
+    brancher = _Brancher(s, caps, memo)
+    res = brancher.run(_minimal_masks(edges), 0, 0)
     return TraceResult(TraceFamily(s, res.keys()), brancher.nodes, brancher.max_qm)

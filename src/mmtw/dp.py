@@ -32,6 +32,16 @@ the trace of a merge costs what the bag's neighbourhood costs, however
 large the subtree below it, and the node and depth caps bound that local
 search.
 
+The merges at one bag S share that search.  ``run_dp`` builds one copy of
+H[N_X[S]], X the bag and all its child subtrees, and one brancher memo for
+the bag; the vertices merged so far only grow and stay inside X, so merge i
+traces the edges inside its own N[S] in that copy.  A brancher node's
+answer depends only on its clutter once S is fixed, so the traces are the
+same as with a fresh memo per merge.  The caps are not: ``nodes`` charges
+each merge only for the clutters that no earlier merge at the same bag
+answered, and a memo hit skips the depth check of the subtree it answers,
+so ``depth`` can fire on a different merge than with a fresh memo.
+
 MWIS weights are scaled to integers by the least common multiple of their
 denominators before the DP runs, so the tables add and compare ints.
 """
@@ -54,21 +64,54 @@ DEFAULT_TABLE_CAP = 200_000
 TARGET_CAP = 10
 
 
+class _BagCopy:
+    """H[N_X[S]] for a bag S and the vertices X of the bag and its child
+    subtrees, with S in its ids, the map back to H and one brancher memo.
+
+    A merge at the bag traces in V ⊆ X, so N_V[S] ⊆ N_X[S]: every merge at
+    the bag traces inside this one copy and shares the memo.  ``meets``
+    pairs each edge of H[X] that meets S with its copy, so ``within`` finds
+    N_V[S] in the copy's ids without mapping V.
+    """
+
+    __slots__ = ("sub", "back", "s", "meets", "memo")
+
+    def __init__(self, h: Hypergraph, xmask: int, smask: int):
+        near = smask
+        meets = []
+        for e in h.edges:
+            if e & smask and not e & ~xmask:
+                near |= e
+                meets.append(e)
+        self.sub, remap = induced(h, near)
+        self.back = list(bits(near))
+        self.s = _remap_mask(smask, remap)
+        self.meets = [(e, _remap_mask(e, remap)) for e in meets]
+        self.memo: dict = {}
+
+    def within(self, vmask: int) -> int:
+        """N_V[S] in the copy's ids: S plus every edge inside V meeting S."""
+        out = self.s
+        for e, local in self.meets:
+            if not e & ~vmask:
+                out |= local
+        return out
+
+
 def _mis_trace(h: Hypergraph, vmask: int, smask: int,
-               caps: BranchCaps = BranchCaps()) -> frozenset[int]:
+               caps: BranchCaps = BranchCaps(),
+               copy: _BagCopy | None = None) -> frozenset[int]:
     """tr_S(i(H[vmask])) member masks (ambient), via the blocker trace.
 
     The trace is computed on H[N[S]], where N[S] is S plus every edge of
     H[vmask] that meets S; the module docstring proves it is the same
-    family.
+    family.  It is traced inside ``copy``, the bag's copy of H, when given
+    (vmask must lie in its X), and inside a copy of its own otherwise.
     """
-    near = smask
-    for e in h.edges:
-        if e & smask and not e & ~vmask:
-            near |= e
-    sub, remap = induced(h, near)
-    res = trace_blocker(sub, _remap_mask(smask, remap), caps)
-    back = list(bits(near))
+    if copy is None:
+        copy = _BagCopy(h, vmask, smask)
+    res = trace_blocker(copy.sub, copy.s, caps, copy.within(vmask), copy.memo)
+    back = copy.back
     return frozenset(_remap_mask(m, back)
                      for m in complement_trace(res.traces).members)
 
@@ -137,6 +180,12 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
                                 bag=node, **exc.stats) from exc
         _check_table(acc, node, table_cap)
         acc_v = bag
+        copy = None
+        if f.reads_trace and children[node]:
+            xmask = bag
+            for c in children[node]:
+                xmask |= subtree_v[c]
+            copy = _BagCopy(h, xmask, bag)
         for c in sorted(children[node]):
             tbl = f.restrict(tables.pop(c), t.bags[c], bag & t.bags[c])
             s = bag & t.bags[c]
@@ -147,7 +196,7 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
             trace = None
             if f.reads_trace:
                 try:
-                    trace = _mis_trace(h, acc_v, bag, trace_caps)
+                    trace = _mis_trace(h, acc_v, bag, trace_caps, copy)
                 except ResourceError as exc:
                     raise ResourceError(f"trace cap exceeded at bag {node}",
                                         bag=node, **exc.stats) from exc
@@ -174,9 +223,14 @@ class MwisDP(BlockerReadable):
     def __init__(self, weights):
         # any numbers that add and compare exactly; ``mwis`` passes ints
         self.w = list(weights)
+        self._wsums: dict[int, object] = {}
 
     def wsum(self, mask: int):
-        return sum(map(self.w.__getitem__, bits(mask)))
+        # the masks are subsets of bags, asked for again at every merge
+        got = self._wsums.get(mask)
+        if got is None:
+            got = self._wsums[mask] = sum(map(self.w.__getitem__, bits(mask)))
+        return got
 
     def leaf_init(self, mis, s):
         # the leaf sets are distinct, so each is its own key

@@ -3,7 +3,8 @@
 import pytest
 
 from mmtw._bits import bits, mask_of
-from mmtw.blocker import (BranchCaps, _compose_masks, enumerate_mis,
+from mmtw.blocker import (BranchCaps, _Brancher, _compose_masks,
+                          _is_minimal_transversal, enumerate_mis,
                           trace_blocker)
 from mmtw.errors import ResourceError
 from mmtw.generate import (path_graph, random_clutter, random_hypergraph,
@@ -160,6 +161,54 @@ def test_enumerate_mis_complements_blocker():
             assert err.value.stats == {"limit": limit}
             stopped += 1
     assert stopped >= 10
+
+
+def test_semantic_witness_matches_a_subset_search():
+    # a minimal transversal T with T & S == a, against every subset of V
+    rng = rng_from_seed(16)
+    found = refuted = no_private = 0
+    for _ in range(400):
+        n = rng.randrange(1, 9)
+        c = random_clutter(rng, n, rng.randrange(0, 7))
+        s = rng.getrandbits(n)
+        a = s & rng.getrandbits(n)
+        want = [t for t in range(1 << n)
+                if t & s == a and _is_minimal_transversal(t, c.edges)]
+        got = _Brancher(s, BranchCaps())._semantic_witness(a, c.edges)
+        if want:
+            assert got in want, (c.edges, s, a)
+            found += 1
+        else:
+            assert got is None, (c.edges, s, a)
+            refuted += 1
+            alone = 0
+            for e in c.edges:
+                m = e & a
+                if m.bit_count() == 1:
+                    alone |= m
+            no_private += alone != a
+    assert found >= 50 and refuted >= 50 and no_private >= 20
+
+
+def test_a_shared_memo_answers_the_same_traces():
+    # calls with the same S share the memo: each later call is charged only
+    # for the clutters no earlier one answered, and its trace is unchanged
+    rng = rng_from_seed(17)
+    saved = 0
+    for _ in range(100):
+        n = rng.randrange(2, 11)
+        h = random_hypergraph(rng, n, rng.randrange(1, n + 4), rank=3)
+        s = rng.getrandbits(n)
+        memo: dict = {}
+        for _ in range(3):
+            within = rng.getrandbits(n) | s
+            shared = trace_blocker(h, s, BranchCaps(), within, memo)
+            fresh = trace_blocker(h, s, BranchCaps(), within)
+            inside = Hypergraph(n, [e for e in h.edges if not e & ~within])
+            assert shared.traces == fresh.traces == brute_trace(inside, s)
+            assert shared.nodes_explored <= fresh.nodes_explored
+            saved += fresh.nodes_explored - shared.nodes_explored
+    assert saved > 0
 
 
 def test_counters_reported():

@@ -15,7 +15,7 @@ from mmtw.errors import InputError, ResourceError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_decomposition, random_graph,
                            random_hypergraph, random_weights, rng_from_seed)
-from mmtw.hypergraph import Hypergraph
+from mmtw.hypergraph import Graph, Hypergraph
 from mmtw.oracles import (chromatic_bruteforce, hom_bruteforce, independent_in,
                           mwis_bruteforce)
 
@@ -454,6 +454,74 @@ def test_mwis_traces_only_the_closed_neighbourhood(monkeypatch):
     assert val == n // 2 and independent_in(p, wit)
     assert len(calls) == t.node_count - 1
     assert max(calls) <= bound
+
+
+def _star_of_pods(rng, n_root, pods, pod_size):
+    """A graph on a root set R and ``pods`` pods outside it, each joined to
+    R alone, and the decomposition whose root bag R has one child bag per
+    pod (the pod and its neighbours in R)."""
+    n = n_root + pods * pod_size
+    root = (1 << n_root) - 1
+    edges = [(1 << u) | (1 << v) for u in range(n_root)
+             for v in range(u + 1, n_root) if rng.random() < 0.4]
+    bags = [root]
+    for i in range(pods):
+        pod = ((1 << pod_size) - 1) << (n_root + i * pod_size)
+        bag = pod
+        for u in bits(pod):
+            for v in bits(pod | root):
+                if v != u and rng.random() < 0.4:
+                    edges.append((1 << u) | (1 << v))
+                    bag |= 1 << v
+        bags.append(bag)
+    t = TreeDecomposition(bags, [(0, i) for i in range(1, pods + 1)])
+    return Graph(n, edges), t
+
+
+def test_merges_at_a_bag_share_one_copy_and_one_memo(monkeypatch):
+    # every merge at the root traces inside the root's one copy of H and
+    # shares its memo: fewer branch nodes than fresh memos, the same traces
+    shared_nodes = fresh_nodes = merges = 0
+    copies = []
+    original_trace = mmtw.dp.trace_blocker
+    original_mis_trace = mmtw.dp._mis_trace
+    original_induced = mmtw.dp.induced
+
+    def trace_spy(sub, s, caps, within, memo):
+        nonlocal shared_nodes, fresh_nodes
+        res = original_trace(sub, s, caps, within, memo)
+        fresh = original_trace(sub, s, caps, within)
+        assert res.traces == fresh.traces
+        shared_nodes += res.nodes_explored
+        fresh_nodes += fresh.nodes_explored
+        return res
+
+    def mis_trace_spy(h, vmask, smask, caps, copy):
+        nonlocal merges
+        merges += 1
+        got = original_mis_trace(h, vmask, smask, caps, copy)
+        assert got == frozenset(m & smask for m in enumerate_mis(h, vmask))
+        return got
+
+    def induced_spy(h, mask):
+        copies.append(mask)
+        return original_induced(h, mask)
+
+    monkeypatch.setattr(mmtw.dp, "trace_blocker", trace_spy)
+    monkeypatch.setattr(mmtw.dp, "_mis_trace", mis_trace_spy)
+    monkeypatch.setattr(mmtw.dp, "induced", induced_spy)
+    rng = rng_from_seed(69)
+    for _ in range(20):
+        h, t = _star_of_pods(rng, 6, rng.randrange(3, 6), 2)
+        assert len(list(t.neighbors(0))) >= 3
+        w = random_weights(rng, h.n, lo=0)
+        before = merges
+        copies.clear()
+        assert mwis(h, w, t)[0] == mwis_bruteforce(h, w)[0]
+        # the root is the only bag with children: one copy, one merge a child
+        assert len(copies) == 1
+        assert merges - before == t.node_count - 1
+    assert shared_nodes < fresh_nodes
 
 
 # fractional weights: the DP runs on integers scaled by a common denominator

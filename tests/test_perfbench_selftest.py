@@ -1,6 +1,7 @@
 """The benchmark's own self-test, so renames that break its tracer or its
 answer checker fail the test suite too."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -20,3 +21,18 @@ def test_perfbench_selftest(tmp_path):
                           timeout=600)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     assert "selftest passed" in proc.stdout
+
+
+def test_every_patched_name_resolves():
+    # the tracer swaps each (owner, name) of PATCHES in place; a name the
+    # library dropped or renamed is reported here by name, before the
+    # self-test meets it as a KeyError inside Tracer.install
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{owner.__name__}.{name} ({layer})"
+               for layer, owner, name, _ in tracing.PATCHES
+               if name not in owner.__dict__]
+    assert not missing, "perfbench/tracing.py patches missing names: " + \
+        ", ".join(missing)
