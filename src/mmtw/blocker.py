@@ -26,10 +26,30 @@ current clutter before being kept, so the returned family is exact; the
 independent oracle is ``hypergraph.blocker_bruteforce`` followed by
 ``hypergraph.trace``.
 
+The trace is local to S.  For a vertex set X, let N_X[S] be S together with
+every edge of H[X] that meets S (``_closed_neighbourhood``).  Then
+
+    tr_S(i(H[X])) = tr_S(i(H[N_X[S]])).
+
+Proof.  Let M be a maximal independent set of H[X] and extend M ∩ N_X[S]
+to a maximal independent set I of H[N_X[S]].  A vertex v of S \\ M is
+blocked in H[X] by an edge e ∋ v with e - v ⊆ M; e meets S, so e ⊆ N_X[S]
+and e - v ⊆ I, and v stays out of I: I ∩ S = M ∩ S.  Conversely, extend a
+maximal independent set I of H[N_X[S]] to a maximal independent set of
+H[X]; a vertex of N_X[S] \\ I is already blocked by an edge inside N_X[S],
+so the extension adds only vertices outside N_X[S] and keeps I ∩ S.
+
+The minimal transversals of cl(H[X]) are the complements in X of its
+maximal independent sets, so their traces are the complements in S of the
+traces above, and the same identity holds for tr_S(b(cl(H[X]))).
+``trace_blocker`` therefore branches on H[N_X[S]] alone, with X its
+``within`` (all of H by default): the search costs what the neighbourhood
+of S costs, however large X is, and the node and depth caps bound that
+local search.
+
 A node's answer depends on its clutter and S alone, so ``trace_blocker``
-takes ``within``, a vertex set whose induced edges are traced, and
-``memo``, which calls with the same S may share: ``dp.run_dp`` gives every
-merge at one bag the bag's memo.
+takes ``memo``, which calls with the same S may share: ``dp.run_dp`` gives
+every merge at one bag the bag's memo.
 
 ``enumerate_mis`` lists the maximal independent sets of an induced
 subhypergraph as complements of ``_berge``'s transversals; every leaf set of
@@ -302,6 +322,15 @@ class _Brancher:
         return result
 
 
+def _closed_neighbourhood(h: Hypergraph, s: int, within: int) -> int:
+    """N_within[S]: S plus every edge of H[within] that meets S."""
+    near = s
+    for e in h.edges:
+        if e & s and not e & ~within:
+            near |= e
+    return near
+
+
 def trace_blocker(h: Hypergraph, s: int, caps: BranchCaps = BranchCaps(),
                   within: int | None = None,
                   memo: dict[tuple[int, ...], dict[int, int]] | None = None
@@ -309,15 +338,20 @@ def trace_blocker(h: Hypergraph, s: int, caps: BranchCaps = BranchCaps(),
     """tr_S(b(cl(H[within]))) by branching (all of H by default); exact,
     with node/depth budgets.
 
-    ``memo`` is the brancher's memo, which calls with the same S may share:
-    a clutter one call answered costs a later call nothing, so the later
-    call's ``nodes_explored`` and its caps count only the clutters that no
-    earlier call answered.
+    The search runs on the edges inside N_within[S] alone (the module
+    docstring proves the trace is the same), so ``nodes_explored`` and the
+    caps count only that search.  ``memo`` is the brancher's memo, which
+    calls with the same S may share: a clutter one call answered costs a
+    later call nothing, so the later call's ``nodes_explored`` and its caps
+    count only the clutters that no earlier call answered.
     """
     if s & ~h.vertex_mask:
         raise InputError("S contains an unknown vertex id")
-    edges = h.edges if within is None else \
-        [e for e in h.edges if not e & ~within]
+    if within is None:
+        within = h.vertex_mask
+    # S outside ``within`` is isolated in H[within] and meets no transversal
+    near = within & _closed_neighbourhood(h, s, within)
     brancher = _Brancher(s, caps, memo)
-    res = brancher.run(_minimal_masks(edges), 0, 0)
+    res = brancher.run(_minimal_masks(e for e in h.edges if not e & ~near),
+                       0, 0)
     return TraceResult(TraceFamily(s, res.keys()), brancher.nodes, brancher.max_qm)

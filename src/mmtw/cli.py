@@ -178,7 +178,23 @@ class _Report:
         self.fields: dict = {}
         self.payload_text: str | None = None
 
+    def fail(self, status: str, exc: Exception) -> None:
+        """Replace the report by the error ``exc`` under ``status``."""
+        self.status = status
+        self.fields = {"error": str(exc), **getattr(exc, "stats", {})}
+        self.payload_text = None
+        print(f"error: {exc}", file=sys.stderr)
+
     def emit(self) -> int:
+        # the payload file is written first, so a path that cannot be
+        # written is reported like an input file that cannot be read
+        if self.args.output and self.payload_text is not None:
+            try:
+                with open(self.args.output, "w", encoding="utf-8") as fh:
+                    fh.write(self.payload_text)
+            except OSError as exc:
+                self.fail("invalid-input", InputError(
+                    f"cannot write {self.args.output}: {exc.strerror}"))
         code = {"ok": EXIT_OK, "refuted": EXIT_REFUTED,
                 "resource-exceeded": EXIT_RESOURCE,
                 "invalid-input": EXIT_INVALID}[self.status]
@@ -198,9 +214,6 @@ class _Report:
                 print(text, end="")
             else:
                 print("\n".join(lines))
-        if self.args.output and text is not None:
-            with open(self.args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
         return code
 
 
@@ -221,10 +234,11 @@ def _cmd_decompose(args, report: _Report) -> None:
         report.fields["reason"] = out.message
         report.fields["k"] = args.k
         return
-    ok = validate(h, out)
-    if not ok:
-        raise RuntimeError(f"internal: emitted decomposition invalid: {ok.reason}")
-    rep = width(h, out, measure_name)
+    try:
+        # width validates the decomposition first, so it is checked once
+        rep = width(h, out, measure_name)
+    except InputError as exc:
+        raise RuntimeError(f"internal: emitted {exc}") from exc
     bound = width_bound(args.k)
     if not isinstance(rep.width, float) and rep.width > bound:
         raise RuntimeError("internal: emitted decomposition exceeds the bound")
@@ -401,16 +415,10 @@ def main(argv=None) -> int:
     try:
         _DISPATCH[args.command](args, report)
     except InputError as exc:
-        report.status = "invalid-input"
-        report.fields = {"error": str(exc)}
-        report.payload_text = None
-        print(f"error: {exc}", file=sys.stderr)
+        report.fail("invalid-input", exc)
     except (ResourceError, RecursionError) as exc:
         # an input deeper than the interpreter's stack is a resource limit too
-        report.status = "resource-exceeded"
-        report.fields = {"error": str(exc), **getattr(exc, "stats", {})}
-        report.payload_text = None
-        print(f"error: {exc}", file=sys.stderr)
+        report.fail("resource-exceeded", exc)
     return report.emit()
 
 

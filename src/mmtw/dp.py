@@ -15,27 +15,12 @@ Only a problem whose merge reads the blocker trace tr_S(i(H)) pays for it:
 covering tables of colouring and homomorphism).  The trace caps therefore
 bound only MWIS runs.
 
-Each trace is taken on the bag's closed neighbourhood, not on the whole
-subtree.  For a vertex set X and a bag S, let N_X[S] be S together with
-every edge of H[X] that meets S.  Then
-
-    tr_S(i(H[X])) = tr_S(i(H[N_X[S]])).
-
-Proof.  Let M be a maximal independent set of H[X] and extend M ∩ N_X[S]
-to a maximal independent set I of H[N_X[S]].  A vertex v of S \\ M is
-blocked in H[X] by an edge e ∋ v with e - v ⊆ M; e meets S, so e ⊆ N_X[S]
-and e - v ⊆ I, and v stays out of I: I ∩ S = M ∩ S.  Conversely, extend a
-maximal independent set I of H[N_X[S]] to a maximal independent set of
-H[X]; a vertex of N_X[S] \\ I is already blocked by an edge inside N_X[S],
-so the extension adds only vertices outside N_X[S] and keeps I ∩ S.  So
-the trace of a merge costs what the bag's neighbourhood costs, however
-large the subtree below it, and the node and depth caps bound that local
-search.
-
-The merges at one bag S share that search.  ``run_dp`` builds one copy of
-H[N_X[S]], X the bag and all its child subtrees, and one brancher memo for
-the bag; the vertices merged so far only grow and stay inside X, so merge i
-traces the edges inside its own N[S] in that copy.  A brancher node's
+A trace is local to the bag S: ``blocker.trace_blocker`` branches on the
+closed neighbourhood N_X[S] alone, and its module docstring proves that the
+trace is the same.  The merges at one bag share that search.  ``run_dp``
+builds one copy of H[N_X[S]], X the bag and all its child subtrees, and one
+brancher memo for the bag; the vertices merged so far only grow and stay
+inside X, so merge i traces its own N[S] in that copy.  A brancher node's
 answer depends only on its clutter once S is fixed, so the traces are the
 same as with a fresh memo per merge.  The caps are not: ``nodes`` charges
 each merge only for the clutters that no earlier merge at the same bag
@@ -52,10 +37,11 @@ from fractions import Fraction
 from math import lcm
 
 from ._bits import bits
-from .blocker import BranchCaps, enumerate_mis, trace_blocker
+from .blocker import (BranchCaps, _closed_neighbourhood, enumerate_mis,
+                      trace_blocker)
 from .decomposition import TreeDecomposition, validate
 from .errors import InputError, ResourceError
-from .hypergraph import Hypergraph, _remap_mask, complement_trace, induced
+from .hypergraph import Hypergraph, _remap_mask, induced
 
 DEFAULT_TABLE_CAP = 200_000
 # hom_decide's target F is capped by vertex count: |i(F)| is the arity of
@@ -69,51 +55,28 @@ class _BagCopy:
     subtrees, with S in its ids, the map back to H and one brancher memo.
 
     A merge at the bag traces in V ⊆ X, so N_V[S] ⊆ N_X[S]: every merge at
-    the bag traces inside this one copy and shares the memo.  ``meets``
-    pairs each edge of H[X] that meets S with its copy, so ``within`` finds
-    N_V[S] in the copy's ids without mapping V.
+    the bag traces inside this one copy and shares the memo.
     """
 
-    __slots__ = ("sub", "back", "s", "meets", "memo")
+    __slots__ = ("sub", "s", "back", "memo")
 
     def __init__(self, h: Hypergraph, xmask: int, smask: int):
-        near = smask
-        meets = []
-        for e in h.edges:
-            if e & smask and not e & ~xmask:
-                near |= e
-                meets.append(e)
-        self.sub, remap = induced(h, near)
-        self.back = list(bits(near))
+        self.sub, remap = induced(h, _closed_neighbourhood(h, smask, xmask))
         self.s = _remap_mask(smask, remap)
-        self.meets = [(e, _remap_mask(e, remap)) for e in meets]
+        # ``induced`` numbers the kept ids in increasing order
+        self.back = list(remap)
         self.memo: dict = {}
 
-    def within(self, vmask: int) -> int:
-        """N_V[S] in the copy's ids: S plus every edge inside V meeting S."""
-        out = self.s
-        for e, local in self.meets:
-            if not e & ~vmask:
-                out |= local
-        return out
-
-
-def _mis_trace(h: Hypergraph, vmask: int, smask: int,
-               caps: BranchCaps = BranchCaps(),
-               copy: _BagCopy | None = None) -> frozenset[int]:
-    """tr_S(i(H[vmask])) member masks (ambient), via the blocker trace.
-
-    The trace is computed on H[N[S]], where N[S] is S plus every edge of
-    H[vmask] that meets S; the module docstring proves it is the same
-    family.  It is traced inside ``copy``, the bag's copy of H, when given
-    (vmask must lie in its X), and inside a copy of its own otherwise.
-    """
-    if copy is None:
-        copy = _BagCopy(h, vmask, smask)
-    res = trace_blocker(copy.sub, copy.s, caps, copy.within(vmask), copy.memo)
-    back = copy.back
-    return frozenset(_remap_mask(m, back)
-                     for m in complement_trace(res.traces).members)
+    def trace(self, vmask: int, caps: BranchCaps) -> frozenset[int]:
+        """tr_S(i(H[vmask])) member masks (ambient), vmask ⊆ X: the
+        complements in S of the blocker trace of the copy's part of vmask."""
+        within = 0
+        for i, v in enumerate(self.back):
+            if vmask >> v & 1:
+                within |= 1 << i
+        s = self.s
+        res = trace_blocker(self.sub, s, caps, within, self.memo)
+        return frozenset(_remap_mask(s & ~a, self.back) for a in res.traces)
 
 
 class BlockerReadable:
@@ -196,7 +159,7 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
             trace = None
             if f.reads_trace:
                 try:
-                    trace = _mis_trace(h, acc_v, bag, trace_caps, copy)
+                    trace = copy.trace(acc_v, trace_caps)
                 except ResourceError as exc:
                     raise ResourceError(f"trace cap exceeded at bag {node}",
                                         bag=node, **exc.stats) from exc

@@ -115,6 +115,33 @@ def test_decompose_output_file_in_both_modes(files, capsys, tmp_path):
     assert path.read_text() == doc["payload"]
 
 
+@pytest.mark.parametrize("flag", [(), ("--json",)])
+def test_unwritable_output_is_invalid_input(files, capsys, tmp_path, flag):
+    # the payload is written before the report, so the report says it failed
+    hg = files("p3.hg", serialize_hypergraph(path_graph(3)))
+    path = str(tmp_path / "missing" / "out.td")
+    code, out, err = run(capsys, "decompose", "-k", "1", hg, "-o", path,
+                         *flag)
+    assert code == 2
+    assert f"cannot write {path}" in err
+    if flag:
+        doc = json.loads(out)
+        assert doc["status"] == "invalid-input" and path in doc["error"]
+        assert "payload" not in doc
+    else:
+        assert out.splitlines()[0] == "status: invalid-input"
+
+
+def test_invalid_emitted_decomposition_is_an_internal_error(files, capsys,
+                                                            monkeypatch):
+    # one bag that misses vertex 3 covers neither it nor the edge {2, 3}
+    monkeypatch.setattr("mmtw.cli.approximate_mu_tw",
+                        lambda g, k: TreeDecomposition([0b011], []))
+    hg = files("p3.hg", serialize_hypergraph(path_graph(3)))
+    with pytest.raises(RuntimeError, match="^internal: "):
+        main(["decompose", "-k", "1", hg])
+
+
 @pytest.mark.parametrize("n", [40, 100, 200])
 def test_decompose_long_cycles_exact_mu_width(files, capsys, n):
     # the final mu check stays within the oracle cap on long cycles
@@ -170,13 +197,26 @@ def test_trace_caps_bound_the_berge_leaf(files, capsys):
 
 
 def test_recursion_depth_is_a_resource_exit(files, capsys):
-    # the blocker trace recurses once per vertex; 1200 is past the default
-    # interpreter stack, and the answer must be exit 20, not a traceback
-    hg = files("p1200.hg", serialize_hypergraph(path_graph(1200)))
-    code, out, _ = run(capsys, "trace", "-S", "1,1200", hg, "--json")
+    # the blocker trace recurses once per vertex of N[S] outside S; the
+    # centre of the star K_{1,1199} has all 1200 vertices in N[S], past the
+    # default interpreter stack, and the answer must be exit 20, not a
+    # traceback
+    star = Hypergraph(1200, [1 | 1 << v for v in range(1, 1200)])
+    hg = files("star1200.hg", serialize_hypergraph(star))
+    code, out, _ = run(capsys, "trace", "-S", "1", hg, "--json")
     assert code == 20
     doc = json.loads(out)
     assert doc["status"] == "resource-exceeded" and doc["error"]
+
+
+def test_trace_searches_only_the_closed_neighbourhood(files, capsys):
+    # the ends of P_1200 have N[S] = {1, 2, 1199, 1200}: the middle of the
+    # path is never branched on, so the trace answers at once
+    hg = files("p1200.hg", serialize_hypergraph(path_graph(1200)))
+    code, out, _ = run(capsys, "trace", "-S", "1,1200", hg, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["members"] == [[], [1], [1200], [1, 1200]]
 
 
 def test_rho_width_of_a_long_path_bag(files, capsys):

@@ -7,9 +7,9 @@ import pytest
 
 import mmtw.dp
 from mmtw._bits import bits, mask_of
-from mmtw.blocker import BranchCaps, enumerate_mis
+from mmtw.blocker import BranchCaps, enumerate_mis, trace_blocker
 from mmtw.decomposition import TreeDecomposition, single_bag
-from mmtw.dp import (DEFAULT_TABLE_CAP, CoverDP, MwisDP, _mis_trace,
+from mmtw.dp import (DEFAULT_TABLE_CAP, CoverDP, MwisDP, _BagCopy,
                      chromatic_decide, hom_decide, mwis, run_dp)
 from mmtw.errors import InputError, ResourceError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
@@ -397,7 +397,7 @@ def test_mwis_merge_matches_per_pair_formula():
             trace = frozenset(a1 & a2 for a1 in tabs[0] for a2 in tabs[1]
                               if rng.random() < 0.6)
         else:
-            trace = _mis_trace(h, full, s, BranchCaps())
+            trace = _BagCopy(h, full, s).trace(full, BranchCaps())
         got = dp.merge(trace, tabs[0], tabs[1], s)
         want = merge_reference(w, trace, tabs[0], tabs[1], s)
         assert {a: v for a, (v, _) in got.items()} == \
@@ -429,7 +429,8 @@ def test_local_trace_equals_trace_of_the_whole_set():
         if v & ~near:
             far_cases += 1
         want = frozenset(m & s for m in enumerate_mis(h, v, DEFAULT_TABLE_CAP))
-        assert _mis_trace(h, v, s) == want
+        got = trace_blocker(h, s, within=v).traces
+        assert frozenset(s & ~a for a in got) == want
     assert far_cases >= 200
 
 
@@ -484,7 +485,7 @@ def test_merges_at_a_bag_share_one_copy_and_one_memo(monkeypatch):
     shared_nodes = fresh_nodes = merges = 0
     copies = []
     original_trace = mmtw.dp.trace_blocker
-    original_mis_trace = mmtw.dp._mis_trace
+    original_bag_trace = mmtw.dp._BagCopy.trace
     original_induced = mmtw.dp.induced
 
     def trace_spy(sub, s, caps, within, memo):
@@ -496,11 +497,13 @@ def test_merges_at_a_bag_share_one_copy_and_one_memo(monkeypatch):
         fresh_nodes += fresh.nodes_explored
         return res
 
-    def mis_trace_spy(h, vmask, smask, caps, copy):
+    def bag_trace_spy(copy, vmask, caps):
         nonlocal merges
         merges += 1
-        got = original_mis_trace(h, vmask, smask, caps, copy)
-        assert got == frozenset(m & smask for m in enumerate_mis(h, vmask))
+        got = original_bag_trace(copy, vmask, caps)
+        # every merge is at the root, the loop's current h and t
+        root = t.bags[0]
+        assert got == frozenset(m & root for m in enumerate_mis(h, vmask))
         return got
 
     def induced_spy(h, mask):
@@ -508,7 +511,7 @@ def test_merges_at_a_bag_share_one_copy_and_one_memo(monkeypatch):
         return original_induced(h, mask)
 
     monkeypatch.setattr(mmtw.dp, "trace_blocker", trace_spy)
-    monkeypatch.setattr(mmtw.dp, "_mis_trace", mis_trace_spy)
+    monkeypatch.setattr(mmtw.dp._BagCopy, "trace", bag_trace_spy)
     monkeypatch.setattr(mmtw.dp, "induced", induced_spy)
     rng = rng_from_seed(69)
     for _ in range(20):

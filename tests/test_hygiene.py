@@ -41,7 +41,8 @@ def test_no_module_imports_a_name_it_never_uses():
 RECURSIVE = {
     "approx._recurse": "split levels",
     "blocker._Brancher.run":
-        "n, the vertices branched on (open: deep inputs, ROADMAP.md)",
+        "the vertices of N[S] outside S, the only ones branched on (open: "
+        "deep neighbourhoods, ROADMAP.md)",
     "measures.minor_matching_intersecting.search":
         "n, the vertices searched (open: deep inputs, ROADMAP.md)",
     "dp.CoverDP.leaf_init.rec": "the table arity",
