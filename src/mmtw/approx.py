@@ -13,29 +13,29 @@ when one does not, so it alone refutes.  The pipeline reads the measure
 only through the bounded-budget question lambda(S) <= k?, which
 ``WellBehavedMeasure.decide`` answers.
 
-One ``balanced_split`` builds one closure graph, which carries its (H, k,
-lambda), and asks ``find_separator`` for many sides (A, B) on it.  The
-guesses (I, K_v, J1) come from one generator, ``_guesses``, and one lazily
-read list per closure holds them: a ``_GuessPlan`` kept on the
-``ClosureGraph``.  Each guess is built when a call first reads it, with
-every fact about it that depends on the closure alone: the atoms of its
-independent set I, the components outside Z = X + K_v with their
-neighbourhoods, the 2-SAT variables and clauses of its J1, and the 2-SAT
-answer (with its measure check) per forced set.  The plan also keeps the
-components of the Gaifman graph minus each separator tried.  Per side, a
-call computes only which of those components meet A or B and the forced set
-they imply.
+One ``balanced_split`` builds one closure graph for its (H, k, lambda)
+and asks ``find_separator`` for many sides (A, B) on it.  The guesses (I,
+K_v, J1) come from one generator, ``_guesses``, and the ``ClosureGraph``
+keeps the ones read so far in one lazily read list.  Each guess is built
+when a call first reads it, with every fact about it that depends on the
+closure alone: the atoms of its independent set I, the components outside
+Z = X + K_v with their neighbourhoods, the 2-SAT variables and clauses of
+its J1, and the 2-SAT answer (with its measure check) per forced set.  The
+closure graph also keeps the components of the Gaifman graph minus each
+separator tried.  Per side, a call computes only which of those components
+meet A or B and the forced set they imply.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
 from ._bits import bits, reach
-from .decomposition import TreeDecomposition, elimination_tree, eliminate
+from .decomposition import (TreeDecomposition, elimination_tree, eliminate,
+                            single_bag)
 from .errors import InputError, ResourceError
 from .hypergraph import Hypergraph, _remap_mask, induced
 from .measures import WellBehavedMeasure
@@ -43,20 +43,49 @@ from .measures import WellBehavedMeasure
 GUESS_CAP = 200_000
 
 
-@dataclass(frozen=True)
 class ClosureGraph:
     """Gaifman graph of H saturated with edges between vertices whose common
     neighborhood (at insertion time) has measure m above k.
 
-    It is built for one (H, k, m), and ``plan`` holds the separator guesses
-    ``find_separator`` reads on it."""
+    It is built for one (H, k, m) and holds what ``find_separator`` found on
+    it, for every side: ``built`` the guesses read so far, in the order
+    ``_guesses`` yields them (a call that stops early builds no more than it
+    reads), and ``split`` the components of the Gaifman graph without each
+    separator tried.
+    """
 
-    h: Hypergraph
-    k: int
-    m: WellBehavedMeasure
-    adj: tuple[int, ...]
-    added: tuple[int, ...]  # pair masks, insertion order
-    plan: _GuessPlan = field(compare=False, repr=False)
+    def __init__(self, h: Hypergraph, k: int, m: WellBehavedMeasure,
+                 adj: tuple[int, ...], added: tuple[int, ...]):
+        self.h, self.k, self.m = h, k, m
+        self.adj = adj
+        self.added = added  # pair masks, insertion order
+        self.built: list[_Guess] = []
+        self.pending = _guesses(adj, h.vertex_mask, k)
+        self.split: dict[int, list[int]] = {}
+
+    def guess(self, i: int) -> Optional[_Guess]:
+        """Guess i, built now if no call has read it yet; None past the
+        last one.  Calls read the guesses in order, from guess 0."""
+        if i == len(self.built):
+            got = next(self.pending, None)
+            if got is None:
+                return None
+            self.built.append(got)
+        return self.built[i]
+
+    def separates(self, sep: int, a: int, b: int) -> bool:
+        """S separates A from B: A cap B inside S, and no component of the
+        Gaifman graph minus S meets both."""
+        if a & b & ~sep:
+            return False
+        comps = self.split.get(sep)
+        if comps is None:
+            comps = self.split[sep] = list(
+                _components(self.h.gaifman_adj(), self.h.vertex_mask & ~sep))
+        for comp in comps:
+            if comp & a and comp & b:
+                return False
+        return True
 
 
 def closure(h: Hypergraph, k: int, m: WellBehavedMeasure) -> ClosureGraph:
@@ -85,8 +114,7 @@ def closure(h: Hypergraph, k: int, m: WellBehavedMeasure) -> ClosureGraph:
                     adj[v] |= 1 << u
                     added.append((1 << u) | (1 << v))
                     changed = True
-    adj = tuple(adj)
-    return ClosureGraph(h, k, m, adj, tuple(added), _GuessPlan(h, adj, k))
+    return ClosureGraph(h, k, m, tuple(adj), tuple(added))
 
 
 # ---------------------------------------------------------------------------
@@ -183,19 +211,11 @@ def atoms(adj, universe: int) -> list[int]:
 # 2-SAT
 
 
-@dataclass
-class TwoSatFormula:
-    """Variables 0..nvars-1; literals are (var, polarity) pairs."""
-
-    nvars: int
-    clauses: list
-    forced_true: set
-
-
-def two_sat_solve(f: TwoSatFormula) -> Optional[list[bool]]:
-    """A satisfying assignment respecting forced-true variables, or None."""
-    n = f.nvars
-    for var, _ in (lit for cl in f.clauses for lit in cl):
+def two_sat_solve(n: int, clauses, forced_true) -> Optional[list[bool]]:
+    """A satisfying assignment of the clauses over variables 0..n-1 with
+    every variable of ``forced_true`` true, or None.  A clause is a pair of
+    literals, and a literal a (variable, polarity) pair."""
+    for var, _ in (lit for cl in clauses for lit in cl):
         if not 0 <= var < n:
             raise InputError("clause references an undeclared variable")
     # implication graph: node 2v = v true, 2v+1 = v false
@@ -210,9 +230,9 @@ def two_sat_solve(f: TwoSatFormula) -> Optional[list[bool]]:
         graph[node(a[0], not a[1])].append(node(*b))
         graph[node(b[0], not b[1])].append(node(*a))
 
-    for cl in f.clauses:
+    for cl in clauses:
         add_clause(cl[0], cl[1])
-    for v in f.forced_true:
+    for v in forced_true:
         add_clause((v, True), (v, True))
 
     comp = _tarjan_scc(graph)
@@ -325,13 +345,6 @@ def _independent_sets_with_neighbourhoods(adj, universe: int, size: int):
             stack.append([nxt, frame[1] + 1, rest & ~near, closed])
 
 
-def _independent_sets_upto(adj, universe: int, size: int):
-    """Yield every independent set of the graph with at most ``size``
-    vertices, in the order of ``_independent_sets_with_neighbourhoods``."""
-    for i_set, _ in _independent_sets_with_neighbourhoods(adj, universe, size):
-        yield i_set
-
-
 _UNSAT = -1      # verdict: the 2-SAT formula has no solution
 _EXCEEDED = -2   # verdict: a solution's part in some atom has measure > k
 
@@ -345,22 +358,20 @@ def find_separator(cg: ClosureGraph, a: int, b: int) -> SeparatorResult:
     a 2-SAT solution whose part in some atom has measure above k
     (``_EXCEEDED``) reports "lambda-tw exceeded" on its own.
 
-    The guesses are read from the ``_GuessPlan`` of ``cg``, which builds
-    each one on first read, so calls on one closure share them and what
-    they need apart from the side (atoms, components outside Z, 2-SAT
-    clauses, 2-SAT answers and their measure checks, components of the
-    Gaifman graph minus a separator).  Per atom choice, a call ORs the
-    neighbourhoods of the components outside Z that meet A (resp. B); per
-    guess it reads the forced set off those masks and checks separation
-    against the cached components.  Every guess counts towards
-    ``GUESS_CAP``, cached or not.
+    The guesses are read from ``cg``, which builds each one on first read,
+    so calls on one closure share them and what they need apart from the
+    side (atoms, components outside Z, 2-SAT clauses, 2-SAT answers and
+    their measure checks, components of the Gaifman graph minus a
+    separator).  Per atom choice, a call ORs the neighbourhoods of the
+    components outside Z that meet A (resp. B); per guess it reads the
+    forced set off those masks and checks separation against the cached
+    components.  Every guess counts towards ``GUESS_CAP``, cached or not.
     """
     if (a | b) & ~cg.h.vertex_mask:
         raise InputError("A or B contains an unknown vertex id")
-    plan = cg.plan
     guesses = 0
     combo = None
-    while (guess := plan.guess(guesses)) is not None:
+    while (guess := cg.guess(guesses)) is not None:
         guesses += 1
         if guesses > GUESS_CAP:
             raise ResourceError("separator guess cap exceeded",
@@ -382,7 +393,7 @@ def find_separator(cg: ClosureGraph, a: int, b: int) -> SeparatorResult:
             sep = guess.verdicts[bad] = _verdict(guess, bad, cg)
         if sep == _EXCEEDED:
             return SeparatorResult(refutation="lambda-tw exceeded")
-        if sep >= 0 and plan.separates(sep, a, b):
+        if sep >= 0 and cg.separates(sep, a, b):
             return SeparatorResult(separator=sep)
     return SeparatorResult(refutation="not separable")
 
@@ -392,8 +403,8 @@ def _verdict(guess: _Guess, bad: int, cg: ClosureGraph) -> int:
     or ``_UNSAT`` or ``_EXCEEDED``."""
     combo = guess.combo
     var_of = combo.var_of
-    assignment = two_sat_solve(TwoSatFormula(
-        len(var_of), guess.clauses, {var_of[u] for u in bits(bad)}))
+    assignment = two_sat_solve(len(var_of), guess.clauses,
+                               {var_of[u] for u in bits(bad)})
     if assignment is None:
         return _UNSAT
     s_prime = 0
@@ -413,7 +424,7 @@ def _guesses(adj2, universe: int, k: int):
     J1 the members whose atoms sit on side A.  The guesses of one choice of
     atoms share one ``_AtomChoice``; a set's atoms are built when its first
     guess is read."""
-    for i_set in _independent_sets_upto(adj2, universe, k):
+    for i_set, _ in _independent_sets_with_neighbourhoods(adj2, universe, k):
         members = list(bits(i_set))
         x_mask = 0
         for ii, u in enumerate(members):
@@ -427,48 +438,6 @@ def _guesses(adj2, universe: int, k: int):
             combo = _AtomChoice(adj2, universe, x_mask, k_v)
             for j1 in range(1 << len(k_v)):
                 yield _Guess(combo, j1)
-
-
-class _GuessPlan:
-    """The guesses of ``find_separator`` on one closure graph and what the
-    checks found about them, for every side.
-
-    ``built`` holds the guesses read so far, in the order ``_guesses``
-    yields them; a call that stops early builds no more than it reads.
-    ``split`` maps each separator tried to the components of the Gaifman
-    graph without it.
-    """
-
-    def __init__(self, h: Hypergraph, adj2, k: int):
-        self.gaif = h.gaifman_adj()
-        self.universe = h.vertex_mask
-        self.built: list[_Guess] = []
-        self.pending = _guesses(adj2, self.universe, k)
-        self.split: dict[int, list[int]] = {}
-
-    def guess(self, i: int) -> Optional[_Guess]:
-        """Guess i, built now if no call has read it yet; None past the
-        last one.  Calls read the guesses in order, from guess 0."""
-        if i == len(self.built):
-            got = next(self.pending, None)
-            if got is None:
-                return None
-            self.built.append(got)
-        return self.built[i]
-
-    def separates(self, sep: int, a: int, b: int) -> bool:
-        """S separates A from B: A cap B inside S, and no component of the
-        Gaifman graph minus S meets both."""
-        if a & b & ~sep:
-            return False
-        comps = self.split.get(sep)
-        if comps is None:
-            comps = self.split[sep] = list(
-                _components(self.gaif, self.universe & ~sep))
-        for comp in comps:
-            if comp & a and comp & b:
-                return False
-        return True
 
 
 class _AtomChoice:
@@ -540,24 +509,12 @@ class _Guess:
 # balanced split and the recursive decomposition
 
 
-@dataclass(frozen=True)
-class SplitResult:
-    a: int = 0
-    b: int = 0
-    separator: int = 0
-    refutation: Optional[str] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.refutation is None
-
-
 def balanced_split(h: Hypergraph, w: int, k: int, m: WellBehavedMeasure,
-                   r: int) -> SplitResult:
-    """Partition (A,B) of W plus an (A,B)-separator S with lambda(S) bounded
-    by C(k+1,2)*k and lambda(A\\S), lambda(B\\S) at most (2/3)r + k; or the
-    refutation lambda-tw(H) > k.  Measures are ints, so the side bound is
-    decided at its floor."""
+                   r: int) -> Optional[tuple[int, int, int]]:
+    """(A, B, S): a partition (A,B) of W plus an (A,B)-separator S with
+    lambda(S) bounded by C(k+1,2)*k and lambda(A\\S), lambda(B\\S) at most
+    (2/3)r + k; or None, the refutation lambda-tw(H) > k.  Measures are
+    ints, so the side bound is decided at its floor."""
     if k < 1:
         raise InputError("k must be at least 1")
     if w & ~h.vertex_mask:
@@ -581,10 +538,10 @@ def balanced_split(h: Hypergraph, w: int, k: int, m: WellBehavedMeasure,
             cg = closure(h, k, m)
         res = find_separator(cg, a, b)
         if res.ok:
-            return SplitResult(a=a, b=b, separator=res.separator)
+            return a, b, res.separator
         if res.refutation == "lambda-tw exceeded":
-            return SplitResult(refutation="lambda-tw exceeded")
-    return SplitResult(refutation="lambda-tw exceeded")
+            return None
+    return None
 
 
 def width_bound(k: int) -> int:
@@ -673,53 +630,48 @@ def approx_decomposition(h: Hypergraph, k: int, m: WellBehavedMeasure):
         raise InputError("k must be at least 1")
     big_k = _big_k(k)
     if m.decide(h, h.vertex_mask, big_k):
-        return TreeDecomposition([h.vertex_mask], [])
+        return single_bag(h)
     eliminated = _min_fill_elimination(h, k, m)
     if eliminated is not None:
         return elimination_tree(*eliminated)
-    out = _recurse(h, k, m, 0, big_k)
-    if isinstance(out, Refutation):
-        return out
-    td, _ = out
-    return td
+    return _recurse(h, k, m, 0, big_k)
 
 
 def _recurse(h: Hypergraph, k: int, m: WellBehavedMeasure, w: int,
              big_k: int):
-    """Returns (TreeDecomposition, index of a bag containing w) or Refutation."""
+    """A TreeDecomposition whose bag 0 contains w, or a Refutation."""
     full = h.vertex_mask
     if m.decide(h, full, big_k):
-        return TreeDecomposition([full], []), 0
+        return single_bag(h)
     wstar, overshoot = _grow_wstar(h, m, w, big_k)
     if overshoot:
         # a single vertex has unbounded measure; no decomposition of width k
         return Refutation()
     split = balanced_split(h, wstar, k, m, r=big_k)
-    if not split.ok:
+    if split is None:
         return Refutation()
-    sep = split.separator
+    a, b, sep = split
     gaif = h.gaifman_adj()
     v1 = 0
     for comp in _components(gaif, full & ~sep):
-        if comp & split.a:
+        if comp & a:
             v1 |= comp
     v2 = full & ~(v1 | sep)
     root_bag = wstar | sep
     bags = [root_bag]
     tree = []
-    for vi, ai in ((v1, split.a), (v2, split.b)):
+    for vi, ai in ((v1, a), (v2, b)):
         if vi & ~ai == 0:
             continue
         # a separator keeps A and B in different components, so
         # Ai + S lies inside Vi + S
         sub, remap = induced(h, vi | sep)
-        out = _recurse(sub, k, m, _remap_mask(ai | sep, remap), big_k)
-        if isinstance(out, Refutation):
-            return out
-        td, attach = out
+        td = _recurse(sub, k, m, _remap_mask(ai | sep, remap), big_k)
+        if isinstance(td, Refutation):
+            return td
         offset = len(bags)
         back = list(bits(vi | sep))
         bags.extend(_remap_mask(bmask, back) for bmask in td.bags)
         tree.extend((x + offset, y + offset) for x, y in td.tree_edges)
-        tree.append((0, attach + offset))
-    return TreeDecomposition(bags, tree), 0
+        tree.append((0, offset))
+    return TreeDecomposition(bags, tree)

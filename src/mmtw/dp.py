@@ -3,9 +3,9 @@ blocker.
 
 A problem plugs into ``run_dp`` as a BlockerReadable: tables are indexed by
 p-tuples of traces of maximal independent sets, and the four operations
-(leaf initialisation from i(H), restriction to a smaller base, adding an
-isolated vertex, and merging across a separator) are enough to evaluate the
-root table of any valid decomposition.  Three instances are provided:
+(leaf initialisation from i(H), restriction to a smaller base, adding
+isolated vertices, and merging across a separator) are enough to evaluate
+the root table of any valid decomposition.  Three instances are provided:
 maximum weighted independent set, k-colouring and uniform hypergraph
 homomorphism.  All vertex sets are ambient bitmasks of the input hypergraph.
 
@@ -82,10 +82,13 @@ class _BagCopy:
 class BlockerReadable:
     """Operational contract of a function that can be read from the blocker.
 
-    ``merge`` receives the member masks of tr_S(i(H)) for the merged
-    subtree when ``reads_trace`` is true, and ``None`` when it is false; a
-    problem that never looks at the trace sets it to false and spares
-    ``run_dp`` the blocker-trace computation.
+    ``leaf_init`` builds the table of H[s] from its maximal independent
+    sets, ``restrict`` the table over the smaller base ``s``, and
+    ``add_isolated`` the table with the vertices of the mask ``vs`` added to
+    the base, each isolated and outside it.  ``merge`` receives the member
+    masks of tr_S(i(H)) for the merged subtree when ``reads_trace`` is true,
+    and ``None`` when it is false; a problem that never looks at the trace
+    sets it to false and spares ``run_dp`` the blocker-trace computation.
     """
 
     reads_trace: bool = True
@@ -93,10 +96,10 @@ class BlockerReadable:
     def leaf_init(self, mis: list[int], s: int):
         raise NotImplementedError
 
-    def restrict(self, table, s_old: int, s_new: int):
+    def restrict(self, table, s: int):
         raise NotImplementedError
 
-    def add_isolated(self, table, s: int, v: int):
+    def add_isolated(self, table, vs: int):
         raise NotImplementedError
 
     def merge(self, trace: frozenset[int] | None, t1, t2, s: int):
@@ -128,7 +131,7 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
                 seen.add(nb)
                 parent[nb] = node
                 order.append(nb)
-    children = [[] for _ in range(k)]
+    children = [[] for _ in range(k)]   # each in increasing order
     for node in range(1, k):
         children[parent[node]].append(node)
 
@@ -149,12 +152,11 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
             for c in children[node]:
                 xmask |= subtree_v[c]
             copy = _BagCopy(h, xmask, bag)
-        for c in sorted(children[node]):
-            tbl = f.restrict(tables.pop(c), t.bags[c], bag & t.bags[c])
-            s = bag & t.bags[c]
-            for v in bits(bag & ~t.bags[c]):
-                tbl = f.add_isolated(tbl, s, v)
-                s |= 1 << v
+        for c in children[node]:
+            tbl = f.restrict(tables.pop(c), bag & t.bags[c])
+            missing = bag & ~t.bags[c]
+            if missing:
+                tbl = f.add_isolated(tbl, missing)
             acc_v |= subtree_v[c]
             trace = None
             if f.reads_trace:
@@ -167,7 +169,7 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
             _check_table(acc, node, table_cap)
         subtree_v[node] = acc_v
         tables[node] = acc
-    return f.restrict(tables[0], t.bags[0], 0)
+    return f.restrict(tables[0], 0)
 
 
 def _check_table(table, node: int, table_cap: int):
@@ -199,17 +201,17 @@ class MwisDP(BlockerReadable):
         # the leaf sets are distinct, so each is its own key
         return {j: (self.wsum(j), j) for j in mis}
 
-    def restrict(self, table, s_old, s_new):
+    def restrict(self, table, s):
         out = {}
         for a, (val, wit) in table.items():
-            key = a & s_new
+            key = a & s
             if key not in out or out[key][0] < val:
                 out[key] = (val, wit)
         return out
 
-    def add_isolated(self, table, s, v):
-        bv = 1 << v
-        return {a | bv: (val + self.w[v], wit | bv)
+    def add_isolated(self, table, vs):
+        wv = self.wsum(vs)
+        return {a | vs: (val + wv, wit | vs)
                 for a, (val, wit) in table.items()}
 
     def merge(self, trace, t1, t2, s):
@@ -358,12 +360,11 @@ class CoverDP(BlockerReadable):
         return sorted(set(out), key=lambda t: sum(x.bit_count() for x in t),
                       reverse=True)
 
-    def restrict(self, table, s_old, s_new):
-        return self._compress(tuple(a & s_new for a in t) for t in table)
+    def restrict(self, table, s):
+        return self._compress(tuple(a & s for a in t) for t in table)
 
-    def add_isolated(self, table, s, v):
-        bv = 1 << v
-        return [tuple(a | bv for a in t) for t in table]
+    def add_isolated(self, table, vs):
+        return [tuple(a | vs for a in t) for t in table]
 
     def merge(self, trace, t1, t2, s):
         out = []

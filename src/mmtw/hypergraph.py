@@ -248,18 +248,14 @@ def delete(c: Clutter, v: int) -> Clutter:
     """C \\ v: drop edges containing v, remove v from the universe."""
     if not 0 <= v < c.n:
         raise InputError(f"unknown vertex {v}")
-    bv = 1 << v
-    remap = removal_remap(c.n, bv)
-    return Clutter(c.n - 1, (_remap_mask(e, remap) for e in c.edges if not e & bv))
+    return minor(c, 1 << v, 0)
 
 
 def contract(c: Clutter, v: int) -> Clutter:
     """C / v: remove v from every edge and re-minimalize."""
     if not 0 <= v < c.n:
         raise InputError(f"unknown vertex {v}")
-    bv = 1 << v
-    remap = removal_remap(c.n, bv)
-    return Clutter(c.n - 1, _minimal_masks(_remap_mask(e & ~bv, remap) for e in c.edges))
+    return minor(c, 0, 1 << v)
 
 
 def minor(c: Clutter, deleted: int, contracted: int) -> Clutter:

@@ -129,7 +129,9 @@ def _rho_below(h: Hypergraph, s: int, best: int):
     of each pick), since each of those needs an edge of its own.  The
     search keeps its own stack of (uncovered, edges used) branches.
     """
-    rank = max((e.bit_count() for e in h.edges), default=1)
+    # at least 1, so that the bound below divides by a positive size when
+    # every edge is empty
+    rank = max([1, *(e.bit_count() for e in h.edges)])
     covered = 0
     through = [[] for _ in range(h.n)]   # the edges through v, in order
     span = [0] * h.n   # span[v]: the union of the edges through v

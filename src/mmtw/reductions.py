@@ -76,10 +76,10 @@ def line_square(g: Graph) -> LineSquare:
 
 
 def line_square_pullback(x: LineSquare, t: TreeDecomposition
-                         ) -> tuple[TreeDecomposition, int]:
+                         ) -> TreeDecomposition:
     """Bags S_t = vertices of G all of whose incident edges lie in B_t.
 
-    Isolated vertices of G are appended to bag 0; the returned mask flags them.
+    Isolated vertices of G are appended to bag 0.
     """
     g = x.original
     incident = [0] * g.n
@@ -98,7 +98,7 @@ def line_square_pullback(x: LineSquare, t: TreeDecomposition
                 s_t |= 1 << v
         bags.append(s_t)
     bags[0] |= isolated
-    return TreeDecomposition(bags, t.tree_edges), isolated
+    return TreeDecomposition(bags, t.tree_edges)
 
 
 def approximate_mu_tw(g: Graph, k: int):
@@ -110,5 +110,4 @@ def approximate_mu_tw(g: Graph, k: int):
     out = approx_decomposition(ls.line, k, ALPHA)
     if isinstance(out, Refutation):
         return Refutation("mu-tw exceeds k")
-    td, _ = line_square_pullback(ls, out)
-    return td
+    return line_square_pullback(ls, out)

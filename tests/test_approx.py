@@ -7,8 +7,8 @@ import pytest
 
 from mmtw import approx
 from mmtw._bits import bits, mask_of, reach
-from mmtw.approx import (Refutation, SeparatorResult, TwoSatFormula,
-                         _big_k, _independent_sets_upto,
+from mmtw.approx import (Refutation, SeparatorResult, _big_k,
+                         _independent_sets_with_neighbourhoods,
                          _min_fill_elimination, _recurse, atoms,
                          balanced_split, closure, find_separator,
                          approx_decomposition, two_sat_solve, width_bound)
@@ -73,15 +73,14 @@ def test_atoms_cover_and_no_clique_cutset():
 
 def test_two_sat():
     # (x0 or x1) and (not x0 or x1) forces x1
-    f = TwoSatFormula(2, [((0, True), (1, True)), ((0, False), (1, True))], [])
-    model = two_sat_solve(f)
+    model = two_sat_solve(
+        2, [((0, True), (1, True)), ((0, False), (1, True))], [])
     assert model is not None and model[1] is True
     # contradiction: x0 and not x0
-    g = TwoSatFormula(1, [((0, True), (0, True)), ((0, False), (0, False))], [])
-    assert two_sat_solve(g) is None
+    assert two_sat_solve(
+        1, [((0, True), (0, True)), ((0, False), (0, False))], []) is None
     # forced literal conflicts with a clause
-    h = TwoSatFormula(1, [((0, False), (0, False))], [0])
-    assert two_sat_solve(h) is None
+    assert two_sat_solve(1, [((0, False), (0, False))], [0]) is None
 
 
 def test_find_separator_soundness():
@@ -124,18 +123,18 @@ def test_balanced_split_contract():
         w = rng.getrandbits(n) or 1
         r = max(ALPHA.value(g, w), 3 * k)
         out = balanced_split(g, w, k, ALPHA, r)
-        if not out.ok:
+        if out is None:
             val, _ = lambda_tw_exact(g, lambda m: ALPHA.value(g, m))
             assert val > k
         else:
             from fractions import Fraction
             cap = Fraction(2, 3) * r + k
-            s = out.separator
-            assert out.a | out.b == w and out.a & out.b == 0
-            assert ALPHA.value(g, out.a & ~s) <= cap
-            assert ALPHA.value(g, out.b & ~s) <= cap
+            a, b, s = out
+            assert a | b == w and a & b == 0
+            assert ALPHA.value(g, a & ~s) <= cap
+            assert ALPHA.value(g, b & ~s) <= cap
             assert ALPHA.value(g, s) <= k * k * (k + 1) // 2
-            assert _separates(g.gaifman_adj(), n, s, out.a & ~s, out.b & ~s)
+            assert _separates(g.gaifman_adj(), n, s, a & ~s, b & ~s)
 
 
 def _independent_sets_eager(adj, universe, size):
@@ -164,14 +163,21 @@ def test_independent_sets_match_eager_reference():
         g = random_graph(rng, n, rng.uniform(0.1, 0.7))
         universe = rng.getrandbits(n) if rng.random() < 0.5 else g.vertex_mask
         for size in range(0, 5):
-            assert list(_independent_sets_upto(g.adj, universe, size)) == \
+            got = list(_independent_sets_with_neighbourhoods(
+                g.adj, universe, size))
+            assert [i_set for i_set, _ in got] == \
                 _independent_sets_eager(g.adj, universe, size)
+            for i_set, closed in got:
+                assert closed == mask_of(
+                    u for v in bits(i_set) for u in range(n)
+                    if u == v or (g.adj[v] >> u) & 1)
 
 
 def test_independent_sets_are_lazy_and_iterative():
     p = path_graph(1200)
-    first = list(islice(_independent_sets_upto(p.adj, p.vertex_mask, 1200),
-                        5000))
+    first = [i_set for i_set, _ in islice(
+        _independent_sets_with_neighbourhoods(p.adj, p.vertex_mask, 1200),
+        5000)]
     assert len(first) == 5000
     assert first[600] == sum(1 << v for v in range(0, 1200, 2))
 
@@ -195,7 +201,7 @@ def test_balanced_split_builds_closure_once_and_tries_each_side_once(
     g = path_graph(30)
     # this W and r make the split reject 8 sides before it finds one
     out = balanced_split(g, 0x3E04C310, 1, ALPHA, 5)
-    assert out.ok
+    assert out is not None
     assert len(built) == 1
     assert len(sides) == len(set(sides)) == 9
 
@@ -204,7 +210,8 @@ def _find_separator_reference(h, a, b, k, m):
     """Reference: every guess (I, K_v, J1) built from scratch, with the
     clauses and forced set in the order ``find_separator`` gives them."""
     adj2 = closure(h, k, m).adj
-    for i_set in _independent_sets_upto(adj2, h.vertex_mask, k):
+    for i_set, _ in _independent_sets_with_neighbourhoods(
+            adj2, h.vertex_mask, k):
         members = list(bits(i_set))
         x_mask = 0
         for u, v in combinations(members, 2):
@@ -249,8 +256,8 @@ def _find_separator_reference(h, a, b, k, m):
                             for km in k_v
                             for u, v in combinations(bits(km), 2)
                             if not (adj2[u] >> v) & 1]
-                model = two_sat_solve(TwoSatFormula(
-                    len(var_of), clauses, {var_of[u] for u in bits(bad)}))
+                model = two_sat_solve(len(var_of), clauses,
+                                      {var_of[u] for u in bits(bad)})
                 if model is None:
                     continue
                 s_prime = sum(1 << v for v, i in var_of.items() if model[i])
@@ -328,11 +335,12 @@ def test_balanced_split_builds_atoms_once_per_independent_set(monkeypatch):
     g = _caterpillar(10, [3, 6, 7, 8, 9])
     # this W and r make the split try 5 sides on one closure
     out = balanced_split(g, 0x3D7F, 1, ALPHA, 5)
-    assert out.ok
+    assert out is not None
     assert len(sides) == 5
     # with k = 1 each I has one member, so one atoms call per I
     cg = closure(g, 1, ALPHA)
-    sets = list(_independent_sets_upto(cg.adj, g.vertex_mask, 1))
+    sets = list(_independent_sets_with_neighbourhoods(
+        cg.adj, g.vertex_mask, 1))
     assert len(built) <= len(sets) - 1
 
 
@@ -635,7 +643,6 @@ def test_recursion_alone_on_paths_cycles_grids_and_chains():
                 val, _ = lambda_tw_exact(h, lambda s: m.value(h, s))
                 assert val > k
             continue
-        td, _ = out
-        assert validate(h, td)
-        assert width(h, td, m.name).width <= width_bound(k)
+        assert validate(h, out)
+        assert width(h, out, m.name).width <= width_bound(k)
     assert recursed >= 15 and refuted >= 4

@@ -231,6 +231,20 @@ def test_rho_width_of_a_long_path_bag(files, capsys):
     assert json.loads(out)["width"] == 600
 
 
+def test_rho_with_only_an_empty_edge(files, capsys):
+    # vertex 1 lies in no edge, so rho(V) is infinite and decompose refutes;
+    # an empty bag has rho 0
+    hg = files("empty-edge.hg", "p hg 1 1\ne\n")
+    code, out, err = run(capsys, "decompose", "-k", "1", "--measure", "rho",
+                         hg)
+    assert code == 10 and "lambda-tw exceeds k" in out
+    assert "Traceback" not in err
+    td = files("empty-bag.td", "s td 2 1 1\nb 1 1\nb 2\n1 2\n")
+    code, out, _ = run(capsys, "width", hg, td, "--measure", "rho", "--json")
+    assert code == 0
+    assert json.loads(out)["per_bag"] == ["inf", 0]
+
+
 def test_covering_solves_ignore_the_trace_caps(files, capsys):
     # nodes/depth bound the blocker trace, which only mwis reads
     c5 = cycle_graph(5)

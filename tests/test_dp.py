@@ -163,8 +163,8 @@ def test_restrict_composes():
         s1 = rng.getrandbits(n) & full
         s2 = s1 & rng.getrandbits(n)
         tab = _leaf_table(h, dp, full)
-        a = dp.restrict(dp.restrict(tab, full, s1), s1, s2)
-        b = dp.restrict(tab, full, s2)
+        a = dp.restrict(dp.restrict(tab, s1), s2)
+        b = dp.restrict(tab, s2)
         assert {k: v[0] for k, v in a.items()} == {k: v[0] for k, v in b.items()}
 
 
@@ -179,9 +179,8 @@ def test_add_isolated_commutes_with_restrict():
         s1 = rng.getrandbits(n) & full
         v = n  # a fresh vertex, disjoint from the restriction
         tab = _leaf_table(h, dp, full)
-        a = dp.add_isolated(dp.restrict(tab, full, s1), s1, v)
-        b = dp.restrict(dp.add_isolated(tab, full, v), full | (1 << v),
-                        s1 | (1 << v))
+        a = dp.add_isolated(dp.restrict(tab, s1), 1 << v)
+        b = dp.restrict(dp.add_isolated(tab, 1 << v), s1 | (1 << v))
         assert {k: v[0] for k, v in a.items()} == {k: v[0] for k, v in b.items()}
 
 
@@ -392,7 +391,7 @@ def test_mwis_merge_matches_per_pair_formula():
         tabs = []
         for part in (v1, v2):
             mis = sorted(enumerate_mis(h, part, DEFAULT_TABLE_CAP))
-            tabs.append(dp.restrict(dp.leaf_init(mis, part), part, s))
+            tabs.append(dp.restrict(dp.leaf_init(mis, part), s))
         if it % 3 == 0:
             trace = frozenset(a1 & a2 for a1 in tabs[0] for a2 in tabs[1]
                               if rng.random() < 0.6)

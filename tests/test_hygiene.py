@@ -1,6 +1,7 @@
 """Source hygiene that no installed linter checks: every name a module of
-``mmtw`` imports is used in that module, and every function of ``mmtw``
-that calls itself is listed with what bounds its depth."""
+``mmtw`` imports is used in that module, every function of ``mmtw`` that
+calls itself is listed with what bounds its depth, and every parameter that
+a function of ``mmtw`` never reads is listed with why it is kept."""
 
 import ast
 from pathlib import Path
@@ -89,3 +90,66 @@ def test_every_recursive_function_is_listed_with_its_depth_bound():
              for path in sorted(SRC.glob("*.py"))
              for name in self_calls(path.read_text(encoding="utf-8"))}
     assert found == set(RECURSIVE)
+
+
+# Each parameter of a function of mmtw that its body never reads, with why
+# it is kept.  An entry names a parameter, or a function or class whose
+# parameters all stay unread.
+UNREAD = {
+    "dp.BlockerReadable":
+        "the interface stubs, which only raise NotImplementedError",
+    "dp.MwisDP.leaf_init.s":
+        "the interface passes the bag; the leaf sets already lie in it",
+    "dp.CoverDP.merge.trace":
+        "the interface passes the trace; CoverDP sets reads_trace false",
+    "measures._kappa.h": "every measure takes (h, s); kappa reads |S| alone",
+    "oracles._separates.n": "reference code, which its test callers pass n",
+}
+
+
+def unread_parameters(source: str) -> list[str]:
+    """Qualified names ``function.parameter`` of the parameters of the
+    functions of ``source`` (``self`` and ``cls`` aside) that the body
+    never reads, nested functions included."""
+    found = []
+
+    def visit(node, prefix: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = [a for a in (*args.posonlyargs, *args.args,
+                                      args.vararg, *args.kwonlyargs,
+                                      args.kwarg) if a]
+                read = {n.id for n in ast.walk(child)
+                        if isinstance(n, ast.Name)
+                        and isinstance(n.ctx, ast.Load)}
+                found.extend(f"{prefix}{child.name}.{a.arg}" for a in params
+                             if a.arg not in ("self", "cls")
+                             and a.arg not in read)
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_unread_parameters_are_caught():
+    source = ("def f(a, b, *rest, c=1, **kw):\n    return a + len(kw)\n"
+              "class C:\n    def m(self, x, y):\n        def g(z):\n"
+              "            return x\n        y = 2\n        return g\n")
+    assert unread_parameters(source) == [
+        "f.b", "f.rest", "f.c", "C.m.y", "C.m.g.z"]
+
+
+def test_every_unread_parameter_is_listed_with_its_reason():
+    found = [f"{path.stem}.{name}"
+             for path in sorted(SRC.glob("*.py"))
+             for name in unread_parameters(path.read_text(encoding="utf-8"))]
+    covers = [(key, name) for key in UNREAD for name in found
+              if name == key or name.startswith(key + ".")]
+    assert sorted(set(found) - {name for _, name in covers}) == []
+    # and no entry outlives the parameters it names
+    assert sorted(set(UNREAD) - {key for key, _ in covers}) == []

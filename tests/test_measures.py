@@ -14,7 +14,8 @@ from mmtw.hypergraph import Graph, Hypergraph, gaifman, induced
 from mmtw.measures import (ALPHA, BAG_MEASURES, MEASURES, MU, RHO,
                            alpha_decide, alpha_set, get_measure,
                            induced_matching_intersecting,
-                           minor_matching_intersecting, rho_set)
+                           minor_matching_intersecting, rho_decide,
+                           rho_set)
 from mmtw.oracles import mwis_bruteforce, rho_bruteforce
 
 
@@ -100,6 +101,15 @@ def test_rho_uncoverable_is_math_inf():
     h = Hypergraph(3, [0b011])
     assert RHO.value(h, 0b100) is math.inf
     assert RHO.value(h, 0b011) == 1
+
+
+def test_rho_of_the_empty_set_when_every_edge_is_empty():
+    # the largest edge has size 0; the empty set is covered by no edge
+    h = Hypergraph(3, [0])
+    assert rho_set(h, 0) == 0
+    assert rho_decide(h, 0, 0)
+    assert rho_set(h, 0b001) is math.inf
+    assert not rho_decide(h, 0b001, 3)
 
 
 @pytest.mark.parametrize("name", list(BAG_MEASURES))
