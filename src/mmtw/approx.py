@@ -6,6 +6,9 @@ lambda-width at most 2k^3 + 2k^2 + 3k + 3 or correctly concludes that
 lambda-tw(H) > k.  The machinery: a saturated "closure" supergraph of the
 Gaifman graph, clique-separator atoms from a minimal triangulation, a 2-SAT
 driven (A,B)-separator search, and a balanced split of a working set W.
+One walk, ``_bits.reach``, serves the components, the atoms, the
+separator checks, the sides of a split in ``_recurse`` and the 2-SAT
+solver, an implication closure (``two_sat_solve``).
 When V is too large for one bag, a min-fill elimination (Bodlaender and
 Koster, "Treewidth computations I. Upper bounds", 2010) is tried first and
 answers if each of its bags has measure at most k; the recursion runs only
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
-from ._bits import bits, reach
+from ._bits import bits, mask_of, reach
 from .decomposition import (TreeDecomposition, elimination_tree, eliminate,
                             single_bag)
 from .errors import InputError, ResourceError
@@ -214,85 +217,50 @@ def atoms(adj, universe: int) -> list[int]:
 def two_sat_solve(n: int, clauses, forced_true) -> Optional[list[bool]]:
     """A satisfying assignment of the clauses over variables 0..n-1 with
     every variable of ``forced_true`` true, or None.  A clause is a pair of
-    literals, and a literal a (variable, polarity) pair."""
-    for var, _ in (lit for cl in clauses for lit in cl):
-        if not 0 <= var < n:
+    literals, and a literal a (variable, polarity) pair.
+
+    Even, Itai and Shamir's implication closure ("On the complexity of
+    timetable and multicommodity flow problems", SIAM J. Comput. 1976) on
+    ``reach``: literal 2v is v true and 2v + 1 is v false, and a clause
+    (a or b) gives the implications not a -> b and not b -> a.  The closure
+    of the forced literals is set first; then each variable v not yet set
+    takes the closure of v, or else of not v, whichever holds no
+    complementary pair (None if both fail).  A closure never negates a
+    literal l already set: v -> not l is l -> not v, and the set literals
+    are closed, so v would be set.
+
+    Exact.  A consistent closure satisfies every clause it touches, since a
+    false literal of a clause implies the other one, which is then in the
+    closure too; every variable ends in some closure, so the answer is a
+    model.  None is right too.  Let T be the literals set so far, and some
+    model make T true.  If the closure C of v (or not v) is consistent,
+    that model changed to make C true still satisfies the clauses, as C
+    satisfies those it touches and leaves the others alone, and makes T
+    and C true.  If both closures fail, no model makes T true: a model
+    makes v or not v true, and with it every literal of that closure.
+    """
+    adj = [0] * (2 * n)
+    for a, b in clauses:
+        if not (0 <= a[0] < n and 0 <= b[0] < n):
             raise InputError("clause references an undeclared variable")
-    # implication graph: node 2v = v true, 2v+1 = v false
-    size = 2 * n
-    graph: list[list[int]] = [[] for _ in range(size)]
-
-    def node(var: int, pol: bool) -> int:
-        return 2 * var + (0 if pol else 1)
-
-    def add_clause(a, b):
-        # (a or b): not a -> b, not b -> a
-        graph[node(a[0], not a[1])].append(node(*b))
-        graph[node(b[0], not b[1])].append(node(*a))
-
-    for cl in clauses:
-        add_clause(cl[0], cl[1])
-    for v in forced_true:
-        add_clause((v, True), (v, True))
-
-    comp = _tarjan_scc(graph)
-    assignment = []
+        la, lb = 2 * a[0] + (not a[1]), 2 * b[0] + (not b[1])
+        adj[la ^ 1] |= 1 << lb
+        adj[lb ^ 1] |= 1 << la
+    odd = ((1 << 2 * n) - 1) // 3 << 1   # the negative literals
+    true = reach(adj, mask_of(2 * v for v in forced_true), -1)
+    if true & odd & (true << 1):
+        return None
     for v in range(n):
-        if comp[2 * v] == comp[2 * v + 1]:
-            return None
-        # reverse topological order: larger comp id first; literal whose
-        # component comes later in topological order is set true
-        assignment.append(comp[2 * v] < comp[2 * v + 1])
-    return assignment
-
-
-def _tarjan_scc(graph) -> list[int]:
-    """Component ids in reverse topological order (sources get larger ids)."""
-    n = len(graph)
-    index = [0] * n
-    low = [0] * n
-    comp = [-1] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 1
-    ncomp = 0
-
-    for root in range(n):
-        if index[root]:
+        if (true >> 2 * v) & 3:
             continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(graph[v])):
-                w = graph[v][i]
-                if not index[w]:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
-    return comp
+        for lit in (2 * v, 2 * v + 1):
+            closed = reach(adj, 1 << lit, -1)
+            if not closed & odd & (closed << 1):
+                true |= closed
+                break
+        else:
+            return None
+    return [bool((true >> 2 * v) & 1) for v in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -651,11 +619,8 @@ def _recurse(h: Hypergraph, k: int, m: WellBehavedMeasure, w: int,
     if split is None:
         return Refutation()
     a, b, sep = split
-    gaif = h.gaifman_adj()
-    v1 = 0
-    for comp in _components(gaif, full & ~sep):
-        if comp & a:
-            v1 |= comp
+    # V1: the components of the Gaifman graph minus S that meet A
+    v1 = reach(h.gaifman_adj(), a, full & ~sep)
     v2 = full & ~(v1 | sep)
     root_bag = wstar | sep
     bags = [root_bag]

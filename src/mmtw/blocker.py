@@ -60,7 +60,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._bits import bits
 from .errors import InputError, ResourceError
 from .hypergraph import Hypergraph, TraceFamily, _minimal_masks
 
@@ -189,7 +188,10 @@ class _Brancher:
         T must be a ∪ T0 with T0 outside S: T0 has to hit every edge missing
         a, and each vertex of a needs a private edge avoiding T0.  Such an
         edge meets a in that vertex alone, so a vertex of a with no edge e
-        where e ∩ a = {v} answers None before any search.
+        where e ∩ a = {v} answers None before any search.  Each vertex of a
+        minimal transversal T0 of the rest keeps its private edge in
+        a ∪ T0, since those edges avoid a and T0 lies outside S; so
+        ``_is_minimal_transversal`` decides each candidate by what a needs.
         """
         s = self.s
         alone = 0
@@ -207,13 +209,7 @@ class _Brancher:
         if alone != a:
             return None
         for t0 in _berge(_minimal_masks(rest)):
-            ok = True
-            for v in bits(a):
-                bv = 1 << v
-                if not any(e & a == bv and not e & t0 for e in edges):
-                    ok = False
-                    break
-            if ok:
+            if _is_minimal_transversal(a | t0, edges):
                 return a | t0
         return None
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ._bits import bits
+from .blocker import _closed_neighbourhood
 from .errors import InputError, ResourceError
 from .hypergraph import Hypergraph, _minimal_masks
 
@@ -208,11 +209,22 @@ def induced_matching_intersecting(g: Hypergraph, s: int) -> int:
 def minor_matching_intersecting(h: Hypergraph, s: int) -> int:
     """mu_H(S): the largest matching minor of cl(H) with every edge meeting S.
 
-    Exhaustive delete/contract/keep search over vertices, memoized on the
-    partially reduced clutter.  Exact, exponential; meant for desk scale.
+    Exhaustive delete/contract/keep search over the vertices of N[S], S
+    plus every edge meeting it (``blocker._closed_neighbourhood``), on the
+    edges inside N[S] alone; memoized on the partially reduced clutter.
+    Exact, exponential in |N[S]|; meant for desk scale.
+
+    mu_H(S) = mu_{H[N[S]]}(S).  (>=) Take a matching minor of cl(H) with
+    contracted set C whose every edge f = e_f - C meets S.  Each e_f meets
+    S, so it lies in N[S].  Keep the union of the f, contract the union of
+    the (e_f - f), and delete the rest of N[S]: this gives the same
+    matching inside H[N[S]].  (<=) Deleting every vertex outside N[S]
+    drops every edge that leaves it, so a matching minor of cl(H[N[S]]) is
+    one of cl(H).
     """
-    edges = _minimal_masks(h.edges)
-    n = h.n
+    near = _closed_neighbourhood(h, s, h.vertex_mask)
+    edges = _minimal_masks(e for e in h.edges if not e & ~near)
+    order = list(bits(near))
     best = 0
     steps = 0
     memo: dict[tuple, int] = {}
@@ -227,9 +239,9 @@ def minor_matching_intersecting(h: Hypergraph, s: int) -> int:
             used |= e
         return len(es)
 
-    def search(es: tuple[int, ...], v: int) -> int:
+    def search(es: tuple[int, ...], i: int) -> int:
         nonlocal best, steps
-        key = (es, v)
+        key = (es, i)
         got = memo.get(key)
         if got is not None:
             return got
@@ -239,7 +251,7 @@ def minor_matching_intersecting(h: Hypergraph, s: int) -> int:
         if any(e == 0 for e in es):
             memo[key] = -1
             return -1
-        if v == n:
+        if i == len(order):
             r = final_value(es)
             best = max(best, r)
             memo[key] = r
@@ -247,13 +259,13 @@ def minor_matching_intersecting(h: Hypergraph, s: int) -> int:
         if len(es) == 0:
             memo[key] = 0
             return 0
-        bv = 1 << v
-        # keep v untouched
-        r = search(es, v + 1)
-        # delete v
-        r = max(r, search(tuple(e for e in es if not e & bv), v + 1))
-        # contract v
-        r = max(r, search(_minimal_masks(e & ~bv for e in es), v + 1))
+        bv = 1 << order[i]
+        # keep the vertex untouched
+        r = search(es, i + 1)
+        # delete it
+        r = max(r, search(tuple(e for e in es if not e & bv), i + 1))
+        # contract it
+        r = max(r, search(_minimal_masks(e & ~bv for e in es), i + 1))
         memo[key] = r
         return r
 

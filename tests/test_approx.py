@@ -83,6 +83,43 @@ def test_two_sat():
     assert two_sat_solve(1, [((0, False), (0, False))], [0]) is None
 
 
+def _two_sat_models(n, clauses, forced):
+    """Every assignment of the n variables (bit v: variable v) that sets
+    each forced variable and satisfies every clause."""
+    for model in range(1 << n):
+        if all((model >> v) & 1 for v in forced) and all(
+                any((model >> var) & 1 == pol for var, pol in clause)
+                for clause in clauses):
+            yield model
+
+
+def test_two_sat_matches_exhaustive_search():
+    rng = rng_from_seed(41)
+    sat = 0
+    for _ in range(3000):
+        n = rng.randrange(1, 9)
+        clauses = [tuple((rng.randrange(n), rng.random() < 0.5)
+                         for _ in range(2))
+                   for _ in range(rng.randrange(2 * n + 2))]
+        forced = {v for v in range(n) if rng.random() < 0.15}
+        model = two_sat_solve(n, clauses, forced)
+        assert (model is None) == (
+            next(_two_sat_models(n, clauses, forced), None) is None)
+        if model is not None:
+            sat += 1
+            assert len(model) == n and all(model[v] for v in forced)
+            assert all(any(model[var] == pol for var, pol in clause)
+                       for clause in clauses)
+    assert 1000 < sat < 2900
+    # the closure of x0 holds x1 and not x1, so x0 falls back to false
+    assert two_sat_solve(
+        2, [((0, False), (1, True)), ((0, False), (1, False))], []) == \
+        [False, True]
+    # the closure of x0 holds not x1 alone, which negates the forced x1:
+    # the forced closure sets x0 false before x0's turn
+    assert two_sat_solve(2, [((0, False), (1, False))], [1]) == [False, True]
+
+
 def test_find_separator_soundness():
     rng = rng_from_seed(32)
     for _ in range(60):

@@ -9,8 +9,9 @@ from mmtw.blocker import (BranchCaps, _Brancher, _compose_masks,
 from mmtw.errors import ResourceError
 from mmtw.generate import (path_graph, random_clutter, random_hypergraph,
                            rng_from_seed)
-from mmtw.hypergraph import (Clutter, Hypergraph, _minimal_masks,
-                             blocker_bruteforce, minimalize, trace)
+from mmtw.hypergraph import (Clutter, Hypergraph, _minimal_masks, _remap_mask,
+                             blocker_bruteforce, compose, minimalize,
+                             removal_remap, trace)
 
 
 def brute_trace(h, s):
@@ -239,3 +240,21 @@ def test_compose_masks_matches_the_two_list_formula():
                         _compose_masks_two_lists(c.edges, h, x, z)
                     checked += 1
     assert checked > 500
+
+
+def test_compose_masks_matches_the_clutter_composition():
+    # the brancher's composition keeps the ids of the removed edge h; the
+    # clutter algebra's drops them, so its answer is read after the remap
+    rng = rng_from_seed(17)
+    checked = 0
+    for _ in range(300):
+        c = random_clutter(rng, rng.randrange(2, 10), rng.randrange(1, 8))
+        for h in c.edges:
+            remap = removal_remap(c.n, h)
+            for x in bits(h):
+                for z in bits(h & ~(1 << x)):
+                    got = sorted(_remap_mask(e, remap)
+                                 for e in _compose_masks(c.edges, h, x, z))
+                    assert got == sorted(compose(c, h, x, z).edges)
+                    checked += 1
+    assert checked > 1000

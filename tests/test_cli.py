@@ -231,6 +231,24 @@ def test_rho_width_of_a_long_path_bag(files, capsys):
     assert json.loads(out)["width"] == 600
 
 
+def test_mu_width_of_a_loose_path_searches_each_neighbourhood(files, capsys,
+                                                              monkeypatch):
+    # mu of a bag is searched on H[N[bag]] alone, so on the loose 3-uniform
+    # path with 41 vertices each bag costs what its neighbourhood costs; a
+    # search over all 41 vertices runs past even the default cap
+    monkeypatch.setattr("mmtw.measures.ORACLE_CAP", 1_000)
+    edges = [mask_of((i, i + 1, i + 2)) for i in range(0, 39, 2)]
+    h = Hypergraph(41, edges)
+    hg = files("loose41.hg", serialize_hypergraph(h))
+    tree = [(i, i + 1) for i in range(len(edges) - 1)]
+    td = files("loose41.td", serialize_td(TreeDecomposition(edges, tree), 41))
+    code, out, _ = run(capsys, "width", hg, td, "--measure", "mu", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["width"] == 2
+    assert doc["per_bag"] == [1] + [2] * 18 + [1]
+
+
 def test_rho_with_only_an_empty_edge(files, capsys):
     # vertex 1 lies in no edge, so rho(V) is infinite and decompose refutes;
     # an empty bag has rho 0

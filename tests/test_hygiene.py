@@ -45,7 +45,8 @@ RECURSIVE = {
         "the vertices of N[S] outside S, the only ones branched on (open: "
         "deep neighbourhoods, ROADMAP.md)",
     "measures.minor_matching_intersecting.search":
-        "n, the vertices searched (open: deep inputs, ROADMAP.md)",
+        "|N[S]|, the vertices searched (open: deep neighbourhoods, "
+        "ROADMAP.md)",
     "dp.CoverDP.leaf_init.rec": "the table arity",
     "oracles.chromatic_bruteforce.assign": "n: reference code for small n",
     "oracles.hom_bruteforce.assign": "n: reference code for small n",
