@@ -58,10 +58,9 @@ class ClosureGraph:
     """
 
     def __init__(self, h: Hypergraph, k: int, m: WellBehavedMeasure,
-                 adj: tuple[int, ...], added: tuple[int, ...]):
+                 adj: tuple[int, ...]):
         self.h, self.k, self.m = h, k, m
         self.adj = adj
-        self.added = added  # pair masks, insertion order
         self.built: list[_Guess] = []
         self.pending = _guesses(adj, h.vertex_mask, k)
         self.split: dict[int, list[int]] = {}
@@ -99,7 +98,6 @@ def closure(h: Hypergraph, k: int, m: WellBehavedMeasure) -> ClosureGraph:
     if k < 1:
         raise InputError("k must be at least 1")
     adj = list(h.gaifman_adj())
-    added = []
     fits: dict[int, bool] = {}  # m.decide(h, common, k) per common mask
     changed = True
     while changed:
@@ -115,9 +113,8 @@ def closure(h: Hypergraph, k: int, m: WellBehavedMeasure) -> ClosureGraph:
                 if not fit:
                     adj[u] |= 1 << v
                     adj[v] |= 1 << u
-                    added.append((1 << u) | (1 << v))
                     changed = True
-    return ClosureGraph(h, k, m, tuple(adj), tuple(added))
+    return ClosureGraph(h, k, m, tuple(adj))
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InputError, ResourceError
-from .hypergraph import Hypergraph, TraceFamily, _minimal_masks
+from .hypergraph import Hypergraph, _minimal_masks
 
 DEFAULT_NODE_CAP = 200_000
 
@@ -74,7 +74,7 @@ class BranchCaps:
 
 @dataclass(frozen=True)
 class TraceResult:
-    traces: TraceFamily
+    traces: frozenset[int]
     nodes_explored: int
     max_quasimatching_len: int
 
@@ -350,4 +350,4 @@ def trace_blocker(h: Hypergraph, s: int, caps: BranchCaps = BranchCaps(),
     brancher = _Brancher(s, caps, memo)
     res = brancher.run(_minimal_masks(e for e in h.edges if not e & ~near),
                        0, 0)
-    return TraceResult(TraceFamily(s, res.keys()), brancher.nodes, brancher.max_qm)
+    return TraceResult(frozenset(res), brancher.nodes, brancher.max_qm)

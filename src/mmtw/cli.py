@@ -285,7 +285,7 @@ def _cmd_trace(args, report: _Report) -> None:
                 raise InputError(f"vertex {v} out of range 1..{h.n}")
             s |= 1 << (v - 1)
     res = trace_blocker(h, s, BranchCaps(caps["nodes"], caps["depth"]))
-    members = [sorted(v + 1 for v in bits(a)) for a in res.traces]
+    members = [sorted(v + 1 for v in bits(a)) for a in sorted(res.traces)]
     report.fields["S"] = sorted(v + 1 for v in bits(s))
     report.fields["members"] = members
     report.fields["count"] = len(members)
@@ -297,16 +297,16 @@ def _cmd_solve(args, report: _Report) -> None:
     h = _load_hypergraph(args.hypergraph)
     t = parse_td(_read(args.decomposition))
     caps = _parse_caps(args.caps)
-    tc = BranchCaps(caps["nodes"], caps["depth"])
     if args.problem == "mwis":
-        val, wit = mwis(h, None, t, tc, caps["table"])
+        val, wit = mwis(h, None, t, BranchCaps(caps["nodes"], caps["depth"]),
+                        caps["table"])
         report.fields["problem"] = "mwis"
         report.fields["value"] = val
         report.fields["witness"] = sorted(v + 1 for v in bits(wit))
     elif args.problem == "color":
         if args.k is None:
             raise InputError("color needs -k")
-        ans = chromatic_decide(h, args.k, t, tc, caps["table"])
+        ans = chromatic_decide(h, args.k, t, caps["table"])
         report.fields["problem"] = "color"
         report.fields["k"] = args.k
         report.fields["colorable"] = ans
@@ -316,7 +316,7 @@ def _cmd_solve(args, report: _Report) -> None:
         if not args.target:
             raise InputError("hom needs --target")
         f = _load_hypergraph(args.target)
-        ans = hom_decide(h, f, t, tc, caps["table"])
+        ans = hom_decide(h, f, t, caps["table"])
         report.fields["problem"] = "hom"
         report.fields["homomorphic"] = ans
         if not ans:

@@ -7,13 +7,15 @@ p-tuples of traces of maximal independent sets, and the four operations
 isolated vertices, and merging across a separator) are enough to evaluate
 the root table of any valid decomposition.  Three instances are provided:
 maximum weighted independent set, k-colouring and uniform hypergraph
-homomorphism.  All vertex sets are ambient bitmasks of the input hypergraph.
+homomorphism.  All vertex sets are ambient bitmasks of the input hypergraph;
+a trace is the frozenset of its member masks, and a ``CoverDP`` tuple is one
+int that packs its components.
 
 Only a problem whose merge reads the blocker trace tr_S(i(H)) pays for it:
 ``run_dp`` computes the trace of each merge when the problem's
 ``reads_trace`` is true (MWIS) and passes ``trace=None`` otherwise (the
 covering tables of colouring and homomorphism).  The trace caps therefore
-bound only MWIS runs.
+bound only MWIS runs, and ``chromatic_decide`` and ``hom_decide`` take none.
 
 A trace is local to the bag S: ``blocker.trace_blocker`` branches on the
 closed neighbourhood N_X[S] alone, and its module docstring proves that the
@@ -277,6 +279,10 @@ class CoverDP(BlockerReadable):
     and refilters against the base.  k-colouring is homomorphism to K_k,
     whose maximal independent sets are its k single vertices: incidence
     [[0], ..., [k-1]].
+
+    A tuple is one int, component i shifted by i * |full| bits, so a mask m
+    spread over every component is ``m * ones``, two tuples intersect with
+    one ``&``, and componentwise domination is one ``p & g == p``.
     """
 
     reads_trace = False
@@ -285,16 +291,18 @@ class CoverDP(BlockerReadable):
         self.arity = arity
         self.incidence = incidence
         self.full = full_mask
+        self.shift = full_mask.bit_length()
+        self.ones = sum(1 << (i * self.shift) for i in range(arity))
 
-    def cover(self, tup):
+    def cover(self, p: int) -> int:
         """The vertices that can be sent to some target vertex x: the union
-        over x of the intersection of tup[i] over the i in incidence[x]."""
-        full = self.full
+        over x of the intersection of the components i in incidence[x]."""
+        full, shift = self.full, self.shift
         out = 0
         for idxs in self.incidence:
             c = full
             for i in idxs:
-                c &= tup[i]
+                c &= p >> (i * shift)
             out |= c
             if out == full:
                 break
@@ -303,92 +311,77 @@ class CoverDP(BlockerReadable):
     def _compress(self, tuples):
         """The maximal tuples, largest total size first (ties in set order).
 
-        Each tuple is packed into one int, component i shifted by
-        i * |full| bits, so componentwise domination is one ``p & g == p``.
         A tuple dominated by another has a smaller total size and so meets
         a kept dominator earlier in the order.
         """
-        shift = self.full.bit_length()
-        packed = []
-        for t in set(tuples):
-            p = 0
-            for i, x in enumerate(t):
-                p |= x << (i * shift)
-            packed.append((p.bit_count(), p, t))
-        packed.sort(key=lambda e: e[0], reverse=True)
-        kept: list[tuple[int, ...]] = []
-        kept_p: list[int] = []
-        for _, p, t in packed:
-            for g in kept_p:
+        kept: list[int] = []
+        for p in sorted(set(tuples), key=int.bit_count, reverse=True):
+            for g in kept:
                 if p & g == p:
                     break
             else:
-                kept_p.append(p)
-                kept.append(t)
+                kept.append(p)
         return kept
 
     def leaf_init(self, mis, s):
-        # a depth-first search over mis^arity, one level per component; the
-        # components not yet fixed hold ``full``, so the coverage of a
-        # prefix bounds that of every completion (intersections only shrink)
-        # and a prefix that cannot cover s is cut.  Each target vertex adds
-        # (the rest of its intersection) & row[i], and & distributes over |,
-        # so with row[i] = j the coverage is lo | (hi & j), where lo and hi
-        # are the coverages with row[i] = 0 and row[i] = full
-        out = []
-        full = self.full
-        row = [full] * self.arity
-
-        def rec(i):
-            if i == self.arity:
-                out.append(tuple(row))
-                return
-            row[i] = 0
-            lo = self.cover(row)
-            row[i] = full
-            hi = self.cover(row)
+        # a depth-first walk over mis^arity that fixes one component per
+        # level; the components not yet fixed hold ``full``, so the coverage
+        # of a prefix bounds that of every completion (intersections only
+        # shrink) and a prefix that cannot cover s is cut.  Each target
+        # vertex adds (the rest of its intersection) & component i, and &
+        # distributes over |, so with component i = j the coverage is
+        # lo | (hi & j), where lo and hi are the coverages with component
+        # i = 0 and = full.  hi is the coverage of a prefix already kept (or
+        # of the all-full row), so it holds s, and j is kept iff it holds
+        # s - lo
+        full, last = self.full, self.arity - 1
+        rows = []
+        stack = [(0, full * self.ones)]
+        while stack:
+            i, p = stack.pop()
+            at = i * self.shift
+            free = p & ~(full << at)
+            need = s & ~self.cover(free)
             for j in mis:
-                if (lo | hi & j) & s == s:
-                    row[i] = j
-                    rec(i + 1)
-            row[i] = full
-
-        rec(0)
+                if j & need == need:
+                    if i == last:
+                        rows.append(free | j << at)
+                    else:
+                        stack.append((i + 1, free | j << at))
         # the components are maximal independent sets of H[s], so one tuple
         # dominates another only when they are equal: sorting is all that
         # ``_compress`` would do here
-        return sorted(set(out), key=lambda t: sum(x.bit_count() for x in t),
-                      reverse=True)
+        return sorted(rows, key=int.bit_count, reverse=True)
 
     def restrict(self, table, s):
-        return self._compress(tuple(a & s for a in t) for t in table)
+        spread = s * self.ones
+        return self._compress(p & spread for p in table)
 
     def add_isolated(self, table, vs):
-        return [tuple(a | vs for a in t) for t in table]
+        spread = vs * self.ones
+        return [p | spread for p in table]
 
     def merge(self, trace, t1, t2, s):
         out = []
         for d1 in t1:
             for d2 in t2:
-                c = tuple(a & b for a, b in zip(d1, d2))
+                c = d1 & d2
                 if self.cover(c) & s == s:
                     out.append(c)
         return self._compress(out)
 
 
 def chromatic_decide(h: Hypergraph, k: int, t: TreeDecomposition,
-                     trace_caps: BranchCaps = BranchCaps(),
                      table_cap: int = DEFAULT_TABLE_CAP) -> bool:
     """True iff H has a colouring with k colours and no monochromatic edge."""
     if k < 1:
         raise InputError("k must be positive")
     final = run_dp(h, t, CoverDP(k, [[i] for i in range(k)], h.vertex_mask),
-                   trace_caps, table_cap)
+                   table_cap=table_cap)
     return bool(final)
 
 
 def hom_decide(h: Hypergraph, f: Hypergraph, t: TreeDecomposition,
-               trace_caps: BranchCaps = BranchCaps(),
                table_cap: int = DEFAULT_TABLE_CAP) -> bool:
     """True iff there is a homomorphism from H to F (both r-uniform)."""
     ranks_h = {e.bit_count() for e in h.edges}
@@ -413,5 +406,5 @@ def hom_decide(h: Hypergraph, f: Hypergraph, t: TreeDecomposition,
     incidence = [[i for i, mi in enumerate(target_mis) if (mi >> x) & 1]
                  for x in range(f.n)]
     final = run_dp(h, t, CoverDP(arity, incidence, h.vertex_mask),
-                   trace_caps, table_cap)
+                   table_cap=table_cap)
     return bool(final)

@@ -163,37 +163,6 @@ class Graph(Clutter):
         return g
 
 
-class TraceFamily:
-    """The restriction of a set family to a base set: members are subsets of base."""
-
-    __slots__ = ("base", "members")
-
-    def __init__(self, base: int, members: Iterable[int]):
-        members = frozenset(members)
-        for a in members:
-            if a & ~base:
-                raise InputError("trace member not contained in the base set")
-        self.base = base
-        self.members = members
-
-    def __eq__(self, other):
-        return (isinstance(other, TraceFamily)
-                and self.base == other.base and self.members == other.members)
-
-    def __hash__(self):
-        return hash((self.base, self.members))
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __repr__(self):
-        body = ", ".join("{" + ",".join(map(str, sorted(to_set(a)))) + "}" for a in self)
-        return f"TraceFamily(base={sorted(to_set(self.base))}, members=[{body}])"
-
-
 # ---------------------------------------------------------------------------
 # id remapping for universe-shrinking operations
 
@@ -324,11 +293,6 @@ def compose(c: Clutter, h: int, u: int, v: int) -> Clutter:
     return join(left, right)
 
 
-def trace(family: Iterable[int], s: int) -> TraceFamily:
+def trace(family: Iterable[int], s: int) -> frozenset[int]:
     """tr_S of a family of vertex sets: intersections with S, deduplicated."""
-    return TraceFamily(s, (a & s for a in family))
-
-
-def complement_trace(t: TraceFamily) -> TraceFamily:
-    """Complement every member within the base set (an involution)."""
-    return TraceFamily(t.base, (t.base & ~a for a in t.members))
+    return frozenset(a & s for a in family)

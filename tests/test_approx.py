@@ -41,10 +41,11 @@ def test_closure_fixpoint_and_supergraph():
             assert gaif[v] & ~cg.adj[v] == 0  # never loses edges
         # added edges really have a large-measure common neighborhood
         # (checked on the final closure graph; monotonicity preserves it)
-        for pair in cg.added:
-            u, v = [b for b in range(h.n) if (pair >> b) & 1]
-            common = cg.adj[v] & cg.adj[u] & ~pair
-            assert ALPHA.value(h, common) > k
+        for v in range(h.n):
+            for u in bits(cg.adj[v] & ~gaif[v]):
+                pair = (1 << u) | (1 << v)
+                common = cg.adj[v] & cg.adj[u] & ~pair
+                assert ALPHA.value(h, common) > k
 
 
 def test_atoms_examples():

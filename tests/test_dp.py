@@ -152,9 +152,35 @@ def _leaf_table(h, dp, s):
     return dp.leaf_init(sub_mis, s)
 
 
+def _colouring_table(h, k, full):
+    """A k-colouring CoverDP over the ambient mask ``full``, and its leaf
+    table on the vertices that some independent set of H holds (a vertex
+    of a singleton edge takes no colour)."""
+    dp = CoverDP(k, [[i] for i in range(k)], full)
+    mis = enumerate_mis(h)
+    live = 0
+    for m in mis:
+        live |= m
+    return dp, dp.leaf_init(mis, live)
+
+
+def decode(dp, table):
+    """A CoverDP table as tuples: component i of a packed tuple sits at bit
+    i * |full|."""
+    shift = dp.full.bit_length()
+    return [tuple(p >> (i * shift) & dp.full for i in range(dp.arity))
+            for p in table]
+
+
+def encode(dp, tuples):
+    shift = dp.full.bit_length()
+    return [sum(a << (i * shift) for i, a in enumerate(t)) for t in tuples]
+
+
 def test_restrict_composes():
     rng = rng_from_seed(57)
-    for _ in range(30):
+    covered = 0
+    for it in range(30):
         n = rng.randrange(2, 9)
         h = random_hypergraph(rng, n, rng.randrange(1, n + 2))
         w = random_weights(rng, n, lo=0)
@@ -166,11 +192,20 @@ def test_restrict_composes():
         a = dp.restrict(dp.restrict(tab, s1), s2)
         b = dp.restrict(tab, s2)
         assert {k: v[0] for k, v in a.items()} == {k: v[0] for k, v in b.items()}
+        cdp, tab = _colouring_table(h, it % 3 + 1, full)
+        a = cdp.restrict(cdp.restrict(tab, s1), s2)
+        b = cdp.restrict(tab, s2)
+        assert set(decode(cdp, a)) == set(decode(cdp, b))
+        assert set(decode(cdp, b)) == maximal_reference(
+            tuple(x & s2 for x in t) for t in decode(cdp, tab))
+        covered += bool(tab)
+    assert covered >= 20
 
 
 def test_add_isolated_commutes_with_restrict():
     rng = rng_from_seed(58)
-    for _ in range(30):
+    covered = 0
+    for it in range(30):
         n = rng.randrange(2, 8)
         h = random_hypergraph(rng, n, rng.randrange(1, n + 2))
         w = random_weights(rng, n + 1, lo=0)
@@ -182,6 +217,15 @@ def test_add_isolated_commutes_with_restrict():
         a = dp.add_isolated(dp.restrict(tab, s1), 1 << v)
         b = dp.restrict(dp.add_isolated(tab, 1 << v), s1 | (1 << v))
         assert {k: v[0] for k, v in a.items()} == {k: v[0] for k, v in b.items()}
+        # the colouring table's ambient set holds the fresh vertex too
+        cdp, tab = _colouring_table(h, it % 3 + 1, full | 1 << v)
+        a = cdp.add_isolated(cdp.restrict(tab, s1), 1 << v)
+        b = cdp.restrict(cdp.add_isolated(tab, 1 << v), s1 | (1 << v))
+        assert set(decode(cdp, a)) == set(decode(cdp, b))
+        assert decode(cdp, cdp.add_isolated(tab, 1 << v)) == [
+            tuple(x | 1 << v for x in t) for t in decode(cdp, tab)]
+        covered += bool(tab)
+    assert covered >= 20
 
 
 def test_merge_associative_in_value():
@@ -271,7 +315,7 @@ def test_compress_keeps_exactly_the_maximal_tuples():
         family += [tuple(a & rng.getrandbits(n) for a in t)
                    for t in family[:10]]
         dp = CoverDP(arity, (), (1 << n) - 1)
-        out = dp._compress(family)
+        out = decode(dp, dp._compress(encode(dp, family)))
         assert len(out) == len(set(out))
         assert set(out) == maximal_reference(family)
         sizes = [sum(a.bit_count() for a in t) for t in out]
@@ -298,9 +342,10 @@ def test_cover_leaf_table_is_already_compressed(monkeypatch):
         chromatic_decide(h, rng.randrange(1, 4), t)
         hom_decide(h, rng.choice((complete_graph(3), cycle_graph(5))), t)
     assert {dp.arity for dp, _ in seen} >= {1, 2, 3, 5}
-    for dp, table in seen:
+    for dp, packed in seen:
+        table = decode(dp, packed)
         assert len(table) == len(set(table))
-        assert set(table) == set(dp._compress(table))
+        assert set(table) == set(decode(dp, dp._compress(packed)))
         sizes = [sum(a.bit_count() for a in t) for t in table]
         assert sizes == sorted(sizes, reverse=True)
 
@@ -326,7 +371,8 @@ def test_cover_leaf_init_matches_the_filtered_product():
         want = {tup for tup in product(mis, repeat=arity)
                 if all(any(all(tup[i] >> v & 1 for i in idxs)
                            for idxs in incidence) for v in bits(s))}
-        got = CoverDP(arity, incidence, h.vertex_mask).leaf_init(mis, s)
+        dp = CoverDP(arity, incidence, h.vertex_mask)
+        got = decode(dp, dp.leaf_init(mis, s))
         assert len(got) == len(set(got))
         assert set(got) == want
         nonempty += bool(want)

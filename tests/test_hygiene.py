@@ -1,7 +1,9 @@
 """Source hygiene that no installed linter checks: every name a module of
-``mmtw`` imports is used in that module, every function of ``mmtw`` that
-calls itself is listed with what bounds its depth, and every parameter that
-a function of ``mmtw`` never reads is listed with why it is kept."""
+``mmtw`` imports is used in that module, every private function, method and
+class of ``mmtw`` is read somewhere in ``mmtw`` outside its own definition,
+every function of ``mmtw`` that calls itself is listed with what bounds its
+depth, and every parameter that a function of ``mmtw`` never reads is
+listed with why it is kept."""
 
 import ast
 from pathlib import Path
@@ -37,6 +39,53 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: left for name, left in found.items() if left} == {}
 
 
+def unread_private_definitions(sources: list[str]) -> list[str]:
+    """Names of the private functions, methods and classes (one leading
+    underscore) defined in ``sources`` that no name or attribute read in
+    ``sources`` names, reads inside their own definitions aside."""
+    defined = set()
+    read = set()
+
+    def visit(node, inside: frozenset):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                if child.name.startswith("_") and \
+                        not child.name.startswith("__"):
+                    defined.add(child.name)
+                visit(child, inside | {child.name})
+                continue
+            if isinstance(getattr(child, "ctx", None), ast.Load):
+                name = child.id if isinstance(child, ast.Name) else \
+                    getattr(child, "attr", None)
+                if name not in inside:
+                    read.add(name)
+            visit(child, inside)
+
+    for source in sources:
+        visit(ast.parse(source), frozenset())
+    return sorted(defined - read)
+
+
+def test_unread_private_definitions_are_caught():
+    module_a = ("def _used(x):\n    return x\n"
+                "def _orphan():\n    return _orphan()\n"
+                "def _stored():\n    pass\n"
+                "class _Box:\n    def _tick(self):\n        pass\n"
+                "    def _drop(self):\n        self._drop = 1\n"
+                "    def __len__(self):\n        return 0\n"
+                "def public():\n    return _used(_Box()._tick)\n")
+    module_b = "from a import _stored\nkeep = [_stored]\n"
+    assert unread_private_definitions([module_a, module_b]) == [
+        "_drop", "_orphan"]
+
+
+def test_every_private_definition_is_read_in_the_package():
+    sources = [path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))]
+    assert unread_private_definitions(sources) == []
+
+
 # Each function of mmtw that calls itself, with what bounds its recursion
 # depth.  A new entry needs a bound that does not grow with n, or a reason.
 RECURSIVE = {
@@ -47,7 +96,6 @@ RECURSIVE = {
     "measures.minor_matching_intersecting.search":
         "|N[S]|, the vertices searched (open: deep neighbourhoods, "
         "ROADMAP.md)",
-    "dp.CoverDP.leaf_init.rec": "the table arity",
     "oracles.chromatic_bruteforce.assign": "n: reference code for small n",
     "oracles.hom_bruteforce.assign": "n: reference code for small n",
 }

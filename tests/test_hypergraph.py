@@ -5,10 +5,9 @@ import pytest
 from mmtw._bits import bits, mask_of
 from mmtw.errors import InputError
 from mmtw.generate import random_clutter, random_hypergraph, rng_from_seed
-from mmtw.hypergraph import (Clutter, Graph, Hypergraph, TraceFamily,
-                             blocker_bruteforce, complement_trace, compose,
-                             contract, delete, gaifman, induced, join, meet,
-                             minimalize, minor, trace)
+from mmtw.hypergraph import (Clutter, Graph, Hypergraph, blocker_bruteforce,
+                             compose, contract, delete, gaifman, induced, join,
+                             meet, minimalize, minor, trace)
 
 
 def C(n, *edges):
@@ -94,10 +93,7 @@ def test_compose_requires_edge_members():
 def test_trace_and_complement():
     fam = [0b101, 0b011, 0b110]
     t = trace(fam, 0b011)
-    assert t.members == {0b001, 0b011, 0b010}
-    assert complement_trace(complement_trace(t)) == t
-    with pytest.raises(InputError):
-        TraceFamily(0b01, [0b10])
+    assert t == {0b001, 0b011, 0b010}
 
 
 def test_gaifman_and_induced():
