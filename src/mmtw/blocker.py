@@ -74,6 +74,14 @@ class BranchCaps:
 
 @dataclass(frozen=True)
 class TraceResult:
+    """The trace, the search nodes charged to the caps, and the longest run
+    of type-2 (pinning) branches on one search path.
+
+    ``max_quasimatching_len`` is not bounded by μ_H(S) on hypergraphs:
+    ``Hypergraph(6, [3, 6, 12, 16, 24, 37, 56])`` with S = 54 reads 2, but
+    μ_H(S) = 1.  Do not report it as a bound on μ.
+    """
+
     traces: frozenset[int]
     nodes_explored: int
     max_quasimatching_len: int

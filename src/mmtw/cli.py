@@ -350,9 +350,11 @@ def _cmd_stats(args, report: _Report) -> None:
     report.fields["m"] = len(h.edges)
     report.fields["rank"] = h.rank
     report.fields["gaifman_edges"] = sum(a.bit_count() for a in adj) // 2
-    report.fields["isolated"] = sum(1 for v in range(h.n)
-                                    if adj[v] == 0 and
-                                    not any((e >> v) & 1 for e in h.edges))
+    # a vertex is isolated when it lies in no edge, a singleton edge included
+    touched = 0
+    for e in h.edges:
+        touched |= e
+    report.fields["isolated"] = h.n - touched.bit_count()
     report.fields["weighted"] = h.weights is not None
 
 

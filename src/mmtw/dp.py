@@ -5,8 +5,9 @@ A problem plugs into ``run_dp`` as a BlockerReadable: tables are indexed by
 p-tuples of traces of maximal independent sets, and the four operations
 (leaf initialisation from i(H), restriction to a smaller base, adding
 isolated vertices, and merging across a separator) are enough to evaluate
-the root table of any valid decomposition.  Three instances are provided:
-maximum weighted independent set, k-colouring and uniform hypergraph
+the root table of any valid decomposition.  An empty table is final:
+``run_dp`` stops at the first one.  Three instances are provided: maximum
+weighted independent set, k-colouring and uniform hypergraph
 homomorphism.  All vertex sets are ambient bitmasks of the input hypergraph;
 a trace is the frozenset of its member masks, and a ``CoverDP`` tuple is one
 int that packs its components.
@@ -91,6 +92,13 @@ class BlockerReadable:
     masks of tr_S(i(H)) for the merged subtree when ``reads_trace`` is true,
     and ``None`` when it is false; a problem that never looks at the trace
     sets it to false and spares ``run_dp`` the blocker-trace computation.
+
+    An empty table is final: ``run_dp`` returns the first empty leaf or
+    merged table as the answer, over the empty base, without visiting the
+    remaining bags.  So an empty table at a subtree must mean an empty table
+    for H.  It does for ``CoverDP``, since a homomorphism of H restricts to
+    every subhypergraph, and for ``MwisDP``, whose tables are empty only
+    where H[bag] holds an empty edge and the answer is (0, 0) anyway.
     """
 
     reads_trace: bool = True
@@ -119,6 +127,8 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
     increasing child order.  Every table, leaf tables included, holds at
     most ``table_cap`` entries, and a leaf's maximal independent sets are
     enumerated under the same cap; past it, ResourceError names the bag.
+    The first empty table ends the run (see BlockerReadable), so a cap that
+    only a later bag would exceed does not fire on a refutation.
     """
     ok = validate(h, t)
     if not ok:
@@ -147,6 +157,8 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
             raise ResourceError(f"table cap exceeded at bag {node}",
                                 bag=node, **exc.stats) from exc
         _check_table(acc, node, table_cap)
+        if not acc:
+            return f.restrict(acc, 0)
         acc_v = bag
         copy = None
         if f.reads_trace and children[node]:
@@ -169,6 +181,8 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
                                         bag=node, **exc.stats) from exc
             acc = f.merge(trace, acc, tbl, bag)
             _check_table(acc, node, table_cap)
+            if not acc:
+                return f.restrict(acc, 0)
         subtree_v[node] = acc_v
         tables[node] = acc
     return f.restrict(tables[0], 0)
@@ -324,6 +338,16 @@ class CoverDP(BlockerReadable):
         return kept
 
     def leaf_init(self, mis, s):
+        # root check: in a tuple of the table every vertex of s is covered,
+        # and a target vertex x covers at most max |j & s| of them, being
+        # inside a component of i(F).  So the table is empty when |s| is
+        # above |incidence| times that maximum.  A vertex in no component
+        # (incidence [], a loop {x} of a rank-1 F) covers all of s, and the
+        # check then never fires
+        if mis and all(self.incidence):
+            most = max((j & s).bit_count() for j in mis)
+            if s.bit_count() > len(self.incidence) * most:
+                return []
         # a depth-first walk over mis^arity that fixes one component per
         # level; the components not yet fixed hold ``full``, so the coverage
         # of a prefix bounds that of every completion (intersections only

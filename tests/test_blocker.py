@@ -12,6 +12,7 @@ from mmtw.generate import (path_graph, random_clutter, random_hypergraph,
 from mmtw.hypergraph import (Clutter, Hypergraph, _minimal_masks, _remap_mask,
                              blocker_bruteforce, compose, minimalize,
                              removal_remap, trace)
+from mmtw.measures import mu_intersecting
 
 
 def brute_trace(h, s):
@@ -258,3 +259,11 @@ def test_compose_masks_matches_the_clutter_composition():
                     assert got == sorted(compose(c, h, x, z).edges)
                     checked += 1
     assert checked > 1000
+
+
+def test_quasimatching_counter_is_not_bounded_by_mu_on_hypergraphs():
+    h = Hypergraph(6, [3, 6, 12, 16, 24, 37, 56])
+    res = trace_blocker(h, 54)
+    assert res.traces == brute_trace(h, 54)
+    assert res.max_quasimatching_len == 2
+    assert mu_intersecting(h, 54) == 1

@@ -39,6 +39,17 @@ def test_stats_and_json_schema(files, capsys):
     assert doc["n"] == 3 and doc["m"] == 2
 
 
+def test_stats_counts_vertices_in_no_edge(files, capsys):
+    # vertex 1 is isolated; vertex 2 lies in a singleton edge only, and the
+    # empty edge touches no vertex
+    hg = files("iso.hg", serialize_hypergraph(Hypergraph(5, [0, 0b00100,
+                                                             0b11001])))
+    code, out, _ = run(capsys, "stats", hg, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["isolated"] == 1 and doc["gaifman_edges"] == 3
+
+
 def test_trace_example(files, capsys):
     hg = files("p3.hg", serialize_hypergraph(path_graph(3)))
     code, out, _ = run(capsys, "trace", "-S", "1,3", hg, "--json")
@@ -376,6 +387,27 @@ def test_negative_caps_rejected(files, capsys):
     assert code == 2
     code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td,
                        "--caps", "table=0", "--json")
+    assert code == 20
+
+
+def test_refutation_stops_before_a_bag_over_the_table_cap(files, capsys):
+    # root bag: a perfect matching on 10 vertices, 2^5 = 32 maximal
+    # independent sets, above table=10; child bag, processed first: a
+    # triangle, which refutes -k 2 before the root's sets are enumerated
+    t = 5
+    pairs = [(2 * i, 2 * i + 1) for i in range(t)]
+    a, b, c = 2 * t, 2 * t + 1, 2 * t + 2
+    g = Hypergraph(2 * t + 3, [mask_of(e) for e in pairs + [(a, b), (b, c),
+                                                            (a, c)]])
+    hg = files("mt.hg", serialize_hypergraph(g))
+    td = files("mt.td", serialize_td(TreeDecomposition(
+        [(1 << (2 * t)) - 1, mask_of((a, b, c))], [(0, 1)]), g.n))
+    code, out, _ = run(capsys, "solve", "--problem", "color", "-k", "2", hg,
+                       td, "--caps", "table=10", "--json")
+    assert code == 10
+    assert json.loads(out)["colorable"] is False
+    code, _, _ = run(capsys, "solve", "--problem", "color", "-k", "3", hg,
+                     td, "--caps", "table=10")
     assert code == 20
 
 

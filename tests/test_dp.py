@@ -13,8 +13,9 @@ from mmtw.dp import (DEFAULT_TABLE_CAP, CoverDP, MwisDP, _BagCopy,
                      chromatic_decide, hom_decide, mwis, run_dp)
 from mmtw.errors import InputError, ResourceError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
-                           random_decomposition, random_graph,
-                           random_hypergraph, random_weights, rng_from_seed)
+                           random_cobipartite, random_decomposition,
+                           random_graph, random_hypergraph, random_weights,
+                           rng_from_seed)
 from mmtw.hypergraph import Graph, Hypergraph
 from mmtw.oracles import (chromatic_bruteforce, hom_bruteforce, independent_in,
                           mwis_bruteforce)
@@ -399,6 +400,82 @@ def test_leaf_sets_come_from_enumerate_mis(monkeypatch):
     calls.clear()
     assert chromatic_decide(p, 2, t)
     assert sorted(calls) == sorted(t.bags)
+
+
+def test_run_dp_stops_at_the_first_empty_leaf(monkeypatch):
+    calls = []
+    original = mmtw.dp.enumerate_mis
+
+    def spy(h, within=None, limit=None):
+        calls.append(within)
+        return original(h, within, limit)
+
+    monkeypatch.setattr(mmtw.dp, "enumerate_mis", spy)
+    # a triangle 012 with the path 2-3-4, on a path of bags whose last node,
+    # processed first, holds the triangle
+    h = Graph.from_pairs(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    t = TreeDecomposition([0b11000, 0b01100, 0b00111], [(0, 1), (1, 2)])
+    assert not chromatic_decide(h, 2, t)
+    assert calls == [0b00111]
+    calls.clear()
+    assert chromatic_decide(h, 3, t)
+    assert sorted(calls) == sorted(t.bags)
+    # an empty edge lies in every bag, so the first leaf is empty
+    e = Hypergraph(3, [0, 0b011])
+    te = TreeDecomposition([0b011, 0b110], [(0, 1)])
+    calls.clear()
+    assert mwis(e, [1, 2, 3], te) == (Fraction(0), 0)
+    assert calls == [0b110]
+
+
+def test_run_dp_visits_nothing_after_an_empty_table(monkeypatch):
+    # the first empty leaf or merged table is the last table computed, and
+    # the answers still match the oracle
+    made = []
+    leaf_init, merge = CoverDP.leaf_init, CoverDP.merge
+
+    def leaf_spy(self, mis, s):
+        made.append(leaf_init(self, mis, s))
+        return made[-1]
+
+    def merge_spy(self, trace, t1, t2, s):
+        made.append(merge(self, trace, t1, t2, s))
+        return made[-1]
+
+    monkeypatch.setattr(CoverDP, "leaf_init", leaf_spy)
+    monkeypatch.setattr(CoverDP, "merge", merge_spy)
+    rng = rng_from_seed(66)
+    early = 0
+    for _ in range(60):
+        h = random_graph(rng, rng.randrange(3, 10), rng.uniform(0.2, 0.6))
+        t = random_decomposition(rng, h)
+        k = rng.randrange(1, 4)
+        made.clear()
+        assert chromatic_decide(h, k, t) == chromatic_bruteforce(h, k)
+        assert all(made[:-1])
+        early += not made[-1] and len(made) < 2 * t.node_count - 1
+    assert early >= 10
+
+
+def test_root_check_refutes_the_cobipartite_bag(monkeypatch):
+    # 40 vertices in two cliques: three colours cover at most 3 * 2 of them,
+    # so the leaf is refuted before any coverage is computed
+    def refuse(self, p):
+        raise AssertionError("cover called")
+
+    monkeypatch.setattr(CoverDP, "cover", refuse)
+    g = random_cobipartite(rng_from_seed(40), 40, 0.3)
+    assert not chromatic_decide(g, 3, single_bag(g))
+
+
+def test_root_check_lets_a_loop_of_the_target_cover_everything():
+    # a rank-1 F with the loop {0}: vertex 0 lies in no independent set of
+    # F, so its incidence is empty and it takes every vertex of H
+    for h, f in ((Hypergraph(3, [0b001, 0b010, 0b100]), Hypergraph(1, [1])),
+                 (Hypergraph(4, [0b0001, 0b0010]), Hypergraph(2, [0b01])),
+                 (Hypergraph(4, [0b0001, 0b0010]), Hypergraph(2, [0b10]))):
+        t = single_bag(h)
+        assert hom_decide(h, f, t) == hom_bruteforce(h, f) is True
 
 
 def merge_reference(w, trace, t1, t2, s):
