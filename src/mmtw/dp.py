@@ -61,22 +61,20 @@ class _BagCopy:
     the bag traces inside this one copy and shares the memo.
     """
 
-    __slots__ = ("sub", "s", "back", "memo")
+    __slots__ = ("sub", "s", "near", "remap", "back", "memo")
 
     def __init__(self, h: Hypergraph, xmask: int, smask: int):
-        self.sub, remap = induced(h, _closed_neighbourhood(h, smask, xmask))
-        self.s = _remap_mask(smask, remap)
+        self.near = _closed_neighbourhood(h, smask, xmask)
+        self.sub, self.remap = induced(h, self.near)
+        self.s = _remap_mask(smask, self.remap)
         # ``induced`` numbers the kept ids in increasing order
-        self.back = list(remap)
+        self.back = list(self.remap)
         self.memo: dict = {}
 
     def trace(self, vmask: int, caps: BranchCaps) -> frozenset[int]:
         """tr_S(i(H[vmask])) member masks (ambient), vmask ⊆ X: the
         complements in S of the blocker trace of the copy's part of vmask."""
-        within = 0
-        for i, v in enumerate(self.back):
-            if vmask >> v & 1:
-                within |= 1 << i
+        within = _remap_mask(vmask & self.near, self.remap)
         s = self.s
         res = trace_blocker(self.sub, s, caps, within, self.memo)
         return frozenset(_remap_mask(s & ~a, self.back) for a in res.traces)

@@ -55,7 +55,7 @@ def _minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
 class Hypergraph:
     """A vertex count, a set of hyperedges, and optional rational weights."""
 
-    __slots__ = ("n", "edges", "weights", "_gaifman_adj")
+    __slots__ = ("n", "edges", "weights", "_gaifman_adj", "_incidence")
 
     def __init__(self, n: int, edges: Iterable[int] = (), weights: Weights = None):
         if n < 0:
@@ -68,6 +68,7 @@ class Hypergraph:
                 raise InputError("weight vector length differs from vertex count")
         self.weights = weights
         self._gaifman_adj: Optional[tuple[int, ...]] = None
+        self._incidence: Optional[tuple[int, ...]] = None
 
     # -- basic queries -------------------------------------------------
 
@@ -88,6 +89,25 @@ class Hypergraph:
                     adj[v] |= h & ~(1 << v)
             self._gaifman_adj = tuple(adj)
         return self._gaifman_adj
+
+    def incidence(self) -> tuple[int, ...]:
+        """Per vertex, the mask of the positions in ``edges`` of the edges
+        through it (cached)."""
+        if self._incidence is None:
+            inc = [0] * self.n
+            for i, h in enumerate(self.edges):
+                for v in bits(h):
+                    inc[v] |= 1 << i
+            self._incidence = tuple(inc)
+        return self._incidence
+
+    def edges_meeting(self, s: int) -> int:
+        """The mask of the positions in ``edges`` of the edges that meet S."""
+        inc = self.incidence()
+        out = 0
+        for v in bits(s):
+            out |= inc[v]
+        return out
 
     def edge_sets(self) -> list[frozenset[int]]:
         return [to_set(h) for h in self.edges]
@@ -168,14 +188,9 @@ class Graph(Clutter):
 
 
 def removal_remap(n: int, removed: int) -> dict[int, int]:
-    """Map old ids to new ids after removing the vertices in ``removed``."""
-    remap = {}
-    new = 0
-    for v in range(n):
-        if not (removed >> v) & 1:
-            remap[v] = new
-            new += 1
-    return remap
+    """Map old ids to new ids after removing the vertices in ``removed``:
+    the kept ids, in increasing order, become 0, 1, 2, ..."""
+    return {v: i for i, v in enumerate(bits(((1 << n) - 1) & ~removed))}
 
 
 def _remap_mask(mask: int, table) -> int:
@@ -205,11 +220,11 @@ def induced(h: Hypergraph, s: int) -> tuple[Hypergraph, dict[int, int]]:
     """H[S]: keep only edges contained in S; vertices reindexed, map returned."""
     if s & ~h.vertex_mask:
         raise InputError("S contains an unknown vertex id")
-    remap = {v: i for i, v in enumerate(bits(s))}
+    remap = removal_remap(h.n, h.vertex_mask & ~s)
     edges = [_remap_mask(e, remap) for e in h.edges if e & ~s == 0]
     weights = None
     if h.weights is not None:
-        weights = tuple(h.weights[v] for v in bits(s))
+        weights = tuple(h.weights[v] for v in remap)
     return Hypergraph(s.bit_count(), edges, weights), remap
 
 

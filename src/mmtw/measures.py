@@ -133,16 +133,11 @@ def _rho_below(h: Hypergraph, s: int, best: int):
     # at least 1, so that the bound below divides by a positive size when
     # every edge is empty
     rank = max([1, *(e.bit_count() for e in h.edges)])
-    covered = 0
-    through = [[] for _ in range(h.n)]   # the edges through v, in order
-    span = [0] * h.n   # span[v]: the union of the edges through v
-    for e in h.edges:
-        covered |= e
-        for v in bits(e):
-            through[v].append(e)
-            span[v] |= e
-    if s & ~covered:
+    edges, inc, adj = h.edges, h.incidence(), h.gaifman_adj()
+    if not all(inc[v] for v in bits(s)):
         return math.inf
+    # span[v]: the union of the edges through v, for v in an edge
+    span = [a | 1 << v for v, a in enumerate(adj)]
     stack = [(s, 0)]
     while stack:
         uncovered, used = stack.pop()
@@ -151,16 +146,26 @@ def _rho_below(h: Hypergraph, s: int, best: int):
         if not uncovered:
             best = used
             continue
-        bound, rest = used, uncovered
+        # the packing's first pick is the lowest uncovered vertex v, the one
+        # branched on below; the size bound above left used + 1 < best
+        v = (uncovered & -uncovered).bit_length() - 1
+        bound, rest = used + 1, uncovered & ~span[v]
         while rest and bound < best:
             bound += 1
             rest &= ~span[(rest & -rest).bit_length() - 1]
         if bound >= best:
             continue
-        edges = through[(uncovered & -uncovered).bit_length() - 1]
-        # the edge covering the most is pushed last, so it is popped first
-        for e in sorted(edges, key=lambda e: (uncovered & e).bit_count()):
-            stack.append((uncovered & ~e, used + 1))
+        # a child per edge through v; the one covering the most is pushed
+        # last, so it is popped first
+        through = inc[v]
+        children = []
+        while through:
+            low = through & -through
+            children.append(uncovered & ~edges[low.bit_length() - 1])
+            through ^= low
+        used += 1
+        for child in sorted(children, key=int.bit_count, reverse=True):
+            stack.append((child, used))
     return best
 
 
@@ -175,28 +180,24 @@ def rho_decide(h: Hypergraph, s: int, k: int) -> bool:
     return _rho_below(h, s, k + 1) <= k
 
 
-def edge_conflicts(g: Hypergraph, s: int) -> tuple[list[int], int]:
-    """Conflict graph of the edges of the graph G that meet S, as (adjacency
-    masks over edge indices, mask of all indices).  Two edges conflict when
-    they share a vertex or an edge of G joins them, so the induced matchings
-    meeting S are its independent sets.  With S = V it is the squared line
-    graph L^2(G), on the edges of G in their stored order."""
+def edge_conflicts(g: Hypergraph, s: int) -> tuple[dict[int, int], int]:
+    """Conflict graph of the edges of the graph G that meet S, keyed by
+    position in ``g.edges``: (conflicts, universe), where universe is the
+    mask of the positions of the edges that meet S, and conflicts[i], for
+    each position i in it, is the mask of the positions in universe of the
+    edges that conflict with edge i.  Two edges conflict when they share a
+    vertex or an edge of G joins them, so the induced matchings meeting S
+    are its independent sets.  With S = V it is the squared line graph
+    L^2(G), on the edges of G in their stored order."""
     adj = g.gaifman_adj()
-    edges = [e for e in g.edges if e & s]
-    at = [0] * g.n   # at[v]: indices of the edges with an end in N[v]
-    for i, e in enumerate(edges):
-        for v in bits(e):
-            at[v] |= 1 << i
-    conflicts = []
-    for i, e in enumerate(edges):
+    universe = g.edges_meeting(s)
+    conflicts = {}
+    for i in bits(universe):
         near = 0
-        for v in bits(e):
+        for v in bits(g.edges[i]):
             near |= adj[v] | (1 << v)
-        hit = 0
-        for v in bits(near):
-            hit |= at[v]
-        conflicts.append(hit & ~(1 << i))
-    return conflicts, (1 << len(edges)) - 1
+        conflicts[i] = g.edges_meeting(near) & universe & ~(1 << i)
+    return conflicts, universe
 
 
 def induced_matching_intersecting(g: Hypergraph, s: int) -> int:

@@ -12,7 +12,10 @@ rule is stated once.  Both come with decomposition pullbacks, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from ._bits import bits
+from functools import reduce
+from operator import or_
+
+from ._bits import bits, mask_of
 from .approx import Refutation, approx_decomposition
 from .decomposition import TreeDecomposition
 from .errors import InputError
@@ -58,21 +61,17 @@ class LineSquare:
 
     original: Graph
     line: Graph
-    edge_of: tuple[int, ...]  # L-vertex id -> edge mask of G
+    edge_of: tuple[int, ...]  # L-vertex i is the edge original.edges[i]
 
     def lmap(self, s: int) -> int:
         """L(S): the L-vertices whose G-edge meets S."""
-        out = 0
-        for i, e in enumerate(self.edge_of):
-            if e & s:
-                out |= 1 << i
-        return out
+        return self.original.edges_meeting(s)
 
 
 def line_square(g: Graph) -> LineSquare:
     # with S = V every edge meets S, so L-vertex i is g.edges[i]
-    return LineSquare(g, Graph.from_adj(edge_conflicts(g, g.vertex_mask)[0]),
-                      g.edges)
+    conflicts = edge_conflicts(g, g.vertex_mask)[0]
+    return LineSquare(g, Graph.from_adj(tuple(conflicts.values())), g.edges)
 
 
 def line_square_pullback(x: LineSquare, t: TreeDecomposition
@@ -82,22 +81,14 @@ def line_square_pullback(x: LineSquare, t: TreeDecomposition
     Isolated vertices of G are appended to bag 0.
     """
     g = x.original
-    incident = [0] * g.n
-    for i, e in enumerate(x.edge_of):
-        for v in bits(e):
-            incident[v] |= 1 << i
-    isolated = 0
-    for v in range(g.n):
-        if incident[v] == 0:
-            isolated |= 1 << v
+    inc = g.incidence()
     bags = []
     for bag in t.bags:
-        s_t = 0
-        for v in range(g.n):
-            if incident[v] and incident[v] & ~bag == 0:
-                s_t |= 1 << v
-        bags.append(s_t)
-    bags[0] |= isolated
+        ends = 0   # a vertex with all its edges in the bag is an end of one
+        for i in bits(bag):
+            ends |= x.edge_of[i]
+        bags.append(mask_of(v for v in bits(ends) if not inc[v] & ~bag))
+    bags[0] |= g.vertex_mask & ~reduce(or_, x.edge_of, 0)
     return TreeDecomposition(bags, t.tree_edges)
 
 

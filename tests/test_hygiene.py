@@ -2,8 +2,9 @@
 ``mmtw`` imports is used in that module, every private function, method and
 class of ``mmtw`` is read somewhere in ``mmtw`` outside its own definition,
 every function of ``mmtw`` that calls itself is listed with what bounds its
-depth, and every parameter that a function of ``mmtw`` never reads is
-listed with why it is kept."""
+depth, every parameter that a function of ``mmtw`` never reads is listed
+with why it is kept, and the measures and reductions build no per-vertex
+index of their own."""
 
 import ast
 from pathlib import Path
@@ -202,3 +203,47 @@ def test_every_unread_parameter_is_listed_with_its_reason():
     assert sorted(set(found) - {name for _, name in covers}) == []
     # and no entry outlives the parameters it names
     assert sorted(set(UNREAD) - {key for key, _ in covers}) == []
+
+
+def per_vertex_lists(source: str) -> list[str]:
+    """The expressions of ``source`` that build a list with one entry per
+    vertex: ``[...] * <x>.n`` (either order) or a list comprehension over
+    ``range(<x>.n)``."""
+    def vertex_count(node) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "n"
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            hit = any(isinstance(a, ast.List) and vertex_count(b)
+                      for a, b in ((node.left, node.right),
+                                   (node.right, node.left)))
+        elif isinstance(node, ast.ListComp):
+            hit = any(isinstance(gen.iter, ast.Call)
+                      and ast.unparse(gen.iter.func) == "range"
+                      and len(gen.iter.args) == 1
+                      and vertex_count(gen.iter.args[0])
+                      for gen in node.generators)
+        else:
+            hit = False
+        if hit:
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_per_vertex_lists_are_caught():
+    source = ("a = [0] * h.n\nb = [[] for _ in range(g.n)]\n"
+              "c = g.n * [None]\nd = [v for v in range(x.original.n)]\n"
+              "e = [0] * len(h.edges)\nf = 2 * h.n\n"
+              "g = [0 for _ in range(n)]\nh = [a | 1 for a in h.adj]\n")
+    assert per_vertex_lists(source) == [
+        "[0] * h.n", "[[] for _ in range(g.n)]", "g.n * [None]",
+        "[v for v in range(x.original.n)]"]
+
+
+def test_measures_and_reductions_read_the_hypergraph_index():
+    # a per-vertex edge index is Hypergraph.incidence(), built once per
+    # hypergraph; the oracles and the L^2 pullback read it, not a copy
+    found = {name: per_vertex_lists((SRC / name).read_text(encoding="utf-8"))
+             for name in ("measures.py", "reductions.py")}
+    assert found == {"measures.py": [], "reductions.py": []}

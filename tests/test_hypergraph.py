@@ -7,7 +7,7 @@ from mmtw.errors import InputError
 from mmtw.generate import random_clutter, random_hypergraph, rng_from_seed
 from mmtw.hypergraph import (Clutter, Graph, Hypergraph, blocker_bruteforce,
                              compose, contract, delete, gaifman, induced, join,
-                             meet, minimalize, minor, trace)
+                             meet, minimalize, minor, removal_remap, trace)
 
 
 def C(n, *edges):
@@ -138,3 +138,35 @@ def test_hypergraph_sorts_and_dedupes_wide_masks():
         Hypergraph(200, listed + [1 << 200])
     with pytest.raises(InputError):
         Hypergraph(200, listed + [-3])
+
+
+def test_incidence_matches_a_scan_of_each_edge():
+    rng = rng_from_seed(48)
+    for _ in range(60):
+        n = rng.randrange(1, 90)   # past bit 61 too
+        h = random_hypergraph(rng, n, rng.randrange(0, 2 * n), rank=4)
+        # an empty edge, a singleton edge and a vertex, n, in no edge
+        h = Hypergraph(n + 1, [*h.edges, 0, 1 << rng.randrange(n)])
+        inc = h.incidence()
+        assert len(inc) == h.n
+        for v in range(h.n):
+            assert inc[v] == mask_of(i for i, e in enumerate(h.edges)
+                                     if e >> v & 1)
+        assert inc[n] == 0 and h.edges_meeting(h.vertex_mask) == \
+            mask_of(i for i, e in enumerate(h.edges) if e)
+        s = rng.getrandbits(h.n)
+        assert h.edges_meeting(s) == mask_of(
+            i for i, e in enumerate(h.edges) if e & s)
+        assert h.incidence() is inc   # cached
+
+
+def test_removal_remap_numbers_the_kept_ids_in_order():
+    rng = rng_from_seed(49)
+    for _ in range(40):
+        n = rng.randrange(0, 80)
+        removed = rng.getrandbits(n + 3)   # ids at and past n are ignored
+        kept = [v for v in range(n) if not removed >> v & 1]
+        assert removal_remap(n, removed) == {v: i for i, v in enumerate(kept)}
+        h = random_hypergraph(rng, n, n) if n else Hypergraph(0)
+        s = mask_of(kept)
+        assert induced(h, s)[1] == removal_remap(n, removed)

@@ -5,15 +5,15 @@ import math
 
 import pytest
 
-from mmtw._bits import bits
+from mmtw._bits import bits, mask_of
 from mmtw.decomposition import single_bag, width
 from mmtw.errors import InputError, ResourceError
 from mmtw.generate import (cycle_graph, path_graph, random_graph,
                            random_hypergraph, rng_from_seed)
 from mmtw.hypergraph import Graph, Hypergraph, gaifman, induced
 from mmtw.measures import (ALPHA, BAG_MEASURES, MEASURES, MU, RHO,
-                           alpha_decide, alpha_set, get_measure,
-                           induced_matching_intersecting,
+                           alpha_decide, alpha_set, edge_conflicts,
+                           get_measure, induced_matching_intersecting,
                            minor_matching_intersecting, rho_decide,
                            rho_set)
 from mmtw.oracles import mwis_bruteforce, rho_bruteforce
@@ -219,3 +219,50 @@ def test_rho_matches_bruteforce_and_closed_forms():
         p, c = path_graph(n), cycle_graph(n)
         assert rho_set(p, p.vertex_mask) == (n + 1) // 2
         assert rho_set(c, c.vertex_mask) == (n + 1) // 2
+
+
+def test_edge_conflicts_match_the_pairwise_rule():
+    rng = rng_from_seed(30)
+    checked = 0
+    for _ in range(100):
+        n = rng.randrange(2, 80)   # past bit 61 too
+        g = random_graph(rng, n, rng.uniform(1.0, 4.0) / n)
+        s = rng.getrandbits(n)
+        if s == g.vertex_mask:
+            continue
+        conflicts, universe = edge_conflicts(g, s)
+        edge_set = set(g.edges)
+        meeting = [i for i, e in enumerate(g.edges) if e & s]
+        assert universe == mask_of(meeting)
+        assert sorted(conflicts) == meeting
+        for i in meeting:
+            e = g.edges[i]
+            want = mask_of(
+                j for j in meeting if j != i and (
+                    g.edges[j] & e or any(
+                        (1 << u | 1 << v) in edge_set
+                        for u in bits(e) for v in bits(g.edges[j]))))
+            assert conflicts[i] == want
+            checked += 1
+    assert checked > 1000
+
+
+class _CountingEdges(tuple):
+    """An edge tuple that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_edge_conflicts_on_small_bags_read_the_edge_list_once_per_index():
+    # the bags {i, i+1} of a path: the edges meeting a bag come from the
+    # graph's cached indexes, not from a scan of every edge per call
+    g = path_graph(300)
+    g.edges = _CountingEdges(g.edges)
+    universes = [edge_conflicts(g, 3 << i)[1] for i in range(299)]
+    assert g.edges.passes <= 2
+    assert universes == [mask_of(range(max(0, i - 1), min(299, i + 2)))
+                         for i in range(299)]

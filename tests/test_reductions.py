@@ -1,8 +1,9 @@
 """Pendant extension and squared line graph, with decomposition pullbacks."""
 
-from mmtw._bits import bits
+from mmtw._bits import bits, mask_of
 from mmtw.approx import Refutation
-from mmtw.decomposition import single_bag, validate, width
+from mmtw.decomposition import (TreeDecomposition, single_bag, validate,
+                                width)
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_cobipartite, random_decomposition,
                            random_graph, rng_from_seed)
@@ -113,3 +114,38 @@ def test_line_square_matches_pair_rule():
         assert x.edge_of == g.edges
         assert x.line == want
         assert x.line.adj == want.adj
+
+
+def _old_lmap(x, s):
+    """L(S) by a scan of every edge of G."""
+    return mask_of(i for i, e in enumerate(x.edge_of) if e & s)
+
+
+def _old_pullback_bags(x, t):
+    """The pullback's bags, before adjacent equal bags merge, by a scan of
+    every vertex of G per bag: the vertices whose incident edges all lie in
+    the bag, isolated vertices added to bag 0."""
+    g = x.original
+    incident = [mask_of(i for i, e in enumerate(x.edge_of) if e >> v & 1)
+                for v in range(g.n)]
+    bags = [mask_of(v for v in range(g.n)
+                    if incident[v] and not incident[v] & ~bag)
+            for bag in t.bags]
+    bags[0] |= mask_of(v for v in range(g.n) if not incident[v])
+    return bags
+
+
+def test_lmap_and_pullback_match_the_old_rules():
+    rng = rng_from_seed(46)
+    for _ in range(300):
+        n = rng.randrange(1, 14)
+        g = random_graph(rng, n, rng.uniform(0.1, 0.6))
+        g = Graph(n + rng.randrange(3), g.edges)   # isolated vertices
+        x = line_square(g)
+        for _ in range(4):
+            s = rng.getrandbits(g.n)
+            assert x.lmap(s) == _old_lmap(x, s)
+        t = random_decomposition(rng, x.line) if x.line.n else single_bag(x.line)
+        back = line_square_pullback(x, t)
+        want = TreeDecomposition(_old_pullback_bags(x, t), t.tree_edges)
+        assert (back.bags, back.tree_edges) == (want.bags, want.tree_edges)
