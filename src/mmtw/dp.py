@@ -12,21 +12,26 @@ homomorphism.  All vertex sets are ambient bitmasks of the input hypergraph;
 a trace is the frozenset of its member masks, and a ``CoverDP`` tuple is one
 int that packs its components.
 
-Only a problem whose merge reads the blocker trace tr_S(i(H)) pays for it:
-``run_dp`` computes the trace of each merge when the problem's
-``reads_trace`` is true (MWIS) and passes ``trace=None`` otherwise (the
-covering tables of colouring and homomorphism).  The trace caps therefore
-bound only MWIS runs, and ``chromatic_decide`` and ``hom_decide`` take none.
+Only a problem whose merge reads the blocker trace tr_S(i(H)) pays for it.
+When the problem's ``reads_trace`` is true (MWIS), ``run_dp`` passes each
+merge a membership test for its trace, and otherwise ``trace=None`` (the
+covering tables of colouring and homomorphism).  The test settles each
+candidate trace with a short proof, and computes the whole trace, once per
+merge, only when a candidate is left undecided (``_MergeTrace``).  The trace
+caps therefore bound only MWIS runs, and there only the traces that run: an
+MWIS solve whose candidates all settle answers under any cap.
+``chromatic_decide`` and ``hom_decide`` take none.
 
 A trace is local to the bag S: ``blocker.trace_blocker`` branches on the
 closed neighbourhood N_X[S] alone, and its module docstring proves that the
 trace is the same.  The merges at one bag share that search.  ``run_dp``
 builds one copy of H[N_X[S]], X the bag and all its child subtrees, and one
 brancher memo for the bag; the vertices merged so far only grow and stay
-inside X, so merge i traces its own N[S] in that copy.  A brancher node's
-answer depends only on its clutter once S is fixed, so the traces are the
-same as with a fresh memo per merge.  The caps are not: ``nodes`` charges
-each merge only for the clutters that no earlier merge at the same bag
+inside X, so merge i traces its own N[S] in that copy, and settles its
+candidates on the copy's edges.  A brancher node's answer depends only on
+its clutter once S is fixed, so the traces are the same as with a fresh
+memo per merge.  The caps are not: ``nodes`` charges each merge that runs
+the trace only for the clutters that no earlier trace at the same bag
 answered, and a memo hit skips the depth check of the subtree it answers,
 so ``depth`` can fire on a different merge than with a fresh memo.
 
@@ -55,13 +60,14 @@ TARGET_CAP = 10
 
 class _BagCopy:
     """H[N_X[S]] for a bag S and the vertices X of the bag and its child
-    subtrees, with S in its ids, the map back to H and one brancher memo.
+    subtrees, with S in its ids, the map back to H and one brancher memo,
+    and, in H's ids, S and the edges of H[N_X[S]] through each vertex.
 
     A merge at the bag traces in V ⊆ X, so N_V[S] ⊆ N_X[S]: every merge at
     the bag traces inside this one copy and shares the memo.
     """
 
-    __slots__ = ("sub", "s", "near", "remap", "back", "memo")
+    __slots__ = ("sub", "s", "near", "remap", "back", "memo", "smask", "at")
 
     def __init__(self, h: Hypergraph, xmask: int, smask: int):
         self.near = _closed_neighbourhood(h, smask, xmask)
@@ -70,6 +76,13 @@ class _BagCopy:
         # ``induced`` numbers the kept ids in increasing order
         self.back = list(self.remap)
         self.memo: dict = {}
+        self.smask = smask
+        # per vertex of N_X[S], the edges of H[N_X[S]] through it (ambient)
+        self.at: dict[int, list[int]] = {}
+        for e in h.edges:
+            if not e & ~self.near:
+                for x in bits(e):
+                    self.at.setdefault(x, []).append(e)
 
     def trace(self, vmask: int, caps: BranchCaps) -> frozenset[int]:
         """tr_S(i(H[vmask])) member masks (ambient), vmask ⊆ X: the
@@ -80,16 +93,124 @@ class _BagCopy:
         return frozenset(_remap_mask(s & ~a, self.back) for a in res.traces)
 
 
+class _MergeTrace:
+    """Membership in tr_S(i(H[V])) for one merge, V = ``vmask`` ⊇ S: each
+    distinct candidate is settled once, on the bag copy's edges, and the
+    trace is computed only when a candidate is left undecided.
+
+    ``_settle`` reads the edges of H[W], W = V ∩ N_X[S].  N_V[S] ⊆ W ⊆ V,
+    so N_W[S] = N_V[S] and, by the identity of ``blocker``'s module
+    docstring, H[W] and H[V] have the same trace on S.  A candidate a ⊆ S
+    is independent (the merge's candidates are).  The two proofs:
+
+    - certify: grow an independent M from a with M ∩ S = a.  For each
+      v ∈ S - a in id order that M does not block yet (no edge e ∋ v with
+      e - v ⊆ M), add e - v for the first edge e ∋ v such that e - v
+      avoids S - a and M stays independent.  If every v ends up blocked, a
+      maximal independent set of H[W] that contains M adds no vertex of S,
+      so its trace is a;
+    - refute: some v ∈ S - a has no edge e ∋ v with e - v avoiding S - a
+      and (e - v) ∪ a independent.  No independent M with M ∩ S = a then
+      blocks v, so M + v is independent and M is not maximal.
+
+    Neither searches: each costs O(|S| d² r) per candidate, d the largest
+    degree in the copy and r its rank.
+    """
+
+    __slots__ = ("copy", "vmask", "caps", "options", "verdicts", "trace")
+
+    def __init__(self, copy: _BagCopy, vmask: int, caps: BranchCaps):
+        self.copy, self.vmask, self.caps = copy, vmask, caps
+        self.options = _blocking_options(copy, vmask)
+        self.verdicts: dict[int, bool] = {}
+        self.trace: frozenset[int] | None = None
+
+    def __contains__(self, a: int) -> bool:
+        got = self.verdicts.get(a)
+        if got is None:
+            got = self._settle(a)
+            if got is None:
+                if self.trace is None:
+                    self.trace = self.copy.trace(self.vmask, self.caps)
+                got = a in self.trace
+            self.verdicts[a] = got
+        return got
+
+    def _settle(self, a: int) -> bool | None:
+        """Whether a is a member, or None when neither proof applies."""
+        rest = self.copy.smask & ~a
+        m = a
+        for i, (bv, opts) in enumerate(self.options):
+            if not bv & rest:
+                continue
+            for o, _ in opts:
+                if not o & ~m:
+                    break
+            else:
+                for o, need in opts:
+                    if not o & rest and _fits(need, m):
+                        m |= o
+                        break
+                else:
+                    # every vertex before v has an option that fits a: the
+                    # refutation looks at v and the vertices after it
+                    for bv, opts in self.options[i:]:
+                        if bv & rest and not any(
+                                not o & rest and _fits(need, a)
+                                for o, need in opts):
+                            return False
+                    return None
+        return True
+
+
+def _blocking_options(copy: _BagCopy, within: int):
+    """Per v ∈ S in id order, (1 << v, the ways to block v in H[W]), W the
+    copy's vertices inside ``within``: per edge e ∋ v of H[W], o = e - v and
+    the sets f - o of the edges f of H[W] that meet o - S.  For an
+    independent m ⊇ o ∩ S, m ∪ o is independent iff no f - o lies in m.
+    An o that holds an edge is left out."""
+    at, s = copy.at, copy.smask
+    # one list per o, which several vertices of S can share
+    needs: dict[int, list[int] | None] = {}
+    out = []
+    for v in bits(s):
+        bv = 1 << v
+        opts = []
+        for e in at.get(v, ()):
+            if e & ~within:
+                continue
+            o = e ^ bv
+            if o not in needs:
+                need = [f & ~o for x in bits(o & ~s) for f in at[x]
+                        if not f & ~within]
+                needs[o] = need if all(need) else None
+            if needs[o] is not None:
+                opts.append((o, needs[o]))
+        out.append((bv, opts))
+    return out
+
+
+def _fits(need: list[int], m: int) -> bool:
+    """No set of ``need`` lies in m."""
+    for g in need:
+        if not g & ~m:
+            return False
+    return True
+
+
 class BlockerReadable:
     """Operational contract of a function that can be read from the blocker.
 
     ``leaf_init`` builds the table of H[s] from its maximal independent
     sets, ``restrict`` the table over the smaller base ``s``, and
     ``add_isolated`` the table with the vertices of the mask ``vs`` added to
-    the base, each isolated and outside it.  ``merge`` receives the member
-    masks of tr_S(i(H)) for the merged subtree when ``reads_trace`` is true,
-    and ``None`` when it is false; a problem that never looks at the trace
-    sets it to false and spares ``run_dp`` the blocker-trace computation.
+    the base, each isolated and outside it.  ``merge`` receives a membership
+    test for tr_S(i(H)) of the merged subtree (``a in trace``) when
+    ``reads_trace`` is true, and ``None`` when it is false; a problem that
+    never looks at the trace sets it to false and spares ``run_dp`` the
+    test.  The test computes the blocker trace only for a candidate that
+    its short proofs leave undecided, and a trace cap that fires raises
+    from inside ``merge``.
 
     An empty table is final: ``run_dp`` returns the first empty leaf or
     merged table as the answer, over the empty base, without visiting the
@@ -170,14 +291,14 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
             if missing:
                 tbl = f.add_isolated(tbl, missing)
             acc_v |= subtree_v[c]
-            trace = None
-            if f.reads_trace:
-                try:
-                    trace = copy.trace(acc_v, trace_caps)
-                except ResourceError as exc:
-                    raise ResourceError(f"trace cap exceeded at bag {node}",
-                                        bag=node, **exc.stats) from exc
-            acc = f.merge(trace, acc, tbl, bag)
+            trace = _MergeTrace(copy, acc_v, trace_caps) \
+                if f.reads_trace else None
+            try:
+                acc = f.merge(trace, acc, tbl, bag)
+            except ResourceError as exc:
+                # only a trace run for an undecided candidate raises
+                raise ResourceError(f"trace cap exceeded at bag {node}",
+                                    bag=node, **exc.stats) from exc
             _check_table(acc, node, table_cap)
             if not acc:
                 return f.restrict(acc, 0)

@@ -39,6 +39,10 @@ def _canonical_edges(n: int, edges: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _size_range(sizes: set[int]) -> tuple[int, int]:
+    return (min(sizes), max(sizes)) if sizes else (0, 0)
+
+
 def _minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     # masks of one size never contain each other, so sorting by size alone
     # meets every subset before its supersets
@@ -55,7 +59,8 @@ def _minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
 class Hypergraph:
     """A vertex count, a set of hyperedges, and optional rational weights."""
 
-    __slots__ = ("n", "edges", "weights", "_gaifman_adj", "_incidence")
+    __slots__ = ("n", "edges", "weights", "_gaifman_adj", "_incidence",
+                 "_edge_sizes")
 
     def __init__(self, n: int, edges: Iterable[int] = (), weights: Weights = None):
         if n < 0:
@@ -69,6 +74,7 @@ class Hypergraph:
         self.weights = weights
         self._gaifman_adj: Optional[tuple[int, ...]] = None
         self._incidence: Optional[tuple[int, ...]] = None
+        self._edge_sizes: Optional[tuple[int, int]] = None
 
     # -- basic queries -------------------------------------------------
 
@@ -78,7 +84,14 @@ class Hypergraph:
 
     @property
     def rank(self) -> int:
-        return max((h.bit_count() for h in self.edges), default=0)
+        return self.edge_sizes()[1]
+
+    def edge_sizes(self) -> tuple[int, int]:
+        """The smallest and the largest edge size, (0, 0) without edges
+        (cached)."""
+        if self._edge_sizes is None:
+            self._edge_sizes = _size_range(set(map(int.bit_count, self.edges)))
+        return self._edge_sizes
 
     def gaifman_adj(self) -> tuple[int, ...]:
         """Adjacency masks of the Gaifman graph (cached)."""
@@ -137,7 +150,8 @@ class Clutter(Hypergraph):
     def __init__(self, n: int, edges: Iterable[int] = (), weights: Weights = None):
         super().__init__(n, edges, weights)
         es = self.edges
-        sizes = {h.bit_count() for h in es}
+        sizes = set(map(int.bit_count, es))
+        self._edge_sizes = _size_range(sizes)
         if len(sizes) <= 1:
             return  # deduplicated uniform families are antichains
         by_size = sorted(es, key=lambda m: m.bit_count())
@@ -155,7 +169,7 @@ class Graph(Clutter):
 
     def __init__(self, n: int, edges: Iterable[int] = (), weights: Weights = None):
         super().__init__(n, edges, weights)
-        if any(h.bit_count() != 2 for h in self.edges):
+        if self.edges and self._edge_sizes != (2, 2):
             raise InputError("graph edge of size != 2")
 
     @property

@@ -132,7 +132,7 @@ def _rho_below(h: Hypergraph, s: int, best: int):
     """
     # at least 1, so that the bound below divides by a positive size when
     # every edge is empty
-    rank = max([1, *(e.bit_count() for e in h.edges)])
+    rank = max(1, h.rank)
     edges, inc, adj = h.edges, h.incidence(), h.gaifman_adj()
     if not all(inc[v] for v in bits(s)):
         return math.inf
@@ -274,7 +274,7 @@ def minor_matching_intersecting(h: Hypergraph, s: int) -> int:
 
 
 def _is_graph(h: Hypergraph) -> bool:
-    return all(e.bit_count() == 2 for e in h.edges)
+    return not h.edges or h.edge_sizes() == (2, 2)
 
 
 def mu_intersecting(h: Hypergraph, s: int) -> int:

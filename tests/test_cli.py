@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import mmtw.dp
 from mmtw._bits import bits, mask_of
 from mmtw.cli import main
 from mmtw.formats import parse_td, serialize_hypergraph, serialize_td
@@ -274,7 +275,7 @@ def test_rho_with_only_an_empty_edge(files, capsys):
     assert json.loads(out)["per_bag"] == ["inf", 0]
 
 
-def test_covering_solves_ignore_the_trace_caps(files, capsys):
+def test_covering_solves_ignore_the_trace_caps(files, capsys, monkeypatch):
     # nodes/depth bound the blocker trace, which only mwis reads
     c5 = cycle_graph(5)
     hg = files("c5.hg", serialize_hypergraph(c5))
@@ -291,9 +292,30 @@ def test_covering_solves_ignore_the_trace_caps(files, capsys):
                        "--target", k2, "--caps", "nodes=1,depth=1", "--json")
     assert code == 10
     assert json.loads(out)["homomorphic"] == hom_bruteforce(c5, complete_graph(2))
+    # with every candidate left to the trace, as in a merge that meets an
+    # undecided one
+    monkeypatch.setattr(mmtw.dp._MergeTrace, "_settle", lambda self, a: None)
     code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td,
                        "--caps", "nodes=1", "--json")
     assert code == 20
+
+
+def test_a_trace_cap_on_an_undecided_merge_names_the_bag(files, capsys):
+    # bag 1 = {1, 2, 3} merges its child, all five vertices, and meets the
+    # candidate {}: the greedy blocks 1 with 4, and 2 is then left with 0,
+    # which 4 blocks, so the trace runs there and exceeds nodes=1
+    g = Hypergraph(5, [mask_of(e) for e in ((0, 2), (0, 3), (2, 3), (0, 4),
+                                            (1, 4), (3, 4))])
+    hg = files("undecided.hg", serialize_hypergraph(g))
+    t = TreeDecomposition([0b00010, 0b01110, 0b11111], [(0, 1), (1, 2)])
+    td = files("undecided.td", serialize_td(t, 5))
+    code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td,
+                       "--caps", "nodes=1", "--json")
+    assert code == 20
+    doc = json.loads(out)
+    assert doc["bag"] == 1 and "trace cap exceeded at bag 1" in doc["error"]
+    code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td, "--json")
+    assert code == 0
 
 
 def test_reduce_outputs_parse(files, capsys):

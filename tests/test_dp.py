@@ -10,7 +10,7 @@ from mmtw._bits import bits, mask_of
 from mmtw.blocker import BranchCaps, enumerate_mis, trace_blocker
 from mmtw.decomposition import TreeDecomposition, single_bag
 from mmtw.dp import (DEFAULT_TABLE_CAP, CoverDP, MwisDP, _BagCopy,
-                     chromatic_decide, hom_decide, mwis, run_dp)
+                     _MergeTrace, chromatic_decide, hom_decide, mwis, run_dp)
 from mmtw.errors import InputError, ResourceError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_cobipartite, random_decomposition,
@@ -278,7 +278,13 @@ def test_cover_solvers_never_compute_the_trace(monkeypatch):
     assert merges > 0
 
 
+def undecided(monkeypatch):
+    """Leave every candidate to the trace: the fallback runs at each merge."""
+    monkeypatch.setattr(mmtw.dp._MergeTrace, "_settle", lambda self, a: None)
+
+
 def test_mwis_still_computes_the_trace(monkeypatch):
+    undecided(monkeypatch)
     calls = []
     original = mmtw.dp.trace_blocker
 
@@ -290,6 +296,79 @@ def test_mwis_still_computes_the_trace(monkeypatch):
     p3 = path_graph(3)
     t = TreeDecomposition([0b011, 0b110], [(0, 1)])
     assert mwis(p3, [1, 1, 1], t) == (2, mask_of((0, 2)))
+    assert len(calls) == 1
+
+
+# a merge settles each candidate trace with a short proof, and runs the
+# blocker trace only for a candidate left undecided
+
+
+def test_settled_verdicts_are_membership_in_the_trace():
+    # every independent a ⊆ S, for S ⊆ V ⊆ X: a verdict, when given, is
+    # membership in tr_S(i(H[V])), and ``in`` answers membership always
+    rng = rng_from_seed(70)
+    settled = left = 0
+    for _ in range(3000):
+        n = rng.randrange(1, 11)
+        h = random_hypergraph(rng, n, rng.randrange(0, n + 4),
+                              rank=rng.randrange(1, 5))
+        x = rng.getrandbits(n) | rng.getrandbits(n)
+        v = x & (rng.getrandbits(n) | rng.getrandbits(n))
+        s = v & rng.getrandbits(n)
+        members = frozenset(m & s for m in
+                            enumerate_mis(h, v, DEFAULT_TABLE_CAP))
+        test = _MergeTrace(_BagCopy(h, x, s), v, BranchCaps())
+        a = s
+        while True:
+            if all(e & ~a for e in h.edges):
+                got = test._settle(a)
+                if got is None:
+                    left += 1
+                else:
+                    settled += 1
+                    assert got == (a in members)
+                assert (a in test) == (a in members)
+            if not a:
+                break
+            a = (a - 1) & s
+    assert settled > 8000 and left > 0
+
+
+def counting_traces(monkeypatch):
+    calls = []
+    original = mmtw.dp.trace_blocker
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mmtw.dp, "trace_blocker", counting)
+    return calls
+
+
+def test_a_merge_whose_candidates_all_settle_runs_no_trace(monkeypatch):
+    calls = counting_traces(monkeypatch)
+    p3 = path_graph(3)
+    t = TreeDecomposition([0b011, 0b110], [(0, 1)])
+    assert mwis(p3, [1, 1, 1], t) == (2, mask_of((0, 2)))
+    assert calls == []
+
+
+# S = {1, 2, 3} and a = {}: the greedy blocks 1 with 4, and 2 is then left
+# with 0, which 4 blocks; no v ∈ S lacks a blocking edge, so neither proof
+# applies.  a is not a member: the traces are {1}, {1, 2}, {1, 3}, {2}
+UNDECIDED = Graph.from_pairs(5, [(0, 2), (0, 3), (2, 3), (0, 4), (1, 4),
+                                 (3, 4)])
+
+
+def test_an_undecided_candidate_runs_the_trace_once(monkeypatch):
+    s, full = 0b01110, 0b11111
+    assert _MergeTrace(_BagCopy(UNDECIDED, full, s), full,
+                       BranchCaps())._settle(0) is None
+    calls = counting_traces(monkeypatch)
+    t = TreeDecomposition([s, full], [(0, 1)])
+    w = [1, 2, 1, 1, 1]
+    assert mwis(UNDECIDED, w, t)[0] == mwis_bruteforce(UNDECIDED, w)[0]
     assert len(calls) == 1
 
 
@@ -557,6 +636,7 @@ def test_local_trace_equals_trace_of_the_whole_set():
 
 
 def test_mwis_traces_only_the_closed_neighbourhood(monkeypatch):
+    undecided(monkeypatch)
     calls = []
     original = mmtw.dp.trace_blocker
 
@@ -604,6 +684,7 @@ def _star_of_pods(rng, n_root, pods, pod_size):
 def test_merges_at_a_bag_share_one_copy_and_one_memo(monkeypatch):
     # every merge at the root traces inside the root's one copy of H and
     # shares its memo: fewer branch nodes than fresh memos, the same traces
+    undecided(monkeypatch)
     shared_nodes = fresh_nodes = merges = 0
     copies = []
     original_trace = mmtw.dp.trace_blocker

@@ -160,6 +160,26 @@ def test_incidence_matches_a_scan_of_each_edge():
         assert h.incidence() is inc   # cached
 
 
+def test_edge_sizes_match_a_scan_of_each_edge():
+    rng = rng_from_seed(50)
+    for it in range(120):
+        n = rng.randrange(0, 12)
+        h = random_hypergraph(rng, n, rng.randrange(0, 2 * n + 1),
+                              rank=rng.randrange(1, 5),
+                              min_size=rng.randrange(0, 2))
+        for g in (h, minimalize(h)):   # the clutter sets its sizes itself
+            sizes = [e.bit_count() for e in g.edges]
+            want = (min(sizes), max(sizes)) if sizes else (0, 0)
+            assert g.edge_sizes() == want and g.rank == want[1]
+            assert g.edge_sizes() is g.edge_sizes()   # cached
+    assert Graph.from_pairs(3, [(0, 1), (1, 2)]).edge_sizes() == (2, 2)
+    assert Graph(4).edge_sizes() == (0, 0)
+    with pytest.raises(InputError):
+        Graph(3, [0b001, 0b110])
+    with pytest.raises(InputError):
+        Graph(3, [0])
+
+
 def test_removal_remap_numbers_the_kept_ids_in_order():
     rng = rng_from_seed(49)
     for _ in range(40):

@@ -14,8 +14,8 @@ from mmtw.hypergraph import Graph, Hypergraph, gaifman, induced
 from mmtw.measures import (ALPHA, BAG_MEASURES, MEASURES, MU, RHO,
                            alpha_decide, alpha_set, edge_conflicts,
                            get_measure, induced_matching_intersecting,
-                           minor_matching_intersecting, rho_decide,
-                           rho_set)
+                           minor_matching_intersecting, mu_intersecting,
+                           rho_decide, rho_set)
 from mmtw.oracles import mwis_bruteforce, rho_bruteforce
 
 
@@ -266,3 +266,13 @@ def test_edge_conflicts_on_small_bags_read_the_edge_list_once_per_index():
     assert g.edges.passes <= 2
     assert universes == [mask_of(range(max(0, i - 1), min(299, i + 2)))
                          for i in range(299)]
+
+
+def test_mu_on_small_bags_reads_the_edge_list_once_per_index():
+    # whether H is a graph comes from its cached edge sizes, not from a scan
+    # of every edge per call
+    g = path_graph(300)
+    g.edges = _CountingEdges(g.edges)
+    values = [mu_intersecting(g, 3 << i) for i in range(299)]
+    assert g.edges.passes <= 2
+    assert values == [1] * 299
