@@ -24,16 +24,20 @@ MWIS solve whose candidates all settle answers under any cap.
 
 A trace is local to the bag S: ``blocker.trace_blocker`` branches on the
 closed neighbourhood N_X[S] alone, and its module docstring proves that the
-trace is the same.  The merges at one bag share that search.  ``run_dp``
-builds one copy of H[N_X[S]], X the bag and all its child subtrees, and one
-brancher memo for the bag; the vertices merged so far only grow and stay
-inside X, so merge i traces its own N[S] in that copy, and settles its
-candidates on the copy's edges.  A brancher node's answer depends only on
-its clutter once S is fixed, so the traces are the same as with a fresh
-memo per merge.  The caps are not: ``nodes`` charges each merge that runs
-the trace only for the clutters that no earlier trace at the same bag
-answered, and a memo hit skips the depth check of the subtree it answers,
-so ``depth`` can fire on a different merge than with a fresh memo.
+trace is the same.  A merge settles its candidates on the edges of H[V]
+itself, V the vertices merged so far, read through ``Hypergraph.incidence()``,
+so a bag whose merges all settle copies nothing.  A trace builds the copy
+of H[N_X[S]] that it searches, X the bag and all its child subtrees
+(``_BagCopy``).  X and S are fixed per bag, so every trace at the bag
+searches the same copy in the same ids, and the traces share one brancher
+memo per bag; the vertices merged so far only grow and stay inside X, so
+merge i traces its own N[S] in that copy.  A brancher node's answer
+depends only on its clutter once S is fixed, so the traces are the same as
+with a fresh memo per merge.  The caps are not: ``nodes`` charges each
+merge that runs the trace only for the clutters that no earlier trace at
+the same bag answered, and a memo hit skips the depth check of the subtree
+it answers, so ``depth`` can fire on a different merge than with a fresh
+memo.
 
 MWIS weights are scaled to integers by the least common multiple of their
 denominators before the DP runs, so the tables add and compare ints.
@@ -59,69 +63,62 @@ TARGET_CAP = 10
 
 
 class _BagCopy:
-    """H[N_X[S]] for a bag S and the vertices X of the bag and its child
-    subtrees, with S in its ids, the map back to H and one brancher memo,
-    and, in H's ids, S and the edges of H[N_X[S]] through each vertex.
+    """A bag S, the vertices X of the bag and its child subtrees, and the
+    bag's brancher memo, all in H's ids; building it does no work.
 
-    A merge at the bag traces in V ⊆ X, so N_V[S] ⊆ N_X[S]: every merge at
-    the bag traces inside this one copy and shares the memo.
+    ``trace`` builds the copy of H[N_X[S]] that it searches.  A merge at
+    the bag traces in V ⊆ X, so N_V[S] ⊆ N_X[S]; X and S are fixed, so
+    every trace at the bag builds the same copy in the same ids, and the
+    memo stays valid across them.
     """
 
-    __slots__ = ("sub", "s", "near", "remap", "back", "memo", "smask", "at")
+    __slots__ = ("h", "xmask", "smask", "memo")
 
     def __init__(self, h: Hypergraph, xmask: int, smask: int):
-        self.near = _closed_neighbourhood(h, smask, xmask)
-        self.sub, self.remap = induced(h, self.near)
-        self.s = _remap_mask(smask, self.remap)
-        # ``induced`` numbers the kept ids in increasing order
-        self.back = list(self.remap)
+        self.h, self.xmask, self.smask = h, xmask, smask
         self.memo: dict = {}
-        self.smask = smask
-        # per vertex of N_X[S], the edges of H[N_X[S]] through it (ambient)
-        self.at: dict[int, list[int]] = {}
-        for e in h.edges:
-            if not e & ~self.near:
-                for x in bits(e):
-                    self.at.setdefault(x, []).append(e)
 
     def trace(self, vmask: int, caps: BranchCaps) -> frozenset[int]:
         """tr_S(i(H[vmask])) member masks (ambient), vmask ⊆ X: the
-        complements in S of the blocker trace of the copy's part of vmask."""
-        within = _remap_mask(vmask & self.near, self.remap)
-        s = self.s
-        res = trace_blocker(self.sub, s, caps, within, self.memo)
-        return frozenset(_remap_mask(s & ~a, self.back) for a in res.traces)
+        complements in S of the blocker trace of H[N_X[S]]'s part of vmask,
+        searched in a copy of H[N_X[S]] built for this trace."""
+        near = _closed_neighbourhood(self.h, self.smask, self.xmask)
+        sub, remap = induced(self.h, near)
+        s = _remap_mask(self.smask, remap)
+        res = trace_blocker(sub, s, caps, _remap_mask(vmask & near, remap),
+                            self.memo)
+        # ``induced`` numbers the kept ids in increasing order
+        back = list(remap)
+        return frozenset(_remap_mask(s & ~a, back) for a in res.traces)
 
 
 class _MergeTrace:
     """Membership in tr_S(i(H[V])) for one merge, V = ``vmask`` ⊇ S: each
-    distinct candidate is settled once, on the bag copy's edges, and the
-    trace is computed only when a candidate is left undecided.
+    distinct candidate is settled once, on the edges of H[V], and the trace
+    is computed only when a candidate is left undecided.
 
-    ``_settle`` reads the edges of H[W], W = V ∩ N_X[S].  N_V[S] ⊆ W ⊆ V,
-    so N_W[S] = N_V[S] and, by the identity of ``blocker``'s module
-    docstring, H[W] and H[V] have the same trace on S.  A candidate a ⊆ S
-    is independent (the merge's candidates are).  The two proofs:
+    A candidate a ⊆ S is independent (the merge's candidates are).  The two
+    proofs:
 
     - certify: grow an independent M from a with M ∩ S = a.  For each
       v ∈ S - a in id order that M does not block yet (no edge e ∋ v with
       e - v ⊆ M), add e - v for the first edge e ∋ v such that e - v
       avoids S - a and M stays independent.  If every v ends up blocked, a
-      maximal independent set of H[W] that contains M adds no vertex of S,
+      maximal independent set of H[V] that contains M adds no vertex of S,
       so its trace is a;
     - refute: some v ∈ S - a has no edge e ∋ v with e - v avoiding S - a
       and (e - v) ∪ a independent.  No independent M with M ∩ S = a then
       blocks v, so M + v is independent and M is not maximal.
 
     Neither searches: each costs O(|S| d² r) per candidate, d the largest
-    degree in the copy and r its rank.
+    degree in H[V] and r its rank.
     """
 
     __slots__ = ("copy", "vmask", "caps", "options", "verdicts", "trace")
 
     def __init__(self, copy: _BagCopy, vmask: int, caps: BranchCaps):
         self.copy, self.vmask, self.caps = copy, vmask, caps
-        self.options = _blocking_options(copy, vmask)
+        self.options = _blocking_options(copy.h, copy.smask, vmask)
         self.verdicts: dict[int, bool] = {}
         self.trace: frozenset[int] | None = None
 
@@ -163,26 +160,27 @@ class _MergeTrace:
         return True
 
 
-def _blocking_options(copy: _BagCopy, within: int):
-    """Per v ∈ S in id order, (1 << v, the ways to block v in H[W]), W the
-    copy's vertices inside ``within``: per edge e ∋ v of H[W], o = e - v and
-    the sets f - o of the edges f of H[W] that meet o - S.  For an
-    independent m ⊇ o ∩ S, m ∪ o is independent iff no f - o lies in m.
-    An o that holds an edge is left out."""
-    at, s = copy.at, copy.smask
+def _blocking_options(h: Hypergraph, s: int, within: int):
+    """Per v ∈ S in id order, (1 << v, the ways to block v in H[V]), V =
+    ``within``: per edge e ∋ v of H[V], read through ``h.incidence()``,
+    o = e - v and the sets f - o of the edges f of H[V] that meet o - S.
+    For an independent m ⊇ o ∩ S, m ∪ o is independent iff no f - o lies
+    in m.  An o that holds an edge is left out."""
+    edges, inc = h.edges, h.incidence()
     # one list per o, which several vertices of S can share
     needs: dict[int, list[int] | None] = {}
     out = []
     for v in bits(s):
         bv = 1 << v
         opts = []
-        for e in at.get(v, ()):
+        for i in bits(inc[v]):
+            e = edges[i]
             if e & ~within:
                 continue
             o = e ^ bv
             if o not in needs:
-                need = [f & ~o for x in bits(o & ~s) for f in at[x]
-                        if not f & ~within]
+                need = [edges[j] & ~o for j in bits(h.edges_meeting(o & ~s))
+                        if not edges[j] & ~within]
                 needs[o] = need if all(need) else None
             if needs[o] is not None:
                 opts.append((o, needs[o]))

@@ -126,9 +126,10 @@ def _rho_below(h: Hypergraph, s: int, best: int):
     is greedy.  A branch is cut when its edges plus a lower bound cannot
     beat ``best``.  Two bounds count edges still to come: the uncovered
     vertices over the largest edge size, and a greedy packing of uncovered
-    vertices no two of which share an edge (lowest first, dropping the span
-    of each pick), since each of those needs an edge of its own.  The
-    search keeps its own stack of (uncovered, edges used) branches.
+    vertices no two of which share an edge (lowest first, dropping the
+    closed Gaifman neighbourhood of each pick), since each of those needs
+    an edge of its own.  The search keeps its own stack of (uncovered,
+    edges used) branches.
     """
     # at least 1, so that the bound below divides by a positive size when
     # every edge is empty
@@ -136,8 +137,6 @@ def _rho_below(h: Hypergraph, s: int, best: int):
     edges, inc, adj = h.edges, h.incidence(), h.gaifman_adj()
     if not all(inc[v] for v in bits(s)):
         return math.inf
-    # span[v]: the union of the edges through v, for v in an edge
-    span = [a | 1 << v for v, a in enumerate(adj)]
     stack = [(s, 0)]
     while stack:
         uncovered, used = stack.pop()
@@ -149,10 +148,11 @@ def _rho_below(h: Hypergraph, s: int, best: int):
         # the packing's first pick is the lowest uncovered vertex v, the one
         # branched on below; the size bound above left used + 1 < best
         v = (uncovered & -uncovered).bit_length() - 1
-        bound, rest = used + 1, uncovered & ~span[v]
+        bound, rest = used + 1, uncovered & ~(adj[v] | 1 << v)
         while rest and bound < best:
             bound += 1
-            rest &= ~span[(rest & -rest).bit_length() - 1]
+            u = (rest & -rest).bit_length() - 1
+            rest &= ~(adj[u] | 1 << u)
         if bound >= best:
             continue
         # a child per edge through v; the one covering the most is pushed

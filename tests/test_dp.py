@@ -354,6 +354,27 @@ def test_a_merge_whose_candidates_all_settle_runs_no_trace(monkeypatch):
     assert calls == []
 
 
+def test_a_bag_whose_merges_all_settle_builds_no_copy(monkeypatch):
+    # the merges settle on H[V] itself: no N[S] scan and no copy of H[N[S]]
+    calls = []
+
+    def spy_on(name):
+        original = getattr(mmtw.dp, name)
+
+        def spy(*args):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(mmtw.dp, name, spy)
+
+    spy_on("induced")
+    spy_on("_closed_neighbourhood")
+    p3 = path_graph(3)
+    t = TreeDecomposition([0b011, 0b110], [(0, 1)])
+    assert mwis(p3, [1, 1, 1], t) == (2, mask_of((0, 2)))
+    assert calls == []
+
+
 # S = {1, 2, 3} and a = {}: the greedy blocks 1 with 4, and 2 is then left
 # with 0, which 4 blocks; no v ∈ S lacks a blocking edge, so neither proof
 # applies.  a is not a member: the traces are {1}, {1, 2}, {1, 3}, {2}
@@ -724,8 +745,9 @@ def test_merges_at_a_bag_share_one_copy_and_one_memo(monkeypatch):
         before = merges
         copies.clear()
         assert mwis(h, w, t)[0] == mwis_bruteforce(h, w)[0]
-        # the root is the only bag with children: one copy, one merge a child
-        assert len(copies) == 1
+        # the root is the only bag with children: one merge a child, and
+        # each merge's trace copies the same N[S]
+        assert len(copies) == merges - before and len(set(copies)) == 1
         assert merges - before == t.node_count - 1
     assert shared_nodes < fresh_nodes
 

@@ -207,22 +207,51 @@ def test_every_unread_parameter_is_listed_with_its_reason():
 
 def per_vertex_lists(source: str) -> list[str]:
     """The expressions of ``source`` that build a list with one entry per
-    vertex: ``[...] * <x>.n`` (either order) or a list comprehension over
-    ``range(<x>.n)``."""
+    vertex: ``[...] * <x>.n`` (either order), a list comprehension over
+    ``range(<x>.n)``, or one over ``enumerate(...)`` of a per-vertex index
+    (``<x>.gaifman_adj()`` or ``<x>.incidence()``, or a name bound to
+    one)."""
+    tree = ast.parse(source)
+
     def vertex_count(node) -> bool:
         return isinstance(node, ast.Attribute) and node.attr == "n"
 
+    def index_call(node) -> bool:
+        return isinstance(node, ast.Call) \
+            and isinstance(node.func, ast.Attribute) \
+            and node.func.attr in ("gaifman_adj", "incidence")
+
+    def call_of(node, name: str):
+        """The single argument of a call ``name(...)``, else None."""
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == name \
+                and len(node.args) == 1:
+            return node.args[0]
+        return None
+
+    indexes = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = zip(target.elts, node.value.elts) \
+                    if isinstance(target, ast.Tuple) \
+                    and isinstance(node.value, ast.Tuple) \
+                    else [(target, node.value)]
+                indexes.update(t.id for t, v in pairs
+                               if isinstance(t, ast.Name) and index_call(v))
+
+    def per_vertex_index(node) -> bool:
+        return index_call(node) or (isinstance(node, ast.Name)
+                                    and node.id in indexes)
+
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
             hit = any(isinstance(a, ast.List) and vertex_count(b)
                       for a, b in ((node.left, node.right),
                                    (node.right, node.left)))
         elif isinstance(node, ast.ListComp):
-            hit = any(isinstance(gen.iter, ast.Call)
-                      and ast.unparse(gen.iter.func) == "range"
-                      and len(gen.iter.args) == 1
-                      and vertex_count(gen.iter.args[0])
+            hit = any(vertex_count(call_of(gen.iter, "range"))
+                      or per_vertex_index(call_of(gen.iter, "enumerate"))
                       for gen in node.generators)
         else:
             hit = False
@@ -235,10 +264,16 @@ def test_per_vertex_lists_are_caught():
     source = ("a = [0] * h.n\nb = [[] for _ in range(g.n)]\n"
               "c = g.n * [None]\nd = [v for v in range(x.original.n)]\n"
               "e = [0] * len(h.edges)\nf = 2 * h.n\n"
-              "g = [0 for _ in range(n)]\nh = [a | 1 for a in h.adj]\n")
+              "g = [0 for _ in range(n)]\nh = [a | 1 for a in h.adj]\n"
+              "edges, adj = h.edges, h.gaifman_adj()\n"
+              "i = [a | 1 << v for v, a in enumerate(adj)]\n"
+              "j = [m for v, m in enumerate(g.incidence())]\n"
+              "k = [e for i, e in enumerate(edges)]\n")
     assert per_vertex_lists(source) == [
         "[0] * h.n", "[[] for _ in range(g.n)]", "g.n * [None]",
-        "[v for v in range(x.original.n)]"]
+        "[v for v in range(x.original.n)]",
+        "[a | 1 << v for v, a in enumerate(adj)]",
+        "[m for v, m in enumerate(g.incidence())]"]
 
 
 def test_measures_and_reductions_read_the_hypergraph_index():

@@ -248,7 +248,8 @@ def test_edge_conflicts_match_the_pairwise_rule():
 
 
 class _CountingEdges(tuple):
-    """An edge tuple that counts the passes made over it."""
+    """A tuple (of edges or adjacency masks) that counts the passes made
+    over it."""
 
     passes = 0
 
@@ -266,6 +267,16 @@ def test_edge_conflicts_on_small_bags_read_the_edge_list_once_per_index():
     assert g.edges.passes <= 2
     assert universes == [mask_of(range(max(0, i - 1), min(299, i + 2)))
                          for i in range(299)]
+
+
+def test_rho_on_small_bags_never_walks_the_gaifman_adjacency():
+    # the packing bound reads the neighbourhoods of its picks by index, not
+    # from a per-vertex list built on each call
+    g = path_graph(300)
+    g._gaifman_adj = _CountingEdges(g.gaifman_adj())
+    values = [rho_set(g, 3 << i) for i in range(299)]
+    assert g._gaifman_adj.passes == 0
+    assert values == [1] * 299
 
 
 def test_mu_on_small_bags_reads_the_edge_list_once_per_index():
