@@ -42,14 +42,11 @@ so the extension adds only vertices outside N_X[S] and keeps I ∩ S.
 The minimal transversals of cl(H[X]) are the complements in X of its
 maximal independent sets, so their traces are the complements in S of the
 traces above, and the same identity holds for tr_S(b(cl(H[X]))).
-``trace_blocker`` therefore branches on H[N_X[S]] alone, with X its
-``within`` (all of H by default): the search costs what the neighbourhood
-of S costs, however large X is, and the node and depth caps bound that
-local search.
-
-A node's answer depends on its clutter and S alone, so ``trace_blocker``
-takes ``memo``, which calls with the same S may share: ``dp.run_dp`` gives
-every merge at one bag the bag's memo.
+``trace_blocker`` therefore branches on the edges of H[N[S]] alone, N[S]
+its closed neighbourhood in all of H, and a caller that wants the trace of
+H[X] passes the copy of H[N_X[S]] (``dp._MergeTrace`` does): the search
+costs what the neighbourhood of S costs, however large X is, and the node
+and depth caps bound that one search.
 
 ``enumerate_mis`` lists the maximal independent sets of an induced
 subhypergraph as complements of ``_berge``'s transversals; every leaf set of
@@ -97,6 +94,13 @@ def _berge(edges, limit: int | None = None) -> tuple[int, ...] | None:
     edge private to one of its vertices, since those are exactly the growths
     that keep each old vertex's private edge.  These growths are minimal and
     distinct, so a step costs O(family × edges) with nothing to minimalise.
+
+    ``edges`` need not be a clutter.  Sorted by mask value, each edge comes
+    after every edge it contains, so when a superset edge arrives every
+    transversal already meets it and nothing grows; and a superset of e
+    meets a transversal in a single vertex only where e meets it in that
+    same vertex, so it never narrows a private-edge intersection.  The
+    families, and so the ``limit`` checks, are those of the minimal edges.
     """
     trans = [0]
     done: list[int] = []
@@ -136,8 +140,7 @@ def enumerate_mis(h: Hypergraph, within: int | None = None,
     ``limit`` members."""
     if within is None:
         within = h.vertex_mask
-    trans = _berge(_minimal_masks(e for e in h.edges if not e & ~within),
-                   limit)
+    trans = _berge([e for e in h.edges if not e & ~within], limit)
     if trans is None:
         raise ResourceError(f"more than {limit} maximal independent sets",
                             limit=limit)
@@ -168,17 +171,16 @@ def _compose_masks(edges, h: int, x: int, z: int) -> tuple[int, ...]:
 
 
 class _Brancher:
-    """One search for one base set S.  ``memo`` maps a clutter to its node
-    result, which depends on the clutter and S alone, so searches with the
-    same S may share it; ``nodes`` counts only what this search computed."""
+    """One search for one base set S.  ``memo`` maps each clutter the search
+    reached to its node result, so a clutter met twice is searched once and
+    charged to ``nodes`` once."""
 
-    def __init__(self, s: int, caps: BranchCaps,
-                 memo: dict[tuple[int, ...], dict[int, int]] | None = None):
+    def __init__(self, s: int, caps: BranchCaps):
         self.s = s
         self.caps = caps
         self.nodes = 0
         self.max_qm = 0
-        self.memo = {} if memo is None else memo
+        self.memo: dict[tuple[int, ...], dict[int, int]] = {}
 
     def _tick(self, depth: int, count: int = 1):
         """Charge ``count`` search nodes at ``depth`` to the caps."""
@@ -216,7 +218,7 @@ class _Brancher:
             rest.append(f)
         if alone != a:
             return None
-        for t0 in _berge(_minimal_masks(rest)):
+        for t0 in _berge(rest):
             if _is_minimal_transversal(a | t0, edges):
                 return a | t0
         return None
@@ -335,27 +337,18 @@ def _closed_neighbourhood(h: Hypergraph, s: int, within: int) -> int:
     return near
 
 
-def trace_blocker(h: Hypergraph, s: int, caps: BranchCaps = BranchCaps(),
-                  within: int | None = None,
-                  memo: dict[tuple[int, ...], dict[int, int]] | None = None
+def trace_blocker(h: Hypergraph, s: int, caps: BranchCaps = BranchCaps()
                   ) -> TraceResult:
-    """tr_S(b(cl(H[within]))) by branching (all of H by default); exact,
-    with node/depth budgets.
+    """tr_S(b(cl(H))) by branching; exact, with node/depth budgets.
 
-    The search runs on the edges inside N_within[S] alone (the module
-    docstring proves the trace is the same), so ``nodes_explored`` and the
-    caps count only that search.  ``memo`` is the brancher's memo, which
-    calls with the same S may share: a clutter one call answered costs a
-    later call nothing, so the later call's ``nodes_explored`` and its caps
-    count only the clutters that no earlier call answered.
+    The search runs on the edges inside N[S] alone (the module docstring
+    proves the trace is the same), so ``nodes_explored`` and the caps count
+    that one search and nothing else.
     """
     if s & ~h.vertex_mask:
         raise InputError("S contains an unknown vertex id")
-    if within is None:
-        within = h.vertex_mask
-    # S outside ``within`` is isolated in H[within] and meets no transversal
-    near = within & _closed_neighbourhood(h, s, within)
-    brancher = _Brancher(s, caps, memo)
+    near = _closed_neighbourhood(h, s, h.vertex_mask)
+    brancher = _Brancher(s, caps)
     res = brancher.run(_minimal_masks(e for e in h.edges if not e & ~near),
                        0, 0)
     return TraceResult(frozenset(res), brancher.nodes, brancher.max_qm)

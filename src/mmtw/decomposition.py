@@ -70,25 +70,22 @@ def _node_adj(k: int, edges) -> tuple[int, ...]:
 
 
 def _merge_adjacent_equal(bags, edges):
-    parent = list(range(len(bags)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, b in edges:
-        if bags[a] == bags[b]:
-            parent[find(a)] = find(b)
-    reps = sorted({find(i) for i in range(len(bags))})
-    index = {r: i for i, r in enumerate(reps)}
-    new_bags = [bags[r] for r in reps]
-    new_edges = set()
-    for a, b in edges:
-        ra, rb = index[find(a)], index[find(b)]
-        if ra != rb:
-            new_edges.add((min(ra, rb), max(ra, rb)))
+    """One node per component of the tree edges that join equal bags,
+    numbered in the order of its lowest node, so node 0 keeps its bag."""
+    joined = [(a, b) for a, b in edges if bags[a] == bags[b]]
+    if not joined:
+        return bags, edges
+    k = len(bags)
+    same = _node_adj(k, joined)
+    group: list[int | None] = [None] * k
+    new_bags = []
+    for i in range(k):
+        if group[i] is None:
+            for j in bits(reach(same, 1 << i, ~0)):
+                group[j] = len(new_bags)
+            new_bags.append(bags[i])
+    new_edges = {tuple(sorted((group[a], group[b]))) for a, b in edges
+                 if group[a] != group[b]}
     return new_bags, new_edges
 
 

@@ -23,21 +23,12 @@ MWIS solve whose candidates all settle answers under any cap.
 ``chromatic_decide`` and ``hom_decide`` take none.
 
 A trace is local to the bag S: ``blocker.trace_blocker`` branches on the
-closed neighbourhood N_X[S] alone, and its module docstring proves that the
+closed neighbourhood N[S] alone, and its module docstring proves that the
 trace is the same.  A merge settles its candidates on the edges of H[V]
 itself, V the vertices merged so far, read through ``Hypergraph.incidence()``,
-so a bag whose merges all settle copies nothing.  A trace builds the copy
-of H[N_X[S]] that it searches, X the bag and all its child subtrees
-(``_BagCopy``).  X and S are fixed per bag, so every trace at the bag
-searches the same copy in the same ids, and the traces share one brancher
-memo per bag; the vertices merged so far only grow and stay inside X, so
-merge i traces its own N[S] in that copy.  A brancher node's answer
-depends only on its clutter once S is fixed, so the traces are the same as
-with a fresh memo per merge.  The caps are not: ``nodes`` charges each
-merge that runs the trace only for the clutters that no earlier trace at
-the same bag answered, and a memo hit skips the depth check of the subtree
-it answers, so ``depth`` can fire on a different merge than with a fresh
-memo.
+so a merge whose candidates all settle copies nothing.  A merge that traces
+builds the copy of H[N_V[S]] of its own V and searches it once, so ``nodes``
+and ``depth`` bound that one search, in ``solve`` as in ``trace``.
 
 MWIS weights are scaled to integers by the least common multiple of their
 denominators before the DP runs, so the tables add and compare ints.
@@ -62,36 +53,6 @@ DEFAULT_TABLE_CAP = 200_000
 TARGET_CAP = 10
 
 
-class _BagCopy:
-    """A bag S, the vertices X of the bag and its child subtrees, and the
-    bag's brancher memo, all in H's ids; building it does no work.
-
-    ``trace`` builds the copy of H[N_X[S]] that it searches.  A merge at
-    the bag traces in V ⊆ X, so N_V[S] ⊆ N_X[S]; X and S are fixed, so
-    every trace at the bag builds the same copy in the same ids, and the
-    memo stays valid across them.
-    """
-
-    __slots__ = ("h", "xmask", "smask", "memo")
-
-    def __init__(self, h: Hypergraph, xmask: int, smask: int):
-        self.h, self.xmask, self.smask = h, xmask, smask
-        self.memo: dict = {}
-
-    def trace(self, vmask: int, caps: BranchCaps) -> frozenset[int]:
-        """tr_S(i(H[vmask])) member masks (ambient), vmask ⊆ X: the
-        complements in S of the blocker trace of H[N_X[S]]'s part of vmask,
-        searched in a copy of H[N_X[S]] built for this trace."""
-        near = _closed_neighbourhood(self.h, self.smask, self.xmask)
-        sub, remap = induced(self.h, near)
-        s = _remap_mask(self.smask, remap)
-        res = trace_blocker(sub, s, caps, _remap_mask(vmask & near, remap),
-                            self.memo)
-        # ``induced`` numbers the kept ids in increasing order
-        back = list(remap)
-        return frozenset(_remap_mask(s & ~a, back) for a in res.traces)
-
-
 class _MergeTrace:
     """Membership in tr_S(i(H[V])) for one merge, V = ``vmask`` ⊇ S: each
     distinct candidate is settled once, on the edges of H[V], and the trace
@@ -114,11 +75,13 @@ class _MergeTrace:
     degree in H[V] and r its rank.
     """
 
-    __slots__ = ("copy", "vmask", "caps", "options", "verdicts", "trace")
+    __slots__ = ("h", "smask", "vmask", "caps", "options", "verdicts",
+                 "trace")
 
-    def __init__(self, copy: _BagCopy, vmask: int, caps: BranchCaps):
-        self.copy, self.vmask, self.caps = copy, vmask, caps
-        self.options = _blocking_options(copy.h, copy.smask, vmask)
+    def __init__(self, h: Hypergraph, smask: int, vmask: int,
+                 caps: BranchCaps):
+        self.h, self.smask, self.vmask, self.caps = h, smask, vmask, caps
+        self.options = _blocking_options(h, smask, vmask)
         self.verdicts: dict[int, bool] = {}
         self.trace: frozenset[int] | None = None
 
@@ -128,14 +91,25 @@ class _MergeTrace:
             got = self._settle(a)
             if got is None:
                 if self.trace is None:
-                    self.trace = self.copy.trace(self.vmask, self.caps)
+                    self.trace = self._trace()
                 got = a in self.trace
             self.verdicts[a] = got
         return got
 
+    def _trace(self) -> frozenset[int]:
+        """tr_S(i(H[V])) member masks (ambient): the complements in S of the
+        blocker trace of H[N_V[S]], searched in a copy built for it."""
+        near = _closed_neighbourhood(self.h, self.smask, self.vmask)
+        sub, remap = induced(self.h, near)
+        s = _remap_mask(self.smask, remap)
+        res = trace_blocker(sub, s, self.caps)
+        # ``induced`` numbers the kept ids in increasing order
+        back = list(remap)
+        return frozenset(_remap_mask(s & ~a, back) for a in res.traces)
+
     def _settle(self, a: int) -> bool | None:
         """Whether a is a member, or None when neither proof applies."""
-        rest = self.copy.smask & ~a
+        rest = self.smask & ~a
         m = a
         for i, (bv, opts) in enumerate(self.options):
             if not bv & rest:
@@ -277,19 +251,13 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
         if not acc:
             return f.restrict(acc, 0)
         acc_v = bag
-        copy = None
-        if f.reads_trace and children[node]:
-            xmask = bag
-            for c in children[node]:
-                xmask |= subtree_v[c]
-            copy = _BagCopy(h, xmask, bag)
         for c in children[node]:
             tbl = f.restrict(tables.pop(c), bag & t.bags[c])
             missing = bag & ~t.bags[c]
             if missing:
                 tbl = f.add_isolated(tbl, missing)
             acc_v |= subtree_v[c]
-            trace = _MergeTrace(copy, acc_v, trace_caps) \
+            trace = _MergeTrace(h, bag, acc_v, trace_caps) \
                 if f.reads_trace else None
             try:
                 acc = f.merge(trace, acc, tbl, bag)

@@ -36,19 +36,20 @@ class WellBehavedMeasure:
 
     def decide(self, h: Hypergraph, s: int, k: int) -> bool:
         """True iff the measure of S in H is at most k."""
-        if s & ~h.vertex_mask:
-            raise InputError("S contains an unknown vertex id")
         return self.decide_fn(h, s, k)
 
     def value(self, h: Hypergraph, s: int):
         """Exact measure of S (int, or math.inf for uncoverable rho)."""
-        if s & ~h.vertex_mask:
-            raise InputError("S contains an unknown vertex id")
         return self.value_fn(h, s)
 
 
 # ---------------------------------------------------------------------------
-# per-set oracles
+# per-set oracles; each rejects an S outside V(H) first
+
+
+def _check_set(h: Hypergraph, s: int):
+    if s & ~h.vertex_mask:
+        raise InputError("S contains an unknown vertex id")
 
 
 def _alpha_search(adj, s: int, best: int, first: bool) -> int:
@@ -110,11 +111,13 @@ def _clique_cover_exceeds(adj, cand: int, limit: int) -> bool:
 
 def alpha_set(h: Hypergraph, s: int) -> int:
     """alpha(G[S]) for the Gaifman graph G of H."""
+    _check_set(h, s)
     return _alpha_search(h.gaifman_adj(), s, 0, False)
 
 
 def alpha_decide(h: Hypergraph, s: int, k: int) -> bool:
     """True iff the Gaifman graph has no independent (k+1)-subset of S."""
+    _check_set(h, s)
     return _alpha_search(h.gaifman_adj(), s, k, True) <= k
 
 
@@ -172,11 +175,13 @@ def _rho_below(h: Hypergraph, s: int, best: int):
 def rho_set(h: Hypergraph, s: int):
     """Minimum number of edges of H covering S; math.inf if some vertex of S
     lies in no edge."""
+    _check_set(h, s)
     return _rho_below(h, s, s.bit_count() + 1)
 
 
 def rho_decide(h: Hypergraph, s: int, k: int) -> bool:
     """True iff k edges of H cover S; false for every k if S is uncoverable."""
+    _check_set(h, s)
     return _rho_below(h, s, k + 1) <= k
 
 
@@ -279,8 +284,7 @@ def _is_graph(h: Hypergraph) -> bool:
 
 def mu_intersecting(h: Hypergraph, s: int) -> int:
     """mu_H(S); graphs take the induced-matching fast path."""
-    if s & ~h.vertex_mask:
-        raise InputError("S contains an unknown vertex id")
+    _check_set(h, s)
     if _is_graph(h):
         return induced_matching_intersecting(h, s)
     return minor_matching_intersecting(h, s)
@@ -289,6 +293,7 @@ def mu_intersecting(h: Hypergraph, s: int) -> int:
 def mu_decide(h: Hypergraph, s: int, k: int) -> bool:
     """True iff mu_H(S) <= k; on graphs the search stops at a (k+1)-edge
     induced matching."""
+    _check_set(h, s)
     if _is_graph(h):
         return _alpha_search(*edge_conflicts(h, s), k, True) <= k
     return minor_matching_intersecting(h, s) <= k
@@ -299,6 +304,7 @@ def mu_decide(h: Hypergraph, s: int, k: int) -> bool:
 
 
 def _kappa(h: Hypergraph, s: int) -> int:
+    _check_set(h, s)
     return s.bit_count() - 1
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from mmtw._bits import bits, mask_of
-from mmtw.blocker import (BranchCaps, _Brancher, _compose_masks,
+from mmtw.blocker import (BranchCaps, _berge, _Brancher, _compose_masks,
                           _is_minimal_transversal, enumerate_mis,
                           trace_blocker)
 from mmtw.errors import ResourceError
@@ -115,6 +115,25 @@ def test_berge_leaf_stops_at_the_node_cap():
     assert err.value.stats["nodes"] == 1001
 
 
+def test_berge_needs_no_minimal_edges():
+    # a family with supersets and repeats, sometimes an empty edge, and
+    # sometimes a limit: the same transversals as its minimal edges give
+    rng = rng_from_seed(18)
+    supersets = 0
+    for i in range(500):
+        n = rng.randrange(1, 9)
+        edges = [rng.getrandbits(n) | rng.getrandbits(n)
+                 for _ in range(rng.randrange(0, 9))]
+        edges += [e | rng.getrandbits(n) for e in edges[:3]]
+        if i % 7 == 0:
+            edges.append(0)
+        minimal = _minimal_masks(edges)
+        supersets += len(set(edges)) > len(minimal)
+        limit = rng.randrange(1, 6) if i % 3 == 0 else None
+        assert _berge(edges, limit) == _berge(minimal, limit), (edges, limit)
+    assert supersets >= 300
+
+
 def test_trace_empty_base():
     rng = rng_from_seed(9)
     for _ in range(20):
@@ -190,27 +209,6 @@ def test_semantic_witness_matches_a_subset_search():
                     alone |= m
             no_private += alone != a
     assert found >= 50 and refuted >= 50 and no_private >= 20
-
-
-def test_a_shared_memo_answers_the_same_traces():
-    # calls with the same S share the memo: each later call is charged only
-    # for the clutters no earlier one answered, and its trace is unchanged
-    rng = rng_from_seed(17)
-    saved = 0
-    for _ in range(100):
-        n = rng.randrange(2, 11)
-        h = random_hypergraph(rng, n, rng.randrange(1, n + 4), rank=3)
-        s = rng.getrandbits(n)
-        memo: dict = {}
-        for _ in range(3):
-            within = rng.getrandbits(n) | s
-            shared = trace_blocker(h, s, BranchCaps(), within, memo)
-            fresh = trace_blocker(h, s, BranchCaps(), within)
-            inside = Hypergraph(n, [e for e in h.edges if not e & ~within])
-            assert shared.traces == fresh.traces == brute_trace(inside, s)
-            assert shared.nodes_explored <= fresh.nodes_explored
-            saved += fresh.nodes_explored - shared.nodes_explored
-    assert saved > 0
 
 
 def test_counters_reported():

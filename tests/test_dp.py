@@ -9,14 +9,14 @@ import mmtw.dp
 from mmtw._bits import bits, mask_of
 from mmtw.blocker import BranchCaps, enumerate_mis, trace_blocker
 from mmtw.decomposition import TreeDecomposition, single_bag
-from mmtw.dp import (DEFAULT_TABLE_CAP, CoverDP, MwisDP, _BagCopy,
-                     _MergeTrace, chromatic_decide, hom_decide, mwis, run_dp)
+from mmtw.dp import (DEFAULT_TABLE_CAP, CoverDP, MwisDP, _MergeTrace,
+                     chromatic_decide, hom_decide, mwis, run_dp)
 from mmtw.errors import InputError, ResourceError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_cobipartite, random_decomposition,
                            random_graph, random_hypergraph, random_weights,
                            rng_from_seed)
-from mmtw.hypergraph import Graph, Hypergraph
+from mmtw.hypergraph import Graph, Hypergraph, _remap_mask, induced
 from mmtw.oracles import (chromatic_bruteforce, hom_bruteforce, independent_in,
                           mwis_bruteforce)
 
@@ -304,7 +304,7 @@ def test_mwis_still_computes_the_trace(monkeypatch):
 
 
 def test_settled_verdicts_are_membership_in_the_trace():
-    # every independent a ⊆ S, for S ⊆ V ⊆ X: a verdict, when given, is
+    # every independent a ⊆ S, for S ⊆ V: a verdict, when given, is
     # membership in tr_S(i(H[V])), and ``in`` answers membership always
     rng = rng_from_seed(70)
     settled = left = 0
@@ -312,12 +312,12 @@ def test_settled_verdicts_are_membership_in_the_trace():
         n = rng.randrange(1, 11)
         h = random_hypergraph(rng, n, rng.randrange(0, n + 4),
                               rank=rng.randrange(1, 5))
-        x = rng.getrandbits(n) | rng.getrandbits(n)
-        v = x & (rng.getrandbits(n) | rng.getrandbits(n))
+        v = ((rng.getrandbits(n) | rng.getrandbits(n))
+             & (rng.getrandbits(n) | rng.getrandbits(n)))
         s = v & rng.getrandbits(n)
         members = frozenset(m & s for m in
                             enumerate_mis(h, v, DEFAULT_TABLE_CAP))
-        test = _MergeTrace(_BagCopy(h, x, s), v, BranchCaps())
+        test = _MergeTrace(h, s, v, BranchCaps())
         a = s
         while True:
             if all(e & ~a for e in h.edges):
@@ -384,8 +384,7 @@ UNDECIDED = Graph.from_pairs(5, [(0, 2), (0, 3), (2, 3), (0, 4), (1, 4),
 
 def test_an_undecided_candidate_runs_the_trace_once(monkeypatch):
     s, full = 0b01110, 0b11111
-    assert _MergeTrace(_BagCopy(UNDECIDED, full, s), full,
-                       BranchCaps())._settle(0) is None
+    assert _MergeTrace(UNDECIDED, s, full, BranchCaps())._settle(0) is None
     calls = counting_traces(monkeypatch)
     t = TreeDecomposition([s, full], [(0, 1)])
     w = [1, 2, 1, 1, 1]
@@ -619,7 +618,7 @@ def test_mwis_merge_matches_per_pair_formula():
             trace = frozenset(a1 & a2 for a1 in tabs[0] for a2 in tabs[1]
                               if rng.random() < 0.6)
         else:
-            trace = _BagCopy(h, full, s).trace(full, BranchCaps())
+            trace = _MergeTrace(h, s, full, BranchCaps())
         got = dp.merge(trace, tabs[0], tabs[1], s)
         want = merge_reference(w, trace, tabs[0], tabs[1], s)
         assert {a: v for a, (v, _) in got.items()} == \
@@ -634,8 +633,9 @@ def test_mwis_merge_matches_per_pair_formula():
 
 
 def test_local_trace_equals_trace_of_the_whole_set():
-    # tr_S(i(H[X])) = tr_S(i(H[N_X[S]])): vertices of X at distance >= 2
-    # from S change no trace
+    # tr_S(i(H[V])) = tr_S(i(H[N_V[S]])): vertices of V at distance >= 2
+    # from S change no trace, so the trace of a copy of H[N_V[S]] is that
+    # of H[V]
     rng = rng_from_seed(63)
     far_cases = 0
     for _ in range(600):
@@ -651,8 +651,11 @@ def test_local_trace_equals_trace_of_the_whole_set():
         if v & ~near:
             far_cases += 1
         want = frozenset(m & s for m in enumerate_mis(h, v, DEFAULT_TABLE_CAP))
-        got = trace_blocker(h, s, within=v).traces
-        assert frozenset(s & ~a for a in got) == want
+        sub, remap = induced(h, near)
+        local = _remap_mask(s, remap)
+        got = trace_blocker(sub, local).traces
+        assert frozenset(_remap_mask(local & ~a, list(remap))
+                         for a in got) == want
     assert far_cases >= 200
 
 
@@ -702,54 +705,45 @@ def _star_of_pods(rng, n_root, pods, pod_size):
     return Graph(n, edges), t
 
 
-def test_merges_at_a_bag_share_one_copy_and_one_memo(monkeypatch):
-    # every merge at the root traces inside the root's one copy of H and
-    # shares its memo: fewer branch nodes than fresh memos, the same traces
+def test_each_traced_merge_copies_its_own_closed_neighbourhood(monkeypatch):
+    # the root's merges run in increasing child order, so merge i traces in
+    # V_i = R ∪ pod 1 ∪ ... ∪ pod i and copies N_{V_i}[R], which grows with i
     undecided(monkeypatch)
-    shared_nodes = fresh_nodes = merges = 0
     copies = []
-    original_trace = mmtw.dp.trace_blocker
-    original_bag_trace = mmtw.dp._BagCopy.trace
     original_induced = mmtw.dp.induced
-
-    def trace_spy(sub, s, caps, within, memo):
-        nonlocal shared_nodes, fresh_nodes
-        res = original_trace(sub, s, caps, within, memo)
-        fresh = original_trace(sub, s, caps, within)
-        assert res.traces == fresh.traces
-        shared_nodes += res.nodes_explored
-        fresh_nodes += fresh.nodes_explored
-        return res
-
-    def bag_trace_spy(copy, vmask, caps):
-        nonlocal merges
-        merges += 1
-        got = original_bag_trace(copy, vmask, caps)
-        # every merge is at the root, the loop's current h and t
-        root = t.bags[0]
-        assert got == frozenset(m & root for m in enumerate_mis(h, vmask))
-        return got
+    original_trace = mmtw.dp._MergeTrace._trace
 
     def induced_spy(h, mask):
         copies.append(mask)
         return original_induced(h, mask)
 
-    monkeypatch.setattr(mmtw.dp, "trace_blocker", trace_spy)
-    monkeypatch.setattr(mmtw.dp._BagCopy, "trace", bag_trace_spy)
+    def trace_spy(test):
+        got = original_trace(test)
+        assert got == frozenset(m & test.smask
+                                for m in enumerate_mis(test.h, test.vmask))
+        return got
+
     monkeypatch.setattr(mmtw.dp, "induced", induced_spy)
+    monkeypatch.setattr(mmtw.dp._MergeTrace, "_trace", trace_spy)
     rng = rng_from_seed(69)
+    grew = 0
     for _ in range(20):
         h, t = _star_of_pods(rng, 6, rng.randrange(3, 6), 2)
-        assert len(list(t.neighbors(0))) >= 3
+        root = t.bags[0]
+        want, v = [], root
+        for bag in t.bags[1:]:
+            v |= bag
+            near = root
+            for e in h.edges:
+                if e & root and not e & ~v:
+                    near |= e
+            want.append(near)
         w = random_weights(rng, h.n, lo=0)
-        before = merges
         copies.clear()
         assert mwis(h, w, t)[0] == mwis_bruteforce(h, w)[0]
-        # the root is the only bag with children: one merge a child, and
-        # each merge's trace copies the same N[S]
-        assert len(copies) == merges - before and len(set(copies)) == 1
-        assert merges - before == t.node_count - 1
-    assert shared_nodes < fresh_nodes
+        assert copies == want
+        grew += len(set(want)) > 1
+    assert grew >= 10
 
 
 # fractional weights: the DP runs on integers scaled by a common denominator

@@ -14,8 +14,8 @@ from mmtw.hypergraph import Graph, Hypergraph, gaifman, induced
 from mmtw.measures import (ALPHA, BAG_MEASURES, MEASURES, MU, RHO,
                            alpha_decide, alpha_set, edge_conflicts,
                            get_measure, induced_matching_intersecting,
-                           minor_matching_intersecting, mu_intersecting,
-                           rho_decide, rho_set)
+                           minor_matching_intersecting, mu_decide,
+                           mu_intersecting, rho_decide, rho_set)
 from mmtw.oracles import mwis_bruteforce, rho_bruteforce
 
 
@@ -86,6 +86,23 @@ def test_axiom_decide_consistent_with_value(name):
 def test_unknown_measure():
     with pytest.raises(InputError):
         get_measure("kappa")
+
+
+def test_every_oracle_rejects_an_unknown_vertex():
+    # S = {3} on P3 (a graph) and on a rank-3 hypergraph over 3 vertices
+    for h in (path_graph(3), Hypergraph(3, [0b111])):
+        for oracle in (alpha_set, rho_set, mu_intersecting):
+            with pytest.raises(InputError):
+                oracle(h, 0b1000)
+        for oracle in (alpha_decide, rho_decide, mu_decide):
+            for k in range(3):
+                with pytest.raises(InputError):
+                    oracle(h, 0b1000, k)
+        for m in BAG_MEASURES.values():
+            with pytest.raises(InputError):
+                m.value(h, 0b1010)
+            with pytest.raises(InputError):
+                m.decide(h, 0b1010, 1)
 
 
 def test_rho_exact_beyond_64_edges():
