@@ -15,11 +15,19 @@ int that packs its components.
 Only a problem whose merge reads the blocker trace tr_S(i(H)) pays for it.
 When the problem's ``reads_trace`` is true (MWIS), ``run_dp`` passes each
 merge a membership test for its trace, and otherwise ``trace=None`` (the
-covering tables of colouring and homomorphism).  The test settles each
-candidate trace with a short proof, and computes the whole trace, once per
-merge, only when a candidate is left undecided (``_MergeTrace``).  The trace
-caps therefore bound only MWIS runs, and there only the traces that run: an
-MWIS solve whose candidates all settle answers under any cap.
+covering tables of colouring and homomorphism).  The test (``_MergeTrace``)
+settles each candidate trace a with a short proof or, failing that, with a
+search that rests on a lemma, proved in ``_MergeTrace``'s docstring:
+a ∈ tr_S(i(H[V])) iff every vertex of S - a can be blocked by an edge whose
+other vertices avoid S - a and, together with a, stay independent.  The
+search stops after |S| times as many placements as the merge has ways to
+block a vertex of S, and only then is the whole trace computed, once per
+merge.  Such extension problems are NP-complete in general (Casel,
+Fernau, Khosravian Ghadikolaei, Monnot and Sikora, "On the complexity of
+solution extension of optimization problems", TCS 2022), so the trace,
+whose size the paper bounds by |S|^{O(μ)}, stays as the fallback.  The
+trace caps therefore bound only MWIS runs, and there only the traces that
+run: an MWIS solve whose candidates all settle answers under any cap.
 ``chromatic_decide`` and ``hom_decide`` take none.
 
 A trace is local to the bag S: ``blocker.trace_blocker`` branches on the
@@ -58,8 +66,15 @@ class _MergeTrace:
     distinct candidate is settled once, on the edges of H[V], and the trace
     is computed only when a candidate is left undecided.
 
-    A candidate a ⊆ S is independent (the merge's candidates are).  The two
-    proofs:
+    A candidate a ⊆ S is independent (the merge's candidates are).  The
+    lemma: a ∈ tr_S(i(H[V])) iff each v ∈ S - a has an option o_v = e_v - v,
+    e_v an edge of H[V] through v, such that o_v avoids S - a and
+    a ∪ ⋃ o_v is independent.  (⇒) Take a maximal independent I of H[V]
+    with I ∩ S = a.  For v ∈ S - a, I + v holds an edge e_v ∋ v, and
+    o_v = e_v - v ⊆ I avoids S - a; a ∪ ⋃ o_v ⊆ I is independent.  (⇐)
+    M = a ∪ ⋃ o_v is independent with M ∩ S = a, and M + v holds e_v for
+    each v ∈ S - a, so a maximal independent set of H[V] that contains M
+    adds no vertex of S: its trace is a.  Three proofs read the lemma:
 
     - certify: grow an independent M from a with M ∩ S = a.  For each
       v ∈ S - a in id order that M does not block yet (no edge e ∋ v with
@@ -69,10 +84,21 @@ class _MergeTrace:
       so its trace is a;
     - refute: some v ∈ S - a has no edge e ∋ v with e - v avoiding S - a
       and (e - v) ∪ a independent.  No independent M with M ∩ S = a then
-      blocks v, so M + v is independent and M is not maximal.
+      blocks v, so M + v is independent and M is not maximal;
+    - search (``_search``), for a candidate the first two leave undecided:
+      certify's walk, but at a vertex that no fitting option is left for,
+      go back to the last vertex given an option and try its next one.  A
+      vertex that M already blocks needs none, and stays blocked as M
+      grows.  The search is complete: if the o_v exist, the branch that
+      takes o_v at each vertex it does not skip keeps M ⊆ a ∪ ⋃ o_v, so
+      every o_v fits there, and that branch blocks all of S - a.  Its first
+      descent is certify's.
 
-    Neither searches: each costs O(|S| d² r) per candidate, d the largest
-    degree in H[V] and r its rank.
+    Certify and refute cost O(|S| d² r) per candidate, d the largest degree
+    in H[V] and r its rank.  Unbounded, the search can take exponential
+    time (the module docstring says why the trace stays), so it gives up
+    after |S| × (the number of options of the merge) placements, and only
+    then is the trace computed.
     """
 
     __slots__ = ("h", "smask", "vmask", "caps", "options", "verdicts",
@@ -108,7 +134,8 @@ class _MergeTrace:
         return frozenset(_remap_mask(s & ~a, back) for a in res.traces)
 
     def _settle(self, a: int) -> bool | None:
-        """Whether a is a member, or None when neither proof applies."""
+        """Whether a is a member, or None when the search spends its
+        budget."""
         rest = self.smask & ~a
         m = a
         for i, (bv, opts) in enumerate(self.options):
@@ -130,8 +157,36 @@ class _MergeTrace:
                                 not o & rest and _fits(need, a)
                                 for o, need in opts):
                             return False
-                    return None
+                    return self._search(a, rest)
         return True
+
+    def _search(self, a: int, rest: int) -> bool | None:
+        """Whether a is a member, by the search over options, or None once
+        it has placed |S| times as many as the merge has; ``rest`` is S - a.
+        """
+        options = self.options
+        budget = self.smask.bit_count() * sum(len(opts) for _, opts in options)
+        # a frame: the first vertex index not yet looked at, M, and the
+        # first option index not yet tried at that vertex
+        stack = [(0, a, 0)]
+        while stack:
+            i, m, j = stack.pop()
+            for i in range(i, len(options)):
+                bv, opts = options[i]
+                if bv & rest and all(o & ~m for o, _ in opts):
+                    break
+            else:
+                return True
+            for j in range(j, len(opts)):
+                o, need = opts[j]
+                if not o & rest and _fits(need, m):
+                    if not budget:
+                        return None
+                    budget -= 1
+                    stack.append((i, m, j + 1))
+                    stack.append((i + 1, m | o, 0))
+                    break
+        return False
 
 
 def _blocking_options(h: Hypergraph, s: int, within: int):
@@ -180,9 +235,10 @@ class BlockerReadable:
     test for tr_S(i(H)) of the merged subtree (``a in trace``) when
     ``reads_trace`` is true, and ``None`` when it is false; a problem that
     never looks at the trace sets it to false and spares ``run_dp`` the
-    test.  The test computes the blocker trace only for a candidate that
-    its short proofs leave undecided, and a trace cap that fires raises
-    from inside ``merge``.
+    test.  The test settles each candidate with a short proof or a bounded
+    search, and computes the blocker trace only for a candidate on which
+    the search spends its budget; a trace cap that fires raises from inside
+    ``merge``.
 
     An empty table is final: ``run_dp`` returns the first empty leaf or
     merged table as the answer, over the empty base, without visiting the

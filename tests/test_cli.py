@@ -13,7 +13,8 @@ from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            rng_from_seed)
 from mmtw.decomposition import TreeDecomposition, validate, width
 from mmtw.hypergraph import Hypergraph
-from mmtw.oracles import chromatic_bruteforce, hom_bruteforce, independent_in
+from mmtw.oracles import (chromatic_bruteforce, hom_bruteforce, independent_in,
+                          mwis_bruteforce)
 
 
 @pytest.fixture
@@ -300,15 +301,24 @@ def test_covering_solves_ignore_the_trace_caps(files, capsys, monkeypatch):
     assert code == 20
 
 
-def test_a_trace_cap_on_an_undecided_merge_names_the_bag(files, capsys):
-    # bag 1 = {1, 2, 3} merges its child, all five vertices, and meets the
-    # candidate {}: the greedy blocks 1 with 4, and 2 is then left with 0,
-    # which 4 blocks, so the trace runs there and exceeds nodes=1
+def undecided_files(files):
+    """An .hg and .td where bag 1 = {1, 2, 3} merges its child, all five
+    vertices, and meets the candidate {}: the greedy blocks 1 with 4, and 2
+    is then left with 0, which 4 blocks, so the search settles it."""
     g = Hypergraph(5, [mask_of(e) for e in ((0, 2), (0, 3), (2, 3), (0, 4),
                                             (1, 4), (3, 4))])
-    hg = files("undecided.hg", serialize_hypergraph(g))
     t = TreeDecomposition([0b00010, 0b01110, 0b11111], [(0, 1), (1, 2)])
-    td = files("undecided.td", serialize_td(t, 5))
+    return (g, files("undecided.hg", serialize_hypergraph(g)),
+            files("undecided.td", serialize_td(t, 5)))
+
+
+def test_a_trace_cap_on_an_undecided_merge_names_the_bag(files, capsys,
+                                                         monkeypatch):
+    # with the search handing {} over, the trace runs there and exceeds
+    # nodes=1
+    monkeypatch.setattr(mmtw.dp._MergeTrace, "_search",
+                        lambda self, a, rest: None)
+    _, hg, td = undecided_files(files)
     code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td,
                        "--caps", "nodes=1", "--json")
     assert code == 20
@@ -316,6 +326,15 @@ def test_a_trace_cap_on_an_undecided_merge_names_the_bag(files, capsys):
     assert doc["bag"] == 1 and "trace cap exceeded at bag 1" in doc["error"]
     code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td, "--json")
     assert code == 0
+
+
+def test_a_merge_the_search_settles_answers_under_any_trace_cap(files,
+                                                                capsys):
+    g, hg, td = undecided_files(files)
+    code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td,
+                       "--caps", "nodes=1", "--json")
+    assert code == 0
+    assert json.loads(out)["value"] == str(mwis_bruteforce(g)[0])
 
 
 def test_reduce_outputs_parse(files, capsys):

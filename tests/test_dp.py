@@ -331,7 +331,7 @@ def test_settled_verdicts_are_membership_in_the_trace():
             if not a:
                 break
             a = (a - 1) & s
-    assert settled > 8000 and left > 0
+    assert settled > 8000 and left == 0
 
 
 def counting_traces(monkeypatch):
@@ -375,20 +375,63 @@ def test_a_bag_whose_merges_all_settle_builds_no_copy(monkeypatch):
     assert calls == []
 
 
+def searchless(monkeypatch):
+    """Hand every candidate the short proofs leave to the trace."""
+    monkeypatch.setattr(mmtw.dp._MergeTrace, "_search",
+                        lambda self, a, rest: None)
+
+
 # S = {1, 2, 3} and a = {}: the greedy blocks 1 with 4, and 2 is then left
-# with 0, which 4 blocks; no v ∈ S lacks a blocking edge, so neither proof
-# applies.  a is not a member: the traces are {1}, {1, 2}, {1, 3}, {2}
+# with 0, which 4 blocks; no v ∈ S lacks a blocking edge, so neither short
+# proof applies.  The search refutes a, since 4 is the only way to block 1:
+# the traces are {1}, {1, 2}, {1, 3}, {2}
 UNDECIDED = Graph.from_pairs(5, [(0, 2), (0, 3), (2, 3), (0, 4), (1, 4),
                                  (3, 4)])
 
 
 def test_an_undecided_candidate_runs_the_trace_once(monkeypatch):
     s, full = 0b01110, 0b11111
+    assert _MergeTrace(UNDECIDED, s, full, BranchCaps())._settle(0) is False
+    searchless(monkeypatch)
     assert _MergeTrace(UNDECIDED, s, full, BranchCaps())._settle(0) is None
     calls = counting_traces(monkeypatch)
     t = TreeDecomposition([s, full], [(0, 1)])
     w = [1, 2, 1, 1, 1]
     assert mwis(UNDECIDED, w, t)[0] == mwis_bruteforce(UNDECIDED, w)[0]
+    assert len(calls) == 1
+
+
+# S = {0, 1, 3, 4} and a = {0}: the greedy blocks 1 with {2} and 3 with {5},
+# and 4's only option {8} then completes the edge {2, 8}.  The search goes back
+# to 1, blocks it with {7}, and then blocks 3 with {5} and 4 with {8}
+BACKTRACK = Hypergraph(9, [mask_of(e) for e in ((1, 2), (1, 7), (2, 8),
+                                                (3, 5), (4, 8), (6, 8))])
+
+
+def test_the_search_backtracks_past_the_greedy(monkeypatch):
+    calls = counting_traces(monkeypatch)
+    s, a = 0b11011, 0b1
+    assert a in frozenset(m & s for m in enumerate_mis(BACKTRACK))
+    test = _MergeTrace(BACKTRACK, s, BACKTRACK.vertex_mask, BranchCaps())
+    assert test._settle(a) is True
+    assert a in test
+    assert calls == []
+
+
+def test_a_search_that_spends_its_budget_hands_over_to_the_trace(
+        monkeypatch):
+    # S = {0..5, 6}: each i < 6 is blocked by 7 + i or 13 + i, and 6 only by
+    # 19, which shares an edge with 7 and one with 13, so {} is no member.
+    # The search learns this only at 6, after trying the 2^6 choices below
+    # it: 126 placements, past the budget of 7 × 13 options
+    pairs = [(i, 7 + i) for i in range(6)] + [(i, 13 + i) for i in range(6)]
+    h = Graph.from_pairs(20, pairs + [(6, 19), (7, 19), (13, 19)])
+    s = 0b1111111
+    test = _MergeTrace(h, s, h.vertex_mask, BranchCaps())
+    assert test._search(0, s) is None
+    calls = counting_traces(monkeypatch)
+    assert 0 not in test
+    assert 0 not in frozenset(m & s for m in enumerate_mis(h))
     assert len(calls) == 1
 
 
