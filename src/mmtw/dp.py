@@ -16,12 +16,15 @@ Only a problem whose merge reads the blocker trace tr_S(i(H)) pays for it.
 When the problem's ``reads_trace`` is true (MWIS), ``run_dp`` passes each
 merge a membership test for its trace, and otherwise ``trace=None`` (the
 covering tables of colouring and homomorphism).  The test (``_MergeTrace``)
-settles each candidate trace a with a short proof or, failing that, with a
-search that rests on a lemma, proved in ``_MergeTrace``'s docstring:
-a ∈ tr_S(i(H[V])) iff every vertex of S - a can be blocked by an edge whose
-other vertices avoid S - a and, together with a, stay independent.  The
-search stops after |S| times as many placements as the merge has ways to
-block a vertex of S, and only then is the whole trace computed, once per
+takes the keys of the two tables merged as members, since every candidate
+is independent, and settles each other candidate trace a with a short
+proof or, failing that, with a search that rests on a lemma, proved in
+``_MergeTrace``'s docstring: a ∈ tr_S(i(H[V])) iff every vertex of S - a
+can be blocked by an edge whose other vertices avoid S - a and, together
+with a, stay independent.  The ways to block each vertex of H are indexed
+once per solve (``_blocking_index``), and a merge keeps those inside V.
+The search stops after |S| times as many placements as the merge has ways
+to block a vertex of S, and only then is the whole trace computed, once per
 merge.  Such extension problems are NP-complete in general (Casel,
 Fernau, Khosravian Ghadikolaei, Monnot and Sikora, "On the complexity of
 solution extension of optimization problems", TCS 2022), so the trace,
@@ -33,13 +36,15 @@ run: an MWIS solve whose candidates all settle answers under any cap.
 A trace is local to the bag S: ``blocker.trace_blocker`` branches on the
 closed neighbourhood N[S] alone, and its module docstring proves that the
 trace is the same.  A merge settles its candidates on the edges of H[V]
-itself, V the vertices merged so far, read through ``Hypergraph.incidence()``,
-so a merge whose candidates all settle copies nothing.  A merge that traces
+itself, V the vertices merged so far, read through the per-solve index, so
+a merge whose candidates all settle copies nothing.  A merge that traces
 builds the copy of H[N_V[S]] of its own V and searches it once, so ``nodes``
 and ``depth`` bound that one search, in ``solve`` as in ``trace``.
 
 MWIS weights are scaled to integers by the least common multiple of their
-denominators before the DP runs, so the tables add and compare ints.
+denominators before the DP runs, so the tables add and compare ints.  An
+MWIS table stores, per key, the weight outside it, so that only
+``restrict`` adds weights.
 """
 
 from __future__ import annotations
@@ -66,16 +71,30 @@ class _MergeTrace:
     distinct candidate is settled once, on the edges of H[V], and the trace
     is computed only when a candidate is left undecided.
 
-    A candidate a ⊆ S is independent (the merge's candidates are).  The
-    lemma: a ∈ tr_S(i(H[V])) iff each v ∈ S - a has an option o_v = e_v - v,
-    e_v an edge of H[V] through v, such that o_v avoids S - a and
-    a ∪ ⋃ o_v is independent.  (⇒) Take a maximal independent I of H[V]
-    with I ∩ S = a.  For v ∈ S - a, I + v holds an edge e_v ∋ v, and
-    o_v = e_v - v ⊆ I avoids S - a; a ∪ ⋃ o_v ⊆ I is independent.  (⇐)
-    M = a ∪ ⋃ o_v is independent with M ∩ S = a, and M + v holds e_v for
-    each v ∈ S - a, so a maximal independent set of H[V] that contains M
-    adds no vertex of S: its trace is a.  Three proofs read the lemma:
+    A candidate a ⊆ S is independent (the merge's candidates are), and
+    ``in`` is asked of candidates alone.  The lemma: a ∈ tr_S(i(H[V])) iff
+    each v ∈ S - a has an option o_v = e_v - v, e_v an edge of H[V] through
+    v, such that o_v avoids S - a and a ∪ ⋃ o_v is independent.  (⇒) Take
+    a maximal independent I of H[V] with I ∩ S = a.  For v ∈ S - a, I + v
+    holds an edge e_v ∋ v, and o_v = e_v - v ⊆ I avoids S - a;
+    a ∪ ⋃ o_v ⊆ I is independent.  (⇐) M = a ∪ ⋃ o_v is independent with
+    M ∩ S = a, and M + v holds e_v for each v ∈ S - a, so a maximal
+    independent set of H[V] that contains M adds no vertex of S: its trace
+    is a.  Four proofs settle a candidate:
 
+    - table keys (``take_keys``, before any candidate is asked): the merge
+      joins V1 ⊇ S and the child subtree's V_c, V = V1 ∪ V_c with
+      V1 ∩ V_c ⊆ S, and every edge of H[V] lies in V1 or in V_c.  A key a1
+      of the accumulated table is the trace of a maximal independent I of
+      H[V1], and a maximal independent set of H[V] that contains I adds no
+      vertex of S: a1 is a member.  A key a2 of the padded child table is
+      (I_c ∩ S) ∪ (S - V_c), I_c maximal independent in H[V_c].  If a2 is
+      independent, M = I_c ∪ a2 is independent in H[V] (its part in V1 is
+      a2, its part in V_c is I_c), meets S in a2 and blocks S ∩ V_c - a2
+      through I_c, so a2 is a member.  A padded key that is not independent
+      is no member (with the singleton edge {1}, no trace holds 1), so the
+      keys are taken as members only because ``in`` is asked of
+      candidates alone;
     - certify: grow an independent M from a with M ∩ S = a.  For each
       v ∈ S - a in id order that M does not block yet (no edge e ∋ v with
       e - v ⊆ M), add e - v for the first edge e ∋ v such that e - v
@@ -85,31 +104,40 @@ class _MergeTrace:
     - refute: some v ∈ S - a has no edge e ∋ v with e - v avoiding S - a
       and (e - v) ∪ a independent.  No independent M with M ∩ S = a then
       blocks v, so M + v is independent and M is not maximal;
-    - search (``_search``), for a candidate the first two leave undecided:
-      certify's walk, but at a vertex that no fitting option is left for,
-      go back to the last vertex given an option and try its next one.  A
-      vertex that M already blocks needs none, and stays blocked as M
-      grows.  The search is complete: if the o_v exist, the branch that
+    - search (``_search``), for a candidate the first three leave
+      undecided: certify's walk, but at a vertex that no fitting option is
+      left for, go back to the last vertex given an option and try its next
+      one.  A vertex that M already blocks needs none, and stays blocked as
+      M grows.  The search is complete: if the o_v exist, the branch that
       takes o_v at each vertex it does not skip keeps M ⊆ a ∪ ⋃ o_v, so
       every o_v fits there, and that branch blocks all of S - a.  Its first
       descent is certify's.
 
-    Certify and refute cost O(|S| d² r) per candidate, d the largest degree
-    in H[V] and r its rank.  Unbounded, the search can take exponential
-    time (the module docstring says why the trace stays), so it gives up
-    after |S| × (the number of options of the merge) placements, and only
-    then is the trace computed.
+    The options are the entries of the per-solve ``_blocking_index`` whose
+    edge lies in V.  Certify and refute cost O(|S| d² r) per candidate, d
+    the largest degree in H and r its rank.  Unbounded, the search can take
+    exponential time (the module docstring says why the trace stays), so
+    it gives up after |S| × (the number of options of the merge)
+    placements, and only then is the trace computed.
     """
 
     __slots__ = ("h", "smask", "vmask", "caps", "options", "verdicts",
                  "trace")
 
     def __init__(self, h: Hypergraph, smask: int, vmask: int,
-                 caps: BranchCaps):
+                 caps: BranchCaps, index):
         self.h, self.smask, self.vmask, self.caps = h, smask, vmask, caps
-        self.options = _blocking_options(h, smask, vmask)
+        self.options = [(1 << v, [(o, need) for e, o, need in index[v]
+                                  if not e & ~vmask])
+                        for v in bits(smask)]
         self.verdicts: dict[int, bool] = {}
         self.trace: frozenset[int] | None = None
+
+    def take_keys(self, *tables):
+        """Record the keys of the merge's two tables as members (the first
+        proof of the class docstring)."""
+        for table in tables:
+            self.verdicts.update(dict.fromkeys(table, True))
 
     def __contains__(self, a: int) -> bool:
         got = self.verdicts.get(a)
@@ -189,31 +217,29 @@ class _MergeTrace:
         return False
 
 
-def _blocking_options(h: Hypergraph, s: int, within: int):
-    """Per v ∈ S in id order, (1 << v, the ways to block v in H[V]), V =
-    ``within``: per edge e ∋ v of H[V], read through ``h.incidence()``,
-    o = e - v and the sets f - o of the edges f of H[V] that meet o - S.
-    For an independent m ⊇ o ∩ S, m ∪ o is independent iff no f - o lies
-    in m.  An o that holds an edge is left out."""
+def _blocking_index(h: Hypergraph) -> list:
+    """Per vertex v of H, the ways to block v: per edge e ∋ v in id order,
+    (e, o = e - v, the sets f - o of the edges f of H that meet o).  For an
+    independent m, m ∪ o is independent iff no f - o lies in m; an f
+    outside V never lies in m ∪ o for m, o ⊆ V, so a merge over V keeps the
+    entries with e ⊆ V and filters no need list.  An o that holds an edge
+    blocks v in no H[V], and is left out."""
     edges, inc = h.edges, h.incidence()
-    # one list per o, which several vertices of S can share
+    # one list per o, which several vertices can share
     needs: dict[int, list[int] | None] = {}
     out = []
-    for v in bits(s):
+    for v in range(h.n):
         bv = 1 << v
         opts = []
         for i in bits(inc[v]):
             e = edges[i]
-            if e & ~within:
-                continue
             o = e ^ bv
             if o not in needs:
-                need = [edges[j] & ~o for j in bits(h.edges_meeting(o & ~s))
-                        if not edges[j] & ~within]
+                need = [edges[j] & ~o for j in bits(h.edges_meeting(o))]
                 needs[o] = need if all(need) else None
             if needs[o] is not None:
-                opts.append((o, needs[o]))
-        out.append((bv, opts))
+                opts.append((e, o, needs[o]))
+        out.append(opts)
     return out
 
 
@@ -235,9 +261,12 @@ class BlockerReadable:
     test for tr_S(i(H)) of the merged subtree (``a in trace``) when
     ``reads_trace`` is true, and ``None`` when it is false; a problem that
     never looks at the trace sets it to false and spares ``run_dp`` the
-    test.  The test settles each candidate with a short proof or a bounded
-    search, and computes the blocker trace only for a candidate on which
-    the search spends its budget; a trace cap that fires raises from inside
+    test.  A problem that reads the trace keys its tables by single traces
+    (iterating a table yields them), and asks ``in`` only of intersections
+    of two keys: the test takes the keys of both tables as members.  It
+    settles each other candidate with a short proof or a bounded search,
+    and computes the blocker trace only for a candidate on which the
+    search spends its budget; a trace cap that fires raises from inside
     ``merge``.
 
     An empty table is final: ``run_dp`` returns the first empty leaf or
@@ -296,6 +325,7 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
 
     tables: dict[int, object] = {}
     subtree_v: dict[int, int] = {}
+    index = None    # the blocking options, built at the first merge
     for node in reversed(order):
         bag = t.bags[node]
         try:
@@ -313,8 +343,12 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
             if missing:
                 tbl = f.add_isolated(tbl, missing)
             acc_v |= subtree_v[c]
-            trace = _MergeTrace(h, bag, acc_v, trace_caps) \
-                if f.reads_trace else None
+            trace = None
+            if f.reads_trace:
+                if index is None:
+                    index = _blocking_index(h)
+                trace = _MergeTrace(h, bag, acc_v, trace_caps, index)
+                trace.take_keys(acc, tbl)
             try:
                 acc = f.merge(trace, acc, tbl, bag)
             except ResourceError as exc:
@@ -340,7 +374,13 @@ def _check_table(table, node: int, table_cap: int):
 
 
 class MwisDP(BlockerReadable):
-    """Arity-1 tables mapping a trace A to (best weight, witness set)."""
+    """Arity-1 tables mapping a trace A to (the best weight outside A,
+    witness set): an entry (x, W) is the independent set W with
+    W ∩ base = A and weight x + w(A).  The entries of one key are shifted
+    by the same w(A), so they compare as their full weights do and keep the
+    same witnesses.  ``leaf_init`` stores 0, ``add_isolated`` and ``merge``
+    add no weight, ``restrict`` adds w(A - s), and over the empty base the
+    weight is the full one."""
 
     def __init__(self, weights):
         # any numbers that add and compare exactly; ``mwis`` passes ints
@@ -355,43 +395,40 @@ class MwisDP(BlockerReadable):
         return got
 
     def leaf_init(self, mis, s):
-        # the leaf sets are distinct, so each is its own key
-        return {j: (self.wsum(j), j) for j in mis}
+        # the leaf sets are distinct, so each is its own key, with no
+        # weight outside it
+        return {j: (0, j) for j in mis}
 
     def restrict(self, table, s):
+        wsum = self.wsum
         out = {}
-        for a, (val, wit) in table.items():
+        for a, (x, wit) in table.items():
             key = a & s
-            if key not in out or out[key][0] < val:
-                out[key] = (val, wit)
+            x += wsum(a ^ key)
+            got = out.get(key)
+            if got is None or got[0] < x:
+                out[key] = (x, wit)
         return out
 
     def add_isolated(self, table, vs):
-        wv = self.wsum(vs)
-        return {a | vs: (val + wv, wit | vs)
-                for a, (val, wit) in table.items()}
+        return {a | vs: (x, wit | vs) for a, (x, wit) in table.items()}
 
     def merge(self, trace, t1, t2, s):
-        # value(a1, a2) = v1 + v2 - w(a1) - w(a2) + w(a1 & a2): the first two
-        # differences are per entry, and w(a1 & a2) is the same for every
-        # pair with that intersection, so the best pair for an intersection
-        # is found on v1 - w(a1) + v2 - w(a2) and w(a) is added once at the
-        # end.  The first best pair in table order keeps its witness.
-        wsum = self.wsum
-        rows2 = [(a2, v2 - wsum(a2), w2 & ~s) for a2, (v2, w2) in t2.items()]
+        # the pair (a1, a2) has witness (W1 - S) ∪ (W2 - S) ∪ a, a = a1 & a2,
+        # whose weight outside a is x1 + x2: the two parts lie outside S, in
+        # disjoint subtrees.  The first best pair in table order keeps its
+        # witness, and each distinct a is tested once, after the pairs
+        rows2 = [(a2, x2, w2 & ~s) for a2, (x2, w2) in t2.items()]
         best: dict[int, tuple] = {}
-        for a1, (v1, w1) in t1.items():
-            x1 = v1 - wsum(a1)
+        for a1, (x1, w1) in t1.items():
             w1 &= ~s
             for a2, x2, w2 in rows2:
                 a = a1 & a2
-                if a not in trace:
-                    continue
                 x = x1 + x2
                 got = best.get(a)
                 if got is None or got[0] < x:
                     best[a] = (x, w1 | w2 | a)
-        return {a: (x + wsum(a), wit) for a, (x, wit) in best.items()}
+        return {a: got for a, got in best.items() if a in trace}
 
 
 def mwis(h: Hypergraph, weights, t: TreeDecomposition,
@@ -407,7 +444,7 @@ def mwis(h: Hypergraph, weights, t: TreeDecomposition,
     for v in range(h.n):
         if w[v] < 0:
             neg |= 1 << v
-    h2 = Hypergraph(h.n, (e for e in h.edges if not e & neg))
+    h2 = Hypergraph(h.n, (e for e in h.edges if not e & neg)) if neg else h
     # scaling by a positive d keeps every comparison, hence every witness
     d = lcm(*(x.denominator for x in w))
     w2 = [x.numerator * (d // x.denominator) if x >= 0 else 0 for x in w]

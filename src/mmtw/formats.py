@@ -45,7 +45,7 @@ def parse_hypergraph(text: str) -> Hypergraph:
         elif toks[0] == "e":
             if n is None:
                 raise InputError(f"line {lineno}: edge before header")
-            edges.append(mask_of(_vertex(t, n, lineno) for t in toks[1:]))
+            edges.append(_vertices(toks[1:], n, lineno))
         elif toks[0] == "w":
             if n is None:
                 raise InputError(f"line {lineno}: weight before header")
@@ -55,7 +55,8 @@ def parse_hypergraph(text: str) -> Hypergraph:
                 weights = [Fraction(1)] * n
             v = _vertex(toks[1], n, lineno)
             try:
-                weights[v] = Fraction(toks[2])
+                weights[v] = Fraction(int(toks[2]) if toks[2].isdecimal()
+                                      else toks[2])
             except (ValueError, ZeroDivisionError):
                 raise InputError(f"line {lineno}: bad rational {toks[2]!r}")
         else:
@@ -65,6 +66,23 @@ def parse_hypergraph(text: str) -> Hypergraph:
     if len(edges) != m:
         raise InputError(f"header declares {m} edges, found {len(edges)}")
     return Hypergraph(n, edges, tuple(weights) if weights else None)
+
+
+def _vertices(toks: list[str], n: int, lineno: int) -> int:
+    """The mask of the 1-based vertex tokens, read in one loop; on a bad
+    token, the error ``_vertex`` raises for it."""
+    m = 0
+    try:
+        for t in toks:
+            v = int(t)
+            if not 0 < v <= n:
+                break
+            m |= 1 << v
+        else:
+            return m >> 1
+    except ValueError:
+        pass
+    return mask_of(_vertex(t, n, lineno) for t in toks)
 
 
 def _vertex(tok: str, n: int, lineno: int) -> int:
@@ -114,7 +132,7 @@ def parse_td(text: str) -> TreeDecomposition:
                 raise InputError(f"line {lineno}: bag id {bid} out of range")
             if bid in bags:
                 raise InputError(f"line {lineno}: duplicate bag {bid}")
-            bags[bid] = mask_of(_vertex(t, header[2], lineno) for t in toks[2:])
+            bags[bid] = _vertices(toks[2:], header[2], lineno)
         else:
             if header is None:
                 raise InputError(f"line {lineno}: tree edge before header")

@@ -9,8 +9,8 @@ import mmtw.dp
 from mmtw._bits import bits, mask_of
 from mmtw.blocker import BranchCaps, enumerate_mis, trace_blocker
 from mmtw.decomposition import TreeDecomposition, single_bag
-from mmtw.dp import (DEFAULT_TABLE_CAP, CoverDP, MwisDP, _MergeTrace,
-                     chromatic_decide, hom_decide, mwis, run_dp)
+from mmtw.dp import (DEFAULT_TABLE_CAP, CoverDP, MwisDP, _blocking_index,
+                     _MergeTrace, chromatic_decide, hom_decide, mwis, run_dp)
 from mmtw.errors import InputError, ResourceError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_cobipartite, random_decomposition,
@@ -279,7 +279,10 @@ def test_cover_solvers_never_compute_the_trace(monkeypatch):
 
 
 def undecided(monkeypatch):
-    """Leave every candidate to the trace: the fallback runs at each merge."""
+    """Leave every candidate to the trace, table keys included: the
+    fallback runs at each merge."""
+    monkeypatch.setattr(mmtw.dp._MergeTrace, "take_keys",
+                        lambda self, *tables: None)
     monkeypatch.setattr(mmtw.dp._MergeTrace, "_settle", lambda self, a: None)
 
 
@@ -317,7 +320,7 @@ def test_settled_verdicts_are_membership_in_the_trace():
         s = v & rng.getrandbits(n)
         members = frozenset(m & s for m in
                             enumerate_mis(h, v, DEFAULT_TABLE_CAP))
-        test = _MergeTrace(h, s, v, BranchCaps())
+        test = _MergeTrace(h, s, v, BranchCaps(), _blocking_index(h))
         a = s
         while True:
             if all(e & ~a for e in h.edges):
@@ -391,9 +394,12 @@ UNDECIDED = Graph.from_pairs(5, [(0, 2), (0, 3), (2, 3), (0, 4), (1, 4),
 
 def test_an_undecided_candidate_runs_the_trace_once(monkeypatch):
     s, full = 0b01110, 0b11111
-    assert _MergeTrace(UNDECIDED, s, full, BranchCaps())._settle(0) is False
+    index = _blocking_index(UNDECIDED)
+    assert _MergeTrace(UNDECIDED, s, full, BranchCaps(),
+                       index)._settle(0) is False
     searchless(monkeypatch)
-    assert _MergeTrace(UNDECIDED, s, full, BranchCaps())._settle(0) is None
+    assert _MergeTrace(UNDECIDED, s, full, BranchCaps(),
+                       index)._settle(0) is None
     calls = counting_traces(monkeypatch)
     t = TreeDecomposition([s, full], [(0, 1)])
     w = [1, 2, 1, 1, 1]
@@ -412,7 +418,8 @@ def test_the_search_backtracks_past_the_greedy(monkeypatch):
     calls = counting_traces(monkeypatch)
     s, a = 0b11011, 0b1
     assert a in frozenset(m & s for m in enumerate_mis(BACKTRACK))
-    test = _MergeTrace(BACKTRACK, s, BACKTRACK.vertex_mask, BranchCaps())
+    test = _MergeTrace(BACKTRACK, s, BACKTRACK.vertex_mask, BranchCaps(),
+                       _blocking_index(BACKTRACK))
     assert test._settle(a) is True
     assert a in test
     assert calls == []
@@ -427,12 +434,125 @@ def test_a_search_that_spends_its_budget_hands_over_to_the_trace(
     pairs = [(i, 7 + i) for i in range(6)] + [(i, 13 + i) for i in range(6)]
     h = Graph.from_pairs(20, pairs + [(6, 19), (7, 19), (13, 19)])
     s = 0b1111111
-    test = _MergeTrace(h, s, h.vertex_mask, BranchCaps())
+    test = _MergeTrace(h, s, h.vertex_mask, BranchCaps(), _blocking_index(h))
     assert test._search(0, s) is None
     calls = counting_traces(monkeypatch)
     assert 0 not in test
     assert 0 not in frozenset(m & s for m in enumerate_mis(h))
     assert len(calls) == 1
+
+
+# the keys of a merge's two tables settle as members, without a proof each
+
+
+def _with_subset_leaves(rng, t):
+    """T with one to three leaf bags added, each a random subset of the bag
+    it hangs from, so that its table is padded at the merge."""
+    bags, edges = list(t.bags), list(t.tree_edges)
+    for _ in range(rng.randrange(1, 4)):
+        at = rng.randrange(len(bags))
+        bags.append(bags[at] & rng.getrandbits(bags[at].bit_length()))
+        edges.append((at, len(bags) - 1))
+    return TreeDecomposition(bags, edges)
+
+
+def test_table_keys_that_are_candidates_are_members(monkeypatch):
+    # every candidate a1 & a2 of every MWIS merge, against tr_S(i(H[V])) by
+    # enumeration: the keys taken as members before the merge asks anything
+    # must be members
+    merge = MwisDP.merge
+    seen = {"acc": 0, "child": 0}
+
+    def spy(self, trace, t1, t2, s):
+        members = frozenset(m & s for m in enumerate_mis(
+            trace.h, trace.vmask, DEFAULT_TABLE_CAP))
+        taken = dict(trace.verdicts)
+        for a1 in t1:
+            for a2 in t2:
+                a = a1 & a2
+                seen["acc"] += a in t1
+                seen["child"] += a in t2
+                assert taken.get(a, a in members) == (a in members)
+                assert (a in trace) == (a in members)
+        return merge(self, trace, t1, t2, s)
+
+    monkeypatch.setattr(MwisDP, "merge", spy)
+    rng = rng_from_seed(71)
+    for _ in range(2000):
+        n = rng.randrange(1, 12)
+        h = random_hypergraph(rng, n, rng.randrange(0, n + 4),
+                              rank=rng.randrange(1, 5))
+        w = random_weights(rng, n)
+        t = random_decomposition(rng, h)
+        if rng.random() < 0.5:
+            t = _with_subset_leaves(rng, t)
+        val, wit = mwis(h, w, t)
+        assert val == mwis_bruteforce(h, w)[0]
+        assert independent_in(h, wit) and wsum(w, wit) == val
+    assert seen["acc"] > 10000 and seen["child"] > 7000
+
+
+def test_a_padded_key_that_is_not_independent_is_never_asked(monkeypatch):
+    # H has the singleton edge {1} and the edge {0, 2}.  The child bag
+    # {0, 2} misses 1 of the root bag {0, 1}, so its padded keys are {0, 1}
+    # and {1}, which hold the edge {1} and are no members; they are taken
+    # as members all the same, and only the candidates {0} and {} are asked
+    h = Hypergraph(3, [0b010, 0b101])
+    t = TreeDecomposition([0b011, 0b101], [(0, 1)])
+    merge = MwisDP.merge
+    asked = []
+
+    def spy(self, trace, t1, t2, s):
+        assert set(t2) == {0b011, 0b010}
+        assert trace.verdicts[0b010] is trace.verdicts[0b011] is True
+        members = frozenset(m & s for m in enumerate_mis(h))
+        assert members == {0b001, 0}
+        asked.extend(a1 & a2 for a1 in t1 for a2 in t2)
+        return merge(self, trace, t1, t2, s)
+
+    monkeypatch.setattr(MwisDP, "merge", spy)
+    w = [1, 5, 2]
+    assert mwis(h, w, t) == mwis_bruteforce(h, w) == (2, 0b100)
+    assert set(asked) == {0b001, 0}
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+def test_the_blocking_index_is_built_once_per_solve(monkeypatch):
+    # P_200 with bags {i, i+1}: 199 merges, one index.  Each merge's
+    # candidates are {i} and {i+1}, keys of the bag's own table, and {},
+    # the one candidate settled by a proof
+    built = count_calls(monkeypatch, mmtw.dp, "_blocking_index")
+    settled = count_calls(monkeypatch, mmtw.dp._MergeTrace, "_settle")
+    n = 200
+    p = path_graph(n)
+    t = TreeDecomposition([0b11 << i for i in range(n - 1)],
+                          [(i, i + 1) for i in range(n - 2)])
+    for _ in range(2):
+        assert mwis(p, None, t)[0] == n // 2
+    assert len(built) == 2
+    assert len(settled) == 2 * (n - 2)
+
+
+def test_a_merge_whose_candidates_are_all_keys_settles_nothing(monkeypatch):
+    # P_3 rooted at the bag {1}, whose children are {0, 1} and {1, 2}: the
+    # candidates {1} and {} are keys of the tables merged
+    settled = count_calls(monkeypatch, mmtw.dp._MergeTrace, "_settle")
+    p3 = path_graph(3)
+    t = TreeDecomposition([0b010, 0b011, 0b110], [(0, 1), (0, 2)])
+    assert mwis(p3, [1, 1, 1], t) == (2, 0b101)
+    assert mwis(p3, [1, 3, 1], t) == (3, 0b010)
+    assert settled == []
 
 
 # the rewritten kernels against plain reference formulations
@@ -634,6 +754,11 @@ def merge_reference(w, trace, t1, t2, s):
     return out
 
 
+def with_key_weight(w, table):
+    """An MwisDP table with the weight of each key added to its entry."""
+    return {a: (x + wsum(w, a), wit) for a, (x, wit) in table.items()}
+
+
 def test_mwis_merge_matches_per_pair_formula():
     rng = rng_from_seed(62)
     for it in range(150):
@@ -661,9 +786,12 @@ def test_mwis_merge_matches_per_pair_formula():
             trace = frozenset(a1 & a2 for a1 in tabs[0] for a2 in tabs[1]
                               if rng.random() < 0.6)
         else:
-            trace = _MergeTrace(h, s, full, BranchCaps())
-        got = dp.merge(trace, tabs[0], tabs[1], s)
-        want = merge_reference(w, trace, tabs[0], tabs[1], s)
+            trace = _MergeTrace(h, s, full, BranchCaps(), _blocking_index(h))
+        # a table stores the weight outside its key: the reference reads
+        # full weights, so w(a) is added to both sides
+        got = with_key_weight(w, dp.merge(trace, tabs[0], tabs[1], s))
+        want = merge_reference(w, trace, *(with_key_weight(w, tab)
+                                           for tab in tabs), s)
         assert {a: v for a, (v, _) in got.items()} == \
             {a: v for a, (v, _) in want.items()}
         for a, (val, wit) in got.items():

@@ -98,3 +98,30 @@ def test_round_trip_preserves_validity():
         t2 = parse_td(serialize_td(t, g.n))
         assert validate(g, t2)
         assert t2.bags == t.bags
+
+
+def test_vertex_and_weight_messages_are_word_for_word():
+    # vertex lists are read in one loop and integer weights with int(); a
+    # bad token still gets the message it got from the per-token reader
+    for text, message in (
+            ("p hg 3 1\ne 1 x 2\n", "line 2: non-integer vertex 'x'"),
+            ("p hg 3 1\ne 1 0\n", "line 2: vertex 0 out of range 1..3"),
+            ("p hg 3 1\ne 2 4\n", "line 2: vertex 4 out of range 1..3"),
+            ("p hg 3 1\ne 4 x\n", "line 2: vertex 4 out of range 1..3"),
+            ("p hg 2 0\nw 1 ²\n", "line 2: bad rational '²'"),
+            ("p hg 2 0\nw 1 1/0\n", "line 2: bad rational '1/0'")):
+        with pytest.raises(InputError) as err:
+            parse_hypergraph(text)
+        assert str(err.value) == message
+    for text, message in (
+            ("s td 1 2 3\nb 1 1 x\n", "line 2: non-integer vertex 'x'"),
+            ("s td 1 2 3\nb 1 0 1\n", "line 2: vertex 0 out of range 1..3"),
+            ("s td 1 2 3\nb 1 1 4\n", "line 2: vertex 4 out of range 1..3")):
+        with pytest.raises(InputError) as err:
+            parse_td(text)
+        assert str(err.value) == message
+    for token, weight in (("07", 7), ("3/2", Fraction(3, 2)), ("-1", -1)):
+        h = parse_hypergraph(f"p hg 2 1\ne 1 2\nw 1 {token}\n")
+        assert h.weights == (weight, 1)
+        assert all(type(x) is Fraction for x in h.weights)
+    assert parse_hypergraph("p hg 3 2\ne 3 1 1\ne\n").edges == (0, 0b101)
