@@ -101,28 +101,41 @@ class Validity:
 
 
 def validate(h: Hypergraph, t: TreeDecomposition) -> Validity:
-    """Check connectivity of every vertex's node set and Gaifman edge coverage."""
-    for bag in t.bags:
+    """Check connectivity of every vertex's node set and Gaifman edge coverage.
+
+    The tree edges inside a vertex's node set form a forest, so they number
+    one less than the nodes iff the nodes are connected; summed over the
+    vertices, that is one count over the tree edges.  The node sets are then
+    subtrees, and subtrees of a tree that meet pairwise share a node
+    (Helly), so an edge of H is covered iff its vertices' node sets share
+    one.  Only a failure looks for the first bad vertex or pair."""
+    bags = t.bags
+    nodes_of = [0] * h.n
+    for i, bag in enumerate(bags):
         if bag & ~h.vertex_mask:
             raise InputError("bag contains a vertex outside the hypergraph")
-    nodes_of = [0] * h.n
-    for i, bag in enumerate(t.bags):
         for v in bits(bag):
             nodes_of[v] |= 1 << i
-    for v, nodes in enumerate(nodes_of):
-        if not nodes:
-            return Validity(False, f"vertex {v} appears in no bag", bad_vertex=v)
-        if reach(t._adj, nodes & -nodes, nodes) != nodes:
-            return Validity(False, f"bags containing vertex {v} are disconnected",
-                            bad_vertex=v)
-    adj = h.gaifman_adj()
-    for u in range(h.n):
-        for v in bits(adj[u]):
-            if v <= u:
-                continue
-            if not nodes_of[u] & nodes_of[v]:
-                return Validity(False, f"edge ({u}, {v}) covered by no bag",
-                                bad_edge=(u, v))
+    inside = sum((bags[a] & bags[b]).bit_count() for a, b in t.tree_edges)
+    if inside != sum(map(int.bit_count, bags)) - h.n or not all(nodes_of):
+        for v, nodes in enumerate(nodes_of):
+            if not nodes:
+                return Validity(False, f"vertex {v} appears in no bag",
+                                bad_vertex=v)
+            if reach(t._adj, nodes & -nodes, nodes) != nodes:
+                return Validity(False, f"bags containing vertex {v} are "
+                                f"disconnected", bad_vertex=v)
+    for e in h.edges:
+        common = -1
+        for v in bits(e):
+            common &= nodes_of[v]
+        if not common:
+            adj = h.gaifman_adj()
+            u, v = next((u, v) for u in range(h.n)
+                        for v in bits(adj[u] & ~((2 << u) - 1))
+                        if not nodes_of[u] & nodes_of[v])
+            return Validity(False, f"edge ({u}, {v}) covered by no bag",
+                            bad_edge=(u, v))
     return Validity(True)
 
 

@@ -6,11 +6,14 @@ p-tuples of traces of maximal independent sets, and the four operations
 (leaf initialisation from i(H), restriction to a smaller base, adding
 isolated vertices, and merging across a separator) are enough to evaluate
 the root table of any valid decomposition.  An empty table is final:
-``run_dp`` stops at the first one.  Three instances are provided: maximum
-weighted independent set, k-colouring and uniform hypergraph
-homomorphism.  All vertex sets are ambient bitmasks of the input hypergraph;
-a trace is the frozenset of its member masks, and a ``CoverDP`` tuple is one
-int that packs its components.
+``run_dp`` builds every leaf table before the first merge, stops at the
+first empty leaf, and otherwise merges and stops at the first empty merged
+table.  Three instances are provided: maximum weighted independent set,
+k-colouring and uniform hypergraph homomorphism.  All vertex sets are
+ambient bitmasks of the input hypergraph; a trace is the frozenset of its
+member masks, and a ``CoverDP`` tuple is one int that packs its components.
+When each target vertex lies in exactly one component (K_k, and any
+complete multipartite F), a tuple's coverage is one fold of that int.
 
 Only a problem whose merge reads the blocker trace tr_S(i(H)) pays for it.
 When the problem's ``reads_trace`` is true (MWIS), ``run_dp`` passes each
@@ -269,12 +272,15 @@ class BlockerReadable:
     search spends its budget; a trace cap that fires raises from inside
     ``merge``.
 
-    An empty table is final: ``run_dp`` returns the first empty leaf or
-    merged table as the answer, over the empty base, without visiting the
-    remaining bags.  So an empty table at a subtree must mean an empty table
-    for H.  It does for ``CoverDP``, since a homomorphism of H restricts to
-    every subhypergraph, and for ``MwisDP``, whose tables are empty only
-    where H[bag] holds an empty edge and the answer is (0, 0) anyway.
+    An empty table is final: ``run_dp`` builds the leaf tables first, in
+    post-order, and returns the first empty one as the answer, over the
+    empty base, with no merge run; with every leaf nonempty, it merges and
+    returns the first empty merged table without visiting the remaining
+    bags.  So an empty table at a subtree must mean an empty table for H.
+    It does for ``CoverDP``, since a homomorphism of H restricts to every
+    subhypergraph, and for ``MwisDP``, whose tables are empty only where
+    H[bag] holds an empty edge (in every bag, so the first leaf is empty)
+    and the answer is (0, 0) anyway.
     """
 
     reads_trace: bool = True
@@ -303,8 +309,15 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
     increasing child order.  Every table, leaf tables included, holds at
     most ``table_cap`` entries, and a leaf's maximal independent sets are
     enumerated under the same cap; past it, ResourceError names the bag.
-    The first empty table ends the run (see BlockerReadable), so a cap that
-    only a later bag would exceed does not fire on a refutation.
+
+    A first pass builds the leaf tables in post-order and returns at the
+    first empty one (see BlockerReadable).  A leaf over the cap ends that
+    pass; the second pass, which merges, builds that leaf again when it
+    reaches it and raises there, so a merge before it in post-order can
+    still refute.  A leaf cap therefore fires where visiting the bags one by
+    one, leaf then merges, would fire it, and never on a refutation by an
+    earlier table.  A merged table over the cap fires only when no leaf is
+    empty: every leaf is built before the first merge.
     """
     ok = validate(h, t)
     if not ok:
@@ -323,19 +336,25 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
     for node in range(1, k):
         children[parent[node]].append(node)
 
+    post = order[::-1]
+    leaves: dict[int, object] = {}
+    for node in post:
+        try:
+            leaf = _leaf(h, t.bags[node], node, f, table_cap)
+        except ResourceError:
+            # the merges run first: this leaf raises again when they reach it
+            break
+        if not leaf:
+            return f.restrict(leaf, 0)
+        leaves[node] = leaf
     tables: dict[int, object] = {}
     subtree_v: dict[int, int] = {}
     index = None    # the blocking options, built at the first merge
-    for node in reversed(order):
+    for node in post:
         bag = t.bags[node]
-        try:
-            acc = f.leaf_init(enumerate_mis(h, bag, table_cap), bag)
-        except ResourceError as exc:
-            raise ResourceError(f"table cap exceeded at bag {node}",
-                                bag=node, **exc.stats) from exc
-        _check_table(acc, node, table_cap)
-        if not acc:
-            return f.restrict(acc, 0)
+        acc = leaves.pop(node, None)
+        if acc is None:
+            acc = _leaf(h, bag, node, f, table_cap)
         acc_v = bag
         for c in children[node]:
             tbl = f.restrict(tables.pop(c), bag & t.bags[c])
@@ -361,6 +380,19 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
         subtree_v[node] = acc_v
         tables[node] = acc
     return f.restrict(tables[0], 0)
+
+
+def _leaf(h: Hypergraph, bag: int, node: int, f: BlockerReadable,
+          table_cap: int):
+    """The leaf table of ``node``; ResourceError names the bag when it, or
+    the maximal independent sets it is built from, go over ``table_cap``."""
+    try:
+        table = f.leaf_init(enumerate_mis(h, bag, table_cap), bag)
+    except ResourceError as exc:
+        raise ResourceError(f"table cap exceeded at bag {node}",
+                            bag=node, **exc.stats) from exc
+    _check_table(table, node, table_cap)
+    return table
 
 
 def _check_table(table, node: int, table_cap: int):
@@ -436,8 +468,7 @@ def mwis(h: Hypergraph, weights, t: TreeDecomposition,
          table_cap: int = DEFAULT_TABLE_CAP) -> tuple[Fraction, int]:
     """Max weight of an independent set of H and a witness set."""
     w = [Fraction(x) for x in weights] if weights is not None else \
-        ([Fraction(x) for x in h.weights] if h.weights is not None
-         else [Fraction(1)] * h.n)
+        (h.weights if h.weights is not None else [Fraction(1)] * h.n)
     if len(w) != h.n:
         raise InputError("weight vector length differs from vertex count")
     neg = 0
@@ -475,6 +506,14 @@ class CoverDP(BlockerReadable):
     A tuple is one int, component i shifted by i * |full| bits, so a mask m
     spread over every component is ``m * ones``, two tuples intersect with
     one ``&``, and componentwise domination is one ``p & g == p``.
+
+    When each target vertex lies in exactly one component and each
+    component holds one (K_k, K3 with i(K3) sorted, any complete
+    multipartite F: its parts are its maximal independent sets), the
+    coverage is the union of the components: ``fold`` holds the shifts
+    i * |full| for i = 1..arity-1, and ``cover`` ORs the tuple shifted by
+    each onto component 0.  ``merge`` reads that fold inline.  Any other
+    target (C5, a loop that lies in no component) walks ``incidence``.
     """
 
     reads_trace = False
@@ -485,11 +524,21 @@ class CoverDP(BlockerReadable):
         self.full = full_mask
         self.shift = full_mask.bit_length()
         self.ones = sum(1 << (i * self.shift) for i in range(arity))
+        # the fold, when it holds (see the class docstring), else None
+        once = [idxs[0] for idxs in incidence if len(idxs) == 1]
+        self.fold = (tuple(i * self.shift for i in range(1, arity))
+                     if len(once) == len(incidence)
+                     and set(once) == set(range(arity)) else None)
 
     def cover(self, p: int) -> int:
         """The vertices that can be sent to some target vertex x: the union
         over x of the intersection of the components i in incidence[x]."""
         full, shift = self.full, self.shift
+        if self.fold is not None:
+            u = p
+            for at in self.fold:
+                u |= p >> at
+            return u & full
         out = 0
         for idxs in self.incidence:
             c = full
@@ -565,11 +614,24 @@ class CoverDP(BlockerReadable):
 
     def merge(self, trace, t1, t2, s):
         out = []
-        for d1 in t1:
-            for d2 in t2:
-                c = d1 & d2
-                if self.cover(c) & s == s:
-                    out.append(c)
+        fold = self.fold
+        if fold is None:
+            cover = self.cover
+            for d1 in t1:
+                for d2 in t2:
+                    c = d1 & d2
+                    if cover(c) & s == s:
+                        out.append(c)
+        else:
+            # ``cover``'s fold, inline; the bits it leaves above component
+            # 0 lie outside s
+            for d1 in t1:
+                for d2 in t2:
+                    c = u = d1 & d2
+                    for at in fold:
+                        u |= c >> at
+                    if u & s == s:
+                        out.append(c)
         return self._compress(out)
 
 

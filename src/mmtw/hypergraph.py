@@ -68,7 +68,8 @@ class Hypergraph:
         self.n = n
         self.edges = _canonical_edges(n, edges)
         if weights is not None:
-            weights = tuple(Fraction(w) for w in weights)
+            weights = tuple(w if isinstance(w, Fraction) else Fraction(w)
+                            for w in weights)
             if len(weights) != n:
                 raise InputError("weight vector length differs from vertex count")
         self.weights = weights

@@ -452,6 +452,61 @@ def test_refutation_stops_before_a_bag_over_the_table_cap(files, capsys):
     assert code == 20
 
 
+def colour_2(files, capsys, n, pairs, bags, tree, cap):
+    """``solve --problem color -k 2 --caps table=cap --json`` on the graph
+    and decomposition given by vertex tuples: (exit code, report)."""
+    g = Hypergraph(n, [mask_of(e) for e in pairs])
+    hg = files("g.hg", serialize_hypergraph(g))
+    td = files("g.td", serialize_td(TreeDecomposition(
+        [mask_of(b) for b in bags], tree), n))
+    code, out, _ = run(capsys, "solve", "--problem", "color", "-k", "2", hg,
+                       td, "--caps", f"table={cap}", "--json")
+    return code, json.loads(out)
+
+
+def matching(first, t):
+    return [(first + 2 * i, first + 2 * i + 1) for i in range(t)]
+
+
+def test_a_merge_refutation_before_an_over_cap_leaf_exits_10(files, capsys):
+    # C5 split over nodes 1 and 2: each leaf is 2-colourable, and their
+    # merge, before the root in post-order, is empty; the root bag holds a
+    # perfect matching with 2^5 maximal independent sets, above table=10
+    c5 = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+    code, doc = colour_2(files, capsys, 15, c5 + matching(5, 5),
+                         [range(5, 15), (0, 1, 2), (0, 2, 3, 4)],
+                         [(0, 1), (1, 2)], 10)
+    assert code == 10 and doc["colorable"] is False
+
+
+def test_an_over_cap_leaf_before_a_refuting_leaf_exits_20(files, capsys):
+    # the matching's bag is node 1, first in post-order; the triangle at the
+    # root refutes, but only after it
+    code, doc = colour_2(files, capsys, 13,
+                         matching(0, 5) + [(10, 11), (11, 12), (10, 12)],
+                         [(10, 11, 12), range(10)], [(0, 1)], 10)
+    assert code == 20
+    assert doc["bag"] == 1 and "table cap exceeded at bag 1" in doc["error"]
+
+
+def test_a_refuting_leaf_comes_before_a_merge_over_the_cap(files, capsys):
+    # node 2 (edge 01) merges node 3 (path 2-4-3, so 2 and 3 share a
+    # colour): two tuples each, whose meets are four, above table=3.  The
+    # triangle at node 1 comes after that merge in post-order, and every
+    # leaf is built before the first merge, so the triangle refutes
+    code, doc = colour_2(files, capsys, 8,
+                         [(0, 1), (2, 4), (3, 4), (5, 6), (6, 7), (5, 7)],
+                         [(0, 5), (5, 6, 7), (0, 1, 2, 3), (2, 3, 4)],
+                         [(0, 1), (0, 2), (2, 3)], 3)
+    assert code == 10 and doc["colorable"] is False
+    # without the triangle, the merge at node 2 goes over the cap
+    code, doc = colour_2(files, capsys, 8, [(0, 1), (2, 4), (3, 4)],
+                         [(0, 5), (5, 6, 7), (0, 1, 2, 3), (2, 3, 4)],
+                         [(0, 1), (0, 2), (2, 3)], 3)
+    assert code == 20
+    assert doc["bag"] == 2 and doc["size"] == 4
+
+
 def _two_colourable(adj):
     side = {}
     for root in range(len(adj)):

@@ -81,9 +81,10 @@ def _validate_reference(h, t):
 
 def test_validate_matches_reference_on_invalid_decompositions():
     # every vertex gets a connected set of nodes, so most failures are
-    # uncovered Gaifman edges; dropping a vertex from a bag adds the others
+    # uncovered Gaifman edges; the two vertex failures come from dropping a
+    # vertex from a bag and from adding one to a node far from its nodes
     rng = rng_from_seed(15)
-    kinds = {True: 0, "edge": 0, "vertex": 0}
+    kinds = {True: 0, "edge": 0, "no bag": 0, "disconnected": 0}
     for _ in range(400):
         n = rng.randrange(1, 11)
         h = random_hypergraph(rng, n, rng.randrange(0, n + 4), rank=3)
@@ -94,6 +95,7 @@ def test_validate_matches_reference_on_invalid_decompositions():
             adj[a] |= 1 << b
             adj[b] |= 1 << a
         bags = [0] * k
+        spans = []
         for v in range(n):
             nodes = 1 << rng.randrange(k)
             for _ in range(rng.randrange(3)):
@@ -106,14 +108,27 @@ def test_validate_matches_reference_on_invalid_decompositions():
             for i in range(k):
                 if nodes >> i & 1:
                     bags[i] |= 1 << v
-        if n and rng.random() < 0.2:
-            i = rng.randrange(k)
-            bags[i] &= ~(1 << rng.randrange(n))
+            spans.append(nodes)
+        r = rng.random()
+        if n and r < 0.25:
+            # which may leave it in no bag, or split its nodes apart
+            bags[rng.randrange(k)] &= ~(1 << rng.randrange(n))
+        elif n and r < 0.45:
+            # a node that its nodes neither hold nor touch disconnects them
+            v = rng.randrange(n)
+            near = spans[v]
+            for i in range(k):
+                if spans[v] >> i & 1:
+                    near |= adj[i]
+            far = [i for i in range(k) if not near >> i & 1]
+            if far:
+                bags[rng.choice(far)] |= 1 << v
         t = TreeDecomposition(bags, tree)
         got = validate(h, t)
         want = _validate_reference(h, t)
         assert (got.ok, got.reason, got.bad_vertex, got.bad_edge) == want
-        kinds[True if want[0] else ("edge" if want[3] else "vertex")] += 1
+        kinds[True if want[0] else "edge" if want[3] else
+              "no bag" if want[1].endswith("no bag") else "disconnected"] += 1
     assert min(kinds.values()) >= 20, kinds
 
 

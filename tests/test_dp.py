@@ -740,6 +740,132 @@ def test_root_check_lets_a_loop_of_the_target_cover_everything():
         assert hom_decide(h, f, t) == hom_bruteforce(h, f) is True
 
 
+def complete_multipartite(*parts):
+    """The complete multipartite graph with parts of the given sizes,
+    numbered part by part."""
+    side = [i for i, size in enumerate(parts) for _ in range(size)]
+    n = len(side)
+    return Graph.from_pairs(n, [(u, v) for u in range(n)
+                                for v in range(u + 1, n) if side[u] != side[v]])
+
+
+def target_incidence(f):
+    """hom_decide's incidence of F: per vertex x, the positions of the
+    sorted maximal independent sets of F that hold x."""
+    fmis = sorted(enumerate_mis(f))
+    return [[i for i, m in enumerate(fmis) if m >> x & 1] for x in range(f.n)]
+
+
+# every vertex of these lies in exactly one maximal independent set
+FOLD_TARGETS = [complete_graph(k) for k in (1, 2, 3, 4)] + [
+    complete_multipartite(*parts)
+    for parts in ((1, 2), (2, 2), (1, 1, 2), (2, 3), (1, 2, 2))]
+
+
+def test_the_fold_matches_the_incidence_loop():
+    rng = rng_from_seed(67)
+    for f in FOLD_TARGETS:
+        incidence = target_incidence(f)
+        arity = len(enumerate_mis(f))
+        for n in (1, 4, 9):
+            fold = CoverDP(arity, incidence, (1 << n) - 1)
+            loop = CoverDP(arity, incidence, (1 << n) - 1)
+            loop.fold = None
+            assert fold.fold is not None
+            width = arity * fold.shift
+
+            def tuples(count):
+                return [rng.getrandbits(width) | rng.getrandbits(width)
+                        for _ in range(count)]
+
+            for p in tuples(300):
+                assert fold.cover(p) == loop.cover(p)
+            for _ in range(30):
+                t1, t2 = tuples(rng.randrange(6)), tuples(rng.randrange(6))
+                s = rng.getrandbits(n)
+                assert fold.merge(None, t1, t2, s) == loop.merge(None, t1,
+                                                                 t2, s)
+
+
+def test_the_fold_is_chosen_when_each_target_vertex_is_in_one_component(
+        monkeypatch):
+    made = []
+    leaf_init = CoverDP.leaf_init
+
+    def spy(self, mis, s):
+        made.append(self)
+        return leaf_init(self, mis, s)
+
+    monkeypatch.setattr(CoverDP, "leaf_init", spy)
+    edge = complete_graph(2)
+    for f, folds in [(f, True) for f in FOLD_TARGETS[1:]] + [
+            (cycle_graph(5), False), (path_graph(4), False)]:
+        made.clear()
+        hom_decide(edge, f, single_bag(edge))
+        assert (made[0].fold is not None) is folds
+        assert folds is all(len(i) == 1 for i in target_incidence(f))
+    # a rank-1 target with a loop: vertex 0 lies in no component
+    loop = Hypergraph(2, [0b01])
+    made.clear()
+    hom_decide(Hypergraph(2, [0b01]), loop, single_bag(loop))
+    assert made[0].fold is None
+    for k in (1, 2, 3):
+        made.clear()
+        chromatic_decide(edge, k, single_bag(edge))
+        assert made[0].fold is not None
+
+
+def test_hom_to_a_fold_target_matches_brute_force():
+    rng = rng_from_seed(68)
+    yes = 0
+    for it in range(90):
+        f = FOLD_TARGETS[it % len(FOLD_TARGETS)]
+        h = random_graph(rng, rng.randrange(2, 9), rng.uniform(0.2, 0.7))
+        t = random_decomposition(rng, h)
+        want = hom_bruteforce(h, f)
+        assert hom_decide(h, f, t) == want
+        yes += want
+    assert 20 <= yes <= 70, yes
+
+
+def test_every_leaf_is_built_before_the_first_merge(monkeypatch):
+    # a refuting leaf after a merge in post-order is found before any merge
+    events = []
+    leaf_init, merge = CoverDP.leaf_init, CoverDP.merge
+
+    def leaf_spy(self, mis, s):
+        table = leaf_init(self, mis, s)
+        events.append(bool(table))
+        return table
+
+    def merge_spy(self, trace, t1, t2, s):
+        events.append("merge")
+        return merge(self, trace, t1, t2, s)
+
+    monkeypatch.setattr(CoverDP, "leaf_init", leaf_spy)
+    monkeypatch.setattr(CoverDP, "merge", merge_spy)
+    rng = rng_from_seed(69)
+    merged = skipped = 0
+    for _ in range(80):
+        h = random_graph(rng, rng.randrange(3, 10), rng.uniform(0.2, 0.6))
+        t = random_decomposition(rng, h)
+        k = rng.randrange(1, 4)
+        events.clear()
+        assert chromatic_decide(h, k, t) == chromatic_bruteforce(h, k)
+        leaves = events[:events.index("merge")] if "merge" in events \
+            else events
+        assert "merge" not in leaves
+        assert events[len(leaves):] == ["merge"] * (len(events) - len(leaves))
+        if all(leaves):
+            assert len(leaves) == t.node_count
+            merged += len(leaves) > 1
+        else:
+            # only the last leaf built is empty, and nothing follows it
+            assert events == leaves and leaves.index(False) == len(leaves) - 1
+            skipped += 1 < len(leaves)
+    assert merged >= 10 and skipped >= 10, (merged, skipped)
+
+
 def merge_reference(w, trace, t1, t2, s):
     """MwisDP.merge as three weight sums per pair of entries."""
     out = {}
