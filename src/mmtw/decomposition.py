@@ -46,9 +46,6 @@ class TreeDecomposition:
     def node_count(self) -> int:
         return len(self.bags)
 
-    def neighbors(self, t: int) -> Iterable[int]:
-        return bits(self._adj[t])
-
     def __eq__(self, other):
         return (isinstance(other, TreeDecomposition)
                 and self.bags == other.bags and self.tree_edges == other.tree_edges)

@@ -44,6 +44,27 @@ a merge whose candidates all settle copies nothing.  A merge that traces
 builds the copy of H[N_V[S]] of its own V and searches it once, so ``nodes``
 and ``depth`` bound that one search, in ``solve`` as in ``trace``.
 
+The DP runs over the maximal bags.  After validating T, ``run_dp``
+contracts each node whose bag lies inside a neighbour's bag into the first
+such neighbour in id order, and on along that chain to a maximal bag.  In a
+valid decomposition the vertices two bags share lie in every bag between
+them, so a bag inside any other bag lies inside a neighbour's, and what
+remains is one node per maximal bag (Bodlaender, "A partial k-arboretum of
+graphs with bounded treewidth", TCS 1998: no width is lost).  Each node
+then stands for the same subhypergraph as before, so the tables describe
+the same H, and a contained bag costs no leaf and no merge.  An absorbing
+node keeps its input id, so a ResourceError names a node of the input; the
+root is the node that holds node 0.  Validation comes first because
+contraction can repair an invalid decomposition: in the tree w - u - v with
+bag(u) inside bag(v), a vertex in bags w and v but not in u has its nodes
+joined once u goes into v.  Leaf caps and refutations still fire where the
+contained bag would fire them.  A bag B inside A has no more maximal
+independent sets than A, since each extends to one of H[A] that meets B in
+it, so a cap on B's sets fires at A too.  And H[B] is a subhypergraph of
+H[A], so B's leaf is empty only when A's is.  A table cap bounds the tables
+of the maximal bags, and a merged table over a larger bag can go over a cap
+that the input tree's tables stay under.
+
 MWIS weights are scaled to integers by the least common multiple of their
 denominators before the DP runs, so the tables add and compare ints.  An
 MWIS table stores, per key, the weight outside it, so that only
@@ -303,12 +324,16 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
            table_cap: int = DEFAULT_TABLE_CAP):
     """Table of f over the empty base set, computed bottom-up over T.
 
-    The tree is rooted at node 0; each node's hypergraph is the subhypergraph
-    of H induced by its descendant bags, and child tables are restricted to
-    the shared bag part, padded with isolated vertices and merged in
-    increasing child order.  Every table, leaf tables included, holds at
-    most ``table_cap`` entries, and a leaf's maximal independent sets are
-    enumerated under the same cap; past it, ResourceError names the bag.
+    T is validated first, and each bag that lies inside a neighbour's bag is
+    then contracted into it (see the module docstring), so the DP visits
+    one node per maximal bag, each under its input id.  The contracted tree
+    is rooted at the node that holds node 0; each node's hypergraph is the
+    subhypergraph of H induced by its descendant bags, and child tables are
+    restricted to the shared bag part, padded with isolated vertices and
+    merged in increasing child order.  Every table, leaf tables included,
+    holds at most ``table_cap`` entries, and a leaf's maximal independent
+    sets are enumerated under the same cap; past it, ResourceError names the
+    bag.
 
     A first pass builds the leaf tables in post-order and returns at the
     first empty one (see BlockerReadable).  A leaf over the cap ends that
@@ -319,28 +344,46 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
     earlier table.  A merged table over the cap fires only when no leaf is
     empty: every leaf is built before the first merge.
     """
-    ok = validate(h, t)
-    if not ok:
-        raise InputError(f"invalid decomposition: {ok.reason}")
+    _validated(h, t)
     k = t.node_count
-    parent = [-1] * k
-    order = [0]
-    seen = {0}
+    bags, edges = t.bags, t.tree_edges
+    # each node goes into its first neighbour whose bag holds its own (the
+    # edges are sorted, so each node meets its neighbours in increasing
+    # order), and on to the maximal bag at the end of that chain
+    into = list(range(k))
+    for a, b in edges:
+        if into[a] == a and not bags[a] & ~bags[b]:
+            into[a] = b
+        elif into[b] == b and not bags[b] & ~bags[a]:
+            into[b] = a
+    for node in range(k):
+        top = node
+        while into[top] != top:
+            top = into[top]
+        while node != top:      # each node is repointed once
+            into[node], node = top, into[node]
+    # the contracted tree, walked breadth-first from the node that holds
+    # node 0, each node's children in increasing order
+    adj = [[] for _ in range(k)]
+    for a, b in edges:
+        a, b = into[a], into[b]
+        if a != b:
+            adj[a].append(b)
+            adj[b].append(a)
+    root = into[0]
+    children = [[] for _ in range(k)]
+    order = [root]
     for node in order:
-        for nb in t.neighbors(node):
-            if nb not in seen:
-                seen.add(nb)
-                parent[nb] = node
-                order.append(nb)
-    children = [[] for _ in range(k)]   # each in increasing order
-    for node in range(1, k):
-        children[parent[node]].append(node)
+        kids = children[node] = sorted(adj[node])
+        for c in kids:
+            adj[c].remove(node)
+        order += kids
 
     post = order[::-1]
     leaves: dict[int, object] = {}
     for node in post:
         try:
-            leaf = _leaf(h, t.bags[node], node, f, table_cap)
+            leaf = _leaf(h, bags[node], node, f, table_cap)
         except ResourceError:
             # the merges run first: this leaf raises again when they reach it
             break
@@ -351,14 +394,14 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
     subtree_v: dict[int, int] = {}
     index = None    # the blocking options, built at the first merge
     for node in post:
-        bag = t.bags[node]
+        bag = bags[node]
         acc = leaves.pop(node, None)
         if acc is None:
             acc = _leaf(h, bag, node, f, table_cap)
         acc_v = bag
         for c in children[node]:
-            tbl = f.restrict(tables.pop(c), bag & t.bags[c])
-            missing = bag & ~t.bags[c]
+            tbl = f.restrict(tables.pop(c), bag & bags[c])
+            missing = bag & ~bags[c]
             if missing:
                 tbl = f.add_isolated(tbl, missing)
             acc_v |= subtree_v[c]
@@ -379,7 +422,13 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
                 return f.restrict(acc, 0)
         subtree_v[node] = acc_v
         tables[node] = acc
-    return f.restrict(tables[0], 0)
+    return f.restrict(tables[root], 0)
+
+
+def _validated(h: Hypergraph, t: TreeDecomposition):
+    ok = validate(h, t)
+    if not ok:
+        raise InputError(f"invalid decomposition: {ok.reason}")
 
 
 def _leaf(h: Hypergraph, bag: int, node: int, f: BlockerReadable,
@@ -656,13 +705,14 @@ def hom_decide(h: Hypergraph, f: Hypergraph, t: TreeDecomposition,
         raise InputError("hypergraphs must be uniform of the same rank")
     if f.n > TARGET_CAP:
         raise ResourceError(f"target cap {TARGET_CAP} exceeded (n={f.n})", n=f.n)
-    if h.n == 0:
-        return True
-    if f.n == 0:
-        return False
+    # the answers that need no DP still need a valid decomposition
+    if h.n == 0 or f.n == 0:
+        _validated(h, t)
+        return h.n == 0
     target_mis = sorted(enumerate_mis(f))
     arity = len(target_mis)
     if arity == 0:
+        _validated(h, t)
         # F has an empty edge: no independent sets at all, and any map sends
         # edges of H nowhere useful; only edgeless H maps (vacuously) -- but
         # an r-uniform F with an empty edge forces r=0 for H too

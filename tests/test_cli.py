@@ -302,14 +302,16 @@ def test_covering_solves_ignore_the_trace_caps(files, capsys, monkeypatch):
 
 
 def undecided_files(files):
-    """An .hg and .td where bag 1 = {1, 2, 3} merges its child, all five
-    vertices, and meets the candidate {}: the greedy blocks 1 with 4, and 2
-    is then left with 0, which 4 blocks, so the search settles it."""
-    g = Hypergraph(5, [mask_of(e) for e in ((0, 2), (0, 3), (2, 3), (0, 4),
+    """An .hg and .td where bag 1 = {1, 2, 3, 5} merges its child, vertices
+    0-4, and meets the candidate {5}: the greedy blocks 1 with 4, and 2 is
+    then left with 0, which 4 blocks, so the search settles it.  5 and 6
+    are isolated, and keep each bag out of its neighbours' bags."""
+    g = Hypergraph(7, [mask_of(e) for e in ((0, 2), (0, 3), (2, 3), (0, 4),
                                             (1, 4), (3, 4))])
-    t = TreeDecomposition([0b00010, 0b01110, 0b11111], [(0, 1), (1, 2)])
+    t = TreeDecomposition([0b1100000, 0b0101110, 0b0011111],
+                          [(0, 1), (1, 2)])
     return (g, files("undecided.hg", serialize_hypergraph(g)),
-            files("undecided.td", serialize_td(t, 5)))
+            files("undecided.td", serialize_td(t, 7)))
 
 
 def test_a_trace_cap_on_an_undecided_merge_names_the_bag(files, capsys,
@@ -505,6 +507,62 @@ def test_a_refuting_leaf_comes_before_a_merge_over_the_cap(files, capsys):
                          [(0, 1), (0, 2), (2, 3)], 3)
     assert code == 20
     assert doc["bag"] == 2 and doc["size"] == 4
+
+
+def test_a_merge_over_the_cap_names_the_node_that_absorbed_node_0(
+        files, capsys):
+    # node 0 = {2, 3} lies inside node 1 = {0, 1, 2, 3}, which absorbs it,
+    # takes node 2 = {2, 3, 4} (path 2-4-3) as its child and becomes the
+    # root; that merge meets the two tuples of each table into four, above
+    # table=3
+    code, doc = colour_2(files, capsys, 5, [(0, 1), (2, 4), (3, 4)],
+                         [(2, 3), (0, 1, 2, 3), (2, 3, 4)],
+                         [(0, 1), (0, 2)], 3)
+    assert code == 20
+    assert doc["bag"] == 1 and doc["size"] == 4
+    assert "table cap exceeded at bag 1" in doc["error"]
+
+
+def test_an_invalid_decomposition_that_contraction_would_repair_exits_2(
+        files, capsys):
+    # the tree w - u - v with bag(u) = {2} inside bag(v) = {1, 2, 3}: 1 lies
+    # in w and v but not in u.  Contracting u into v would make the
+    # decomposition valid, so validation has to come first
+    hg = files("p3.hg", serialize_hypergraph(path_graph(3)))
+    k2 = files("k2.hg", serialize_hypergraph(complete_graph(2)))
+    td = files("wuv.td", serialize_td(TreeDecomposition(
+        [0b011, 0b010, 0b111], [(0, 1), (1, 2)]), 3))
+    for problem in (("mwis",), ("color", "-k", "2"), ("hom", "--target", k2)):
+        code, _, _ = run(capsys, "solve", "--problem", *problem, hg, td)
+        assert code == 2
+
+
+def test_hom_validates_before_its_shortcuts(files, capsys):
+    # H with no vertices, F with no vertices and F with an empty edge are
+    # answered without the DP, and only after the decomposition is checked
+    one_bag = files("one.td", "s td 1 1 2\nb 1 1\n")
+    empty = files("empty.hg", "p hg 0 0\n")
+    h2 = files("h2.hg", serialize_hypergraph(Hypergraph(2, [])))
+    empty_edge = files("empty_edge.hg", serialize_hypergraph(
+        Hypergraph(1, [0])))
+    for hg, td, target in (
+            (empty, files("outside.td", "s td 1 1 1\nb 1 1\n"),
+             files("k2.hg", serialize_hypergraph(complete_graph(2)))),
+            (h2, one_bag, empty),
+            (h2, one_bag, empty_edge)):
+        code, out, _ = run(capsys, "solve", "--problem", "hom", hg, td,
+                           "--target", target, "--json")
+        assert code == 2
+        assert json.loads(out)["status"] == "invalid-input"
+    # with a valid decomposition the three answers stand
+    both = files("both.td", "s td 1 2 2\nb 1 1 2\n")
+    none = files("none.td", "s td 1 0 0\nb 1\n")
+    assert run(capsys, "solve", "--problem", "hom", empty, none,
+               "--target", empty)[0] == 0
+    assert run(capsys, "solve", "--problem", "hom", h2, both,
+               "--target", empty)[0] == 10
+    assert run(capsys, "solve", "--problem", "hom", h2, both,
+               "--target", empty_edge)[0] == 0
 
 
 def _two_colourable(adj):

@@ -8,7 +8,7 @@ import pytest
 import mmtw.dp
 from mmtw._bits import bits, mask_of
 from mmtw.blocker import BranchCaps, enumerate_mis, trace_blocker
-from mmtw.decomposition import TreeDecomposition, single_bag
+from mmtw.decomposition import TreeDecomposition, single_bag, validate
 from mmtw.dp import (DEFAULT_TABLE_CAP, CoverDP, MwisDP, _blocking_index,
                      _MergeTrace, chromatic_decide, hom_decide, mwis, run_dp)
 from mmtw.errors import InputError, ResourceError
@@ -143,6 +143,99 @@ def test_table_cap():
     t = random_decomposition(rng, h)
     with pytest.raises(ResourceError):
         chromatic_decide(h, 4, t, table_cap=0)
+
+
+# the DP runs on the maximal bags: a bag inside a neighbour's bag is
+# contracted into it after validation
+
+
+def maximal_bags(t):
+    """The nodes of T whose bags lie inside no other bag."""
+    return [i for i, b in enumerate(t.bags)
+            if all(b & ~c for j, c in enumerate(t.bags) if j != i)]
+
+
+def _with_nested_bags(rng, t):
+    """T with nested bags added, numbered at random: chains of leaves, each
+    bag a random part of the one it hangs from, and nodes put on a tree
+    edge that hold the two ends' shared vertices and part of one end."""
+    bags, tree = list(t.bags), list(t.tree_edges)
+    for _ in range(rng.randrange(1, 5)):
+        if tree and rng.random() < 0.4:
+            a, b = tree.pop(rng.randrange(len(tree)))
+            if rng.random() < 0.5:
+                a, b = b, a
+            bags.append(bags[a] & bags[b]
+                        | bags[a] & rng.getrandbits(bags[a].bit_length()))
+            tree += [(a, len(bags) - 1), (len(bags) - 1, b)]
+        else:
+            at = rng.randrange(len(bags))
+            for _ in range(rng.randrange(1, 4)):
+                bags.append(bags[at] & rng.getrandbits(bags[at].bit_length()))
+                tree.append((at, len(bags) - 1))
+                at = len(bags) - 1
+    perm = list(range(len(bags)))
+    rng.shuffle(perm)
+    renumbered = [0] * len(bags)
+    for i, bag in enumerate(bags):
+        renumbered[perm[i]] = bag
+    return TreeDecomposition(renumbered,
+                             [(perm[a], perm[b]) for a, b in tree])
+
+
+def test_nested_bags_match_the_oracles(monkeypatch):
+    # each solve builds one leaf per maximal bag, under its input id, and
+    # answers as the brute-force oracles do
+    built = []
+    leaf = mmtw.dp._leaf
+
+    def spy(h, bag, node, f, table_cap):
+        built.append(node)
+        assert bag == t.bags[node]
+        return leaf(h, bag, node, f, table_cap)
+
+    monkeypatch.setattr(mmtw.dp, "_leaf", spy)
+    rng = rng_from_seed(72)
+    contracted = zero = 0
+    targets = (complete_graph(2), complete_graph(3), cycle_graph(5))
+    for it in range(300):
+        n = rng.randrange(1, 10)
+        h = random_hypergraph(rng, n, rng.randrange(0, n + 3), rank=3) \
+            if it % 2 else random_graph(rng, n, rng.uniform(0.2, 0.6))
+        t = _with_nested_bags(rng, random_decomposition(rng, h))
+        assert validate(h, t)
+        top = maximal_bags(t)
+        contracted += t.node_count - len(top)
+        zero += 0 not in top
+        w = random_weights(rng, n)
+        built.clear()
+        val, wit = mwis(h, w, t)
+        assert val == mwis_bruteforce(h, w)[0]
+        assert independent_in(h, wit) and wsum(w, wit) == val
+        assert sorted(built) == top
+        k = rng.randrange(1, 4)
+        built.clear()
+        assert chromatic_decide(h, k, t) == chromatic_bruteforce(h, k)
+        assert len(set(built)) == len(built) and set(built) <= set(top)
+        if not it % 2:
+            f = targets[it // 2 % 3]
+            built.clear()
+            assert hom_decide(h, f, t) == hom_bruteforce(h, f)
+            assert len(set(built)) == len(built) and set(built) <= set(top)
+    assert contracted >= 800 and zero >= 100, (contracted, zero)
+
+
+def test_nothing_contracts_on_a_path(monkeypatch):
+    # P_n with bags {i, i+1}: one leaf per bag, in post-order from the far
+    # end, and one merge per tree edge
+    built = count_calls(monkeypatch, mmtw.dp, "_leaf")
+    merged = count_calls(monkeypatch, MwisDP, "merge")
+    n = 60
+    t = TreeDecomposition([0b11 << i for i in range(n - 1)],
+                          [(i, i + 1) for i in range(n - 2)])
+    assert mwis(path_graph(n), None, t)[0] == n // 2
+    assert [args[2] for args in built] == list(range(n - 2, -1, -1))
+    assert len(merged) == n - 2
 
 
 # framework property checks, on the concrete instances
@@ -388,8 +481,8 @@ def searchless(monkeypatch):
 # with 0, which 4 blocks; no v ∈ S lacks a blocking edge, so neither short
 # proof applies.  The search refutes a, since 4 is the only way to block 1:
 # the traces are {1}, {1, 2}, {1, 3}, {2}
-UNDECIDED = Graph.from_pairs(5, [(0, 2), (0, 3), (2, 3), (0, 4), (1, 4),
-                                 (3, 4)])
+UNDECIDED_PAIRS = [(0, 2), (0, 3), (2, 3), (0, 4), (1, 4), (3, 4)]
+UNDECIDED = Graph.from_pairs(5, UNDECIDED_PAIRS)
 
 
 def test_an_undecided_candidate_runs_the_trace_once(monkeypatch):
@@ -400,10 +493,14 @@ def test_an_undecided_candidate_runs_the_trace_once(monkeypatch):
     searchless(monkeypatch)
     assert _MergeTrace(UNDECIDED, s, full, BranchCaps(),
                        index)._settle(0) is None
+    # the same merge in a solve: the isolated vertex 5 keeps the bag S + 5
+    # out of the child bag of all five vertices, so the two do not contract,
+    # and the candidate {5} is UNDECIDED's {}
+    h = Graph.from_pairs(6, UNDECIDED_PAIRS)
     calls = counting_traces(monkeypatch)
-    t = TreeDecomposition([s, full], [(0, 1)])
-    w = [1, 2, 1, 1, 1]
-    assert mwis(UNDECIDED, w, t)[0] == mwis_bruteforce(UNDECIDED, w)[0]
+    t = TreeDecomposition([s | 1 << 5, full], [(0, 1)])
+    w = [1, 2, 1, 1, 1, 1]
+    assert mwis(h, w, t)[0] == mwis_bruteforce(h, w)[0]
     assert len(calls) == 1
 
 
@@ -445,15 +542,22 @@ def test_a_search_that_spends_its_budget_hands_over_to_the_trace(
 # the keys of a merge's two tables settle as members, without a proof each
 
 
-def _with_subset_leaves(rng, t):
-    """T with one to three leaf bags added, each a random subset of the bag
-    it hangs from, so that its table is padded at the merge."""
-    bags, edges = list(t.bags), list(t.tree_edges)
+def _with_padded_leaves(rng, h, t):
+    """H and T with one to three leaf bags added, each a random part of the
+    bag it hangs from, which its table is padded to at the merge, plus a new
+    vertex, so that it lies inside no bag.  The new vertex joins edges
+    inside its leaf bag."""
+    n, edges = h.n, list(h.edges)
+    bags, tree = list(t.bags), list(t.tree_edges)
     for _ in range(rng.randrange(1, 4)):
         at = rng.randrange(len(bags))
-        bags.append(bags[at] & rng.getrandbits(bags[at].bit_length()))
-        edges.append((at, len(bags) - 1))
-    return TreeDecomposition(bags, edges)
+        bag = bags[at] & rng.getrandbits(max(bags[at].bit_length(), 1))
+        for _ in range(rng.randrange(0, 3)):
+            edges.append(1 << n | bag & rng.getrandbits(n))
+        bags.append(bag | 1 << n)
+        tree.append((at, len(bags) - 1))
+        n += 1
+    return Hypergraph(n, edges), TreeDecomposition(bags, tree)
 
 
 def test_table_keys_that_are_candidates_are_members(monkeypatch):
@@ -478,14 +582,14 @@ def test_table_keys_that_are_candidates_are_members(monkeypatch):
 
     monkeypatch.setattr(MwisDP, "merge", spy)
     rng = rng_from_seed(71)
-    for _ in range(2000):
+    for _ in range(3000):
         n = rng.randrange(1, 12)
         h = random_hypergraph(rng, n, rng.randrange(0, n + 4),
                               rank=rng.randrange(1, 5))
-        w = random_weights(rng, n)
         t = random_decomposition(rng, h)
         if rng.random() < 0.5:
-            t = _with_subset_leaves(rng, t)
+            h, t = _with_padded_leaves(rng, h, t)
+        w = random_weights(rng, h.n)
         val, wit = mwis(h, w, t)
         assert val == mwis_bruteforce(h, w)[0]
         assert independent_in(h, wit) and wsum(w, wit) == val
@@ -545,13 +649,16 @@ def test_the_blocking_index_is_built_once_per_solve(monkeypatch):
 
 
 def test_a_merge_whose_candidates_are_all_keys_settles_nothing(monkeypatch):
-    # P_3 rooted at the bag {1}, whose children are {0, 1} and {1, 2}: the
-    # candidates {1} and {} are keys of the tables merged
+    # P_3 and the isolated vertex 3, rooted at the bag {1, 3}, whose
+    # children are {0, 1} and {1, 2}; no bag lies inside another.  The root's
+    # one key is {1, 3}, so each candidate is a padded key of a child,
+    # {1, 3} or {3}
     settled = count_calls(monkeypatch, mmtw.dp._MergeTrace, "_settle")
-    p3 = path_graph(3)
-    t = TreeDecomposition([0b010, 0b011, 0b110], [(0, 1), (0, 2)])
-    assert mwis(p3, [1, 1, 1], t) == (2, 0b101)
-    assert mwis(p3, [1, 3, 1], t) == (3, 0b010)
+    h = Graph.from_pairs(4, [(0, 1), (1, 2)])
+    t = TreeDecomposition([0b1010, 0b0011, 0b0110], [(0, 1), (0, 2)])
+    assert t.node_count == 3
+    assert mwis(h, [1, 1, 1, 1], t) == (3, 0b1101)
+    assert mwis(h, [1, 3, 1, 1], t) == (4, 0b1010)
     assert settled == []
 
 
@@ -857,7 +964,7 @@ def test_every_leaf_is_built_before_the_first_merge(monkeypatch):
         assert "merge" not in leaves
         assert events[len(leaves):] == ["merge"] * (len(events) - len(leaves))
         if all(leaves):
-            assert len(leaves) == t.node_count
+            assert len(leaves) == len(maximal_bags(t))
             merged += len(leaves) > 1
         else:
             # only the last leaf built is empty, and nothing follows it
@@ -983,7 +1090,8 @@ def test_mwis_traces_only_the_closed_neighbourhood(monkeypatch):
 def _star_of_pods(rng, n_root, pods, pod_size):
     """A graph on a root set R and ``pods`` pods outside it, each joined to
     R alone, and the decomposition whose root bag R has one child bag per
-    pod (the pod and its neighbours in R)."""
+    pod (the pod and its neighbours in R).  No pod meets R's vertex 0, so
+    no bag lies inside another."""
     n = n_root + pods * pod_size
     root = (1 << n_root) - 1
     edges = [(1 << u) | (1 << v) for u in range(n_root)
@@ -993,7 +1101,7 @@ def _star_of_pods(rng, n_root, pods, pod_size):
         pod = ((1 << pod_size) - 1) << (n_root + i * pod_size)
         bag = pod
         for u in bits(pod):
-            for v in bits(pod | root):
+            for v in bits(pod | root & ~1):
                 if v != u and rng.random() < 0.4:
                     edges.append((1 << u) | (1 << v))
                     bag |= 1 << v
