@@ -8,7 +8,8 @@ input.  With --json the report goes to stdout as a single JSON object with a
 ``--caps`` exists on trace and solve only, the two subcommands that read it:
 nodes and depth bound the blocker trace, table bounds DP tables.  The other
 caps (separator guesses in decompose, per-set oracle steps) are fixed module
-constants and still exit 20 when hit.
+constants and still exit 20 when hit.  A cap that fires at a bag names it by
+its 1-based id, as the ``b`` lines of a ``.td`` file do.
 """
 
 from __future__ import annotations
@@ -222,8 +223,10 @@ def _cmd_decompose(args, report: _Report) -> None:
     if args.k < 1:
         raise InputError("-k must be at least 1")
     if args.measure is None:
-        g = _as_graph(h)
-        out = approximate_mu_tw(g, args.k)
+        # the width check below runs on this Graph too, so it reads the
+        # conflict index that line_square built
+        h = _as_graph(h)
+        out = approximate_mu_tw(h, args.k)
         measure_name = "mu"
     else:
         m = get_measure(args.measure)
@@ -411,6 +414,17 @@ _DISPATCH = {
 }
 
 
+def _file_bag_id(exc: ResourceError) -> ResourceError:
+    """``exc`` naming its bag by the 1-based id of the ``b`` lines of a
+    ``.td`` file, as ``witness_bag`` does.  The library names it by its
+    0-based node id, in the ``bag`` field and at the end of the message."""
+    node = exc.stats.get("bag")
+    if node is None:
+        return exc
+    stem = str(exc).removesuffix(f" {node}")
+    return ResourceError(f"{stem} {node + 1}", **{**exc.stats, "bag": node + 1})
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     report = _Report(args)
@@ -418,7 +432,9 @@ def main(argv=None) -> int:
         _DISPATCH[args.command](args, report)
     except InputError as exc:
         report.fail("invalid-input", exc)
-    except (ResourceError, RecursionError) as exc:
+    except ResourceError as exc:
+        report.fail("resource-exceeded", _file_bag_id(exc))
+    except RecursionError as exc:
         # an input deeper than the interpreter's stack is a resource limit too
         report.fail("resource-exceeded", exc)
     return report.emit()

@@ -60,7 +60,7 @@ class Hypergraph:
     """A vertex count, a set of hyperedges, and optional rational weights."""
 
     __slots__ = ("n", "edges", "weights", "_gaifman_adj", "_incidence",
-                 "_edge_sizes")
+                 "_conflicts", "_edge_sizes")
 
     def __init__(self, n: int, edges: Iterable[int] = (), weights: Weights = None):
         if n < 0:
@@ -75,6 +75,7 @@ class Hypergraph:
         self.weights = weights
         self._gaifman_adj: Optional[tuple[int, ...]] = None
         self._incidence: Optional[tuple[int, ...]] = None
+        self._conflicts: Optional[tuple[int, ...]] = None
         self._edge_sizes: Optional[tuple[int, int]] = None
 
     # -- basic queries -------------------------------------------------
@@ -122,6 +123,22 @@ class Hypergraph:
         for v in bits(s):
             out |= inc[v]
         return out
+
+    def conflicts(self) -> tuple[int, ...]:
+        """Per edge, the mask of the positions in ``edges`` of the other
+        edges that share a vertex with it or are joined to it by an edge
+        (cached).  Those are the edges that meet the union of the edges
+        meeting it; on a graph this is the squared line graph L^2, whose
+        independent sets are the induced matchings."""
+        if self._conflicts is None:
+            edges, out = self.edges, []
+            for i, e in enumerate(edges):
+                near = 0
+                for j in bits(self.edges_meeting(e)):
+                    near |= edges[j]
+                out.append(self.edges_meeting(near) & ~(1 << i))
+            self._conflicts = tuple(out)
+        return self._conflicts
 
     def edge_sets(self) -> list[frozenset[int]]:
         return [to_set(h) for h in self.edges]

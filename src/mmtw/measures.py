@@ -192,24 +192,26 @@ def edge_conflicts(g: Hypergraph, s: int) -> tuple[dict[int, int], int]:
     each position i in it, is the mask of the positions in universe of the
     edges that conflict with edge i.  Two edges conflict when they share a
     vertex or an edge of G joins them, so the induced matchings meeting S
-    are its independent sets.  With S = V it is the squared line graph
-    L^2(G), on the edges of G in their stored order."""
-    adj = g.gaifman_adj()
+    are its independent sets.  It is a view of ``g.conflicts()``, the
+    conflict masks over all of G, each restricted to the universe; with
+    S = V it is the squared line graph L^2(G), on the edges of G in their
+    stored order."""
+    conflicts = g.conflicts()
     universe = g.edges_meeting(s)
-    conflicts = {}
-    for i in bits(universe):
-        near = 0
-        for v in bits(g.edges[i]):
-            near |= adj[v] | (1 << v)
-        conflicts[i] = g.edges_meeting(near) & universe & ~(1 << i)
-    return conflicts, universe
+    return {i: conflicts[i] & universe for i in bits(universe)}, universe
 
 
 def induced_matching_intersecting(g: Hypergraph, s: int) -> int:
     """Maximum induced matching of the graph G with every matched edge
-    meeting S (G given as a hypergraph whose edges are all pairs)."""
-    conflicts, everything = edge_conflicts(g, s)
-    return _alpha_search(conflicts, everything, 0, False)
+    meeting S (G given as a hypergraph whose edges are all pairs).
+
+    The search runs on ``g.conflicts()``, the masks over all of G, from the
+    universe of the edges that meet S.  Restricting the masks to that
+    universe, as ``edge_conflicts`` does, changes no step: ``_alpha_search``
+    only removes a mask from its candidates and ANDs one into a subset of
+    them, and its candidates start as the universe, so the bits of a mask
+    outside it are never read."""
+    return _alpha_search(g.conflicts(), g.edges_meeting(s), 0, False)
 
 
 def minor_matching_intersecting(h: Hypergraph, s: int) -> int:
@@ -295,7 +297,8 @@ def mu_decide(h: Hypergraph, s: int, k: int) -> bool:
     induced matching."""
     _check_set(h, s)
     if _is_graph(h):
-        return _alpha_search(*edge_conflicts(h, s), k, True) <= k
+        return _alpha_search(h.conflicts(), h.edges_meeting(s), k,
+                             True) <= k
     return minor_matching_intersecting(h, s) <= k
 
 

@@ -4,8 +4,9 @@ Two constructions: the pendant extension M(G), which adds a private leaf to
 every vertex so that alpha_G(S) = mu_M(S), and the squared line graph L^2(G),
 whose vertices are the edges of G with e ~ f when G[e union f] is connected,
 so that mu_G(S) = alpha_L(L(S)).  L^2 is the edge conflict graph that mu
-itself searches (``measures.edge_conflicts`` with S = V), so the adjacency
-rule is stated once.  Both come with decomposition pullbacks, and
+itself searches: its adjacency is ``Hypergraph.conflicts()``, the one
+cached index that the mu oracles read too, so the adjacency rule is stated
+once and built once per graph.  Both come with decomposition pullbacks, and
 ``approximate_mu_tw`` chains L^2 with the well-behaved approximation pipeline.
 """
 
@@ -20,7 +21,7 @@ from .approx import Refutation, approx_decomposition
 from .decomposition import TreeDecomposition
 from .errors import InputError
 from .hypergraph import Graph
-from .measures import ALPHA, edge_conflicts
+from .measures import ALPHA
 
 
 @dataclass(frozen=True)
@@ -69,9 +70,8 @@ class LineSquare:
 
 
 def line_square(g: Graph) -> LineSquare:
-    # with S = V every edge meets S, so L-vertex i is g.edges[i]
-    conflicts = edge_conflicts(g, g.vertex_mask)[0]
-    return LineSquare(g, Graph.from_adj(tuple(conflicts.values())), g.edges)
+    # L-vertex i is g.edges[i]; its adjacency is g's conflict index itself
+    return LineSquare(g, Graph.from_adj(g.conflicts()), g.edges)
 
 
 def line_square_pullback(x: LineSquare, t: TreeDecomposition

@@ -262,6 +262,43 @@ def test_mu_width_of_a_loose_path_searches_each_neighbourhood(files, capsys,
     assert doc["per_bag"] == [1] + [2] * 18 + [1]
 
 
+def test_a_width_oracle_cap_names_the_bag_of_the_file(files, capsys,
+                                                      monkeypatch):
+    # P5 under bags {1, 2}, {2, 3}, {3, 4, 5}: alpha of the third bag takes
+    # two steps of the search, over a cap of one
+    monkeypatch.setattr("mmtw.measures.ORACLE_CAP", 1)
+    hg = files("p5.hg", serialize_hypergraph(path_graph(5)))
+    td = files("p5.td", serialize_td(
+        TreeDecomposition([0b00011, 0b00110, 0b11100], [(0, 1), (1, 2)]), 5))
+    code, out, _ = run(capsys, "width", hg, td, "--measure", "alpha", "--json")
+    assert code == 20
+    doc = json.loads(out)
+    assert doc["bag"] == 3 and doc["best"] == 1
+    assert doc["error"] == "width oracle cap exceeded on bag 3"
+
+
+def test_a_mu_decompose_request_builds_the_conflict_index_once(
+        files, capsys, monkeypatch):
+    # line_square builds the index of P32's edges, and the width check of
+    # each of the 31 bags reads it from the same Graph
+    built = []
+    build = Hypergraph.conflicts
+
+    def spy(self):
+        index = build(self)
+        if not any(index is seen for seen in built):
+            built.append(index)
+        return index
+
+    monkeypatch.setattr(Hypergraph, "conflicts", spy)
+    hg = files("p32.hg", serialize_hypergraph(path_graph(32)))
+    code, out, _ = run(capsys, "decompose", hg, "-k", "1", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["measure"] == "mu" and doc["bags"] == 31 and doc["width"] == 1
+    assert len(built) == 1
+
+
 def test_rho_with_only_an_empty_edge(files, capsys):
     # vertex 1 lies in no edge, so rho(V) is infinite and decompose refutes;
     # an empty bag has rho 0
@@ -325,7 +362,8 @@ def test_a_trace_cap_on_an_undecided_merge_names_the_bag(files, capsys,
                        "--caps", "nodes=1", "--json")
     assert code == 20
     doc = json.loads(out)
-    assert doc["bag"] == 1 and "trace cap exceeded at bag 1" in doc["error"]
+    # node 1, the file's bag 2
+    assert doc["bag"] == 2 and "trace cap exceeded at bag 2" in doc["error"]
     code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td, "--json")
     assert code == 0
 
@@ -487,8 +525,8 @@ def test_an_over_cap_leaf_before_a_refuting_leaf_exits_20(files, capsys):
     code, doc = colour_2(files, capsys, 13,
                          matching(0, 5) + [(10, 11), (11, 12), (10, 12)],
                          [(10, 11, 12), range(10)], [(0, 1)], 10)
-    assert code == 20
-    assert doc["bag"] == 1 and "table cap exceeded at bag 1" in doc["error"]
+    assert code == 20   # node 1, the file's bag 2
+    assert doc["bag"] == 2 and "table cap exceeded at bag 2" in doc["error"]
 
 
 def test_a_refuting_leaf_comes_before_a_merge_over_the_cap(files, capsys):
@@ -505,8 +543,8 @@ def test_a_refuting_leaf_comes_before_a_merge_over_the_cap(files, capsys):
     code, doc = colour_2(files, capsys, 8, [(0, 1), (2, 4), (3, 4)],
                          [(0, 5), (5, 6, 7), (0, 1, 2, 3), (2, 3, 4)],
                          [(0, 1), (0, 2), (2, 3)], 3)
-    assert code == 20
-    assert doc["bag"] == 2 and doc["size"] == 4
+    assert code == 20   # node 2, the file's bag 3
+    assert doc["bag"] == 3 and doc["size"] == 4
 
 
 def test_a_merge_over_the_cap_names_the_node_that_absorbed_node_0(
@@ -518,9 +556,9 @@ def test_a_merge_over_the_cap_names_the_node_that_absorbed_node_0(
     code, doc = colour_2(files, capsys, 5, [(0, 1), (2, 4), (3, 4)],
                          [(2, 3), (0, 1, 2, 3), (2, 3, 4)],
                          [(0, 1), (0, 2)], 3)
-    assert code == 20
-    assert doc["bag"] == 1 and doc["size"] == 4
-    assert "table cap exceeded at bag 1" in doc["error"]
+    assert code == 20   # node 1, the file's bag 2
+    assert doc["bag"] == 2 and doc["size"] == 4
+    assert "table cap exceeded at bag 2" in doc["error"]
 
 
 def test_an_invalid_decomposition_that_contraction_would_repair_exits_2(

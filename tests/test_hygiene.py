@@ -4,7 +4,7 @@ class of ``mmtw`` is read somewhere in ``mmtw`` outside its own definition,
 every function of ``mmtw`` that calls itself is listed with what bounds its
 depth, every parameter that a function of ``mmtw`` never reads is listed
 with why it is kept, and the measures and reductions build no per-vertex
-index of their own."""
+index and no per-edge conflict masks of their own."""
 
 import ast
 from pathlib import Path
@@ -279,5 +279,54 @@ def test_measures_and_reductions_read_the_hypergraph_index():
     # a per-vertex edge index is Hypergraph.incidence(), built once per
     # hypergraph; the oracles and the L^2 pullback read it, not a copy
     found = {name: per_vertex_lists((SRC / name).read_text(encoding="utf-8"))
+             for name in ("measures.py", "reductions.py")}
+    assert found == {"measures.py": [], "reductions.py": []}
+
+
+def edges_meeting_loops(source: str) -> list[str]:
+    """The first lines of the loops of ``source`` (``for`` and ``while``
+    statements and comprehensions) that call ``edges_meeting``, in source
+    order: such a loop over the edges builds the per-edge conflict masks
+    that ``Hypergraph.conflicts()`` caches."""
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp)
+    found = [node for node in ast.walk(ast.parse(source))
+             if isinstance(node, loops)
+             and any(isinstance(call, ast.Call)
+                     and isinstance(call.func, ast.Attribute)
+                     and call.func.attr == "edges_meeting"
+                     for call in ast.walk(node))]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [ast.unparse(node).splitlines()[0] for node in found]
+
+
+def test_edges_meeting_loops_are_caught():
+    # the loop that measures.edge_conflicts once ran on every call
+    old_edge_conflicts = (
+        "def edge_conflicts(g, s):\n"
+        "    adj = g.gaifman_adj()\n"
+        "    universe = g.edges_meeting(s)\n"
+        "    conflicts = {}\n"
+        "    for i in bits(universe):\n"
+        "        near = 0\n"
+        "        for v in bits(g.edges[i]):\n"
+        "            near |= adj[v] | (1 << v)\n"
+        "        conflicts[i] = g.edges_meeting(near) & universe & ~(1 << i)\n"
+        "    return conflicts, universe\n")
+    assert edges_meeting_loops(old_edge_conflicts) == [
+        "for i in bits(universe):"]
+    source = ("a = [g.edges_meeting(e) for e in g.edges]\n"
+              "while todo:\n    todo = h.edges_meeting(todo) & ~seen\n"
+              "b = g.edges_meeting(s)\n"
+              "for bag in bags:\n    print(bag)\n")
+    assert edges_meeting_loops(source) == [
+        "[g.edges_meeting(e) for e in g.edges]", "while todo:"]
+
+
+def test_measures_and_reductions_read_the_conflict_index():
+    # the conflict masks of a graph's edges are Hypergraph.conflicts(),
+    # built once per graph; mu and L^2 read them, not a copy per call
+    found = {name: edges_meeting_loops((SRC / name).read_text(
+                 encoding="utf-8"))
              for name in ("measures.py", "reductions.py")}
     assert found == {"measures.py": [], "reductions.py": []}

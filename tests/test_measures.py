@@ -12,7 +12,8 @@ from mmtw.generate import (cycle_graph, path_graph, random_graph,
                            random_hypergraph, rng_from_seed)
 from mmtw.hypergraph import Graph, Hypergraph, gaifman, induced
 from mmtw.measures import (ALPHA, BAG_MEASURES, MEASURES, MU, RHO,
-                           alpha_decide, alpha_set, edge_conflicts,
+                           _alpha_search, alpha_decide, alpha_set,
+                           edge_conflicts,
                            get_measure, induced_matching_intersecting,
                            minor_matching_intersecting, mu_decide,
                            mu_intersecting, rho_decide, rho_set)
@@ -215,6 +216,62 @@ def test_mu_cap_on_graphs_reports_best(monkeypatch):
         MU.value(c, c.vertex_mask)
     assert str(info.value) == "alpha oracle cap exceeded"
     assert info.value.stats["best"] == 3
+
+
+def _mu_instances(seed, count):
+    """Sparse random graphs on up to 80 vertices (past bit 61) with a
+    random S each."""
+    rng = rng_from_seed(seed)
+    for _ in range(count):
+        n = rng.randrange(2, 81)
+        g = random_graph(rng, n, rng.uniform(1.0, 4.0) / n)
+        yield g, rng.getrandbits(n)
+
+
+def _outcome(f, *args):
+    """f(*args), or the message and stats of the ResourceError it raises."""
+    try:
+        return f(*args)
+    except ResourceError as exc:
+        return ("cap", str(exc), exc.stats)
+
+
+def _mu_reference(g, s, k, first):
+    """The search over the conflict masks restricted to the edges meeting
+    S, one dict entry per such edge."""
+    conflicts, universe = edge_conflicts(g, s)
+    return _alpha_search(conflicts, universe, k, first)
+
+
+def test_mu_on_graphs_reads_the_whole_graph_masks_as_the_restricted_ones():
+    small = 0
+    for g, s in _mu_instances(32, 200):
+        value = _mu_reference(g, s, 0, False)
+        assert mu_intersecting(g, s) == value
+        for k in range(4):
+            assert mu_decide(g, s, k) == (_mu_reference(g, s, k, True) <= k)
+        if g.n <= 9:
+            assert minor_matching_intersecting(g, s) == value
+            small += 1
+    assert small >= 5
+
+
+def test_mu_on_graphs_hits_the_oracle_cap_where_the_restricted_search_does(
+        monkeypatch):
+    # the unrestricted masks take the same steps, so a cap fires at the
+    # same inputs and reports the same best
+    monkeypatch.setattr("mmtw.measures.ORACLE_CAP", 3)
+    seen = {"value": [0, 0], "decide": [0, 0]}
+    for g, s in _mu_instances(32, 200):
+        got = _outcome(mu_intersecting, g, s)
+        assert got == _outcome(_mu_reference, g, s, 0, False)
+        seen["value"][isinstance(got, tuple)] += 1
+        for k in range(4):
+            got = _outcome(mu_decide, g, s, k)
+            assert got == _outcome(lambda: _mu_reference(g, s, k, True) <= k)
+            seen["decide"][isinstance(got, tuple)] += 1
+    # both outcomes, answered and capped, are reached by both oracles
+    assert all(count >= 20 for pair in seen.values() for count in pair)
 
 
 def test_rho_matches_bruteforce_and_closed_forms():
