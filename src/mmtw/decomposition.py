@@ -19,13 +19,15 @@ class TreeDecomposition:
     Nodes are 0..len(bags)-1.  The constructor checks tree-ness and merges
     adjacent nodes with equal bags (merging only adjacent duplicates keeps
     every valid decomposition valid; bags are not forced into an antichain).
+    When bags merged, ``merged_into[i]`` is the node that the i-th input
+    node became; otherwise it is None and each node keeps its input id.
     """
 
-    __slots__ = ("bags", "tree_edges", "_adj")
+    __slots__ = ("bags", "tree_edges", "merged_into", "_adj")
 
     def __init__(self, bags: Iterable[int], tree_edges: Iterable[tuple[int, int]]):
         bags = list(bags)
-        edges = {tuple(sorted(e)) for e in tree_edges}
+        edges = {(a, b) if a < b else (b, a) for a, b in tree_edges}
         k = len(bags)
         if k == 0:
             raise InputError("decomposition needs at least one node")
@@ -35,12 +37,15 @@ class TreeDecomposition:
         if len(edges) != k - 1:
             raise InputError("tree edge count must be node count minus one")
         full = (1 << k) - 1
-        if reach(_node_adj(k, edges), 1, full) != full:
+        adj = _node_adj(k, edges)
+        if reach(adj, 1, full) != full:
             raise InputError("tree edges do not connect all nodes")
-        bags, edges = _merge_adjacent_equal(bags, edges)
+        bags, edges, self.merged_into = _merge_adjacent_equal(bags, edges)
+        if self.merged_into is not None:
+            adj = _node_adj(len(bags), edges)
         self.bags = tuple(bags)
         self.tree_edges = tuple(sorted(edges))
-        self._adj = _node_adj(len(self.bags), self.tree_edges)
+        self._adj = adj
 
     @property
     def node_count(self) -> int:
@@ -67,11 +72,13 @@ def _node_adj(k: int, edges) -> tuple[int, ...]:
 
 
 def _merge_adjacent_equal(bags, edges):
-    """One node per component of the tree edges that join equal bags,
-    numbered in the order of its lowest node, so node 0 keeps its bag."""
+    """(bags, edges, merged_into) with one node per component of the tree
+    edges that join equal bags, numbered in the order of its lowest node, so
+    node 0 keeps its bag; merged_into maps each input node to its node, and
+    is None when no edge joins equal bags."""
     joined = [(a, b) for a, b in edges if bags[a] == bags[b]]
     if not joined:
-        return bags, edges
+        return bags, edges, None
     k = len(bags)
     same = _node_adj(k, joined)
     group: list[int | None] = [None] * k
@@ -83,7 +90,7 @@ def _merge_adjacent_equal(bags, edges):
             new_bags.append(bags[i])
     new_edges = {tuple(sorted((group[a], group[b]))) for a, b in edges
                  if group[a] != group[b]}
-    return new_bags, new_edges
+    return new_bags, new_edges, tuple(group)
 
 
 @dataclass(frozen=True)
@@ -194,15 +201,25 @@ def eliminate(adj: list, v: int, live: int) -> int:
 
 def elimination_tree(order: Sequence[int], bags: Sequence[int]) -> TreeDecomposition:
     """Decomposition with one bag per eliminated vertex, ``bags[i]`` that of
-    ``order[i]``.  A bag's parent is the bag of the member of its
-    neighbourhood eliminated first, with a link to the next bag when the
-    neighbourhood is empty.  An empty order gives one empty bag."""
-    pos = {v: i for i, v in enumerate(order)}
+    ``order[i]``, ``order`` a permutation of 0..n-1.  A bag's parent is the
+    bag of the member of its neighbourhood eliminated first, with a link to
+    the next bag when the neighbourhood is empty.  An empty order gives one
+    empty bag."""
+    pos = [0] * len(order)
+    for i, v in enumerate(order):
+        pos[v] = i
     tree = []
     for i, (v, bag) in enumerate(zip(order, bags)):
         q = bag & ~(1 << v)
         if q:
-            tree.append((i, min(pos[u] for u in bits(q))))
+            parent = len(order)
+            while q:
+                low = q & -q
+                at = pos[low.bit_length() - 1]
+                if at < parent:
+                    parent = at
+                q ^= low
+            tree.append((i, parent))
         elif i + 1 < len(order):
             tree.append((i, i + 1))
     return TreeDecomposition(bags or [0], tree)

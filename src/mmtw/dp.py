@@ -557,12 +557,22 @@ class CoverDP(BlockerReadable):
     one ``&``, and componentwise domination is one ``p & g == p``.
 
     When each target vertex lies in exactly one component and each
-    component holds one (K_k, K3 with i(K3) sorted, any complete
-    multipartite F: its parts are its maximal independent sets), the
-    coverage is the union of the components: ``fold`` holds the shifts
-    i * |full| for i = 1..arity-1, and ``cover`` ORs the tuple shifted by
-    each onto component 0.  ``merge`` reads that fold inline.  Any other
-    target (C5, a loop that lies in no component) walks ``incidence``.
+    component holds one (K_k, any complete multipartite F: its parts are
+    its maximal independent sets), the coverage is the union of the
+    components: ``fold`` holds the shifts i * |full| for i = 1..arity-1,
+    and ``merge`` ORs the tuple shifted by each onto component 0, while
+    ``leaf_init`` carries the union as it fixes components.  ``cover``, and
+    so any other target (C5, a loop that lies in no component), walks
+    ``incidence``.
+
+    The order of i(F) is free: ``hom_decide`` takes a greedy cover of V(F)
+    first, so that the walk of ``leaf_init`` cuts from an early level.
+    Permuting the components maps each table one-to-one onto the table
+    under the other order, since the coverage reads only which components
+    hold each target vertex, and ``leaf_init``, ``restrict``,
+    ``add_isolated``, ``merge`` and ``_compress`` act componentwise.  So
+    every table keeps its size, and the table caps and their ``size``
+    fire where they did, with the same answers.
     """
 
     reads_trace = False
@@ -573,26 +583,25 @@ class CoverDP(BlockerReadable):
         self.full = full_mask
         self.shift = full_mask.bit_length()
         self.ones = sum(1 << (i * self.shift) for i in range(arity))
+        self.parts = [[i * self.shift for i in idxs] for idxs in incidence]
         # the fold, when it holds (see the class docstring), else None
         once = [idxs[0] for idxs in incidence if len(idxs) == 1]
         self.fold = (tuple(i * self.shift for i in range(1, arity))
                      if len(once) == len(incidence)
                      and set(once) == set(range(arity)) else None)
 
-    def cover(self, p: int) -> int:
+    def cover(self, p: int, parts=None) -> int:
         """The vertices that can be sent to some target vertex x: the union
-        over x of the intersection of the components i in incidence[x]."""
-        full, shift = self.full, self.shift
-        if self.fold is not None:
-            u = p
-            for at in self.fold:
-                u |= p >> at
-            return u & full
+        over x of the intersection of the components i in incidence[x].
+        ``parts`` (per x, the shifts i * |full| of those components) can
+        leave out some x and some of their components, as ``leaf_init``
+        does."""
+        full = self.full
         out = 0
-        for idxs in self.incidence:
+        for ats in self.parts if parts is None else parts:
             c = full
-            for i in idxs:
-                c &= p >> (i * shift)
+            for at in ats:
+                c &= p >> at
             out |= c
             if out == full:
                 break
@@ -614,40 +623,66 @@ class CoverDP(BlockerReadable):
         return kept
 
     def leaf_init(self, mis, s):
-        # root check: in a tuple of the table every vertex of s is covered,
-        # and a target vertex x covers at most max |j & s| of them, being
-        # inside a component of i(F).  So the table is empty when |s| is
-        # above |incidence| times that maximum.  A vertex in no component
-        # (incidence [], a loop {x} of a rank-1 F) covers all of s, and the
-        # check then never fires
+        """Every tuple of mis^arity whose coverage holds s, largest total
+        size first.
+
+        Root check: in such a tuple every vertex of s is covered, and a
+        target vertex x covers at most max |j & s| of them, being inside a
+        component of i(F).  So the table is empty when |s| is above
+        |incidence| times that maximum.  A vertex in no component
+        (incidence [], a loop {x} of a rank-1 F) covers all of s, and the
+        check then never fires.
+
+        The walk fixes one component per level, and the components not yet
+        fixed count as ``full``, so the coverage of a prefix bounds that of
+        every completion (intersections only shrink) and a prefix that
+        cannot cover s is cut.  Each target vertex adds (the rest of its
+        intersection) & component i, and & distributes over |, so with
+        component i = j the coverage is lo | (hi & j), where lo and hi are
+        the coverages with component i = 0 and = full.  hi is the coverage
+        of a prefix already kept (or of the all-full row), so it holds s,
+        and j is kept iff it holds s - lo.
+
+        lo is the union, over the x that component i does not hold, of the
+        intersection of x's components fixed so far (an x that i holds adds
+        nothing, and a component not yet fixed is full): ``cover`` over
+        those parts.  Below the first cut level, the largest over x of the
+        first component that holds x, some x has no component fixed and is
+        not held by i, so lo is full and every j is kept: those levels take
+        all of mis without a ``cover`` call, and at the first cut level hi
+        is full too.  With the fold each x has one component, so the first
+        cut is the last level, and there lo is the union of the components
+        fixed before it: the walk carries that union with each prefix, and
+        keeps j iff it holds s minus the union.
+        """
         if mis and all(self.incidence):
             most = max((j & s).bit_count() for j in mis)
             if s.bit_count() > len(self.incidence) * most:
                 return []
-        # a depth-first walk over mis^arity that fixes one component per
-        # level; the components not yet fixed hold ``full``, so the coverage
-        # of a prefix bounds that of every completion (intersections only
-        # shrink) and a prefix that cannot cover s is cut.  Each target
-        # vertex adds (the rest of its intersection) & component i, and &
-        # distributes over |, so with component i = j the coverage is
-        # lo | (hi & j), where lo and hi are the coverages with component
-        # i = 0 and = full.  hi is the coverage of a prefix already kept (or
-        # of the all-full row), so it holds s, and j is kept iff it holds
-        # s - lo
-        full, last = self.full, self.arity - 1
-        rows = []
-        stack = [(0, full * self.ones)]
-        while stack:
-            i, p = stack.pop()
-            at = i * self.shift
-            free = p & ~(full << at)
-            need = s & ~self.cover(free)
-            for j in mis:
-                if j & need == need:
-                    if i == last:
-                        rows.append(free | j << at)
-                    else:
-                        stack.append((i + 1, free | j << at))
+        shift, last = self.shift, self.arity - 1
+        if self.fold is not None:
+            # (prefix, union of its components) over the levels below the
+            # last
+            prefixes = [(0, 0)]
+            for at in range(0, last * shift, shift):
+                prefixes = [(p | j << at, u | j) for p, u in prefixes
+                            for j in mis]
+            at = last * shift
+            rows = [p | j << at for p, u in prefixes for need in (s & ~u,)
+                    for j in mis if j & need == need]
+        else:
+            # a row holds its fixed components, and lo reads only those
+            rows = [0]
+            for i in range(self.arity):
+                at = i * shift
+                parts = [[a for a in ats if a < at] for ats in self.parts
+                         if at not in ats]
+                if [] in parts:     # below the first cut: lo is full
+                    rows = [p | j << at for p in rows for j in mis]
+                else:
+                    rows = [p | j << at for p in rows
+                            for need in (s & ~self.cover(p, parts),)
+                            for j in mis if j & need == need]
         # the components are maximal independent sets of H[s], so one tuple
         # dominates another only when they are equal: sorting is all that
         # ``_compress`` would do here
@@ -672,8 +707,8 @@ class CoverDP(BlockerReadable):
                     if cover(c) & s == s:
                         out.append(c)
         else:
-            # ``cover``'s fold, inline; the bits it leaves above component
-            # 0 lie outside s
+            # the fold (see the class docstring), inline; the bits it leaves
+            # above component 0 lie outside s
             for d1 in t1:
                 for d2 in t2:
                     c = u = d1 & d2
@@ -709,7 +744,16 @@ def hom_decide(h: Hypergraph, f: Hypergraph, t: TreeDecomposition,
     if h.n == 0 or f.n == 0:
         _validated(h, t)
         return h.n == 0
-    target_mis = sorted(enumerate_mis(f))
+    # i(F) in the order of a greedy cover of V(F), each set the one that
+    # holds the most vertices not yet held (the first in sorted order on
+    # ties), then the rest: the walk of leaf_init cuts from the level at
+    # which every vertex of F has a component (C5: 2, not 3 when sorted)
+    target_mis, left = sorted(enumerate_mis(f)), f.vertex_mask
+    for i in range(len(target_mis)):
+        best = max(target_mis[i:], key=lambda m: (m & left).bit_count())
+        target_mis.remove(best)
+        target_mis.insert(i, best)
+        left &= ~best
     arity = len(target_mis)
     if arity == 0:
         _validated(h, t)

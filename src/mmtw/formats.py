@@ -18,19 +18,14 @@ from .errors import InputError
 from .hypergraph import Hypergraph
 
 
-def _tokens(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
-            continue
-        yield lineno, line.split()
-
-
 def parse_hypergraph(text: str) -> Hypergraph:
     n = m = None
     edges = []
     weights = None
-    for lineno, toks in _tokens(text):
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        toks = line.split()
+        if not toks or toks[0][0] == "c":
+            continue
         if toks[0] == "p":
             if n is not None:
                 raise InputError(f"line {lineno}: duplicate header")
@@ -109,7 +104,23 @@ def parse_td(text: str) -> TreeDecomposition:
     header = None
     bags: dict[int, int] = {}
     tree = []
-    for lineno, toks in _tokens(text):
+    nbags = 0
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        toks = line.split()
+        if len(toks) == 2 and nbags:
+            # a tree edge, read at once when both ids are in range; any
+            # other line (a comment, a bag without vertices, a bad id)
+            # goes on to the branches below
+            try:
+                a, b = int(toks[0]), int(toks[1])
+            except ValueError:
+                pass
+            else:
+                if 0 < a <= nbags and 0 < b <= nbags:
+                    tree.append((a - 1, b - 1))
+                    continue
+        if not toks or toks[0][0] == "c":
+            continue
         if toks[0] == "s":
             if header is not None:
                 raise InputError(f"line {lineno}: duplicate header")
@@ -119,6 +130,7 @@ def parse_td(text: str) -> TreeDecomposition:
                 header = tuple(int(t) for t in toks[2:])
             except ValueError:
                 raise InputError(f"line {lineno}: non-integer header field")
+            nbags = header[0]
         elif toks[0] == "b":
             if header is None:
                 raise InputError(f"line {lineno}: bag before header")
@@ -134,6 +146,7 @@ def parse_td(text: str) -> TreeDecomposition:
                 raise InputError(f"line {lineno}: duplicate bag {bid}")
             bags[bid] = _vertices(toks[2:], header[2], lineno)
         else:
+            # a tree-edge line that the fast path above did not take
             if header is None:
                 raise InputError(f"line {lineno}: tree edge before header")
             if len(toks) != 2:
@@ -142,29 +155,25 @@ def parse_td(text: str) -> TreeDecomposition:
                 a, b = int(toks[0]), int(toks[1])
             except ValueError:
                 raise InputError(f"line {lineno}: non-integer bag id")
-            for x in (a, b):
-                if not 1 <= x <= header[0]:
-                    raise InputError(f"line {lineno}: unknown bag id {x}")
-            tree.append((a - 1, b - 1))
+            raise InputError(f"line {lineno}: unknown bag id "
+                             f"{b if 0 < a <= nbags else a}")
     if header is None:
         raise InputError("missing 's td' header")
-    nbags = header[0]
     if len(bags) != nbags:
         raise InputError(f"header declares {nbags} bags, found {len(bags)}")
     bag_list = [bags[i + 1] for i in range(nbags)]
     for bag in bag_list:
         if bag.bit_count() > header[1]:
             raise InputError("bag larger than declared max bag size")
-    return TreeDecomposition(bag_list, set(tree))
+    return TreeDecomposition(bag_list, tree)
 
 
 def serialize_td(t: TreeDecomposition, n: int) -> str:
     maxbag = max((b.bit_count() for b in t.bags), default=0)
     out = [f"s td {t.node_count} {maxbag} {n}"]
+    names = [str(v + 1) for v in range(n)]
     for i, bag in enumerate(t.bags):
-        line = f"b {i + 1}"
-        vs = " ".join(str(v + 1) for v in bits(bag))
-        out.append(line + (" " + vs if vs else ""))
+        out.append(" ".join(["b", str(i + 1), *[names[v] for v in bits(bag)]]))
     for a, b in t.tree_edges:
         out.append(f"{a + 1} {b + 1}")
     return "\n".join(out) + "\n"

@@ -277,6 +277,45 @@ def test_a_width_oracle_cap_names_the_bag_of_the_file(files, capsys,
     assert doc["error"] == "width oracle cap exceeded on bag 3"
 
 
+# P5 under the b lines {1, 2}, {1, 2}, {2, 3}, {3, 4, 5}: the first two are
+# equal and adjacent, so they are read as one node
+P5_MERGED = "s td 4 3 5\nb 1 1 2\nb 2 1 2\nb 3 2 3\nb 4 3 4 5\n1 2\n2 3\n3 4\n"
+
+
+def test_width_names_the_b_lines_of_a_file_whose_bags_merged(files, capsys,
+                                                              monkeypatch):
+    hg = files("p5.hg", serialize_hypergraph(path_graph(5)))
+    td = files("p5.td", P5_MERGED)
+    assert parse_td(P5_MERGED).node_count == 3
+    code, out, _ = run(capsys, "width", hg, td, "--measure", "alpha", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["per_bag"] == [1, 1, 1, 2] and doc["witness_bag"] == 4
+    monkeypatch.setattr("mmtw.measures.ORACLE_CAP", 1)
+    code, out, _ = run(capsys, "width", hg, td, "--measure", "alpha", "--json")
+    assert code == 20
+    doc = json.loads(out)
+    assert doc["bag"] == 4
+    assert doc["error"] == "width oracle cap exceeded on bag 4"
+
+
+def test_a_table_cap_names_the_b_line_of_a_file_whose_bags_merged(files,
+                                                                  capsys):
+    # the leaf of {3, 4, 5} has two 2-colourings, over a cap of one; in the
+    # second file that bag is the line b 3 and the equal line b 4 after it
+    hg = files("p5.hg", serialize_hypergraph(path_graph(5)))
+    second = ("s td 4 3 5\nb 1 1 2\nb 2 2 3\nb 3 3 4 5\nb 4 3 4 5\n"
+              "1 2\n2 3\n3 4\n")
+    for text, bag in ((P5_MERGED, 4), (second, 3)):
+        td = files("p5.td", text)
+        code, out, _ = run(capsys, "solve", hg, td, "--problem", "color",
+                           "-k", "2", "--caps", "table=1", "--json")
+        assert code == 20
+        doc = json.loads(out)
+        assert doc["bag"] == bag
+        assert doc["error"] == f"table cap exceeded at bag {bag}"
+
+
 def test_a_mu_decompose_request_builds_the_conflict_index_once(
         files, capsys, monkeypatch):
     # line_square builds the index of P32's edges, and the width check of

@@ -837,6 +837,28 @@ def test_root_check_refutes_the_cobipartite_bag(monkeypatch):
     assert not chromatic_decide(g, 3, single_bag(g))
 
 
+class CountingList(list):
+    """A list that counts the loops over it."""
+
+    loops = 0
+
+    def __iter__(self):
+        self.loops += 1
+        return super().__iter__()
+
+
+def test_root_check_reads_the_leaf_sets_once():
+    # the walk reads no coverage for a fold target, so the cover spy above
+    # cannot see it; the leaf sets are read once, by the root check, and no
+    # walk over them follows
+    g = random_cobipartite(rng_from_seed(40), 40, 0.3)
+    mis = CountingList(enumerate_mis(g))
+    dp = CoverDP(3, [[0], [1], [2]], g.vertex_mask)
+    assert dp.leaf_init(mis, g.vertex_mask) == [] and mis.loops == 1
+    # a bag the root check lets through is walked
+    mis = CountingList(enumerate_mis(g, 0b111))
+    assert dp.leaf_init(mis, 0b111) and mis.loops > 1
+
 def test_root_check_lets_a_loop_of_the_target_cover_everything():
     # a rank-1 F with the loop {0}: vertex 0 lies in no independent set of
     # F, so its incidence is empty and it takes every vertex of H
@@ -885,13 +907,24 @@ def test_the_fold_matches_the_incidence_loop():
                 return [rng.getrandbits(width) | rng.getrandbits(width)
                         for _ in range(count)]
 
+            # the coverage is the union of the components, which the fold
+            # reads in merge and leaf_init
             for p in tuples(300):
-                assert fold.cover(p) == loop.cover(p)
+                union = 0
+                for i in range(arity):
+                    union |= p >> (i * fold.shift)
+                assert fold.cover(p) == union & fold.full
             for _ in range(30):
                 t1, t2 = tuples(rng.randrange(6)), tuples(rng.randrange(6))
                 s = rng.getrandbits(n)
                 assert fold.merge(None, t1, t2, s) == loop.merge(None, t1,
                                                                  t2, s)
+            for _ in range(10):
+                g = random_graph(rng, n, rng.uniform(0.2, 0.7))
+                s = rng.getrandbits(n)
+                mis = enumerate_mis(g, s)
+                assert sorted(fold.leaf_init(mis, s)) == \
+                    sorted(loop.leaf_init(mis, s))
 
 
 def test_the_fold_is_chosen_when_each_target_vertex_is_in_one_component(
@@ -933,6 +966,72 @@ def test_hom_to_a_fold_target_matches_brute_force():
         assert hom_decide(h, f, t) == want
         yes += want
     assert 20 <= yes <= 70, yes
+
+
+def covering_tuples(mis, arity, incidence, s):
+    """The definition of a leaf table: every tuple of mis^arity whose
+    coverage holds s, where a target vertex x takes v when v lies in each
+    component i with x in M_i (in every one when x lies in none)."""
+    return {tup for tup in product(mis, repeat=arity)
+            if all(any(all(tup[i] >> v & 1 for i in idxs)
+                       for idxs in incidence) for v in bits(s))}
+
+
+def test_leaf_init_is_every_tuple_whose_coverage_holds_the_bag():
+    # targets whose coverage is first cut at the last level (K_k, complete
+    # multipartite), at a middle one (C5) or never (a loop in no
+    # component), each under the sorted i(F) and under shuffled ones
+    targets = [complete_graph(k) for k in (1, 2, 3, 4)] + [
+        complete_multipartite(1, 2), complete_multipartite(2, 1, 2),
+        cycle_graph(5), Hypergraph(2, [0b01])]
+    rng = rng_from_seed(70)
+    nonempty = cut = 0
+    for it in range(192):
+        f = targets[it % len(targets)]
+        fmis = sorted(enumerate_mis(f))
+        if it // len(targets) % 2:
+            rng.shuffle(fmis)
+        incidence = [[i for i, m in enumerate(fmis) if m >> x & 1]
+                     for x in range(f.n)]
+        arity = len(fmis)
+        n = rng.randrange(2, 9 if arity < 4 else 7)
+        h = random_graph(rng, n, rng.uniform(0.2, 0.7))
+        s = h.vertex_mask & ~(rng.getrandbits(n) & rng.getrandbits(n))
+        mis = enumerate_mis(h, s)
+        want = covering_tuples(mis, arity, incidence, s)
+        dp = CoverDP(arity, incidence, h.vertex_mask)
+        got = decode(dp, dp.leaf_init(mis, s))
+        assert len(got) == len(set(got)) and set(got) == want
+        sizes = [sum(a.bit_count() for a in t) for t in got]
+        assert sizes == sorted(sizes, reverse=True)
+        nonempty += bool(want)
+        cut += 0 < len(want) < len(mis) ** arity
+    assert nonempty >= 100 and cut >= 50, (nonempty, cut)
+
+
+LOOSE_C4 = Hypergraph(8, [mask_of(e) for e in ((0, 1, 2), (2, 3, 4),
+                                                 (4, 5, 6), (6, 7, 0))])
+
+
+@pytest.mark.parametrize("name", ["C5", "C4", "K3", "loose-C4"])
+def test_hom_matches_brute_force_whatever_the_order_of_i_f(name):
+    # hom_decide picks its own order of i(F); the answer is the oracle's
+    f = {"C5": cycle_graph(5), "C4": cycle_graph(4), "K3": complete_graph(3),
+         "loose-C4": LOOSE_C4}[name]
+    rng = rng_from_seed(71)
+    answers = []
+    for _ in range(40):
+        n = rng.randrange(3, 9)
+        if name == "loose-C4":
+            h = random_hypergraph(rng, n, rng.randrange(1, 2 * n - 4),
+                                  rank=3, min_size=3)
+        else:
+            h = random_graph(rng, n, rng.uniform(0.15, 0.6))
+        t = random_decomposition(rng, h)
+        want = hom_bruteforce(h, f)
+        assert hom_decide(h, f, t) == want
+        answers.append(want)
+    assert 5 <= sum(answers) <= 35, sum(answers)
 
 
 def test_every_leaf_is_built_before_the_first_merge(monkeypatch):

@@ -125,3 +125,29 @@ def test_vertex_and_weight_messages_are_word_for_word():
         assert h.weights == (weight, 1)
         assert all(type(x) is Fraction for x in h.weights)
     assert parse_hypergraph("p hg 3 2\ne 3 1 1\ne\n").edges == (0, 0b101)
+
+
+def test_tree_edge_messages_are_word_for_word():
+    # a well-formed tree-edge line is read on a fast path; every other line
+    # keeps the message of the general reader
+    head = "s td 2 2 3\nb 1 1 2\nb 2 2 3\n"
+    for text, message in (
+            (head + "1 3\n", "line 4: unknown bag id 3"),
+            (head + "0 2\n", "line 4: unknown bag id 0"),
+            (head + "2 -1\n", "line 4: unknown bag id -1"),
+            (head + "1 x\n", "line 4: non-integer bag id"),
+            (head + "y 2\n", "line 4: non-integer bag id"),
+            (head + "1 2 3\n", "line 4: expected '<id1> <id2>'"),
+            (head + "1\n", "line 4: expected '<id1> <id2>'"),
+            ("1 2\n" + head, "line 1: tree edge before header"),
+            ("c x\n1 2\n" + head, "line 2: tree edge before header")):
+        with pytest.raises(InputError) as err:
+            parse_td(text)
+        assert str(err.value) == message
+    # a two-token line that starts with c is a comment, wherever it stands
+    t = parse_td("c 1\ns td 2 2 3\nc 1 2\nb 1 1 2\n  c2 x\nb 2 2 3\n"
+                 "cc 7\n 2  1 \n\n")
+    assert t.bags == (0b011, 0b110) and t.tree_edges == ((0, 1),)
+    # ids read as int() reads them
+    t = parse_td("s td 2 2 3\nb 1 1 2\nb 2 2 3\n+2 01\n")
+    assert t.tree_edges == ((0, 1),)

@@ -4,7 +4,8 @@ class of ``mmtw`` is read somewhere in ``mmtw`` outside its own definition,
 every function of ``mmtw`` that calls itself is listed with what bounds its
 depth, every parameter that a function of ``mmtw`` never reads is listed
 with why it is kept, and the measures and reductions build no per-vertex
-index and no per-edge conflict masks of their own."""
+index and no per-edge conflict masks of their own, and no function keeps a
+memo from one request to the next."""
 
 import ast
 from pathlib import Path
@@ -330,3 +331,117 @@ def test_measures_and_reductions_read_the_conflict_index():
                  encoding="utf-8"))
              for name in ("measures.py", "reductions.py")}
     assert found == {"measures.py": [], "reductions.py": []}
+
+
+# Each function of mmtw that keeps state from one call to the next, with why
+# it may.  A request is answered from its inputs alone: a memo that outlived
+# it would answer a repeated request from the first one's work.
+KEPT_MEMOS = {
+    "cli._build_parser":
+        "the argument parser, built from constants: the same for every "
+        "request, and no answer depends on it",
+}
+
+MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault",
+            "pop", "popitem", "remove", "discard", "clear", "__setitem__"}
+CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+              ast.SetComp)
+CONTAINER_CALLS = {"dict", "list", "set", "defaultdict", "OrderedDict",
+                   "Counter", "deque", "collections.defaultdict",
+                   "collections.OrderedDict", "collections.Counter"}
+CACHE_DECORATORS = {"cache", "lru_cache", "functools.cache",
+                    "functools.lru_cache"}
+
+
+def lasting_memos(source: str) -> list[str]:
+    """Qualified names of the functions of ``source`` that keep state past
+    a call: those under ``functools.cache`` or ``lru_cache``, those that
+    declare a name ``global``, and those that write into a dict, list or set
+    bound at module level (an item stored or deleted, or a mutating method
+    called) and not shadowed by a local of the same name; a function counts
+    the writes of the functions nested in it."""
+    tree = ast.parse(source)
+    shared = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else \
+            [node.target] if isinstance(node, ast.AnnAssign) and node.value \
+            else []
+        value = getattr(node, "value", None)
+        if isinstance(value, CONTAINERS) or (
+                isinstance(value, ast.Call)
+                and ast.unparse(value.func) in CONTAINER_CALLS):
+            shared.update(t.id for t in targets if isinstance(t, ast.Name))
+
+    def writes_shared(fn) -> bool:
+        args = fn.args
+        local = {a.arg for a in (*args.posonlyargs, *args.args, args.vararg,
+                                 *args.kwonlyargs, args.kwarg) if a}
+        local |= {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                  and isinstance(n.ctx, ast.Store)}
+        names = shared - local
+
+        def is_shared(node) -> bool:
+            return isinstance(node, ast.Name) and node.id in names
+
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Global):
+                return True
+            if isinstance(node, ast.Subscript) and is_shared(node.value) \
+                    and isinstance(node.ctx, (ast.Store, ast.Del)):
+                return True
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr in MUTATORS \
+                    and is_shared(node.func.value):
+                return True
+        return False
+
+    def cached(fn) -> bool:
+        return any(ast.unparse(d.func if isinstance(d, ast.Call) else d)
+                   in CACHE_DECORATORS for d in fn.decorator_list)
+
+    found = []
+
+    def visit(node, prefix: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if cached(child) or writes_shared(child):
+                    found.append(prefix + child.name)
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def test_lasting_memos_are_caught():
+    source = ("import functools\nfrom functools import lru_cache\n"
+              "SEEN = {}\nORDER: list = []\nKNOWN = set()\n"
+              "TABLE = {'a': 1}\nLIMIT = 3\n"
+              "@functools.cache\ndef parser():\n    return 1\n"
+              "@lru_cache(maxsize=8)\ndef small(x):\n    return x\n"
+              "def remember(x):\n    SEEN[x] = 1\n    return x\n"
+              "def forget(x):\n    del SEEN[x]\n"
+              "def stash(x):\n    return SEEN.setdefault(x, [x])\n"
+              "def tick():\n    global LIMIT\n    LIMIT += 1\n"
+              "def local(x):\n    SEEN = {}\n    SEEN[x] = 1\n"
+              "    return SEEN\n"
+              "def reads(x):\n    return TABLE[x] + len(SEEN) + (x in KNOWN)\n"
+              "def copies(x):\n    out = list(ORDER)\n    out.append(x)\n"
+              "    return out\n"
+              "class Box:\n    def keep(self, x):\n        KNOWN.add(x)\n"
+              "    def inner(self):\n        def go(x):\n"
+              "            ORDER.append(x)\n        return go\n")
+    assert lasting_memos(source) == [
+        "parser", "small", "remember", "forget", "stash", "tick",
+        "Box.keep", "Box.inner", "Box.inner.go"]
+
+
+def test_no_memo_outlives_a_request():
+    found = [f"{path.stem}.{name}"
+             for path in sorted(SRC.glob("*.py"))
+             for name in lasting_memos(path.read_text(encoding="utf-8"))]
+    assert sorted(found) == sorted(KEPT_MEMOS)
