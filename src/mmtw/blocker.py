@@ -71,17 +71,10 @@ class BranchCaps:
 
 @dataclass(frozen=True)
 class TraceResult:
-    """The trace, the search nodes charged to the caps, and the longest run
-    of type-2 (pinning) branches on one search path.
-
-    ``max_quasimatching_len`` is not bounded by μ_H(S) on hypergraphs:
-    ``Hypergraph(6, [3, 6, 12, 16, 24, 37, 56])`` with S = 54 reads 2, but
-    μ_H(S) = 1.  Do not report it as a bound on μ.
-    """
+    """The trace and the search nodes charged to the caps."""
 
     traces: frozenset[int]
     nodes_explored: int
-    max_quasimatching_len: int
 
 
 def _berge(edges, limit: int | None = None) -> tuple[int, ...] | None:
@@ -179,7 +172,6 @@ class _Brancher:
         self.s = s
         self.caps = caps
         self.nodes = 0
-        self.max_qm = 0
         self.memo: dict[tuple[int, ...], dict[int, int]] = {}
 
     def _tick(self, depth: int, count: int = 1):
@@ -187,10 +179,10 @@ class _Brancher:
         self.nodes += count
         if self.nodes > self.caps.nodes:
             raise ResourceError("branch node budget exceeded",
-                                nodes=self.nodes, max_quasimatching_len=self.max_qm)
+                                nodes=self.nodes)
         if self.caps.depth is not None and depth > self.caps.depth:
             raise ResourceError("branch depth budget exceeded",
-                                nodes=self.nodes, max_quasimatching_len=self.max_qm)
+                                nodes=self.nodes)
 
     def _semantic_witness(self, a: int, edges) -> int | None:
         """A minimal transversal T with T & S == a, or None if none exists.
@@ -223,7 +215,7 @@ class _Brancher:
                 return a | t0
         return None
 
-    def run(self, edges: tuple[int, ...], qm_len: int, depth: int) -> dict[int, int]:
+    def run(self, edges: tuple[int, ...], depth: int) -> dict[int, int]:
         """Map from trace mask to one witness minimal transversal of ``edges``.
 
         ``edges`` is a sorted clutter; its union is the set of live vertices.
@@ -290,7 +282,7 @@ class _Brancher:
         # type 1: transversals that survive deleting the pivot; such a
         # transversal already hits every edge avoiding x, so only the
         # pivot's edges decide whether x must be added
-        for w in self.run(tuple(sub_edges), qm_len, depth + 1).values():
+        for w in self.run(tuple(sub_edges), depth + 1).values():
             for e in x_edges:
                 if not e & w:
                     w |= bx
@@ -304,13 +296,11 @@ class _Brancher:
         failed: set[int] = set()
         for h in x_edges:
             zs = h & s
-            if zs and self.max_qm <= qm_len:
-                self.max_qm = qm_len + 1
             while zs:
                 bz = zs & -zs
                 zs ^= bz
                 sub = self.run(_compose_masks(edges, h, x, bz.bit_length() - 1),
-                               qm_len + 1, depth + 1)
+                               depth + 1)
                 for tr, w in sub.items():
                     a = (tr | bz) & s
                     if a in result or a in failed:
@@ -349,6 +339,5 @@ def trace_blocker(h: Hypergraph, s: int, caps: BranchCaps = BranchCaps()
         raise InputError("S contains an unknown vertex id")
     near = _closed_neighbourhood(h, s, h.vertex_mask)
     brancher = _Brancher(s, caps)
-    res = brancher.run(_minimal_masks(e for e in h.edges if not e & ~near),
-                       0, 0)
-    return TraceResult(frozenset(res), brancher.nodes, brancher.max_qm)
+    res = brancher.run(_minimal_masks(e for e in h.edges if not e & ~near), 0)
+    return TraceResult(frozenset(res), brancher.nodes)

@@ -24,7 +24,7 @@ from . import __version__
 from ._bits import bits
 from .approx import Refutation, approx_decomposition, width_bound
 from .blocker import DEFAULT_NODE_CAP, BranchCaps, trace_blocker
-from .decomposition import TreeDecomposition, validate, width
+from .decomposition import validate, width
 from .dp import (DEFAULT_TABLE_CAP, chromatic_decide, hom_decide, mwis)
 from .errors import InputError, ResourceError
 from .formats import (parse_hypergraph, parse_td, serialize_hypergraph,
@@ -178,8 +178,6 @@ class _Report:
         self.status = "ok"
         self.fields: dict = {}
         self.payload_text: str | None = None
-        # the decomposition read from a .td file, whose b lines name bags
-        self.td: TreeDecomposition | None = None
 
     def fail(self, status: str, exc: Exception) -> None:
         """Replace the report by the error ``exc`` under ``status``."""
@@ -267,16 +265,11 @@ def _cmd_validate(args, report: _Report) -> None:
 
 def _cmd_width(args, report: _Report) -> None:
     h = _load_hypergraph(args.hypergraph)
-    t = report.td = parse_td(_read(args.decomposition))
-    rep = width(h, t, args.measure)
-    # one value per b line of the file, that of the node it went into; the
-    # first line of the first widest node is the first widest line
-    per_bag = rep.per_bag if t.merged_into is None else \
-        [rep.per_bag[node] for node in t.merged_into]
+    rep = width(h, parse_td(_read(args.decomposition)), args.measure)
     report.fields["measure"] = rep.measure
     report.fields["width"] = rep.width
-    report.fields["witness_bag"] = per_bag.index(rep.width) + 1
-    report.fields["per_bag"] = [_jsonable(v) for v in per_bag]
+    report.fields["witness_bag"] = rep.witness_bag + 1
+    report.fields["per_bag"] = [_jsonable(v) for v in rep.per_bag]
 
 
 def _cmd_trace(args, report: _Report) -> None:
@@ -299,12 +292,11 @@ def _cmd_trace(args, report: _Report) -> None:
     report.fields["members"] = members
     report.fields["count"] = len(members)
     report.fields["nodes_explored"] = res.nodes_explored
-    report.fields["max_quasimatching_len"] = res.max_quasimatching_len
 
 
 def _cmd_solve(args, report: _Report) -> None:
     h = _load_hypergraph(args.hypergraph)
-    t = report.td = parse_td(_read(args.decomposition))
+    t = parse_td(_read(args.decomposition))
     caps = _parse_caps(args.caps)
     if args.problem == "mwis":
         val, wit = mwis(h, None, t, BranchCaps(caps["nodes"], caps["depth"]),
@@ -420,18 +412,15 @@ _DISPATCH = {
 }
 
 
-def _file_bag_id(exc: ResourceError,
-                 t: TreeDecomposition | None) -> ResourceError:
-    """``exc`` naming its bag by the 1-based id of the ``b`` lines of the
-    ``.td`` file read as ``t``, as ``witness_bag`` does: the first line that
-    went into the node when bags merged.  The library names it by its
-    0-based node id, in the ``bag`` field and at the end of the message."""
+def _file_bag_id(exc: ResourceError) -> ResourceError:
+    """``exc`` naming its bag by the 1-based id of the ``b`` lines of a
+    ``.td`` file, as ``witness_bag`` does: node i is the line ``b i+1``.
+    The library names it by its 0-based node id, in the ``bag`` field and at
+    the end of the message."""
     node = exc.stats.get("bag")
     if node is None:
         return exc
-    stem = str(exc).removesuffix(f" {node}")
-    into = None if t is None else t.merged_into
-    bag = (node if into is None else into.index(node)) + 1
+    stem, bag = str(exc).removesuffix(f" {node}"), node + 1
     return ResourceError(f"{stem} {bag}", **{**exc.stats, "bag": bag})
 
 
@@ -443,7 +432,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         report.fail("invalid-input", exc)
     except ResourceError as exc:
-        report.fail("resource-exceeded", _file_bag_id(exc, report.td))
+        report.fail("resource-exceeded", _file_bag_id(exc))
     except RecursionError as exc:
         # an input deeper than the interpreter's stack is a resource limit too
         report.fail("resource-exceeded", exc)

@@ -16,14 +16,12 @@ from .measures import BAG_MEASURES
 class TreeDecomposition:
     """A tree plus one bag (vertex mask) per node.
 
-    Nodes are 0..len(bags)-1.  The constructor checks tree-ness and merges
-    adjacent nodes with equal bags (merging only adjacent duplicates keeps
-    every valid decomposition valid; bags are not forced into an antichain).
-    When bags merged, ``merged_into[i]`` is the node that the i-th input
-    node became; otherwise it is None and each node keeps its input id.
+    Nodes are 0..len(bags)-1, node i the i-th input bag, and the constructor
+    checks tree-ness only: equal or nested bags stay as given (``run_dp``
+    contracts them; see ``mmtw.dp``).
     """
 
-    __slots__ = ("bags", "tree_edges", "merged_into", "_adj")
+    __slots__ = ("bags", "tree_edges", "_adj")
 
     def __init__(self, bags: Iterable[int], tree_edges: Iterable[tuple[int, int]]):
         bags = list(bags)
@@ -36,16 +34,16 @@ class TreeDecomposition:
                 raise InputError(f"bad tree edge ({a}, {b})")
         if len(edges) != k - 1:
             raise InputError("tree edge count must be node count minus one")
+        adj = [0] * k
+        for a, b in edges:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
         full = (1 << k) - 1
-        adj = _node_adj(k, edges)
         if reach(adj, 1, full) != full:
             raise InputError("tree edges do not connect all nodes")
-        bags, edges, self.merged_into = _merge_adjacent_equal(bags, edges)
-        if self.merged_into is not None:
-            adj = _node_adj(len(bags), edges)
         self.bags = tuple(bags)
         self.tree_edges = tuple(sorted(edges))
-        self._adj = adj
+        self._adj = tuple(adj)
 
     @property
     def node_count(self) -> int:
@@ -61,36 +59,6 @@ class TreeDecomposition:
     def __repr__(self):
         return (f"TreeDecomposition(bags={[sorted(to_set(b)) for b in self.bags]}, "
                 f"tree={list(self.tree_edges)})")
-
-
-def _node_adj(k: int, edges) -> tuple[int, ...]:
-    adj = [0] * k
-    for a, b in edges:
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
-    return tuple(adj)
-
-
-def _merge_adjacent_equal(bags, edges):
-    """(bags, edges, merged_into) with one node per component of the tree
-    edges that join equal bags, numbered in the order of its lowest node, so
-    node 0 keeps its bag; merged_into maps each input node to its node, and
-    is None when no edge joins equal bags."""
-    joined = [(a, b) for a, b in edges if bags[a] == bags[b]]
-    if not joined:
-        return bags, edges, None
-    k = len(bags)
-    same = _node_adj(k, joined)
-    group: list[int | None] = [None] * k
-    new_bags = []
-    for i in range(k):
-        if group[i] is None:
-            for j in bits(reach(same, 1 << i, ~0)):
-                group[j] = len(new_bags)
-            new_bags.append(bags[i])
-    new_edges = {tuple(sorted((group[a], group[b]))) for a, b in edges
-                 if group[a] != group[b]}
-    return new_bags, new_edges, tuple(group)
 
 
 @dataclass(frozen=True)

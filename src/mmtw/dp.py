@@ -44,26 +44,29 @@ a merge whose candidates all settle copies nothing.  A merge that traces
 builds the copy of H[N_V[S]] of its own V and searches it once, so ``nodes``
 and ``depth`` bound that one search, in ``solve`` as in ``trace``.
 
-The DP runs over the maximal bags.  After validating T, ``run_dp``
-contracts each node whose bag lies inside a neighbour's bag into the first
-such neighbour in id order, and on along that chain to a maximal bag.  In a
-valid decomposition the vertices two bags share lie in every bag between
-them, so a bag inside any other bag lies inside a neighbour's, and what
-remains is one node per maximal bag (Bodlaender, "A partial k-arboretum of
-graphs with bounded treewidth", TCS 1998: no width is lost).  Each node
+The DP runs over the maximal bags.  After validating T, ``run_dp`` takes
+the tree edges in sorted order and contracts each one whose two ends, as
+contracted so far, have nested bags: the larger bag absorbs the smaller,
+and of two equal bags the lower id absorbs the higher.  A contracted tree
+is again a valid decomposition.  In one, the vertices two bags share lie in
+every bag between them, so a pair of ends left uncontracted stays unnested
+however far either end grows later, and a bag inside any other bag lies
+inside a neighbour's.  So what remains is one node per maximal bag, the
+lowest id among the nodes with that bag (Bodlaender, "A partial k-arboretum
+of graphs with bounded treewidth", TCS 1998: no width is lost).  Each node
 then stands for the same subhypergraph as before, so the tables describe
-the same H, and a contained bag costs no leaf and no merge.  An absorbing
-node keeps its input id, so a ResourceError names a node of the input; the
-root is the node that holds node 0.  Validation comes first because
-contraction can repair an invalid decomposition: in the tree w - u - v with
-bag(u) inside bag(v), a vertex in bags w and v but not in u has its nodes
-joined once u goes into v.  Leaf caps and refutations still fire where the
-contained bag would fire them.  A bag B inside A has no more maximal
-independent sets than A, since each extends to one of H[A] that meets B in
-it, so a cap on B's sets fires at A too.  And H[B] is a subhypergraph of
-H[A], so B's leaf is empty only when A's is.  A table cap bounds the tables
-of the maximal bags, and a merged table over a larger bag can go over a cap
-that the input tree's tables stay under.
+the same H, and a contained or repeated bag costs no leaf and no merge.  An
+absorbing node keeps its input id, so a ResourceError names a node of the
+input; the root is the node that holds node 0.  Validation comes first
+because contraction can repair an invalid decomposition: in the tree
+w - u - v with bag(u) inside bag(v), a vertex in bags w and v but not in u
+has its nodes joined once u goes into v.  Leaf caps and refutations still fire
+where the contained bag would fire them.  A bag B inside A has no more
+maximal independent sets than A, since each extends to one of H[A] that
+meets B in it, so a cap on B's sets fires at A too.  And H[B] is a
+subhypergraph of H[A], so B's leaf is empty only when A's is.  A table cap
+bounds the tables of the maximal bags, and a merged table over a larger bag
+can go over a cap that the input tree's tables stay under.
 
 MWIS weights are scaled to integers by the least common multiple of their
 denominators before the DP runs, so the tables add and compare ints.  An
@@ -324,16 +327,16 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
            table_cap: int = DEFAULT_TABLE_CAP):
     """Table of f over the empty base set, computed bottom-up over T.
 
-    T is validated first, and each bag that lies inside a neighbour's bag is
-    then contracted into it (see the module docstring), so the DP visits
-    one node per maximal bag, each under its input id.  The contracted tree
-    is rooted at the node that holds node 0; each node's hypergraph is the
-    subhypergraph of H induced by its descendant bags, and child tables are
-    restricted to the shared bag part, padded with isolated vertices and
-    merged in increasing child order.  Every table, leaf tables included,
-    holds at most ``table_cap`` entries, and a leaf's maximal independent
-    sets are enumerated under the same cap; past it, ResourceError names the
-    bag.
+    T is validated first, and each bag that lies inside or equals a
+    neighbour's bag is then contracted into it (see the module docstring),
+    so the DP visits one node per maximal bag, each under the lowest input
+    id that holds it.  The contracted tree is rooted at the node that holds
+    node 0; each node's hypergraph is the subhypergraph of H induced by its
+    descendant bags, and child tables are restricted to the shared bag part,
+    padded with isolated vertices and merged in increasing child order.
+    Every table, leaf tables included, holds at most ``table_cap`` entries,
+    and a leaf's maximal independent sets are enumerated under the same cap;
+    past it, ResourceError names the bag.
 
     A first pass builds the leaf tables in post-order and returns at the
     first empty one (see BlockerReadable).  A leaf over the cap ends that
@@ -347,30 +350,32 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
     _validated(h, t)
     k = t.node_count
     bags, edges = t.bags, t.tree_edges
-    # each node goes into its first neighbour whose bag holds its own (the
-    # edges are sorted, so each node meets its neighbours in increasing
-    # order), and on to the maximal bag at the end of that chain
+    # into links each node towards the node it went into, and the roots are
+    # the nodes left; the edges are taken in sorted order, each between the
+    # roots of its ends, and contracted when one bag holds the other, into
+    # the lower id if the bags are equal
     into = list(range(k))
+
+    def top(node):
+        while into[node] != node:
+            into[node] = node = into[into[node]]    # path halving
+        return node
+
     for a, b in edges:
-        if into[a] == a and not bags[a] & ~bags[b]:
-            into[a] = b
-        elif into[b] == b and not bags[b] & ~bags[a]:
+        a, b = sorted((top(a), top(b)))
+        if not bags[b] & ~bags[a]:
             into[b] = a
-    for node in range(k):
-        top = node
-        while into[top] != top:
-            top = into[top]
-        while node != top:      # each node is repointed once
-            into[node], node = top, into[node]
+        elif not bags[a] & ~bags[b]:
+            into[a] = b
     # the contracted tree, walked breadth-first from the node that holds
     # node 0, each node's children in increasing order
     adj = [[] for _ in range(k)]
     for a, b in edges:
-        a, b = into[a], into[b]
+        a, b = top(a), top(b)
         if a != b:
             adj[a].append(b)
             adj[b].append(a)
-    root = into[0]
+    root = top(0)
     children = [[] for _ in range(k)]
     order = [root]
     for node in order:

@@ -12,7 +12,6 @@ from mmtw.generate import (path_graph, random_clutter, random_hypergraph,
 from mmtw.hypergraph import (Clutter, Hypergraph, _minimal_masks, _remap_mask,
                              blocker_bruteforce, compose, minimalize,
                              removal_remap, trace)
-from mmtw.measures import mu_intersecting
 
 
 def brute_trace(h, s):
@@ -81,7 +80,6 @@ def test_berge_leaf_ticks_one_node_per_transversal():
         res = trace_blocker(c, c.vertex_mask)
         b = blocker_bruteforce(c).edges
         assert res.nodes_explored == 1 + len(b)
-        assert res.max_quasimatching_len == 0
         with pytest.raises(ResourceError):
             trace_blocker(c, c.vertex_mask, BranchCaps(nodes=len(b)))
         with pytest.raises(ResourceError):
@@ -215,7 +213,6 @@ def test_counters_reported():
     p3 = path_graph(3)
     res = trace_blocker(p3, mask_of((0, 2)))
     assert res.nodes_explored >= 1
-    assert res.max_quasimatching_len >= 0
 
 
 def _compose_masks_two_lists(edges, h, x, z):
@@ -257,11 +254,3 @@ def test_compose_masks_matches_the_clutter_composition():
                     assert got == sorted(compose(c, h, x, z).edges)
                     checked += 1
     assert checked > 1000
-
-
-def test_quasimatching_counter_is_not_bounded_by_mu_on_hypergraphs():
-    h = Hypergraph(6, [3, 6, 12, 16, 24, 37, 56])
-    res = trace_blocker(h, 54)
-    assert res.traces == brute_trace(h, 54)
-    assert res.max_quasimatching_len == 2
-    assert mu_intersecting(h, 54) == 1

@@ -278,7 +278,7 @@ def test_a_width_oracle_cap_names_the_bag_of_the_file(files, capsys,
 
 
 # P5 under the b lines {1, 2}, {1, 2}, {2, 3}, {3, 4, 5}: the first two are
-# equal and adjacent, so they are read as one node
+# equal and adjacent, and each line is read as its own node
 P5_MERGED = "s td 4 3 5\nb 1 1 2\nb 2 1 2\nb 3 2 3\nb 4 3 4 5\n1 2\n2 3\n3 4\n"
 
 
@@ -286,7 +286,7 @@ def test_width_names_the_b_lines_of_a_file_whose_bags_merged(files, capsys,
                                                               monkeypatch):
     hg = files("p5.hg", serialize_hypergraph(path_graph(5)))
     td = files("p5.td", P5_MERGED)
-    assert parse_td(P5_MERGED).node_count == 3
+    assert parse_td(P5_MERGED).node_count == 4
     code, out, _ = run(capsys, "width", hg, td, "--measure", "alpha", "--json")
     assert code == 0
     doc = json.loads(out)

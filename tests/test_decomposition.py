@@ -27,22 +27,6 @@ def test_constructor_rejects_non_trees():
         TreeDecomposition([], [])
 
 
-def test_adjacent_equal_bags_merge():
-    t = TreeDecomposition([0b011, 0b011, 0b110], [(0, 1), (1, 2)])
-    assert t.node_count == 2
-    assert set(t.bags) == {0b011, 0b110}
-
-
-def test_equal_bags_keep_node_zero():
-    t = TreeDecomposition([0b011, 0b011], [(0, 1)])
-    assert t.node_count == 1 and t.bags[0] == 0b011
-    # the equal bags 0 and 3 merge into node 0, and the rest keep their order
-    t = TreeDecomposition([0b0011, 0b0110, 0b1100, 0b0011],
-                          [(0, 3), (0, 1), (1, 2)])
-    assert t.bags == (0b0011, 0b0110, 0b1100)
-    assert t.tree_edges == ((0, 1), (1, 2))
-
-
 def test_validate_positive_and_negative():
     p3 = path_graph(3)
     good = TreeDecomposition([0b011, 0b110], [(0, 1)])

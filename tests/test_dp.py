@@ -150,28 +150,36 @@ def test_table_cap():
 
 
 def maximal_bags(t):
-    """The nodes of T whose bags lie inside no other bag."""
+    """The nodes of T whose bags lie inside no other bag, the lowest id of
+    each set of equal ones."""
     return [i for i, b in enumerate(t.bags)
-            if all(b & ~c for j, c in enumerate(t.bags) if j != i)]
+            if all(b & ~c or b == c and i < j
+                   for j, c in enumerate(t.bags) if j != i)]
 
 
 def _with_nested_bags(rng, t):
     """T with nested bags added, numbered at random: chains of leaves, each
     bag a random part of the one it hangs from, and nodes put on a tree
-    edge that hold the two ends' shared vertices and part of one end."""
+    edge that hold the two ends' shared vertices and part of one end.  A
+    third of the parts are the whole bag, so exact copies of a bag hang
+    from it and sit on its tree edges."""
     bags, tree = list(t.bags), list(t.tree_edges)
+
+    def part(bag):
+        return bag if rng.random() < 1 / 3 else \
+            bag & rng.getrandbits(bag.bit_length())
+
     for _ in range(rng.randrange(1, 5)):
         if tree and rng.random() < 0.4:
             a, b = tree.pop(rng.randrange(len(tree)))
             if rng.random() < 0.5:
                 a, b = b, a
-            bags.append(bags[a] & bags[b]
-                        | bags[a] & rng.getrandbits(bags[a].bit_length()))
+            bags.append(bags[a] & bags[b] | part(bags[a]))
             tree += [(a, len(bags) - 1), (len(bags) - 1, b)]
         else:
             at = rng.randrange(len(bags))
             for _ in range(rng.randrange(1, 4)):
-                bags.append(bags[at] & rng.getrandbits(bags[at].bit_length()))
+                bags.append(part(bags[at]))
                 tree.append((at, len(bags) - 1))
                 at = len(bags) - 1
     perm = list(range(len(bags)))
@@ -184,8 +192,8 @@ def _with_nested_bags(rng, t):
 
 
 def test_nested_bags_match_the_oracles(monkeypatch):
-    # each solve builds one leaf per maximal bag, under its input id, and
-    # answers as the brute-force oracles do
+    # each solve builds one leaf per maximal bag, under the lowest input id
+    # that holds it, and answers as the brute-force oracles do
     built = []
     leaf = mmtw.dp._leaf
 
@@ -196,7 +204,7 @@ def test_nested_bags_match_the_oracles(monkeypatch):
 
     monkeypatch.setattr(mmtw.dp, "_leaf", spy)
     rng = rng_from_seed(72)
-    contracted = zero = 0
+    contracted = zero = copies = 0
     targets = (complete_graph(2), complete_graph(3), cycle_graph(5))
     for it in range(300):
         n = rng.randrange(1, 10)
@@ -207,6 +215,8 @@ def test_nested_bags_match_the_oracles(monkeypatch):
         top = maximal_bags(t)
         contracted += t.node_count - len(top)
         zero += 0 not in top
+        # maximal bags held by more than one node: all but the lowest id go
+        copies += sum(t.bags.count(t.bags[i]) - 1 for i in top)
         w = random_weights(rng, n)
         built.clear()
         val, wit = mwis(h, w, t)
@@ -222,7 +232,8 @@ def test_nested_bags_match_the_oracles(monkeypatch):
             built.clear()
             assert hom_decide(h, f, t) == hom_bruteforce(h, f)
             assert len(set(built)) == len(built) and set(built) <= set(top)
-    assert contracted >= 800 and zero >= 100, (contracted, zero)
+    assert contracted >= 800 and zero >= 100 and copies >= 200, \
+        (contracted, zero, copies)
 
 
 def test_nothing_contracts_on_a_path(monkeypatch):

@@ -68,6 +68,12 @@ def test_td_parse_and_round_trip():
     text = serialize_td(t, 3)
     t2 = parse_td(text)
     assert t2.bags == t.bags and t2.tree_edges == t.tree_edges
+    # P5 under {1, 2}, {1, 2}, {2, 3}, {3, 4, 5}, and three equal bags on a
+    # star: each b line is read as its own node and written back as it came
+    for text, n in (("s td 4 3 5\nb 1 1 2\nb 2 1 2\nb 3 2 3\nb 4 3 4 5\n"
+                     "1 2\n2 3\n3 4\n", 5),
+                    ("s td 3 2 2\nb 1 1 2\nb 2 1 2\nb 3 1 2\n1 3\n2 3\n", 2)):
+        assert serialize_td(parse_td(text), n) == text
 
 
 def test_td_single_and_duplicate_edges():

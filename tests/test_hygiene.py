@@ -1,11 +1,13 @@
 """Source hygiene that no installed linter checks: every name a module of
 ``mmtw`` imports is used in that module, every private function, method and
 class of ``mmtw`` is read somewhere in ``mmtw`` outside its own definition,
-every function of ``mmtw`` that calls itself is listed with what bounds its
-depth, every parameter that a function of ``mmtw`` never reads is listed
-with why it is kept, and the measures and reductions build no per-vertex
-index and no per-edge conflict masks of their own, and no function keeps a
-memo from one request to the next."""
+every module-level definition of a program module is read by a program
+module or listed with why it stays, every function of ``mmtw`` that calls
+itself is listed with what bounds its depth, every parameter that a
+function of ``mmtw`` never reads is listed with why it is kept, and the
+measures and reductions build no per-vertex index and no per-edge conflict
+masks of their own, and no function keeps a memo from one request to the
+next."""
 
 import ast
 from pathlib import Path
@@ -41,20 +43,17 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: left for name, left in found.items() if left} == {}
 
 
-def unread_private_definitions(sources: list[str]) -> list[str]:
-    """Names of the private functions, methods and classes (one leading
-    underscore) defined in ``sources`` that no name or attribute read in
-    ``sources`` names, reads inside their own definitions aside."""
-    defined = set()
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def names_read(tree) -> set[str]:
+    """The names and attribute names that ``tree`` reads, a read inside a
+    definition of the same name aside."""
     read = set()
 
     def visit(node, inside: frozenset):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                  ast.ClassDef)):
-                if child.name.startswith("_") and \
-                        not child.name.startswith("__"):
-                    defined.add(child.name)
+            if isinstance(child, DEFINITIONS):
                 visit(child, inside | {child.name})
                 continue
             if isinstance(getattr(child, "ctx", None), ast.Load):
@@ -64,9 +63,20 @@ def unread_private_definitions(sources: list[str]) -> list[str]:
                     read.add(name)
             visit(child, inside)
 
-    for source in sources:
-        visit(ast.parse(source), frozenset())
-    return sorted(defined - read)
+    visit(tree, frozenset())
+    return read
+
+
+def unread_private_definitions(sources: list[str]) -> list[str]:
+    """Names of the private functions, methods and classes (one leading
+    underscore) defined in ``sources`` that no name or attribute read in
+    ``sources`` names, reads inside their own definitions aside."""
+    trees = [ast.parse(source) for source in sources]
+    defined = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, DEFINITIONS)
+               and node.name.startswith("_")
+               and not node.name.startswith("__")}
+    return sorted(defined - set().union(*map(names_read, trees)))
 
 
 def test_unread_private_definitions_are_caught():
@@ -87,6 +97,79 @@ def test_every_private_definition_is_read_in_the_package():
                for path in sorted(SRC.glob("*.py"))]
     assert unread_private_definitions(sources) == []
 
+
+# The program modules of mmtw: all but the reference oracles and the random
+# instance generators, which the tests and the benchmark read.
+REFERENCE_MODULES = ("oracles.py", "generate.py")
+
+# Each module-level definition of a program module that no program module
+# reads, with why it stays.
+REFERENCE_ONLY = {
+    "decomposition._fill_neighborhood":
+        "the elimination step of oracles.lambda_tw_exact",
+    "decomposition.from_elimination_order":
+        "generate.random_decomposition, oracles.lambda_tw_exact and the "
+        "benchmark's workloads build their decompositions with it",
+    "hypergraph.compose":
+        "the clutter composition that the tests check the brancher's "
+        "_compose_masks against",
+    "hypergraph.contract": "clutter minor identities, tests only",
+    "hypergraph.delete": "clutter minor identities, tests only",
+    "hypergraph.meet": "blocker duality with join, tests only",
+    "hypergraph.gaifman": "the Gaifman graph as a Graph, tests only",
+    "hypergraph.minimalize":
+        "generate.random_clutter and the tests build clutters with it",
+    "measures.edge_conflicts":
+        "the per-S view of Hypergraph.conflicts() that the tests check "
+        "against the pairwise rule",
+    "reductions.pendant_pullback":
+        "the pendant reduction's way back, tests only",
+}
+
+
+def unread_module_definitions(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each function, class and assigned name at the
+    top level of a module of ``sources`` (keyed by module name) that no
+    name or attribute read in ``sources`` names, reads inside its own
+    definition aside.
+
+    The scan goes by name, so a read of any attribute of that name counts:
+    ``hypergraph.join``, which only the tests call, is missed, because
+    every ``str.join`` reads the name ``join`` too."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS):
+                defined.append((module, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) \
+                    else [node.target]
+                defined += [(module, t.id) for t in targets
+                            if isinstance(t, ast.Name)]
+        read |= names_read(tree)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in read)
+
+
+def test_unread_module_definitions_are_caught():
+    module_a = ("LIMIT = 3\nUNUSED: int = 4\n"
+                "def used(x):\n    return x + LIMIT\n"
+                "def orphan(n):\n    return orphan(n - 1)\n"
+                "class Box:\n    def tick(self):\n        return used(1)\n"
+                "def join(a):\n    return a\n")
+    module_b = ("from a import Box\n"
+                "def main():\n    return Box().tick(), ','.join('ab')\n")
+    assert unread_module_definitions({"a": module_a, "b": module_b}) == [
+        "a.UNUSED", "a.orphan", "b.main"]
+
+
+def test_every_unread_module_definition_is_listed_with_its_reason():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(SRC.glob("*.py"))
+               if path.name not in REFERENCE_MODULES}
+    assert unread_module_definitions(sources) == sorted(REFERENCE_ONLY)
 
 # Each function of mmtw that calls itself, with what bounds its recursion
 # depth.  A new entry needs a bound that does not grow with n, or a reason.

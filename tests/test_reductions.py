@@ -122,9 +122,9 @@ def _old_lmap(x, s):
 
 
 def _old_pullback_bags(x, t):
-    """The pullback's bags, before adjacent equal bags merge, by a scan of
-    every vertex of G per bag: the vertices whose incident edges all lie in
-    the bag, isolated vertices added to bag 0."""
+    """The pullback's bags by a scan of every vertex of G per bag: the
+    vertices whose incident edges all lie in the bag, isolated vertices
+    added to bag 0."""
     g = x.original
     incident = [mask_of(i for i, e in enumerate(x.edge_of) if e >> v & 1)
                 for v in range(g.n)]
