@@ -23,8 +23,8 @@ and a composition drops the pinned edge, so no edge ever leaves them.
 
 Candidate traces from the composition branches are verified against the
 current clutter before being kept, so the returned family is exact; the
-independent oracle is ``hypergraph.blocker_bruteforce`` followed by
-``hypergraph.trace``.
+independent oracle is ``oracles.blocker_bruteforce`` followed by
+``oracles.trace``.
 
 The trace is local to S.  For a vertex set X, let N_X[S] be S together with
 every edge of H[X] that meets S (``_closed_neighbourhood``).  Then

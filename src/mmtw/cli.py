@@ -6,10 +6,11 @@ input.  With --json the report goes to stdout as a single JSON object with a
 "schema" field; diagnostics always go to stderr.
 
 ``--caps`` exists on trace and solve only, the two subcommands that read it:
-nodes and depth bound the blocker trace, table bounds DP tables.  The other
-caps (separator guesses in decompose, per-set oracle steps) are fixed module
-constants and still exit 20 when hit.  A cap that fires at a bag names it by
-its 1-based id, as the ``b`` lines of a ``.td`` file do.
+nodes and depth bound the blocker trace, and table, which solve alone takes,
+bounds DP tables.  The other caps (separator guesses in decompose, per-set
+oracle steps) are fixed module constants and still exit 20 when hit.  A cap
+that fires at a bag names it by its 1-based id, as the ``b`` lines of a
+``.td`` file do.
 """
 
 from __future__ import annotations
@@ -55,14 +56,11 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("-o", "--output", metavar="PATH",
                         help="write the main payload to PATH instead of stdout")
 
-    def caps(sp):
+    def caps(sp, more=""):
         sp.add_argument("--caps", metavar="K=V[,K=V...]", default="",
                         help="resource caps: nodes=N (branch nodes, default "
                              f"{DEFAULT_NODE_CAP}), depth=N (branch depth, "
-                             "default unlimited), table=N (DP table entries, "
-                             f"default {DEFAULT_TABLE_CAP}); nodes and depth "
-                             "bound the blocker trace, which solve runs only "
-                             "for mwis")
+                             "default unlimited)" + more)
 
     sp = sub.add_parser("decompose", help="approximate a bounded-width "
                         "decomposition or refute the width bound")
@@ -104,7 +102,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--target", metavar="PATH",
                     help="target hypergraph file (hom)")
     common(sp)
-    caps(sp)
+    caps(sp, f", table=N (DP table entries, default {DEFAULT_TABLE_CAP}); "
+             "nodes and depth bound the blocker trace, which solve runs only "
+             "for mwis")
 
     sp = sub.add_parser("reduce", help="apply a width-preserving reduction")
     sp.add_argument("hypergraph")
@@ -123,8 +123,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _parse_caps(spec: str) -> dict:
-    caps = {"nodes": DEFAULT_NODE_CAP, "depth": None, "table": DEFAULT_TABLE_CAP}
+# the caps each subcommand reads, with their defaults
+TRACE_CAPS = {"nodes": DEFAULT_NODE_CAP, "depth": None}
+SOLVE_CAPS = {**TRACE_CAPS, "table": DEFAULT_TABLE_CAP}
+
+
+def _parse_caps(spec: str, defaults: dict) -> dict:
+    """``defaults`` updated from a ``--caps`` spec; a key outside them is
+    unknown."""
+    caps = dict(defaults)
     if not spec:
         return caps
     for part in spec.split(","):
@@ -132,7 +139,7 @@ def _parse_caps(spec: str) -> dict:
             raise InputError(f"bad --caps entry {part!r}, expected key=value")
         key, _, val = part.partition("=")
         if key not in caps:
-            raise InputError(f"unknown cap {key!r}; known: nodes, depth, table")
+            raise InputError(f"unknown cap {key!r}; known: {', '.join(caps)}")
         try:
             caps[key] = int(val)
         except ValueError:
@@ -274,7 +281,7 @@ def _cmd_width(args, report: _Report) -> None:
 
 def _cmd_trace(args, report: _Report) -> None:
     h = _load_hypergraph(args.hypergraph)
-    caps = _parse_caps(args.caps)
+    caps = _parse_caps(args.caps, TRACE_CAPS)
     s = 0
     text = args.S.strip()
     if text:
@@ -297,7 +304,7 @@ def _cmd_trace(args, report: _Report) -> None:
 def _cmd_solve(args, report: _Report) -> None:
     h = _load_hypergraph(args.hypergraph)
     t = parse_td(_read(args.decomposition))
-    caps = _parse_caps(args.caps)
+    caps = _parse_caps(args.caps, SOLVE_CAPS)
     if args.problem == "mwis":
         val, wit = mwis(h, None, t, BranchCaps(caps["nodes"], caps["depth"]),
                         caps["table"])
@@ -362,9 +369,9 @@ def _cmd_stats(args, report: _Report) -> None:
 def _cmd_selftest(args, report: _Report) -> None:
     from .generate import (random_clutter, random_decomposition, random_graph,
                            random_hypergraph, random_weights, rng_from_seed)
-    from .hypergraph import blocker_bruteforce
-    from .oracles import chromatic_bruteforce, mwis_bruteforce
-    from .hypergraph import trace as trace_of, Clutter
+    from .hypergraph import Clutter
+    from .oracles import (blocker_bruteforce, chromatic_bruteforce,
+                          mwis_bruteforce, trace as trace_of)
 
     rng = rng_from_seed(args.seed)
     checks = 0

@@ -5,7 +5,7 @@ orders."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from ._bits import bits, reach, to_set
 from .errors import InputError, ResourceError
@@ -65,8 +65,6 @@ class TreeDecomposition:
 class Validity:
     ok: bool
     reason: str = ""
-    bad_vertex: Optional[int] = None
-    bad_edge: Optional[tuple[int, int]] = None
 
     def __bool__(self):
         return self.ok
@@ -92,11 +90,10 @@ def validate(h: Hypergraph, t: TreeDecomposition) -> Validity:
     if inside != sum(map(int.bit_count, bags)) - h.n or not all(nodes_of):
         for v, nodes in enumerate(nodes_of):
             if not nodes:
-                return Validity(False, f"vertex {v} appears in no bag",
-                                bad_vertex=v)
+                return Validity(False, f"vertex {v} appears in no bag")
             if reach(t._adj, nodes & -nodes, nodes) != nodes:
                 return Validity(False, f"bags containing vertex {v} are "
-                                f"disconnected", bad_vertex=v)
+                                "disconnected")
     for e in h.edges:
         common = -1
         for v in bits(e):
@@ -106,8 +103,7 @@ def validate(h: Hypergraph, t: TreeDecomposition) -> Validity:
             u, v = next((u, v) for u in range(h.n)
                         for v in bits(adj[u] & ~((2 << u) - 1))
                         if not nodes_of[u] & nodes_of[v])
-            return Validity(False, f"edge ({u}, {v}) covered by no bag",
-                            bad_edge=(u, v))
+            return Validity(False, f"edge ({u}, {v}) covered by no bag")
     return Validity(True)
 
 
@@ -145,16 +141,6 @@ def width(h: Hypergraph, t: TreeDecomposition, measure: str) -> WidthReport:
 
 def single_bag(h: Hypergraph) -> TreeDecomposition:
     return TreeDecomposition([h.vertex_mask], [])
-
-
-def _fill_neighborhood(adj, v: int, eliminated: int) -> int:
-    """Non-eliminated vertices reachable from v via eliminated-internal paths:
-    the neighbours of v's component in eliminated + v, outside that set."""
-    inside = eliminated | (1 << v)
-    out = 0
-    for u in bits(reach(adj, 1 << v, inside)):
-        out |= adj[u]
-    return out & ~inside
 
 
 def eliminate(adj: list, v: int, live: int) -> int:

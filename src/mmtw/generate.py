@@ -8,7 +8,8 @@ from typing import Optional
 
 from ._bits import mask_of
 from .decomposition import TreeDecomposition, from_elimination_order
-from .hypergraph import Clutter, Graph, Hypergraph, minimalize
+from .hypergraph import Clutter, Graph, Hypergraph
+from .oracles import minimalize
 
 
 def rng_from_seed(seed: Optional[int]) -> random.Random:

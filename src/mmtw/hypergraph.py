@@ -1,13 +1,14 @@
-"""Hypergraphs, clutters and their minor algebra.
+"""Hypergraphs, clutters and graphs, with the indexes the algorithms read.
 
 Vertices of an n-vertex hypergraph are the integers 0..n-1 and vertex sets
 are bitmasks.  Edge lists are kept deduplicated and sorted by mask value, so
 two structures are equal iff they are structurally identical.  All values are
 immutable after construction; every operation below is a pure function.
 
-Universe-shrinking operations (delete, contract, minor, induced, compose)
-reindex the surviving vertices to 0..n'-1 in increasing order of their old
-ids; ``removal_remap`` gives the accompanying id map.
+``induced`` shrinks the universe: it reindexes the surviving vertices to
+0..n'-1 in increasing order of their old ids, and ``removal_remap`` gives
+that id map.  The clutter algebra (minors, join and meet, composition,
+Berge's blocker) is the tests' reference and lives in ``mmtw.oracles``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from operator import lt, ne
 from typing import Iterable, Optional, Sequence
 
 from ._bits import bits, mask_of, to_set
-from .errors import InputError, ResourceError
+from .errors import InputError
 
 Weights = Optional[tuple]
 
@@ -190,10 +191,6 @@ class Graph(Clutter):
         if self.edges and self._edge_sizes != (2, 2):
             raise InputError("graph edge of size != 2")
 
-    @property
-    def adj(self) -> tuple[int, ...]:
-        return self.gaifman_adj()
-
     @classmethod
     def from_pairs(cls, n: int, pairs: Iterable[tuple[int, int]]) -> "Graph":
         return cls(n, (mask_of(p) for p in pairs))
@@ -238,16 +235,6 @@ def _remap_mask(mask: int, table) -> int:
 # operations
 
 
-def minimalize(h: Hypergraph) -> Clutter:
-    """The clutter of inclusion-minimal edges of ``h`` (idempotent)."""
-    return Clutter(h.n, _minimal_masks(h.edges), h.weights)
-
-
-def gaifman(h: Hypergraph) -> Graph:
-    """Graph joining vertices that co-occur in a hyperedge."""
-    return Graph.from_adj(h.gaifman_adj())
-
-
 def induced(h: Hypergraph, s: int) -> tuple[Hypergraph, dict[int, int]]:
     """H[S]: keep only edges contained in S; vertices reindexed, map returned."""
     if s & ~h.vertex_mask:
@@ -258,88 +245,3 @@ def induced(h: Hypergraph, s: int) -> tuple[Hypergraph, dict[int, int]]:
     if h.weights is not None:
         weights = tuple(h.weights[v] for v in remap)
     return Hypergraph(s.bit_count(), edges, weights), remap
-
-
-def delete(c: Clutter, v: int) -> Clutter:
-    """C \\ v: drop edges containing v, remove v from the universe."""
-    if not 0 <= v < c.n:
-        raise InputError(f"unknown vertex {v}")
-    return minor(c, 1 << v, 0)
-
-
-def contract(c: Clutter, v: int) -> Clutter:
-    """C / v: remove v from every edge and re-minimalize."""
-    if not 0 <= v < c.n:
-        raise InputError(f"unknown vertex {v}")
-    return minor(c, 0, 1 << v)
-
-
-def minor(c: Clutter, deleted: int, contracted: int) -> Clutter:
-    """C[deleted; contracted]; deletions and contractions commute."""
-    if deleted & contracted:
-        raise InputError("delete and contract sets overlap")
-    if (deleted | contracted) & ~c.vertex_mask:
-        raise InputError("minor sets contain unknown vertices")
-    remap = removal_remap(c.n, deleted | contracted)
-    surviving = (_remap_mask(e & ~contracted, remap)
-                 for e in c.edges if not e & deleted)
-    return Clutter(c.n - (deleted | contracted).bit_count(), _minimal_masks(surviving))
-
-
-def blocker_bruteforce(c: Clutter, cap: int = 20) -> Clutter:
-    """All inclusion-minimal transversals, by Berge's sequential expansion.
-
-    Conventions: b(clutter with no edges) = {emptyset}; b({emptyset}) has no
-    edges.  These make b an involution on all clutters.
-    """
-    if c.n > cap:
-        raise ResourceError(f"blocker cap {cap} exceeded (n={c.n})", n=c.n)
-    trans: Sequence[int] = (0,)
-    for h in c.edges:
-        if h == 0:
-            return Clutter(c.n, ())
-        nxt = []
-        for t in trans:
-            if t & h:
-                nxt.append(t)
-            else:
-                nxt.extend(t | (1 << v) for v in bits(h))
-        trans = _minimal_masks(nxt)
-    return Clutter(c.n, trans)
-
-
-def _aligned(c: Clutter, f: Clutter) -> int:
-    return max(c.n, f.n)
-
-
-def join(c: Clutter, f: Clutter) -> Clutter:
-    """Minimal edges of the union of the two edge sets."""
-    n = _aligned(c, f)
-    return Clutter(n, _minimal_masks(c.edges + f.edges))
-
-
-def meet(c: Clutter, f: Clutter) -> Clutter:
-    """Minimal edges among pairwise unions; dual to join under the blocker."""
-    n = _aligned(c, f)
-    return Clutter(n, _minimal_masks(h | g for h in c.edges for g in f.edges))
-
-
-def compose(c: Clutter, h: int, u: int, v: int) -> Clutter:
-    """C composed along (h, u, v): join of C[u; h-u] and C[v; h-v].
-
-    The two minors remove exactly the vertices of h, so they live on the same
-    reindexed universe and can be joined directly.
-    """
-    if h not in c.edges:
-        raise InputError("h is not an edge of the clutter")
-    bu, bv = 1 << u, 1 << v
-    if u == v or not (h & bu) or not (h & bv):
-        raise InputError("u, v must be distinct vertices of h")
-    left = minor(c, bu, h & ~bu)
-    right = minor(c, bv, h & ~bv)
-    return join(left, right)
-
-
-def trace(family: Iterable[int], s: int) -> frozenset[int]:
-    """tr_S of a family of vertex sets: intersections with S, deduplicated."""
-    return frozenset(a & s for a in family)

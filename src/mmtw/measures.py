@@ -185,32 +185,18 @@ def rho_decide(h: Hypergraph, s: int, k: int) -> bool:
     return _rho_below(h, s, k + 1) <= k
 
 
-def edge_conflicts(g: Hypergraph, s: int) -> tuple[dict[int, int], int]:
-    """Conflict graph of the edges of the graph G that meet S, keyed by
-    position in ``g.edges``: (conflicts, universe), where universe is the
-    mask of the positions of the edges that meet S, and conflicts[i], for
-    each position i in it, is the mask of the positions in universe of the
-    edges that conflict with edge i.  Two edges conflict when they share a
-    vertex or an edge of G joins them, so the induced matchings meeting S
-    are its independent sets.  It is a view of ``g.conflicts()``, the
-    conflict masks over all of G, each restricted to the universe; with
-    S = V it is the squared line graph L^2(G), on the edges of G in their
-    stored order."""
-    conflicts = g.conflicts()
-    universe = g.edges_meeting(s)
-    return {i: conflicts[i] & universe for i in bits(universe)}, universe
-
-
 def induced_matching_intersecting(g: Hypergraph, s: int) -> int:
     """Maximum induced matching of the graph G with every matched edge
     meeting S (G given as a hypergraph whose edges are all pairs).
 
-    The search runs on ``g.conflicts()``, the masks over all of G, from the
-    universe of the edges that meet S.  Restricting the masks to that
-    universe, as ``edge_conflicts`` does, changes no step: ``_alpha_search``
-    only removes a mask from its candidates and ANDs one into a subset of
-    them, and its candidates start as the universe, so the bits of a mask
-    outside it are never read."""
+    Two edges conflict when they share a vertex or an edge of G joins them,
+    so these matchings are the independent sets of the conflict graph on
+    the edges that meet S.  The search runs on ``g.conflicts()``, the masks
+    over all of G, from the universe ``g.edges_meeting(s)`` of the edges
+    that meet S.  Restricting each mask to that universe would change no
+    step: ``_alpha_search`` only removes a mask from its candidates and ANDs
+    one into a subset of them, and its candidates start as the universe, so
+    the bits of a mask outside it are never read."""
     return _alpha_search(g.conflicts(), g.edges_meeting(s), 0, False)
 
 

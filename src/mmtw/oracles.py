@@ -5,6 +5,13 @@ rest of the package is tested against these oracles.  The lambda-treewidth
 oracle is a subset DP over elimination orderings, exact for any monotone bag
 measure because optimal decompositions can be taken as clique trees of
 triangulations.
+
+The clutter algebra (minors, join and meet, composition, Berge's blocker and
+traces) is the paper's proof vocabulary; the program never runs it, and the
+tests check the blocker traces and the brancher's compositions against it.
+Universe-shrinking operations (``minor``, ``compose``) reindex the surviving
+vertices to 0..n'-1 in increasing order of their old ids, as
+``hypergraph.removal_remap`` does.
 """
 
 from __future__ import annotations
@@ -12,15 +19,96 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
-from ._bits import bits
+from ._bits import bits, reach
 from .blocker import enumerate_mis
-from .decomposition import TreeDecomposition, from_elimination_order, _fill_neighborhood
+from .decomposition import TreeDecomposition, from_elimination_order
 from .errors import InputError, ResourceError
-from .hypergraph import Hypergraph
+from .hypergraph import (Clutter, Hypergraph, _minimal_masks, _remap_mask,
+                         removal_remap)
+from .reductions import PendantExtension
 
 Measure = Callable[[int], object]
+
+
+# ---------------------------------------------------------------------------
+# clutter algebra
+
+
+def minimalize(h: Hypergraph) -> Clutter:
+    """The clutter of inclusion-minimal edges of ``h`` (idempotent)."""
+    return Clutter(h.n, _minimal_masks(h.edges), h.weights)
+
+
+def minor(c: Clutter, deleted: int, contracted: int) -> Clutter:
+    """C[deleted; contracted]; deletions and contractions commute."""
+    if deleted & contracted:
+        raise InputError("delete and contract sets overlap")
+    if (deleted | contracted) & ~c.vertex_mask:
+        raise InputError("minor sets contain unknown vertices")
+    remap = removal_remap(c.n, deleted | contracted)
+    surviving = (_remap_mask(e & ~contracted, remap)
+                 for e in c.edges if not e & deleted)
+    return Clutter(c.n - (deleted | contracted).bit_count(), _minimal_masks(surviving))
+
+
+def join(c: Clutter, f: Clutter) -> Clutter:
+    """Minimal edges of the union of the two edge sets."""
+    return Clutter(max(c.n, f.n), _minimal_masks(c.edges + f.edges))
+
+
+def meet(c: Clutter, f: Clutter) -> Clutter:
+    """Minimal edges among pairwise unions; dual to join under the blocker."""
+    return Clutter(max(c.n, f.n),
+                   _minimal_masks(h | g for h in c.edges for g in f.edges))
+
+
+def compose(c: Clutter, h: int, u: int, v: int) -> Clutter:
+    """C composed along (h, u, v): join of C[u; h-u] and C[v; h-v].
+
+    The two minors remove exactly the vertices of h, so they live on the same
+    reindexed universe and can be joined directly.
+    """
+    if h not in c.edges:
+        raise InputError("h is not an edge of the clutter")
+    bu, bv = 1 << u, 1 << v
+    if u == v or not (h & bu) or not (h & bv):
+        raise InputError("u, v must be distinct vertices of h")
+    left = minor(c, bu, h & ~bu)
+    right = minor(c, bv, h & ~bv)
+    return join(left, right)
+
+
+def blocker_bruteforce(c: Clutter, cap: int = 20) -> Clutter:
+    """All inclusion-minimal transversals, by Berge's sequential expansion.
+
+    Conventions: b(clutter with no edges) = {emptyset}; b({emptyset}) has no
+    edges.  These make b an involution on all clutters.
+    """
+    if c.n > cap:
+        raise ResourceError(f"blocker cap {cap} exceeded (n={c.n})", n=c.n)
+    trans: Sequence[int] = (0,)
+    for h in c.edges:
+        if h == 0:
+            return Clutter(c.n, ())
+        nxt = []
+        for t in trans:
+            if t & h:
+                nxt.append(t)
+            else:
+                nxt.extend(t | (1 << v) for v in bits(h))
+        trans = _minimal_masks(nxt)
+    return Clutter(c.n, trans)
+
+
+def trace(family: Iterable[int], s: int) -> frozenset[int]:
+    """tr_S of a family of vertex sets: intersections with S, deduplicated."""
+    return frozenset(a & s for a in family)
+
+
+# ---------------------------------------------------------------------------
+# solvers, decompositions and reductions
 
 
 def independent_in(h: Hypergraph, s: int) -> bool:
@@ -140,6 +228,16 @@ def hom_bruteforce(h: Hypergraph, f: Hypergraph) -> bool:
     return assign(0)
 
 
+def _fill_neighborhood(adj, v: int, eliminated: int) -> int:
+    """Non-eliminated vertices reachable from v via eliminated-internal paths:
+    the neighbours of v's component in eliminated + v, outside that set."""
+    inside = eliminated | (1 << v)
+    out = 0
+    for u in bits(reach(adj, 1 << v, inside)):
+        out |= adj[u]
+    return out & ~inside
+
+
 def lambda_tw_exact(h: Hypergraph, lam: Measure,
                     cap: int = 18) -> tuple[object, TreeDecomposition]:
     """Exact lambda-treewidth and a witness decomposition.
@@ -187,6 +285,16 @@ def lambda_tw_exact(h: Hypergraph, lam: Measure,
         mask &= ~(1 << v)
     order.reverse()
     return cost[full], from_elimination_order(h, order)
+
+
+def pendant_pullback(x: PendantExtension, t: TreeDecomposition) -> TreeDecomposition:
+    """The pendant reduction's way back: delete every pendant vertex from
+    every bag; the tree is unchanged."""
+    n = x.original.n
+    for bag in t.bags:
+        if bag >> (2 * n):
+            raise InputError("bag contains a vertex outside the extension")
+    return TreeDecomposition([bag & ((1 << n) - 1) for bag in t.bags], t.tree_edges)
 
 
 def separator_exists_bruteforce(h: Hypergraph, a: int, b: int, lam: Measure,

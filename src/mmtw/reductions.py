@@ -6,8 +6,11 @@ whose vertices are the edges of G with e ~ f when G[e union f] is connected,
 so that mu_G(S) = alpha_L(L(S)).  L^2 is the edge conflict graph that mu
 itself searches: its adjacency is ``Hypergraph.conflicts()``, the one
 cached index that the mu oracles read too, so the adjacency rule is stated
-once and built once per graph.  Both come with decomposition pullbacks, and
-``approximate_mu_tw`` chains L^2 with the well-behaved approximation pipeline.
+once and built once per graph; L(S), the L-vertices whose G-edge meets S,
+is ``G.edges_meeting(S)``.  ``approximate_mu_tw`` chains L^2 with the
+well-behaved approximation pipeline and pulls the decomposition back; the
+pendant extension's way back, which only the tests run, is
+``oracles.pendant_pullback``.
 """
 
 from __future__ import annotations
@@ -31,28 +34,12 @@ class PendantExtension:
     original: Graph
     extended: Graph
 
-    @property
-    def n(self) -> int:
-        return self.original.n
-
-    def pendant_of(self, v: int) -> int:
-        return v + self.original.n
-
 
 def pendant_extend(g: Graph) -> PendantExtension:
     n = g.n
     edges = list(g.edges)
     edges += [(1 << v) | (1 << (v + n)) for v in range(n)]
     return PendantExtension(g, Graph(2 * n, edges))
-
-
-def pendant_pullback(x: PendantExtension, t: TreeDecomposition) -> TreeDecomposition:
-    """Delete every pendant vertex from every bag; the tree is unchanged."""
-    keep = (1 << x.n) - 1
-    for bag in t.bags:
-        if bag >> (2 * x.n):
-            raise InputError("bag contains a vertex outside the extension")
-    return TreeDecomposition([bag & keep for bag in t.bags], t.tree_edges)
 
 
 @dataclass(frozen=True)
@@ -63,10 +50,6 @@ class LineSquare:
     original: Graph
     line: Graph
     edge_of: tuple[int, ...]  # L-vertex i is the edge original.edges[i]
-
-    def lmap(self, s: int) -> int:
-        """L(S): the L-vertices whose G-edge meets S."""
-        return self.original.edges_meeting(s)
 
 
 def line_square(g: Graph) -> LineSquare:

@@ -20,11 +20,12 @@ from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_clutter, random_cobipartite,
                            random_decomposition, random_graph,
                            random_hypergraph, random_weights, rng_from_seed)
-from mmtw.hypergraph import Hypergraph, blocker_bruteforce, minimalize, trace
+from mmtw.hypergraph import Hypergraph
 from mmtw.measures import ALPHA, RHO, alpha_set, mu_intersecting
-from mmtw.oracles import (_separates, chromatic_bruteforce, hom_bruteforce,
-                          independent_in, lambda_tw_exact, mwis_bruteforce,
-                          separator_exists_bruteforce)
+from mmtw.oracles import (_separates, blocker_bruteforce, chromatic_bruteforce,
+                          hom_bruteforce, independent_in, lambda_tw_exact,
+                          minimalize, mwis_bruteforce,
+                          separator_exists_bruteforce, trace)
 from mmtw.reductions import (approximate_mu_tw, line_square, pendant_extend)
 
 DECOMPOSE_BUDGET_SECONDS = 300.0
@@ -91,7 +92,7 @@ def test_criterion_4_reduction_identities():
         for s in range(1 << n):
             if alpha_set(g, s) != mu_intersecting(pend.extended, s):
                 failures += 1
-            if mu_intersecting(g, s) != alpha_set(ls.line, ls.lmap(s)):
+            if mu_intersecting(g, s) != alpha_set(ls.line, g.edges_meeting(s)):
                 failures += 1
     _report(4, failures == 0,
             f"alpha/mu reduction identities, all S on 100 graphs, {failures} failures")

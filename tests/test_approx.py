@@ -12,15 +12,15 @@ from mmtw.approx import (Refutation, SeparatorResult, _big_k,
                          _min_fill_elimination, _recurse, atoms,
                          balanced_split, closure, find_separator,
                          approx_decomposition, two_sat_solve, width_bound)
-from mmtw.decomposition import (_fill_neighborhood, elimination_tree,
-                                from_elimination_order, validate, width)
+from mmtw.decomposition import (elimination_tree, from_elimination_order,
+                                validate, width)
 from mmtw.errors import InputError, ResourceError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_graph, random_hypergraph, rng_from_seed)
 from mmtw.hypergraph import Graph, Hypergraph
 from mmtw.measures import ALPHA, KAPPA, MU, RHO, WellBehavedMeasure
 from mmtw.reductions import line_square
-from mmtw.oracles import (_separates, lambda_tw_exact,
+from mmtw.oracles import (_fill_neighborhood, _separates, lambda_tw_exact,
                           separator_exists_bruteforce)
 from mmtw.reductions import approximate_mu_tw
 
@@ -50,19 +50,19 @@ def test_closure_fixpoint_and_supergraph():
 
 def test_atoms_examples():
     k5 = complete_graph(5)
-    assert atoms(k5.adj, k5.vertex_mask) == [k5.vertex_mask]
+    assert atoms(k5.gaifman_adj(), k5.vertex_mask) == [k5.vertex_mask]
     p4 = path_graph(4)
-    got = sorted(atoms(p4.adj, p4.vertex_mask))
+    got = sorted(atoms(p4.gaifman_adj(), p4.vertex_mask))
     assert got == sorted([0b0011, 0b0110, 0b1100])
     c4 = cycle_graph(4)
-    assert atoms(c4.adj, c4.vertex_mask) == [c4.vertex_mask]
+    assert atoms(c4.gaifman_adj(), c4.vertex_mask) == [c4.vertex_mask]
 
 
 def test_atoms_cover_and_no_clique_cutset():
     rng = rng_from_seed(31)
     for _ in range(60):
         g = random_graph(rng, rng.randrange(1, 10), 0.4)
-        parts = atoms(g.adj, g.vertex_mask)
+        parts = atoms(g.gaifman_adj(), g.vertex_mask)
         cover = 0
         for a in parts:
             cover |= a
@@ -202,19 +202,20 @@ def test_independent_sets_match_eager_reference():
         universe = rng.getrandbits(n) if rng.random() < 0.5 else g.vertex_mask
         for size in range(0, 5):
             got = list(_independent_sets_with_neighbourhoods(
-                g.adj, universe, size))
+                g.gaifman_adj(), universe, size))
             assert [i_set for i_set, _ in got] == \
-                _independent_sets_eager(g.adj, universe, size)
+                _independent_sets_eager(g.gaifman_adj(), universe, size)
             for i_set, closed in got:
                 assert closed == mask_of(
                     u for v in bits(i_set) for u in range(n)
-                    if u == v or (g.adj[v] >> u) & 1)
+                    if u == v or (g.gaifman_adj()[v] >> u) & 1)
 
 
 def test_independent_sets_are_lazy_and_iterative():
     p = path_graph(1200)
     first = [i_set for i_set, _ in islice(
-        _independent_sets_with_neighbourhoods(p.adj, p.vertex_mask, 1200),
+        _independent_sets_with_neighbourhoods(p.gaifman_adj(), p.vertex_mask,
+                                              1200),
         5000)]
     assert len(first) == 5000
     assert first[600] == sum(1 << v for v in range(0, 1200, 2))

@@ -10,8 +10,8 @@ from mmtw.errors import ResourceError
 from mmtw.generate import (path_graph, random_clutter, random_hypergraph,
                            rng_from_seed)
 from mmtw.hypergraph import (Clutter, Hypergraph, _minimal_masks, _remap_mask,
-                             blocker_bruteforce, compose, minimalize,
-                             removal_remap, trace)
+                             removal_remap)
+from mmtw.oracles import blocker_bruteforce, compose, minimalize, trace
 
 
 def brute_trace(h, s):

@@ -461,6 +461,25 @@ def test_decompose_has_no_table_cap(files, capsys):
     assert info.value.code == 2
 
 
+def test_trace_has_no_table_cap(files, capsys):
+    # trace builds no DP table, so table is an unknown cap there; solve,
+    # which does, takes all three
+    hg = files("p3.hg", serialize_hypergraph(path_graph(3)))
+    code, out, err = run(capsys, "trace", "-S", "1", hg, "--caps", "table=0",
+                         "--json")
+    assert code == 2
+    assert json.loads(out)["error"] == \
+        "unknown cap 'table'; known: nodes, depth"
+    assert "unknown cap 'table'" in err
+    code, _, _ = run(capsys, "trace", "-S", "1", hg, "--caps",
+                     "nodes=5,depth=3")
+    assert code == 0
+    td = files("p3.td", "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
+    code, _, _ = run(capsys, "solve", hg, td, "--problem", "mwis", "--caps",
+                     "nodes=5,depth=3,table=100")
+    assert code == 0
+
+
 def _path_bags_td(n):
     lines = [f"s td {n - 1} 2 {n}"]
     lines += [f"b {i} {i} {i + 1}" for i in range(1, n)]

@@ -5,9 +5,8 @@ import math
 import pytest
 
 from mmtw._bits import mask_of, reach
-from mmtw.decomposition import (TreeDecomposition, _fill_neighborhood,
-                                from_elimination_order, single_bag, validate,
-                                width)
+from mmtw.decomposition import (TreeDecomposition, from_elimination_order,
+                                single_bag, validate, width)
 from mmtw.errors import InputError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_decomposition, random_graph,
@@ -15,7 +14,7 @@ from mmtw.generate import (complete_graph, cycle_graph, path_graph,
 from mmtw.hypergraph import Graph, Hypergraph
 from mmtw.measures import (alpha_set, induced_matching_intersecting,
                            minor_matching_intersecting, mu_intersecting, rho_set)
-from mmtw.oracles import independent_in
+from mmtw.oracles import _fill_neighborhood, independent_in
 
 
 def test_constructor_rejects_non_trees():
@@ -34,7 +33,7 @@ def test_validate_positive_and_negative():
     missing = Hypergraph(3, p3.edges)
     bad_cov = TreeDecomposition([0b001, 0b110], [(0, 1)])
     v = validate(missing, bad_cov)
-    assert not v and v.bad_edge is not None
+    assert not v and v.reason == "edge (0, 1) covered by no bag"
     t2 = TreeDecomposition([0b101, 0b010], [(0, 1)])
     v2 = validate(p3, t2)
     assert not v2  # edge {0,1} in no bag
@@ -51,16 +50,16 @@ def _validate_reference(h, t):
                 nodes_of[v] |= 1 << i
     for v, nodes in enumerate(nodes_of):
         if not nodes:
-            return (False, f"vertex {v} appears in no bag", v, None)
+            return (False, f"vertex {v} appears in no bag")
         if reach(t._adj, nodes & -nodes, nodes) != nodes:
-            return (False, f"bags containing vertex {v} are disconnected", v, None)
+            return (False, f"bags containing vertex {v} are disconnected")
     adj = h.gaifman_adj()
     for u in range(h.n):
         for v in range(u + 1, h.n):
             pair = (1 << u) | (1 << v)
             if adj[u] >> v & 1 and not any(bag & pair == pair for bag in t.bags):
-                return (False, f"edge ({u}, {v}) covered by no bag", None, (u, v))
-    return (True, "", None, None)
+                return (False, f"edge ({u}, {v}) covered by no bag")
+    return (True, "")
 
 
 def test_validate_matches_reference_on_invalid_decompositions():
@@ -110,8 +109,8 @@ def test_validate_matches_reference_on_invalid_decompositions():
         t = TreeDecomposition(bags, tree)
         got = validate(h, t)
         want = _validate_reference(h, t)
-        assert (got.ok, got.reason, got.bad_vertex, got.bad_edge) == want
-        kinds[True if want[0] else "edge" if want[3] else
+        assert (got.ok, got.reason) == want
+        kinds[True if want[0] else "edge" if want[1].startswith("edge") else
               "no bag" if want[1].endswith("no bag") else "disconnected"] += 1
     assert min(kinds.values()) >= 20, kinds
 

@@ -1,8 +1,9 @@
 """Source hygiene that no installed linter checks: every name a module of
 ``mmtw`` imports is used in that module, every private function, method and
 class of ``mmtw`` is read somewhere in ``mmtw`` outside its own definition,
-every module-level definition of a program module is read by a program
-module or listed with why it stays, every function of ``mmtw`` that calls
+every module-level definition and method of a program module is reached by
+a walk of what ``cli.main`` runs or listed with why it stays, and so is
+every name the benchmark's tracer patches, every function of ``mmtw`` that calls
 itself is listed with what bounds its depth, every parameter that a
 function of ``mmtw`` never reads is listed with why it is kept, and the
 measures and reductions build no per-vertex index and no per-edge conflict
@@ -10,9 +11,12 @@ masks of their own, and no function keeps a memo from one request to the
 next."""
 
 import ast
+import importlib.util
+import types
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mmtw"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mmtw"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -98,78 +102,205 @@ def test_every_private_definition_is_read_in_the_package():
     assert unread_private_definitions(sources) == []
 
 
-# The program modules of mmtw: all but the reference oracles and the random
-# instance generators, which the tests and the benchmark read.
-REFERENCE_MODULES = ("oracles.py", "generate.py")
+# The program modules of mmtw are all but the reference oracles and the
+# random instance generators, which the tests and the benchmark read.
+REFERENCE_MODULES = ("oracles", "generate")
 
-# Each module-level definition of a program module that no program module
-# reads, with why it stays.
-REFERENCE_ONLY = {
-    "decomposition._fill_neighborhood":
-        "the elimination step of oracles.lambda_tw_exact",
+# The program runs from cli.main.  The walk does not follow selftest: it
+# runs the references against the program, so a definition that only it
+# reads is not program code.
+ENTRY = "cli.main"
+NOT_FOLLOWED = {"cli._cmd_selftest"}
+
+# Each definition of a program module that cli.main does not reach, with
+# why it stays where it is.
+KEPT_UNREACHED = {
     "decomposition.from_elimination_order":
-        "generate.random_decomposition, oracles.lambda_tw_exact and the "
-        "benchmark's workloads build their decompositions with it",
-    "hypergraph.compose":
-        "the clutter composition that the tests check the brancher's "
-        "_compose_masks against",
-    "hypergraph.contract": "clutter minor identities, tests only",
-    "hypergraph.delete": "clutter minor identities, tests only",
-    "hypergraph.meet": "blocker duality with join, tests only",
-    "hypergraph.gaifman": "the Gaifman graph as a Graph, tests only",
-    "hypergraph.minimalize":
-        "generate.random_clutter and the tests build clutters with it",
-    "measures.edge_conflicts":
-        "the per-S view of Hypergraph.conflicts() that the tests check "
-        "against the pairwise rule",
-    "reductions.pendant_pullback":
-        "the pendant reduction's way back, tests only",
+        "generate.random_decomposition and perfbench/workloads.py build "
+        "decompositions with it",
+    "hypergraph.Graph.from_pairs":
+        "generate.py and perfbench/workloads.py build graphs with it",
 }
 
-
-def unread_module_definitions(sources: dict[str, str]) -> list[str]:
-    """``module.name`` for each function, class and assigned name at the
-    top level of a module of ``sources`` (keyed by module name) that no
-    name or attribute read in ``sources`` names, reads inside its own
-    definition aside.
-
-    The scan goes by name, so a read of any attribute of that name counts:
-    ``hypergraph.join``, which only the tests call, is missed, because
-    every ``str.join`` reads the name ``join`` too."""
-    defined = []
-    read = set()
-    for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
-            if isinstance(node, DEFINITIONS):
-                defined.append((module, node.name))
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) \
-                    else [node.target]
-                defined += [(module, t.id) for t in targets
-                            if isinstance(t, ast.Name)]
-        read |= names_read(tree)
-    return sorted(f"{module}.{name}" for module, name in defined
-                  if name not in read)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def test_unread_module_definitions_are_caught():
-    module_a = ("LIMIT = 3\nUNUSED: int = 4\n"
-                "def used(x):\n    return x + LIMIT\n"
-                "def orphan(n):\n    return orphan(n - 1)\n"
-                "class Box:\n    def tick(self):\n        return used(1)\n"
-                "def join(a):\n    return a\n")
-    module_b = ("from a import Box\n"
-                "def main():\n    return Box().tick(), ','.join('ab')\n")
-    assert unread_module_definitions({"a": module_a, "b": module_b}) == [
-        "a.UNUSED", "a.orphan", "b.main"]
+class Program:
+    """The module-level definitions (functions, classes, assigned names)
+    and the methods of the modules of one package, keyed ``module.name``
+    and ``module.Class.method``, with what each module's imported names are
+    bound to."""
+
+    def __init__(self, sources: dict[str, str]):
+        self.nodes = {}     # qualified name -> (module, defining node)
+        self.methods = {}   # method name -> qualified names
+        self.imported = {}  # (module, name) -> (module, name) it binds
+        self.siblings = {}  # (module, name) -> package module it binds
+        for module, source in sources.items():
+            for node in ast.parse(source).body:
+                if isinstance(node, DEFINITIONS):
+                    self.nodes[f"{module}.{node.name}"] = (module, node)
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, FUNCTIONS):
+                            name = f"{module}.{node.name}.{item.name}"
+                            self.nodes[name] = (module, item)
+                            self.methods.setdefault(item.name, []).append(name)
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = node.targets if isinstance(node, ast.Assign) \
+                        else [node.target]
+                    for t in targets:
+                        if isinstance(t, ast.Name):
+                            self.nodes[f"{module}.{t.id}"] = (module, node)
+                elif isinstance(node, ast.ImportFrom) and node.level:
+                    for alias in node.names:
+                        key = (module, alias.asname or alias.name)
+                        if node.module is None and alias.name in sources:
+                            self.siblings[key] = alias.name
+                        else:
+                            self.imported[key] = (node.module or "__init__",
+                                                  alias.name)
+
+    def resolve(self, module: str, name: str):
+        """The qualified name of the definition that a bare ``name`` read
+        in ``module`` is bound to, through its own definitions and its
+        ``from .x import`` lines, or None."""
+        while f"{module}.{name}" not in self.nodes:
+            if (module, name) not in self.imported:
+                return None
+            module, name = self.imported[module, name]
+        return f"{module}.{name}"
+
+    def reach(self, entry: str, not_followed=frozenset()):
+        """``(reached, globals_read)``: the qualified names of the
+        definitions reached from ``entry``, and the ``(module, name)`` of
+        each bare name that reached code reads and that resolves.
+
+        A reached definition reads what its code names: a bare name
+        resolves as ``resolve`` says (a local that shadows a module-level
+        name counts as a read of it), ``mod.name`` resolves in ``mod`` when
+        ``mod`` is an imported module of the package, and any other
+        attribute read reaches every method or property of that name.  A
+        reached class reads its bases, decorators and class-level
+        statements, and reaches its dunder methods; its other methods are
+        reached by name.  A definition in ``not_followed`` is reached, but
+        what it reads is not."""
+        reached, todo, globals_read = {entry}, [entry], set()
+
+        def visit(name):
+            if name is not None and name not in reached:
+                reached.add(name)
+                if name not in not_followed:
+                    todo.append(name)
+
+        while todo:
+            qualified = todo.pop()
+            module, node = self.nodes[qualified]
+            parts = [node]
+            if isinstance(node, ast.ClassDef):
+                parts = [*node.bases, *node.keywords, *node.decorator_list]
+                for item in node.body:
+                    if not isinstance(item, FUNCTIONS):
+                        parts.append(item)
+                    elif item.name.startswith("__") \
+                            and item.name.endswith("__"):
+                        visit(f"{qualified}.{item.name}")
+            for part in parts:
+                for read in ast.walk(part):
+                    if not isinstance(getattr(read, "ctx", None), ast.Load):
+                        continue
+                    if isinstance(read, ast.Name):
+                        target = self.resolve(module, read.id)
+                        if target is not None:
+                            globals_read.add((module, read.id))
+                        visit(target)
+                    elif isinstance(read, ast.Attribute):
+                        sibling = self.siblings.get((module, read.value.id)) \
+                            if isinstance(read.value, ast.Name) else None
+                        if sibling is not None:
+                            visit(self.resolve(sibling, read.attr))
+                        else:
+                            for name in self.methods.get(read.attr, ()):
+                                visit(name)
+        return reached, globals_read
 
 
-def test_every_unread_module_definition_is_listed_with_its_reason():
-    sources = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted(SRC.glob("*.py"))
-               if path.name not in REFERENCE_MODULES}
-    assert unread_module_definitions(sources) == sorted(REFERENCE_ONLY)
+def test_the_walk_misses_what_only_tests_or_selftest_read():
+    sources = {
+        "text": ("def join(parts):\n    return '+'.join(parts)\n"
+                 "def shout(s):\n    return s.upper()\n"
+                 "def hush(s):\n    return s.lower()\n"),
+        "shapes": ("class Line:\n"
+                   "    def __init__(self, n):\n        self.n = n\n"
+                   "    def __len__(self):\n        return self.n\n"
+                   "    def ends(self):\n        return 2\n"
+                   "    def lmap(self, s):\n        return s\n"
+                   "def reference():\n    return Line(1).lmap(0)\n"),
+        "cli": ("from . import text\n"
+                "from .shapes import Line\n"
+                "from .text import hush as quiet\n"
+                "def _cmd_run(args):\n"
+                "    return (','.join(args), text.shout('a'), quiet('B'),\n"
+                "            Line(2).ends())\n"
+                "def _cmd_selftest(args):\n    return check(args)\n"
+                "def check(args):\n    return 1\n"
+                "_DISPATCH = {'run': _cmd_run, 'selftest': _cmd_selftest}\n"
+                "def main(argv):\n    return _DISPATCH[argv[0]](argv[1:])\n"),
+    }
+    program = Program(sources)
+    reached, globals_read = program.reach("cli.main", {"cli._cmd_selftest"})
+    assert sorted(set(program.nodes) - reached) == [
+        "cli.check", "shapes.Line.lmap", "shapes.reference", "text.join"]
+    assert "cli._cmd_selftest" in reached and "shapes.Line.__len__" in reached
+    # text.shout is read as an attribute of the module, not as a name of cli
+    assert ("cli", "quiet") in globals_read
+    assert ("cli", "shout") not in globals_read
+
+
+def program_sources() -> dict[str, str]:
+    return {path.stem: path.read_text(encoding="utf-8")
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def test_cli_main_reaches_every_program_definition():
+    program = Program(program_sources())
+    reached, _ = program.reach(ENTRY, NOT_FOLLOWED)
+    unreached = [name for name in program.nodes if name not in reached
+                 and name.split(".")[0] not in REFERENCE_MODULES]
+    assert sorted(unreached) == sorted(KEPT_UNREACHED)
+
+
+def test_every_kept_definition_has_a_reader_outside_the_program():
+    readers = (SRC / "generate.py", ROOT / "perfbench" / "workloads.py")
+    read = set().union(*(names_read(ast.parse(path.read_text(
+        encoding="utf-8"))) for path in readers))
+    assert sorted(name for name in KEPT_UNREACHED
+                  if name.rsplit(".", 1)[1] not in read) == []
+
+
+def test_every_patched_name_is_reached_from_cli_main():
+    # perfbench/tracing.py wraps each (owner, name) of PATCHES where its
+    # caller looks it up: a module global intercepts the calls that the
+    # module's own code makes by that name, and a class attribute the calls
+    # of that method.  A name that the program stopped looking up there
+    # would count 0 calls without failing.
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    program = Program(program_sources())
+    reached, globals_read = program.reach(ENTRY, NOT_FOLLOWED)
+
+    def looked_up(owner, name: str) -> bool:
+        if isinstance(owner, types.ModuleType):
+            return (owner.__name__.rsplit(".", 1)[1], name) in globals_read
+        module = owner.__module__.rsplit(".", 1)[1]
+        return f"{module}.{owner.__qualname__}.{name}" in reached
+
+    assert [f"{owner.__name__}.{name} ({layer})"
+            for layer, owner, name, _ in tracing.PATCHES
+            if not looked_up(owner, name)] == []
+
 
 # Each function of mmtw that calls itself, with what bounds its recursion
 # depth.  A new entry needs a bound that does not grow with n, or a reason.

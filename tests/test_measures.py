@@ -10,11 +10,9 @@ from mmtw.decomposition import single_bag, width
 from mmtw.errors import InputError, ResourceError
 from mmtw.generate import (cycle_graph, path_graph, random_graph,
                            random_hypergraph, rng_from_seed)
-from mmtw.hypergraph import Graph, Hypergraph, gaifman, induced
+from mmtw.hypergraph import Graph, Hypergraph, induced
 from mmtw.measures import (ALPHA, BAG_MEASURES, MEASURES, MU, RHO,
-                           _alpha_search, alpha_decide, alpha_set,
-                           edge_conflicts,
-                           get_measure, induced_matching_intersecting,
+                           _alpha_search, alpha_decide, alpha_set, get_measure, induced_matching_intersecting,
                            minor_matching_intersecting, mu_decide,
                            mu_intersecting, rho_decide, rho_set)
 from mmtw.oracles import mwis_bruteforce, rho_bruteforce
@@ -146,7 +144,7 @@ def test_alpha_matches_unit_weight_mwis():
         n = rng.randrange(1, 10)
         h = random_hypergraph(rng, n, rng.randrange(1, n + 3))
         s = rng.getrandbits(n)
-        g, _ = induced(gaifman(h), s)
+        g, _ = induced(Graph.from_adj(h.gaifman_adj()), s)
         want = mwis_bruteforce(g, [1] * g.n)[0]
         assert ALPHA.value(h, s) == want
         assert ALPHA.decide(h, s, want) and not ALPHA.decide(h, s, want - 1)
@@ -236,10 +234,18 @@ def _outcome(f, *args):
         return ("cap", str(exc), exc.stats)
 
 
+def _restricted_conflicts(g, s):
+    """(conflicts, universe): universe the mask of the positions of the
+    edges of G that meet S, and conflicts[i], for each position i in it, the
+    conflict mask of edge i restricted to the universe."""
+    conflicts, universe = g.conflicts(), g.edges_meeting(s)
+    return {i: conflicts[i] & universe for i in bits(universe)}, universe
+
+
 def _mu_reference(g, s, k, first):
     """The search over the conflict masks restricted to the edges meeting
     S, one dict entry per such edge."""
-    conflicts, universe = edge_conflicts(g, s)
+    conflicts, universe = _restricted_conflicts(g, s)
     return _alpha_search(conflicts, universe, k, first)
 
 
@@ -304,7 +310,7 @@ def test_edge_conflicts_match_the_pairwise_rule():
         s = rng.getrandbits(n)
         if s == g.vertex_mask:
             continue
-        conflicts, universe = edge_conflicts(g, s)
+        conflicts, universe = _restricted_conflicts(g, s)
         edge_set = set(g.edges)
         meeting = [i for i, e in enumerate(g.edges) if e & s]
         assert universe == mask_of(meeting)
@@ -337,7 +343,7 @@ def test_edge_conflicts_on_small_bags_read_the_edge_list_once_per_index():
     # graph's cached indexes, not from a scan of every edge per call
     g = path_graph(300)
     g.edges = _CountingEdges(g.edges)
-    universes = [edge_conflicts(g, 3 << i)[1] for i in range(299)]
+    universes = [_restricted_conflicts(g, 3 << i)[1] for i in range(299)]
     assert g.edges.passes <= 2
     assert universes == [mask_of(range(max(0, i - 1), min(299, i + 2)))
                          for i in range(299)]

@@ -9,9 +9,9 @@ from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_graph, rng_from_seed)
 from mmtw.hypergraph import Graph
 from mmtw.measures import alpha_set, mu_intersecting
+from mmtw.oracles import pendant_pullback
 from mmtw.reductions import (approximate_mu_tw, line_square,
-                             line_square_pullback, pendant_extend,
-                             pendant_pullback)
+                             line_square_pullback, pendant_extend)
 
 
 def test_pendant_identity():
@@ -39,7 +39,7 @@ def test_line_square_identity():
         g = random_graph(rng, rng.randrange(1, 7), 0.5)
         x = line_square(g)
         for s in range(1 << g.n):
-            assert mu_intersecting(g, s) == alpha_set(x.line, x.lmap(s))
+            assert mu_intersecting(g, s) == alpha_set(x.line, g.edges_meeting(s))
 
 
 def test_line_square_pullback_valid():
@@ -51,7 +51,7 @@ def test_line_square_pullback_valid():
         back = line_square_pullback(x, t)
         assert validate(g, back)
         for v in range(g.n):
-            if g.adj[v] == 0:
+            if g.gaifman_adj()[v] == 0:
                 assert (back.bags[0] >> v) & 1
 
 
@@ -80,8 +80,8 @@ def test_pendant_ids():
     g = path_graph(3)
     x = pendant_extend(g)
     assert x.extended.n == 6
-    assert x.pendant_of(1) == 4
-    assert x.extended.adj[4] == 0b000010
+    # the pendant of v is v + n, joined to v alone
+    assert [x.extended.gaifman_adj()[v + 3] for v in range(3)] == [1, 2, 4]
 
 
 def _pair_rule_l2(g):
@@ -113,7 +113,7 @@ def test_line_square_matches_pair_rule():
         want = _pair_rule_l2(g)
         assert x.edge_of == g.edges
         assert x.line == want
-        assert x.line.adj == want.adj
+        assert x.line.gaifman_adj() == want.gaifman_adj()
 
 
 def _old_lmap(x, s):
@@ -144,7 +144,7 @@ def test_lmap_and_pullback_match_the_old_rules():
         x = line_square(g)
         for _ in range(4):
             s = rng.getrandbits(g.n)
-            assert x.lmap(s) == _old_lmap(x, s)
+            assert g.edges_meeting(s) == _old_lmap(x, s)
         t = random_decomposition(rng, x.line) if x.line.n else single_bag(x.line)
         back = line_square_pullback(x, t)
         want = TreeDecomposition(_old_pullback_bags(x, t), t.tree_edges)
