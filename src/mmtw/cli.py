@@ -31,7 +31,7 @@ from .errors import InputError, ResourceError
 from .formats import (parse_hypergraph, parse_td, serialize_hypergraph,
                       serialize_td)
 from .hypergraph import Graph, Hypergraph
-from .measures import BAG_MEASURES, MEASURES, get_measure
+from .measures import BAG_MEASURES, MEASURES
 from .reductions import approximate_mu_tw, line_square, pendant_extend
 
 EXIT_OK = 0
@@ -236,8 +236,7 @@ def _cmd_decompose(args, report: _Report) -> None:
         out = approximate_mu_tw(h, args.k)
         measure_name = "mu"
     else:
-        m = get_measure(args.measure)
-        out = approx_decomposition(h, args.k, m)
+        out = approx_decomposition(h, args.k, MEASURES[args.measure])
         measure_name = args.measure
     if isinstance(out, Refutation):
         report.status = "refuted"
@@ -344,7 +343,7 @@ def _cmd_reduce(args, report: _Report) -> None:
         out = x.line
         maps = [f"c map {i + 1} edge " +
                 " ".join(str(v + 1) for v in bits(e))
-                for i, e in enumerate(x.edge_of)]
+                for i, e in enumerate(x.original.edges)]
         report.fields["kind"] = "squared-line-graph"
     report.fields["n"] = out.n
     report.fields["m"] = len(out.edges)

@@ -1,4 +1,13 @@
-"""Bag measures and their per-set oracles.
+"""Bag measures, each written once as a per-set oracle.
+
+Each measure is one function ``(h, s, k=None)``: with k None it returns
+the exact value of S, and with k given it may stop as soon as the value is
+known to exceed k and then return any value above k (alpha and mu on graphs
+stop at an answer of k + 1, rho starts its branch-and-bound at k + 1, and
+kappa and mu on hypergraphs ignore k).  ``WellBehavedMeasure`` wraps it:
+``decide(h, s, k)`` asks the bounded question "lambda(S) <= k?", the only
+one the approximation pipeline asks, and ``value(h, s)`` the exact one that
+the width of a decomposition reads.  Both reject an S outside V(H) first.
 
 A well-behaved measure assigns a value to every vertex set of a hypergraph
 and satisfies five axioms (unit singletons, subadditivity, additivity across
@@ -30,21 +39,22 @@ ORACLE_CAP = 2_000_000
 
 @dataclass(frozen=True)
 class WellBehavedMeasure:
+    """A bag measure written once, as ``fn(h, s, k=None)`` (module
+    docstring): the exact value, or with k any value above k once the
+    value is known to exceed k."""
+
     name: str
-    decide_fn: Callable[[Hypergraph, int, int], bool]
-    value_fn: Callable[[Hypergraph, int], object]
+    fn: Callable[..., object]
 
     def decide(self, h: Hypergraph, s: int, k: int) -> bool:
         """True iff the measure of S in H is at most k."""
-        return self.decide_fn(h, s, k)
+        _check_set(h, s)
+        return self.fn(h, s, k) <= k
 
     def value(self, h: Hypergraph, s: int):
         """Exact measure of S (int, or math.inf for uncoverable rho)."""
-        return self.value_fn(h, s)
-
-
-# ---------------------------------------------------------------------------
-# per-set oracles; each rejects an S outside V(H) first
+        _check_set(h, s)
+        return self.fn(h, s)
 
 
 def _check_set(h: Hypergraph, s: int):
@@ -52,19 +62,22 @@ def _check_set(h: Hypergraph, s: int):
         raise InputError("S contains an unknown vertex id")
 
 
-def _alpha_search(adj, s: int, best: int, first: bool) -> int:
-    """max(best, alpha(G[S])) by branch-and-bound over independent sets.
+# ---------------------------------------------------------------------------
+# per-set oracles
+
+
+def _alpha_search(adj, s: int, k: int | None = None) -> int:
+    """alpha(G[S]) by branch-and-bound over independent sets; with k, the
+    search stops at the first set larger than k (and answers 0 for k < 0).
 
     A branch is cut when its size plus a greedy clique cover of its
     candidates cannot beat ``best`` (each clique holds at most one vertex of
     an independent set: Tomita and Seki's colouring bound, on the
-    complement).  With ``first`` the search stops at the first set larger
-    than ``best``.  The stack holds one frame per vertex of the current set.
+    complement).  The stack holds one frame per vertex of the current set.
     """
-    if best < 0:
-        best = 0
-        if first:
-            return best
+    if k is not None and k < 0:
+        return 0
+    best = 0 if k is None else k
     steps = 0
     count, cand = 0, s
     stack = []
@@ -74,7 +87,7 @@ def _alpha_search(adj, s: int, best: int, first: bool) -> int:
             steps += 1
             if steps > ORACLE_CAP:
                 raise ResourceError("alpha oracle cap exceeded",
-                                    **({} if first else {"best": best}))
+                                    **({"best": best} if k is None else {}))
             low = cand & -cand
             cand ^= low
             stack.append((count, cand))
@@ -82,7 +95,7 @@ def _alpha_search(adj, s: int, best: int, first: bool) -> int:
             cand &= ~adj[low.bit_length() - 1]
             if count > best:
                 best = count
-                if first:
+                if k is not None:
                     return best
         elif stack:
             count, cand = stack.pop()
@@ -109,20 +122,21 @@ def _clique_cover_exceeds(adj, cand: int, limit: int) -> bool:
     return False
 
 
-def alpha_set(h: Hypergraph, s: int) -> int:
-    """alpha(G[S]) for the Gaifman graph G of H."""
-    _check_set(h, s)
-    return _alpha_search(h.gaifman_adj(), s, 0, False)
+def _kappa(h: Hypergraph, s: int, k: int | None = None) -> int:
+    """|S| - 1; H and k are read by the other measures alone."""
+    return s.bit_count() - 1
 
 
-def alpha_decide(h: Hypergraph, s: int, k: int) -> bool:
-    """True iff the Gaifman graph has no independent (k+1)-subset of S."""
-    _check_set(h, s)
-    return _alpha_search(h.gaifman_adj(), s, k, True) <= k
+def _alpha(h: Hypergraph, s: int, k: int | None = None) -> int:
+    """alpha(G[S]) for the Gaifman graph G of H; with k, the search stops at
+    an independent (k+1)-subset of S."""
+    return _alpha_search(h.gaifman_adj(), s, k)
 
 
-def _rho_below(h: Hypergraph, s: int, best: int):
-    """min(best, rho(S)), or math.inf if some vertex of S lies in no edge.
+def _rho(h: Hypergraph, s: int, k: int | None = None):
+    """rho(S), the fewest edges of H covering S, or math.inf if some vertex
+    of S lies in no edge; with k, min(k + 1, rho(S)), since the search
+    starts from the bound ``best`` = k + 1 instead of |S| + 1.
 
     Branches on the edges through the lowest uncovered vertex, the edge
     covering the most uncovered vertices first, so that the first descent
@@ -140,6 +154,7 @@ def _rho_below(h: Hypergraph, s: int, best: int):
     edges, inc, adj = h.edges, h.incidence(), h.gaifman_adj()
     if not all(inc[v] for v in bits(s)):
         return math.inf
+    best = s.bit_count() + 1 if k is None else k + 1
     stack = [(s, 0)]
     while stack:
         uncovered, used = stack.pop()
@@ -170,34 +185,6 @@ def _rho_below(h: Hypergraph, s: int, best: int):
         for child in sorted(children, key=int.bit_count, reverse=True):
             stack.append((child, used))
     return best
-
-
-def rho_set(h: Hypergraph, s: int):
-    """Minimum number of edges of H covering S; math.inf if some vertex of S
-    lies in no edge."""
-    _check_set(h, s)
-    return _rho_below(h, s, s.bit_count() + 1)
-
-
-def rho_decide(h: Hypergraph, s: int, k: int) -> bool:
-    """True iff k edges of H cover S; false for every k if S is uncoverable."""
-    _check_set(h, s)
-    return _rho_below(h, s, k + 1) <= k
-
-
-def induced_matching_intersecting(g: Hypergraph, s: int) -> int:
-    """Maximum induced matching of the graph G with every matched edge
-    meeting S (G given as a hypergraph whose edges are all pairs).
-
-    Two edges conflict when they share a vertex or an edge of G joins them,
-    so these matchings are the independent sets of the conflict graph on
-    the edges that meet S.  The search runs on ``g.conflicts()``, the masks
-    over all of G, from the universe ``g.edges_meeting(s)`` of the edges
-    that meet S.  Restricting each mask to that universe would change no
-    step: ``_alpha_search`` only removes a mask from its candidates and ANDs
-    one into a subset of them, and its candidates start as the universe, so
-    the bits of a mask outside it are never read."""
-    return _alpha_search(g.conflicts(), g.edges_meeting(s), 0, False)
 
 
 def minor_matching_intersecting(h: Hypergraph, s: int) -> int:
@@ -266,48 +253,33 @@ def minor_matching_intersecting(h: Hypergraph, s: int) -> int:
     return max(0, search(edges, 0))
 
 
-def _is_graph(h: Hypergraph) -> bool:
-    return not h.edges or h.edge_sizes() == (2, 2)
+def _mu(h: Hypergraph, s: int, k: int | None = None) -> int:
+    """mu_H(S).  On hypergraphs this is ``minor_matching_intersecting``,
+    whatever k.  On a graph G it is the largest induced matching of G with
+    every matched edge meeting S, and with k the search stops at one of k + 1
+    edges.
 
-
-def mu_intersecting(h: Hypergraph, s: int) -> int:
-    """mu_H(S); graphs take the induced-matching fast path."""
-    _check_set(h, s)
-    if _is_graph(h):
-        return induced_matching_intersecting(h, s)
-    return minor_matching_intersecting(h, s)
-
-
-def mu_decide(h: Hypergraph, s: int, k: int) -> bool:
-    """True iff mu_H(S) <= k; on graphs the search stops at a (k+1)-edge
-    induced matching."""
-    _check_set(h, s)
-    if _is_graph(h):
-        return _alpha_search(h.conflicts(), h.edges_meeting(s), k,
-                             True) <= k
-    return minor_matching_intersecting(h, s) <= k
+    Two edges conflict when they share a vertex or an edge of G joins them,
+    so these matchings are the independent sets of the conflict graph on
+    the edges that meet S.  The search runs on ``h.conflicts()``, the masks
+    over all of G, from the universe ``h.edges_meeting(s)`` of the edges
+    that meet S.  Restricting each mask to that universe would change no
+    step: ``_alpha_search`` only removes a mask from its candidates and ANDs
+    one into a subset of them, and its candidates start as the universe, so
+    the bits of a mask outside it are never read."""
+    if h.edges and h.edge_sizes() != (2, 2):
+        return minor_matching_intersecting(h, s)
+    return _alpha_search(h.conflicts(), h.edges_meeting(s), k)
 
 
 # ---------------------------------------------------------------------------
 # registry
 
 
-def _kappa(h: Hypergraph, s: int) -> int:
-    _check_set(h, s)
-    return s.bit_count() - 1
-
-
-KAPPA = WellBehavedMeasure("kappa", lambda h, s, k: _kappa(h, s) <= k, _kappa)
-ALPHA = WellBehavedMeasure("alpha", alpha_decide, alpha_set)
-RHO = WellBehavedMeasure("rho", rho_decide, rho_set)
-MU = WellBehavedMeasure("mu", mu_decide, mu_intersecting)
+KAPPA = WellBehavedMeasure("kappa", _kappa)
+ALPHA = WellBehavedMeasure("alpha", _alpha)
+RHO = WellBehavedMeasure("rho", _rho)
+MU = WellBehavedMeasure("mu", _mu)
 
 MEASURES = {"alpha": ALPHA, "rho": RHO}
 BAG_MEASURES = {"kappa": KAPPA, **MEASURES, "mu": MU}
-
-
-def get_measure(name: str) -> WellBehavedMeasure:
-    try:
-        return MEASURES[name]
-    except KeyError:
-        raise InputError(f"unknown measure {name!r}; pick one of {sorted(MEASURES)}")

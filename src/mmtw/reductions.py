@@ -48,13 +48,12 @@ class LineSquare:
     bridged by a third edge.  Isolated vertices of G have no image."""
 
     original: Graph
-    line: Graph
-    edge_of: tuple[int, ...]  # L-vertex i is the edge original.edges[i]
+    line: Graph  # vertex i is the edge original.edges[i]
 
 
 def line_square(g: Graph) -> LineSquare:
-    # L-vertex i is g.edges[i]; its adjacency is g's conflict index itself
-    return LineSquare(g, Graph.from_adj(g.conflicts()), g.edges)
+    # the adjacency of L-vertex i is g's conflict mask of edge i
+    return LineSquare(g, Graph.from_adj(g.conflicts()))
 
 
 def line_square_pullback(x: LineSquare, t: TreeDecomposition
@@ -69,9 +68,9 @@ def line_square_pullback(x: LineSquare, t: TreeDecomposition
     for bag in t.bags:
         ends = 0   # a vertex with all its edges in the bag is an end of one
         for i in bits(bag):
-            ends |= x.edge_of[i]
+            ends |= g.edges[i]
         bags.append(mask_of(v for v in bits(ends) if not inc[v] & ~bag))
-    bags[0] |= g.vertex_mask & ~reduce(or_, x.edge_of, 0)
+    bags[0] |= g.vertex_mask & ~reduce(or_, g.edges, 0)
     return TreeDecomposition(bags, t.tree_edges)
 
 

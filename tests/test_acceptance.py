@@ -21,7 +21,7 @@ from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_decomposition, random_graph,
                            random_hypergraph, random_weights, rng_from_seed)
 from mmtw.hypergraph import Hypergraph
-from mmtw.measures import ALPHA, RHO, alpha_set, mu_intersecting
+from mmtw.measures import ALPHA, MU, RHO
 from mmtw.oracles import (_separates, blocker_bruteforce, chromatic_bruteforce,
                           hom_bruteforce, independent_in, lambda_tw_exact,
                           minimalize, mwis_bruteforce,
@@ -72,7 +72,7 @@ def test_criterion_3_matching_lower_bound():
         n = rng.randrange(1, 11)
         h = random_hypergraph(rng, n, rng.randrange(0, n + 3), rank=4)
         s = rng.getrandbits(n)
-        mu = mu_intersecting(h, s)
+        mu = MU.value(h, s)
         checked += 1
         got = trace_blocker(h, s).traces
         if len(got) < 2 ** mu:
@@ -90,9 +90,9 @@ def test_criterion_4_reduction_identities():
         pend = pendant_extend(g)
         ls = line_square(g)
         for s in range(1 << n):
-            if alpha_set(g, s) != mu_intersecting(pend.extended, s):
+            if ALPHA.value(g, s) != MU.value(pend.extended, s):
                 failures += 1
-            if mu_intersecting(g, s) != alpha_set(ls.line, g.edges_meeting(s)):
+            if MU.value(g, s) != ALPHA.value(ls.line, g.edges_meeting(s)):
                 failures += 1
     _report(4, failures == 0,
             f"alpha/mu reduction identities, all S on 100 graphs, {failures} failures")

@@ -461,6 +461,17 @@ def test_decompose_has_no_table_cap(files, capsys):
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("measure", ["kappa", "mu"])
+def test_decompose_offers_only_the_well_behaved_measures(files, capsys,
+                                                         measure):
+    # kappa and mu are bag measures but not well-behaved; mu is decompose's
+    # default, reached through L^2 rather than by name
+    hg = files("p3.hg", serialize_hypergraph(path_graph(3)))
+    with pytest.raises(SystemExit) as info:
+        main(["decompose", "-k", "1", hg, "--measure", measure])
+    assert info.value.code == 2
+
+
 def test_trace_has_no_table_cap(files, capsys):
     # trace builds no DP table, so table is an unknown cap there; solve,
     # which does, takes all three

@@ -12,8 +12,7 @@ from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_decomposition, random_graph,
                            random_hypergraph, rng_from_seed)
 from mmtw.hypergraph import Graph, Hypergraph
-from mmtw.measures import (alpha_set, induced_matching_intersecting,
-                           minor_matching_intersecting, mu_intersecting, rho_set)
+from mmtw.measures import ALPHA, MU, RHO, minor_matching_intersecting
 from mmtw.oracles import _fill_neighborhood, independent_in
 
 
@@ -134,30 +133,30 @@ def test_random_decomposition_valid():
 
 def test_alpha_values():
     c5 = cycle_graph(5)
-    assert alpha_set(c5, c5.vertex_mask) == 2
+    assert ALPHA.value(c5, c5.vertex_mask) == 2
     k5 = complete_graph(5)
-    assert alpha_set(k5, k5.vertex_mask) == 1
-    assert alpha_set(c5, 0) == 0
+    assert ALPHA.value(k5, k5.vertex_mask) == 1
+    assert ALPHA.value(c5, 0) == 0
 
 
 def test_rho_values():
     p3 = path_graph(3)
-    assert rho_set(p3, p3.vertex_mask) == 2
-    assert rho_set(p3, 0) == 0
+    assert RHO.value(p3, p3.vertex_mask) == 2
+    assert RHO.value(p3, 0) == 0
     isolated = Hypergraph(2, [0b01])
-    assert rho_set(isolated, 0b10) == math.inf
+    assert RHO.value(isolated, 0b10) == math.inf
 
 
 def test_mu_values():
     # nK2 has mu = n on its full vertex set
     for n in (1, 2, 3):
         g = Graph.from_pairs(2 * n, [(2 * i, 2 * i + 1) for i in range(n)])
-        assert mu_intersecting(g, g.vertex_mask) == n
+        assert MU.value(g, g.vertex_mask) == n
     k5 = complete_graph(5)
-    assert mu_intersecting(k5, k5.vertex_mask) == 1
+    assert MU.value(k5, k5.vertex_mask) == 1
     # C5 has no induced 2K2: any two disjoint edges are bridged
     c5 = cycle_graph(5)
-    assert mu_intersecting(c5, c5.vertex_mask) == 1
+    assert MU.value(c5, c5.vertex_mask) == 1
 
 
 def test_induced_matching_on_graphs_matches_mu():
@@ -165,7 +164,7 @@ def test_induced_matching_on_graphs_matches_mu():
     for _ in range(40):
         g = random_graph(rng, rng.randrange(1, 9), 0.4)
         s = rng.getrandbits(g.n)
-        assert induced_matching_intersecting(g, s) == minor_matching_intersecting(g, s)
+        assert MU.value(g, s) == minor_matching_intersecting(g, s)
 
 
 def test_width_report():
@@ -185,9 +184,9 @@ def test_measures_monotone_in_s():
         h = random_hypergraph(rng, rng.randrange(1, 9), rng.randrange(1, 6))
         s = rng.getrandbits(h.n)
         t = s & rng.getrandbits(h.n)
-        assert alpha_set(h, t) <= alpha_set(h, s)
-        assert rho_set(h, t) <= rho_set(h, s)
-        assert mu_intersecting(h, t) <= mu_intersecting(h, s)
+        assert ALPHA.value(h, t) <= ALPHA.value(h, s)
+        assert RHO.value(h, t) <= RHO.value(h, s)
+        assert MU.value(h, t) <= MU.value(h, s)
 
 
 def _neighbours(adj, u):

@@ -367,6 +367,8 @@ UNREAD = {
         "the interface passes the bag; the leaf sets already lie in it",
     "dp.CoverDP.merge.trace":
         "the interface passes the trace; CoverDP sets reads_trace false",
+    "measures._kappa":
+        "the interface passes H and k; kappa reads |S| alone",
     "oracles._separates.n": "reference code, which its test callers pass n",
 }
 

@@ -12,9 +12,7 @@ from mmtw.generate import (cycle_graph, path_graph, random_graph,
                            random_hypergraph, rng_from_seed)
 from mmtw.hypergraph import Graph, Hypergraph, induced
 from mmtw.measures import (ALPHA, BAG_MEASURES, MEASURES, MU, RHO,
-                           _alpha_search, alpha_decide, alpha_set, get_measure, induced_matching_intersecting,
-                           minor_matching_intersecting, mu_decide,
-                           mu_intersecting, rho_decide, rho_set)
+                           _alpha_search, minor_matching_intersecting)
 from mmtw.oracles import mwis_bruteforce, rho_bruteforce
 
 
@@ -31,7 +29,7 @@ def instances(seed, count):
 
 @pytest.mark.parametrize("name", sorted(MEASURES))
 def test_axiom_unit_singletons(name):
-    m = get_measure(name)
+    m = MEASURES[name]
     for rng, h in instances(20, 60):
         for v in range(h.n):
             val = m.value(h, 1 << v)
@@ -43,7 +41,7 @@ def test_axiom_unit_singletons(name):
 
 @pytest.mark.parametrize("name", sorted(MEASURES))
 def test_axiom_subadditive(name):
-    m = get_measure(name)
+    m = MEASURES[name]
     for rng, h in instances(21, 60):
         s = rng.getrandbits(h.n)
         t = rng.getrandbits(h.n)
@@ -52,7 +50,7 @@ def test_axiom_subadditive(name):
 
 @pytest.mark.parametrize("name", sorted(MEASURES))
 def test_axiom_additive_across_non_adjacent_parts(name):
-    m = get_measure(name)
+    m = MEASURES[name]
     adj_of = lambda h: h.gaifman_adj()
     for rng, h in instances(22, 80):
         adj = adj_of(h)
@@ -65,7 +63,7 @@ def test_axiom_additive_across_non_adjacent_parts(name):
 
 @pytest.mark.parametrize("name", sorted(MEASURES))
 def test_axiom_monotone(name):
-    m = get_measure(name)
+    m = MEASURES[name]
     for rng, h in instances(23, 80):
         s = rng.getrandbits(h.n)
         t = s & rng.getrandbits(h.n)
@@ -74,7 +72,7 @@ def test_axiom_monotone(name):
 
 @pytest.mark.parametrize("name", sorted(MEASURES))
 def test_axiom_decide_consistent_with_value(name):
-    m = get_measure(name)
+    m = MEASURES[name]
     for rng, h in instances(24, 80):
         s = rng.getrandbits(h.n)
         val = m.value(h, s)
@@ -82,21 +80,10 @@ def test_axiom_decide_consistent_with_value(name):
             assert m.decide(h, s, k) == (val <= k)
 
 
-def test_unknown_measure():
-    with pytest.raises(InputError):
-        get_measure("kappa")
-
-
 def test_every_oracle_rejects_an_unknown_vertex():
-    # S = {3} on P3 (a graph) and on a rank-3 hypergraph over 3 vertices
+    # S = {1, 3} on P3 (a graph) and on a rank-3 hypergraph over 3
+    # vertices: vertex 3 is unknown
     for h in (path_graph(3), Hypergraph(3, [0b111])):
-        for oracle in (alpha_set, rho_set, mu_intersecting):
-            with pytest.raises(InputError):
-                oracle(h, 0b1000)
-        for oracle in (alpha_decide, rho_decide, mu_decide):
-            for k in range(3):
-                with pytest.raises(InputError):
-                    oracle(h, 0b1000, k)
         for m in BAG_MEASURES.values():
             with pytest.raises(InputError):
                 m.value(h, 0b1010)
@@ -122,10 +109,10 @@ def test_rho_uncoverable_is_math_inf():
 def test_rho_of_the_empty_set_when_every_edge_is_empty():
     # the largest edge has size 0; the empty set is covered by no edge
     h = Hypergraph(3, [0])
-    assert rho_set(h, 0) == 0
-    assert rho_decide(h, 0, 0)
-    assert rho_set(h, 0b001) is math.inf
-    assert not rho_decide(h, 0b001, 3)
+    assert RHO.value(h, 0) == 0
+    assert RHO.decide(h, 0, 0)
+    assert RHO.value(h, 0b001) is math.inf
+    assert not RHO.decide(h, 0b001, 3)
 
 
 @pytest.mark.parametrize("name", list(BAG_MEASURES))
@@ -136,6 +123,19 @@ def test_bag_measure_decide_consistent_with_value(name):
         val = m.value(h, s)
         for k in range(-1, h.n + 2):
             assert m.decide(h, s, k) == (val <= k)
+
+
+@pytest.mark.parametrize("m", [ALPHA, MU], ids=["alpha", "mu"])
+def test_decide_stops_at_k_plus_1(m, monkeypatch):
+    # on P1200 with S = V, an answer of 2 is found in 2 steps, well under
+    # the cap; the exact search climbs one step per vertex (or edge) of its
+    # first set and reaches the cap first
+    monkeypatch.setattr("mmtw.measures.ORACLE_CAP", 5)
+    p = path_graph(1200)
+    assert not m.decide(p, p.vertex_mask, 1)
+    with pytest.raises(ResourceError) as info:
+        m.value(p, p.vertex_mask)
+    assert info.value.stats["best"] == 5
 
 
 def test_alpha_matches_unit_weight_mwis():
@@ -162,10 +162,10 @@ def test_minor_matching_cap_reports_best(monkeypatch):
 def test_alpha_and_induced_matching_closed_forms():
     for n in range(3, 201):
         p, c = path_graph(n), cycle_graph(n)
-        assert alpha_set(p, p.vertex_mask) == (n + 1) // 2
-        assert alpha_set(c, c.vertex_mask) == n // 2
-        assert induced_matching_intersecting(p, p.vertex_mask) == (n + 1) // 3
-        assert induced_matching_intersecting(c, c.vertex_mask) == n // 3
+        assert ALPHA.value(p, p.vertex_mask) == (n + 1) // 2
+        assert ALPHA.value(c, c.vertex_mask) == n // 2
+        assert MU.value(p, p.vertex_mask) == (n + 1) // 3
+        assert MU.value(c, c.vertex_mask) == n // 3
 
 
 def _conflict_graph(g, s):
@@ -189,20 +189,20 @@ def test_alpha_and_mu_oracles_match_bruteforce_on_graphs():
         s = rng.getrandbits(n)
         sub, _ = induced(g, s)
         alpha = mwis_bruteforce(sub, [1] * sub.n, cap=sub.n)[0]
-        assert alpha_set(g, s) == alpha
+        assert ALPHA.value(g, s) == alpha
         conflict = _conflict_graph(g, s)
         mu = mwis_bruteforce(conflict, [1] * conflict.n, cap=conflict.n)[0]
-        assert induced_matching_intersecting(g, s) == mu
+        assert MU.value(g, s) == mu
         for k in range(-1, n + 1):
-            assert alpha_decide(g, s, k) == (alpha <= k)
+            assert ALPHA.decide(g, s, k) == (alpha <= k)
             assert MU.decide(g, s, k) == (mu <= k)
 
 
 def test_oracles_on_a_long_path():
     # the search keeps its own stack, so depth in n raises no RecursionError
     p = path_graph(1200)
-    assert alpha_set(p, p.vertex_mask) == 600
-    assert induced_matching_intersecting(p, p.vertex_mask) == 400
+    assert ALPHA.value(p, p.vertex_mask) == 600
+    assert MU.value(p, p.vertex_mask) == 400
     assert MU.decide(p, p.vertex_mask, 400)
     assert not MU.decide(p, p.vertex_mask, 399)
 
@@ -242,20 +242,20 @@ def _restricted_conflicts(g, s):
     return {i: conflicts[i] & universe for i in bits(universe)}, universe
 
 
-def _mu_reference(g, s, k, first):
+def _mu_reference(g, s, k=None):
     """The search over the conflict masks restricted to the edges meeting
     S, one dict entry per such edge."""
     conflicts, universe = _restricted_conflicts(g, s)
-    return _alpha_search(conflicts, universe, k, first)
+    return _alpha_search(conflicts, universe, k)
 
 
 def test_mu_on_graphs_reads_the_whole_graph_masks_as_the_restricted_ones():
     small = 0
     for g, s in _mu_instances(32, 200):
-        value = _mu_reference(g, s, 0, False)
-        assert mu_intersecting(g, s) == value
+        value = _mu_reference(g, s)
+        assert MU.value(g, s) == value
         for k in range(4):
-            assert mu_decide(g, s, k) == (_mu_reference(g, s, k, True) <= k)
+            assert MU.decide(g, s, k) == (_mu_reference(g, s, k) <= k)
         if g.n <= 9:
             assert minor_matching_intersecting(g, s) == value
             small += 1
@@ -269,12 +269,12 @@ def test_mu_on_graphs_hits_the_oracle_cap_where_the_restricted_search_does(
     monkeypatch.setattr("mmtw.measures.ORACLE_CAP", 3)
     seen = {"value": [0, 0], "decide": [0, 0]}
     for g, s in _mu_instances(32, 200):
-        got = _outcome(mu_intersecting, g, s)
-        assert got == _outcome(_mu_reference, g, s, 0, False)
+        got = _outcome(MU.value, g, s)
+        assert got == _outcome(_mu_reference, g, s)
         seen["value"][isinstance(got, tuple)] += 1
         for k in range(4):
-            got = _outcome(mu_decide, g, s, k)
-            assert got == _outcome(lambda: _mu_reference(g, s, k, True) <= k)
+            got = _outcome(MU.decide, g, s, k)
+            assert got == _outcome(lambda: _mu_reference(g, s, k) <= k)
             seen["decide"][isinstance(got, tuple)] += 1
     # both outcomes, answered and capped, are reached by both oracles
     assert all(count >= 20 for pair in seen.values() for count in pair)
@@ -297,8 +297,8 @@ def test_rho_matches_bruteforce_and_closed_forms():
     # keeps its own stack, so depth in n raises no RecursionError
     for n in [*range(3, 41), 60, 100, 150, 200, 1200]:
         p, c = path_graph(n), cycle_graph(n)
-        assert rho_set(p, p.vertex_mask) == (n + 1) // 2
-        assert rho_set(c, c.vertex_mask) == (n + 1) // 2
+        assert RHO.value(p, p.vertex_mask) == (n + 1) // 2
+        assert RHO.value(c, c.vertex_mask) == (n + 1) // 2
 
 
 def test_edge_conflicts_match_the_pairwise_rule():
@@ -354,7 +354,7 @@ def test_rho_on_small_bags_never_walks_the_gaifman_adjacency():
     # from a per-vertex list built on each call
     g = path_graph(300)
     g._gaifman_adj = _CountingEdges(g.gaifman_adj())
-    values = [rho_set(g, 3 << i) for i in range(299)]
+    values = [RHO.value(g, 3 << i) for i in range(299)]
     assert g._gaifman_adj.passes == 0
     assert values == [1] * 299
 
@@ -364,6 +364,6 @@ def test_mu_on_small_bags_reads_the_edge_list_once_per_index():
     # of every edge per call
     g = path_graph(300)
     g.edges = _CountingEdges(g.edges)
-    values = [mu_intersecting(g, 3 << i) for i in range(299)]
+    values = [MU.value(g, 3 << i) for i in range(299)]
     assert g.edges.passes <= 2
     assert values == [1] * 299

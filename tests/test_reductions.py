@@ -8,7 +8,7 @@ from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_cobipartite, random_decomposition,
                            random_graph, rng_from_seed)
 from mmtw.hypergraph import Graph
-from mmtw.measures import alpha_set, mu_intersecting
+from mmtw.measures import ALPHA, MU
 from mmtw.oracles import pendant_pullback
 from mmtw.reductions import (approximate_mu_tw, line_square,
                              line_square_pullback, pendant_extend)
@@ -20,7 +20,7 @@ def test_pendant_identity():
         g = random_graph(rng, rng.randrange(1, 7), 0.5)
         x = pendant_extend(g)
         for s in range(1 << g.n):
-            assert alpha_set(g, s) == mu_intersecting(x.extended, s)
+            assert ALPHA.value(g, s) == MU.value(x.extended, s)
 
 
 def test_pendant_pullback_valid():
@@ -39,7 +39,7 @@ def test_line_square_identity():
         g = random_graph(rng, rng.randrange(1, 7), 0.5)
         x = line_square(g)
         for s in range(1 << g.n):
-            assert mu_intersecting(g, s) == alpha_set(x.line, g.edges_meeting(s))
+            assert MU.value(g, s) == ALPHA.value(x.line, g.edges_meeting(s))
 
 
 def test_line_square_pullback_valid():
@@ -111,14 +111,13 @@ def test_line_square_matches_pair_rule():
     for g in graphs:
         x = line_square(g)
         want = _pair_rule_l2(g)
-        assert x.edge_of == g.edges
         assert x.line == want
         assert x.line.gaifman_adj() == want.gaifman_adj()
 
 
 def _old_lmap(x, s):
     """L(S) by a scan of every edge of G."""
-    return mask_of(i for i, e in enumerate(x.edge_of) if e & s)
+    return mask_of(i for i, e in enumerate(x.original.edges) if e & s)
 
 
 def _old_pullback_bags(x, t):
@@ -126,7 +125,7 @@ def _old_pullback_bags(x, t):
     vertices whose incident edges all lie in the bag, isolated vertices
     added to bag 0."""
     g = x.original
-    incident = [mask_of(i for i, e in enumerate(x.edge_of) if e >> v & 1)
+    incident = [mask_of(i for i, e in enumerate(x.original.edges) if e >> v & 1)
                 for v in range(g.n)]
     bags = [mask_of(v for v in range(g.n)
                     if incident[v] and not incident[v] & ~bag)
