@@ -7,12 +7,12 @@ and a composition drops the pinned edge, so no edge ever leaves them.
 
 - **Berge leaf.**  When every edge lies inside S, the trace is the blocker
   itself, and the node returns the minimal transversals from ``_berge``, each
-  its own witness.  The leaf is charged to the caps as if each transversal
-  were a child: one node per transversal, with the depth budget checked at
-  depth + 1.  Berge's partial families (over a prefix of the edges) can
-  outgrow the final one, so the enumeration stops as soon as one has more
-  members than the nodes left, and the leaf is then charged one node past
-  the cap, so its work grows with the cap, not with the blocker.
+  its own witness.  The leaf is charged to the node budget as if each
+  transversal were a child: one node per transversal.  Berge's partial
+  families (over a prefix of the edges) can outgrow the final one, so the
+  enumeration stops as soon as one has more members than the nodes left,
+  and the leaf is then charged one node past the cap, so its work grows
+  with the cap, not with the blocker.
 - **Cheapest pivot.**  Otherwise the pivot x is the vertex outside S with the
   fewest type-2 branches, Σ_{h∋x} |h ∩ S|, ties going to the lowest id.  The
   costs are summed in one pass over the edges, and the scan over the
@@ -46,7 +46,11 @@ traces above, and the same identity holds for tr_S(b(cl(H[X]))).
 its closed neighbourhood in all of H, and a caller that wants the trace of
 H[X] passes the copy of H[N_X[S]] (``dp._MergeTrace`` does): the search
 costs what the neighbourhood of S costs, however large X is, and the node
-and depth caps bound that one search.
+budget bounds that one search.  It is the search's only budget: every node
+that is not a memo hit is charged, and a child has fewer live vertices than
+its parent (the pivot, and for type 2 all of h, leave them), so each frame
+on the stack is a charged node and a budget of N stops every branch deeper
+than N.
 
 ``enumerate_mis`` lists the maximal independent sets of an induced
 subhypergraph as complements of ``_berge``'s transversals; every leaf set of
@@ -64,14 +68,8 @@ DEFAULT_NODE_CAP = 200_000
 
 
 @dataclass(frozen=True)
-class BranchCaps:
-    nodes: int = DEFAULT_NODE_CAP
-    depth: int | None = None
-
-
-@dataclass(frozen=True)
 class TraceResult:
-    """The trace and the search nodes charged to the caps."""
+    """The trace and the search nodes charged to the node budget."""
 
     traces: frozenset[int]
     nodes_explored: int
@@ -168,20 +166,17 @@ class _Brancher:
     reached to its node result, so a clutter met twice is searched once and
     charged to ``nodes`` once."""
 
-    def __init__(self, s: int, caps: BranchCaps):
+    def __init__(self, s: int, node_cap: int):
         self.s = s
-        self.caps = caps
+        self.node_cap = node_cap
         self.nodes = 0
         self.memo: dict[tuple[int, ...], dict[int, int]] = {}
 
-    def _tick(self, depth: int, count: int = 1):
-        """Charge ``count`` search nodes at ``depth`` to the caps."""
+    def _tick(self, count: int = 1):
+        """Charge ``count`` search nodes to the node budget."""
         self.nodes += count
-        if self.nodes > self.caps.nodes:
+        if self.nodes > self.node_cap:
             raise ResourceError("branch node budget exceeded",
-                                nodes=self.nodes)
-        if self.caps.depth is not None and depth > self.caps.depth:
-            raise ResourceError("branch depth budget exceeded",
                                 nodes=self.nodes)
 
     def _semantic_witness(self, a: int, edges) -> int | None:
@@ -215,15 +210,15 @@ class _Brancher:
                 return a | t0
         return None
 
-    def run(self, edges: tuple[int, ...], depth: int) -> dict[int, int]:
+    def run(self, edges: tuple[int, ...]) -> dict[int, int]:
         """Map from trace mask to one witness minimal transversal of ``edges``.
 
         ``edges`` is a sorted clutter; its union is the set of live vertices.
         If every edge lies inside S, the node is a Berge leaf: it returns
         each minimal transversal as its own witness and is charged one node
-        per transversal at depth + 1, or one node past the cap once a
-        partial Berge family outgrows the nodes left.  Otherwise it branches
-        on the pivot x outside S with the fewest type-2 branches
+        per transversal, or one node past the cap once a partial Berge
+        family outgrows the nodes left.  Otherwise it branches on the pivot
+        x outside S with the fewest type-2 branches
         Σ_{h∋x} |h ∩ S| (lowest id on ties; the scan stops at a cost of 0):
         type 1 recurses on the edges avoiding x, type 2 on the clutter
         composed along each edge h through x and each z in h ∩ S.
@@ -232,7 +227,7 @@ class _Brancher:
         hit = memo.get(edges)
         if hit is not None:
             return hit
-        self._tick(depth)
+        self._tick()
         s = self.s
         if not edges or edges[0] == 0:
             result = {} if edges else {0: 0}
@@ -254,10 +249,10 @@ class _Brancher:
                     out ^= b
         outside = union & ~s
         if not outside:
-            # a Berge leaf: one node per transversal, one level down
-            left = self.caps.nodes - self.nodes
+            # a Berge leaf: one node per transversal
+            left = self.node_cap - self.nodes
             trans = _berge(edges, left)
-            self._tick(depth + 1, left + 1 if trans is None else len(trans))
+            self._tick(left + 1 if trans is None else len(trans))
             result = {t: t for t in trans}
             memo[edges] = result
             return result
@@ -282,7 +277,7 @@ class _Brancher:
         # type 1: transversals that survive deleting the pivot; such a
         # transversal already hits every edge avoiding x, so only the
         # pivot's edges decide whether x must be added
-        for w in self.run(tuple(sub_edges), depth + 1).values():
+        for w in self.run(tuple(sub_edges)).values():
             for e in x_edges:
                 if not e & w:
                     w |= bx
@@ -299,8 +294,8 @@ class _Brancher:
             while zs:
                 bz = zs & -zs
                 zs ^= bz
-                sub = self.run(_compose_masks(edges, h, x, bz.bit_length() - 1),
-                               depth + 1)
+                sub = self.run(
+                    _compose_masks(edges, h, x, bz.bit_length() - 1))
                 for tr, w in sub.items():
                     a = (tr | bz) & s
                     if a in result or a in failed:
@@ -327,17 +322,17 @@ def _closed_neighbourhood(h: Hypergraph, s: int, within: int) -> int:
     return near
 
 
-def trace_blocker(h: Hypergraph, s: int, caps: BranchCaps = BranchCaps()
-                  ) -> TraceResult:
-    """tr_S(b(cl(H))) by branching; exact, with node/depth budgets.
+def trace_blocker(h: Hypergraph, s: int,
+                  node_cap: int = DEFAULT_NODE_CAP) -> TraceResult:
+    """tr_S(b(cl(H))) by branching; exact, with a node budget.
 
     The search runs on the edges inside N[S] alone (the module docstring
-    proves the trace is the same), so ``nodes_explored`` and the caps count
-    that one search and nothing else.
+    proves the trace is the same), so ``nodes_explored`` and ``node_cap``
+    count that one search and nothing else.
     """
     if s & ~h.vertex_mask:
         raise InputError("S contains an unknown vertex id")
     near = _closed_neighbourhood(h, s, h.vertex_mask)
-    brancher = _Brancher(s, caps)
-    res = brancher.run(_minimal_masks(e for e in h.edges if not e & ~near), 0)
+    brancher = _Brancher(s, node_cap)
+    res = brancher.run(_minimal_masks(e for e in h.edges if not e & ~near))
     return TraceResult(frozenset(res), brancher.nodes)

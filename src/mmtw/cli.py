@@ -1,16 +1,17 @@
 """Command-line front-end.
 
-Subcommands: decompose, validate, width, trace, solve, reduce, stats,
-selftest.  Exit codes: 0 ok, 10 refuted, 20 resource cap exceeded, 2 invalid
-input.  With --json the report goes to stdout as a single JSON object with a
-"schema" field; diagnostics always go to stderr.
+Subcommands: decompose, validate, width, trace, solve, reduce, stats.  Exit
+codes: 0 ok, 10 refuted, 20 resource cap exceeded, 2 invalid input.  With
+--json the report goes to stdout as a single JSON object with a "schema"
+field; diagnostics always go to stderr.
 
 ``--caps`` exists on trace and solve only, the two subcommands that read it:
-nodes and depth bound the blocker trace, and table, which solve alone takes,
-bounds DP tables.  The other caps (separator guesses in decompose, per-set
-oracle steps) are fixed module constants and still exit 20 when hit.  A cap
-that fires at a bag names it by its 1-based id, as the ``b`` lines of a
-``.td`` file do.
+nodes bounds the blocker trace, and table, which solve alone takes, bounds
+DP tables.  The trace has no depth cap, since nodes bounds its depth too
+(see ``errors.ResourceError``).  The other caps (separator guesses in
+decompose, per-set oracle steps) are fixed module constants and still exit
+20 when hit.  A cap that fires at a bag names it by its 1-based id, as the
+``b`` lines of a ``.td`` file do.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from fractions import Fraction
 from . import __version__
 from ._bits import bits
 from .approx import Refutation, approx_decomposition, width_bound
-from .blocker import DEFAULT_NODE_CAP, BranchCaps, trace_blocker
+from .blocker import DEFAULT_NODE_CAP, trace_blocker
 from .decomposition import validate, width
 from .dp import (DEFAULT_TABLE_CAP, chromatic_decide, hom_decide, mwis)
 from .errors import InputError, ResourceError
@@ -59,8 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def caps(sp, more=""):
         sp.add_argument("--caps", metavar="K=V[,K=V...]", default="",
                         help="resource caps: nodes=N (branch nodes, default "
-                             f"{DEFAULT_NODE_CAP}), depth=N (branch depth, "
-                             "default unlimited)" + more)
+                             f"{DEFAULT_NODE_CAP})" + more)
 
     sp = sub.add_parser("decompose", help="approximate a bounded-width "
                         "decomposition or refute the width bound")
@@ -103,8 +103,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="target hypergraph file (hom)")
     common(sp)
     caps(sp, f", table=N (DP table entries, default {DEFAULT_TABLE_CAP}); "
-             "nodes and depth bound the blocker trace, which solve runs only "
-             "for mwis")
+             "nodes bounds the blocker trace, which solve runs only for mwis")
 
     sp = sub.add_parser("reduce", help="apply a width-preserving reduction")
     sp.add_argument("hypergraph")
@@ -116,15 +115,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("stats", help="basic facts about a hypergraph")
     sp.add_argument("hypergraph")
     common(sp)
-
-    sp = sub.add_parser("selftest", help="run a built-in consistency battery")
-    sp.add_argument("--seed", type=int, default=0)
-    common(sp)
     return p
 
 
 # the caps each subcommand reads, with their defaults
-TRACE_CAPS = {"nodes": DEFAULT_NODE_CAP, "depth": None}
+TRACE_CAPS = {"nodes": DEFAULT_NODE_CAP}
 SOLVE_CAPS = {**TRACE_CAPS, "table": DEFAULT_TABLE_CAP}
 
 
@@ -292,7 +287,7 @@ def _cmd_trace(args, report: _Report) -> None:
             if not 1 <= v <= h.n:
                 raise InputError(f"vertex {v} out of range 1..{h.n}")
             s |= 1 << (v - 1)
-    res = trace_blocker(h, s, BranchCaps(caps["nodes"], caps["depth"]))
+    res = trace_blocker(h, s, caps["nodes"])
     members = [sorted(v + 1 for v in bits(a)) for a in sorted(res.traces)]
     report.fields["S"] = sorted(v + 1 for v in bits(s))
     report.fields["members"] = members
@@ -305,8 +300,7 @@ def _cmd_solve(args, report: _Report) -> None:
     t = parse_td(_read(args.decomposition))
     caps = _parse_caps(args.caps, SOLVE_CAPS)
     if args.problem == "mwis":
-        val, wit = mwis(h, None, t, BranchCaps(caps["nodes"], caps["depth"]),
-                        caps["table"])
+        val, wit = mwis(h, None, t, caps["nodes"], caps["table"])
         report.fields["problem"] = "mwis"
         report.fields["value"] = val
         report.fields["witness"] = sorted(v + 1 for v in bits(wit))
@@ -365,47 +359,6 @@ def _cmd_stats(args, report: _Report) -> None:
     report.fields["weighted"] = h.weights is not None
 
 
-def _cmd_selftest(args, report: _Report) -> None:
-    from .generate import (random_clutter, random_decomposition, random_graph,
-                           random_hypergraph, random_weights, rng_from_seed)
-    from .hypergraph import Clutter
-    from .oracles import (blocker_bruteforce, chromatic_bruteforce,
-                          mwis_bruteforce, trace as trace_of)
-
-    rng = rng_from_seed(args.seed)
-    checks = 0
-    for _ in range(25):
-        c = random_clutter(rng, rng.randrange(1, 9), rng.randrange(1, 6))
-        if blocker_bruteforce(blocker_bruteforce(c)) != Clutter(c.n, c.edges):
-            raise RuntimeError("selftest: blocker involution failed")
-        s = rng.getrandbits(c.n)
-        got = trace_blocker(c, s).traces
-        want = trace_of(blocker_bruteforce(c).edges, s)
-        if got != want:
-            raise RuntimeError("selftest: trace mismatch")
-        checks += 2
-    for _ in range(25):
-        n = rng.randrange(2, 9)
-        h = random_hypergraph(rng, n, rng.randrange(1, n + 2))
-        # non-integer weights, so the check covers mwis's integer scaling
-        w = tuple(x / rng.randint(1, 6) for x in random_weights(rng, n))
-        t = random_decomposition(rng, h)
-        if mwis(h, w, t)[0] != mwis_bruteforce(h, w)[0]:
-            raise RuntimeError("selftest: mwis mismatch")
-        k = rng.randrange(1, 4)
-        if chromatic_decide(h, k, t) != chromatic_bruteforce(h, k):
-            raise RuntimeError("selftest: colouring mismatch")
-        checks += 2
-    for _ in range(10):
-        g = random_graph(rng, rng.randrange(2, 8), 0.5)
-        out = approximate_mu_tw(g, 2)
-        if isinstance(out, Refutation) or not validate(g, out):
-            raise RuntimeError("selftest: decompose failed on a small graph")
-        checks += 1
-    report.fields["seed"] = args.seed
-    report.fields["checks"] = checks
-
-
 _DISPATCH = {
     "decompose": _cmd_decompose,
     "validate": _cmd_validate,
@@ -414,7 +367,6 @@ _DISPATCH = {
     "solve": _cmd_solve,
     "reduce": _cmd_reduce,
     "stats": _cmd_stats,
-    "selftest": _cmd_selftest,
 }
 
 

@@ -1,19 +1,20 @@
 """Dynamic programming over tree decompositions, reading tables from the
 blocker.
 
-A problem plugs into ``run_dp`` as a BlockerReadable: tables are indexed by
-p-tuples of traces of maximal independent sets, and the four operations
-(leaf initialisation from i(H), restriction to a smaller base, adding
-isolated vertices, and merging across a separator) are enough to evaluate
-the root table of any valid decomposition.  An empty table is final:
-``run_dp`` builds every leaf table before the first merge, stops at the
-first empty leaf, and otherwise merges and stops at the first empty merged
-table.  Three instances are provided: maximum weighted independent set,
-k-colouring and uniform hypergraph homomorphism.  All vertex sets are
-ambient bitmasks of the input hypergraph; a trace is the frozenset of its
-member masks, and a ``CoverDP`` tuple is one int that packs its components.
-When each target vertex lies in exactly one component (K_k, and any
-complete multipartite F), a tuple's coverage is one fold of that int.
+A problem plugs into ``run_dp`` through four operations (its docstring
+gives the contract): tables are indexed by p-tuples of traces of maximal
+independent sets, and leaf initialisation from i(H), restriction to a
+smaller base, adding isolated vertices, and merging across a separator are
+enough to evaluate the root table of any valid decomposition.  An empty
+table is final: ``run_dp`` builds every leaf table before the first merge,
+stops at the first empty leaf, and otherwise merges and stops at the first
+empty merged table.  Three instances are provided: maximum weighted
+independent set, k-colouring and uniform hypergraph homomorphism.  All
+vertex sets are ambient bitmasks of the input hypergraph; a trace is the
+frozenset of its member masks, and a ``CoverDP`` tuple is one int that
+packs its components.  When each target vertex lies in exactly one
+component (K_k, and any complete multipartite F), a tuple's coverage is one
+fold of that int.
 
 Only a problem whose merge reads the blocker trace tr_S(i(H)) pays for it.
 When the problem's ``reads_trace`` is true (MWIS), ``run_dp`` passes each
@@ -32,8 +33,9 @@ merge.  Such extension problems are NP-complete in general (Casel,
 Fernau, Khosravian Ghadikolaei, Monnot and Sikora, "On the complexity of
 solution extension of optimization problems", TCS 2022), so the trace,
 whose size the paper bounds by |S|^{O(μ)}, stays as the fallback.  The
-trace caps therefore bound only MWIS runs, and there only the traces that
-run: an MWIS solve whose candidates all settle answers under any cap.
+trace's node budget therefore bounds only MWIS runs, and there only the
+traces that run: an MWIS solve whose candidates all settle answers under
+any budget.
 ``chromatic_decide`` and ``hom_decide`` take none.
 
 A trace is local to the bag S: ``blocker.trace_blocker`` branches on the
@@ -41,8 +43,8 @@ closed neighbourhood N[S] alone, and its module docstring proves that the
 trace is the same.  A merge settles its candidates on the edges of H[V]
 itself, V the vertices merged so far, read through the per-solve index, so
 a merge whose candidates all settle copies nothing.  A merge that traces
-builds the copy of H[N_V[S]] of its own V and searches it once, so ``nodes``
-and ``depth`` bound that one search, in ``solve`` as in ``trace``.
+builds the copy of H[N_V[S]] of its own V and searches it once, so
+``node_cap`` bounds that one search, in ``solve`` as in ``trace``.
 
 The DP runs over the maximal bags.  After validating T, ``run_dp`` takes
 the tree edges in sorted order and contracts each one whose two ends, as
@@ -80,16 +82,18 @@ from fractions import Fraction
 from math import lcm
 
 from ._bits import bits
-from .blocker import (BranchCaps, _closed_neighbourhood, enumerate_mis,
-                      trace_blocker)
+from .blocker import (DEFAULT_NODE_CAP, _closed_neighbourhood,
+                      enumerate_mis, trace_blocker)
 from .decomposition import TreeDecomposition, validate
 from .errors import InputError, ResourceError
 from .hypergraph import Hypergraph, _remap_mask, induced
 
 DEFAULT_TABLE_CAP = 200_000
-# hom_decide's target F is capped by vertex count: |i(F)| is the arity of
-# its tables, and leaf_init enumerates up to |i(H[bag])|^arity tuples before
-# any table check, which no cap on one family bounds
+# hom_decide's target F is capped by vertex count, |V(F)| <= 10.  The
+# maximal independent sets of F form an antichain, so the arity |i(F)| of
+# its tables is at most C(10, 5) = 252.  That does not bound leaf_init's
+# walk, which can build |i(H[bag])|^(arity - 1) prefixes before any table
+# check; colouring, of arity k, has no target cap at all
 TARGET_CAP = 10
 
 
@@ -148,12 +152,13 @@ class _MergeTrace:
     placements, and only then is the trace computed.
     """
 
-    __slots__ = ("h", "smask", "vmask", "caps", "options", "verdicts",
+    __slots__ = ("h", "smask", "vmask", "node_cap", "options", "verdicts",
                  "trace")
 
-    def __init__(self, h: Hypergraph, smask: int, vmask: int,
-                 caps: BranchCaps, index):
-        self.h, self.smask, self.vmask, self.caps = h, smask, vmask, caps
+    def __init__(self, h: Hypergraph, smask: int, vmask: int, node_cap: int,
+                 index):
+        self.h, self.smask, self.vmask = h, smask, vmask
+        self.node_cap = node_cap
         self.options = [(1 << v, [(o, need) for e, o, need in index[v]
                                   if not e & ~vmask])
                         for v in bits(smask)]
@@ -183,7 +188,7 @@ class _MergeTrace:
         near = _closed_neighbourhood(self.h, self.smask, self.vmask)
         sub, remap = induced(self.h, near)
         s = _remap_mask(self.smask, remap)
-        res = trace_blocker(sub, s, self.caps)
+        res = trace_blocker(sub, s, self.node_cap)
         # ``induced`` numbers the kept ids in increasing order
         back = list(remap)
         return frozenset(_remap_mask(s & ~a, back) for a in res.traces)
@@ -278,54 +283,37 @@ def _fits(need: list[int], m: int) -> bool:
     return True
 
 
-class BlockerReadable:
-    """Operational contract of a function that can be read from the blocker.
+def run_dp(h: Hypergraph, t: TreeDecomposition, f,
+           node_cap: int = DEFAULT_NODE_CAP,
+           table_cap: int = DEFAULT_TABLE_CAP):
+    """Table of f over the empty base set, computed bottom-up over T.
 
-    ``leaf_init`` builds the table of H[s] from its maximal independent
-    sets, ``restrict`` the table over the smaller base ``s``, and
-    ``add_isolated`` the table with the vertices of the mask ``vs`` added to
-    the base, each isolated and outside it.  ``merge`` receives a membership
-    test for tr_S(i(H)) of the merged subtree (``a in trace``) when
-    ``reads_trace`` is true, and ``None`` when it is false; a problem that
-    never looks at the trace sets it to false and spares ``run_dp`` the
-    test.  A problem that reads the trace keys its tables by single traces
+    The problem f supplies four operations.  ``f.leaf_init(mis, s)`` builds
+    the table of H[s] from its maximal independent sets,
+    ``f.restrict(table, s)`` the table over the smaller base ``s``, and
+    ``f.add_isolated(table, vs)`` the table with the vertices of the mask
+    ``vs`` added to the base, each isolated and outside it.
+    ``f.merge(trace, t1, t2, s)`` receives a membership test for
+    tr_S(i(H)) of the merged subtree (``a in trace``) when
+    ``f.reads_trace`` is true, and ``None`` when it is false; a problem
+    that never looks at the trace sets it to false and is spared the test.
+    A problem that reads the trace keys its tables by single traces
     (iterating a table yields them), and asks ``in`` only of intersections
     of two keys: the test takes the keys of both tables as members.  It
     settles each other candidate with a short proof or a bounded search,
-    and computes the blocker trace only for a candidate on which the
-    search spends its budget; a trace cap that fires raises from inside
-    ``merge``.
+    and computes the blocker trace, under ``node_cap``, only for a
+    candidate on which the search spends its budget; a budget that runs
+    out raises from inside ``merge``.
 
-    An empty table is final: ``run_dp`` builds the leaf tables first, in
-    post-order, and returns the first empty one as the answer, over the
-    empty base, with no merge run; with every leaf nonempty, it merges and
-    returns the first empty merged table without visiting the remaining
-    bags.  So an empty table at a subtree must mean an empty table for H.
-    It does for ``CoverDP``, since a homomorphism of H restricts to every
-    subhypergraph, and for ``MwisDP``, whose tables are empty only where
-    H[bag] holds an empty edge (in every bag, so the first leaf is empty)
-    and the answer is (0, 0) anyway.
-    """
-
-    reads_trace: bool = True
-
-    def leaf_init(self, mis: list[int], s: int):
-        raise NotImplementedError
-
-    def restrict(self, table, s: int):
-        raise NotImplementedError
-
-    def add_isolated(self, table, vs: int):
-        raise NotImplementedError
-
-    def merge(self, trace: frozenset[int] | None, t1, t2, s: int):
-        raise NotImplementedError
-
-
-def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
-           trace_caps: BranchCaps = BranchCaps(),
-           table_cap: int = DEFAULT_TABLE_CAP):
-    """Table of f over the empty base set, computed bottom-up over T.
+    An empty table is final: the leaf tables are built first, in
+    post-order, and the first empty one is returned as the answer, over the
+    empty base, with no merge run; with every leaf nonempty, the merges run
+    and the first empty merged table is returned without visiting the
+    remaining bags.  So an empty table at a subtree must mean an empty
+    table for H.  It does for ``CoverDP``, since a homomorphism of H
+    restricts to every subhypergraph, and for ``MwisDP``, whose tables are
+    empty only where H[bag] holds an empty edge (in every bag, so the first
+    leaf is empty) and the answer is (0, 0) anyway.
 
     T is validated first, and each bag that lies inside or equals a
     neighbour's bag is then contracted into it (see the module docstring),
@@ -339,7 +327,7 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
     past it, ResourceError names the bag.
 
     A first pass builds the leaf tables in post-order and returns at the
-    first empty one (see BlockerReadable).  A leaf over the cap ends that
+    first empty one, as above.  A leaf over the cap ends that
     pass; the second pass, which merges, builds that leaf again when it
     reaches it and raises there, so a merge before it in post-order can
     still refute.  A leaf cap therefore fires where visiting the bags one by
@@ -414,7 +402,7 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f: BlockerReadable,
             if f.reads_trace:
                 if index is None:
                     index = _blocking_index(h)
-                trace = _MergeTrace(h, bag, acc_v, trace_caps, index)
+                trace = _MergeTrace(h, bag, acc_v, node_cap, index)
                 trace.take_keys(acc, tbl)
             try:
                 acc = f.merge(trace, acc, tbl, bag)
@@ -436,8 +424,7 @@ def _validated(h: Hypergraph, t: TreeDecomposition):
         raise InputError(f"invalid decomposition: {ok.reason}")
 
 
-def _leaf(h: Hypergraph, bag: int, node: int, f: BlockerReadable,
-          table_cap: int):
+def _leaf(h: Hypergraph, bag: int, node: int, f, table_cap: int):
     """The leaf table of ``node``; ResourceError names the bag when it, or
     the maximal independent sets it is built from, go over ``table_cap``."""
     try:
@@ -459,7 +446,7 @@ def _check_table(table, node: int, table_cap: int):
 # Maximum Weighted Independent Set
 
 
-class MwisDP(BlockerReadable):
+class MwisDP:
     """Arity-1 tables mapping a trace A to (the best weight outside A,
     witness set): an entry (x, W) is the independent set W with
     W ∩ base = A and weight x + w(A).  The entries of one key are shifted
@@ -467,6 +454,8 @@ class MwisDP(BlockerReadable):
     same witnesses.  ``leaf_init`` stores 0, ``add_isolated`` and ``merge``
     add no weight, ``restrict`` adds w(A - s), and over the empty base the
     weight is the full one."""
+
+    reads_trace = True
 
     def __init__(self, weights):
         # any numbers that add and compare exactly; ``mwis`` passes ints
@@ -518,7 +507,7 @@ class MwisDP(BlockerReadable):
 
 
 def mwis(h: Hypergraph, weights, t: TreeDecomposition,
-         trace_caps: BranchCaps = BranchCaps(),
+         node_cap: int = DEFAULT_NODE_CAP,
          table_cap: int = DEFAULT_TABLE_CAP) -> tuple[Fraction, int]:
     """Max weight of an independent set of H and a witness set."""
     w = [Fraction(x) for x in weights] if weights is not None else \
@@ -533,7 +522,7 @@ def mwis(h: Hypergraph, weights, t: TreeDecomposition,
     # scaling by a positive d keeps every comparison, hence every witness
     d = lcm(*(x.denominator for x in w))
     w2 = [x.numerator * (d // x.denominator) if x >= 0 else 0 for x in w]
-    final = run_dp(h2, t, MwisDP(w2), trace_caps, table_cap)
+    final = run_dp(h2, t, MwisDP(w2), node_cap, table_cap)
     if not final:
         return Fraction(0), 0
     val, wit = final[0]
@@ -544,7 +533,7 @@ def mwis(h: Hypergraph, weights, t: TreeDecomposition,
 # covering-style boolean tables (k-colouring, homomorphism)
 
 
-class CoverDP(BlockerReadable):
+class CoverDP:
     """Arity-k boolean tables compressed as antichains of dominating tuples.
 
     Homomorphism to a target F indexes the components by i(F) =

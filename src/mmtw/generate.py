@@ -1,4 +1,5 @@
-"""Seeded random instance generators used by the test suite and selftest."""
+"""Seeded random instance generators used by the test suite and the
+benchmark's workloads; the CLI never imports them."""
 
 from __future__ import annotations
 

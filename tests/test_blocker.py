@@ -3,9 +3,9 @@
 import pytest
 
 from mmtw._bits import bits, mask_of
-from mmtw.blocker import (BranchCaps, _berge, _Brancher, _compose_masks,
-                          _is_minimal_transversal, enumerate_mis,
-                          trace_blocker)
+from mmtw.blocker import (DEFAULT_NODE_CAP, _berge, _Brancher,
+                          _compose_masks, _is_minimal_transversal,
+                          enumerate_mis, trace_blocker)
 from mmtw.errors import ResourceError
 from mmtw.generate import (path_graph, random_clutter, random_hypergraph,
                            rng_from_seed)
@@ -81,11 +81,7 @@ def test_berge_leaf_ticks_one_node_per_transversal():
         b = blocker_bruteforce(c).edges
         assert res.nodes_explored == 1 + len(b)
         with pytest.raises(ResourceError):
-            trace_blocker(c, c.vertex_mask, BranchCaps(nodes=len(b)))
-        with pytest.raises(ResourceError):
-            trace_blocker(c, c.vertex_mask, BranchCaps(depth=0))
-        assert trace_blocker(c, c.vertex_mask, BranchCaps(depth=1)
-                             ).traces == set(b)
+            trace_blocker(c, c.vertex_mask, len(b))
 
 
 def _matching(k):
@@ -98,18 +94,18 @@ def test_berge_leaf_stops_at_the_node_cap():
     # leaf fits exactly when the cap leaves one node per transversal
     for k in (1, 4, 9):
         h = _matching(k)
-        res = trace_blocker(h, h.vertex_mask, BranchCaps(nodes=1 + 2 ** k))
+        res = trace_blocker(h, h.vertex_mask, 1 + 2 ** k)
         assert len(res.traces) == 2 ** k
         with pytest.raises(ResourceError):
-            trace_blocker(h, h.vertex_mask, BranchCaps(nodes=2 ** k))
+            trace_blocker(h, h.vertex_mask, 2 ** k)
     # the enumeration stops once a partial family outgrows the nodes left,
     # charged as one past the cap, so a 2^40-member leaf ends at once
     h = _matching(40)
     with pytest.raises(ResourceError) as err:
-        trace_blocker(h, h.vertex_mask, BranchCaps(nodes=1))
+        trace_blocker(h, h.vertex_mask, 1)
     assert err.value.stats["nodes"] == 2
     with pytest.raises(ResourceError) as err:
-        trace_blocker(h, h.vertex_mask, BranchCaps(nodes=1000))
+        trace_blocker(h, h.vertex_mask, 1000)
     assert err.value.stats["nodes"] == 1001
 
 
@@ -146,14 +142,7 @@ def test_node_cap_raises():
     rng = rng_from_seed(10)
     h = random_hypergraph(rng, 10, 12, rank=4)
     with pytest.raises(ResourceError):
-        trace_blocker(h, h.vertex_mask, BranchCaps(nodes=1))
-
-
-def test_depth_cap_raises():
-    rng = rng_from_seed(11)
-    h = random_hypergraph(rng, 10, 12, rank=4)
-    with pytest.raises(ResourceError):
-        trace_blocker(h, h.vertex_mask, BranchCaps(depth=0))
+        trace_blocker(h, h.vertex_mask, 1)
 
 
 def test_enumerate_mis_complements_blocker():
@@ -193,7 +182,7 @@ def test_semantic_witness_matches_a_subset_search():
         a = s & rng.getrandbits(n)
         want = [t for t in range(1 << n)
                 if t & s == a and _is_minimal_transversal(t, c.edges)]
-        got = _Brancher(s, BranchCaps())._semantic_witness(a, c.edges)
+        got = _Brancher(s, DEFAULT_NODE_CAP)._semantic_witness(a, c.edges)
         if want:
             assert got in want, (c.edges, s, a)
             found += 1

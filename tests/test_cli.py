@@ -188,17 +188,16 @@ def test_resource_exit_code(files, capsys):
 
 def test_trace_caps_bound_the_berge_leaf(files, capsys):
     # every edge lies in S, so the root answers with the blocker at once;
-    # its transversals are still charged as nodes one level down
+    # its transversals are still charged as nodes
     hg = files("k4.hg", serialize_hypergraph(complete_graph(4)))
     code, out, _ = run(capsys, "trace", "-S", "1,2,3,4", hg, "--json")
     assert code == 0
     doc = json.loads(out)
     assert doc["count"] == 4 and doc["nodes_explored"] == 5
-    for caps in ("nodes=1", "depth=0"):
-        code, out, _ = run(capsys, "trace", "-S", "1,2,3,4", hg,
-                           "--caps", caps, "--json")
-        assert code == 20
-        assert json.loads(out)["status"] == "resource-exceeded"
+    code, out, _ = run(capsys, "trace", "-S", "1,2,3,4", hg,
+                       "--caps", "nodes=1", "--json")
+    assert code == 20
+    assert json.loads(out)["status"] == "resource-exceeded"
     # a 30-edge matching inside S has 2^30 transversals; the leaf stops at
     # the cap instead of enumerating them
     matching = Hypergraph(60, [3 << 2 * i for i in range(30)])
@@ -353,7 +352,7 @@ def test_rho_with_only_an_empty_edge(files, capsys):
 
 
 def test_covering_solves_ignore_the_trace_caps(files, capsys, monkeypatch):
-    # nodes/depth bound the blocker trace, which only mwis reads
+    # nodes bounds the blocker trace, which only mwis reads
     c5 = cycle_graph(5)
     hg = files("c5.hg", serialize_hypergraph(c5))
     k2 = files("k2.hg", serialize_hypergraph(complete_graph(2)))
@@ -366,7 +365,7 @@ def test_covering_solves_ignore_the_trace_caps(files, capsys, monkeypatch):
         assert code == (0 if want else 10)
         assert json.loads(out)["colorable"] == want
     code, out, _ = run(capsys, "solve", "--problem", "hom", hg, td,
-                       "--target", k2, "--caps", "nodes=1,depth=1", "--json")
+                       "--target", k2, "--caps", "nodes=1", "--json")
     assert code == 10
     assert json.loads(out)["homomorphic"] == hom_bruteforce(c5, complete_graph(2))
     # with every candidate left to the trace, as in a merge that meets an
@@ -431,13 +430,6 @@ def test_reduce_outputs_parse(files, capsys):
     assert g2.n == 6 and len(g2.edges) == 5
 
 
-def test_selftest_deterministic(files, capsys):
-    code, out1, _ = run(capsys, "selftest", "--seed", "7", "--json")
-    assert code == 0
-    code, out2, _ = run(capsys, "selftest", "--seed", "7", "--json")
-    assert out1 == out2
-
-
 def test_bad_caps_rejected(files, capsys):
     hg = files("p3.hg", serialize_hypergraph(path_graph(3)))
     code, _, _ = run(capsys, "trace", "-S", "1", hg, "--caps", "bogus=3")
@@ -474,21 +466,29 @@ def test_decompose_offers_only_the_well_behaved_measures(files, capsys,
 
 def test_trace_has_no_table_cap(files, capsys):
     # trace builds no DP table, so table is an unknown cap there; solve,
-    # which does, takes all three
+    # which does, takes both.  Neither takes a depth cap: nodes bounds the
+    # trace's depth too
     hg = files("p3.hg", serialize_hypergraph(path_graph(3)))
     code, out, err = run(capsys, "trace", "-S", "1", hg, "--caps", "table=0",
                          "--json")
     assert code == 2
-    assert json.loads(out)["error"] == \
-        "unknown cap 'table'; known: nodes, depth"
+    assert json.loads(out)["error"] == "unknown cap 'table'; known: nodes"
     assert "unknown cap 'table'" in err
-    code, _, _ = run(capsys, "trace", "-S", "1", hg, "--caps",
-                     "nodes=5,depth=3")
+    code, _, _ = run(capsys, "trace", "-S", "1", hg, "--caps", "nodes=5")
     assert code == 0
     td = files("p3.td", "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
     code, _, _ = run(capsys, "solve", hg, td, "--problem", "mwis", "--caps",
-                     "nodes=5,depth=3,table=100")
+                     "nodes=5,table=100")
     assert code == 0
+    code, out, _ = run(capsys, "trace", "-S", "1", hg, "--caps", "depth=1",
+                       "--json")
+    assert code == 2
+    assert json.loads(out)["error"] == "unknown cap 'depth'; known: nodes"
+    code, out, _ = run(capsys, "solve", hg, td, "--problem", "mwis", "--caps",
+                       "depth=1", "--json")
+    assert code == 2
+    assert json.loads(out)["error"] == \
+        "unknown cap 'depth'; known: nodes, table"
 
 
 def _path_bags_td(n):
@@ -526,13 +526,13 @@ def test_negative_caps_rejected(files, capsys):
     # a negative cap is bad input (exit 2), not a cap that fired (exit 20)
     hg = files("p3.hg", serialize_hypergraph(path_graph(3)))
     td = files("p3.td", "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
-    for caps in ("nodes=-5", "depth=-1", "table=-1"):
+    for caps in ("nodes=-5", "table=-1"):
         code, out, err = run(capsys, "solve", "--problem", "mwis", hg, td,
                              "--caps", caps, "--json")
         assert code == 2
         assert json.loads(out)["status"] == "invalid-input"
         assert "bad cap value" in err
-    code, out, _ = run(capsys, "trace", "-S", "1,3", hg, "--caps", "depth=-1",
+    code, out, _ = run(capsys, "trace", "-S", "1,3", hg, "--caps", "nodes=-1",
                        "--json")
     assert code == 2
     code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td,

@@ -7,7 +7,7 @@ import pytest
 
 import mmtw.dp
 from mmtw._bits import bits, mask_of
-from mmtw.blocker import BranchCaps, enumerate_mis, trace_blocker
+from mmtw.blocker import DEFAULT_NODE_CAP, enumerate_mis, trace_blocker
 from mmtw.decomposition import TreeDecomposition, single_bag, validate
 from mmtw.dp import (DEFAULT_TABLE_CAP, CoverDP, MwisDP, _blocking_index,
                      _MergeTrace, chromatic_decide, hom_decide, mwis, run_dp)
@@ -424,7 +424,7 @@ def test_settled_verdicts_are_membership_in_the_trace():
         s = v & rng.getrandbits(n)
         members = frozenset(m & s for m in
                             enumerate_mis(h, v, DEFAULT_TABLE_CAP))
-        test = _MergeTrace(h, s, v, BranchCaps(), _blocking_index(h))
+        test = _MergeTrace(h, s, v, DEFAULT_NODE_CAP, _blocking_index(h))
         a = s
         while True:
             if all(e & ~a for e in h.edges):
@@ -499,10 +499,10 @@ UNDECIDED = Graph.from_pairs(5, UNDECIDED_PAIRS)
 def test_an_undecided_candidate_runs_the_trace_once(monkeypatch):
     s, full = 0b01110, 0b11111
     index = _blocking_index(UNDECIDED)
-    assert _MergeTrace(UNDECIDED, s, full, BranchCaps(),
+    assert _MergeTrace(UNDECIDED, s, full, DEFAULT_NODE_CAP,
                        index)._settle(0) is False
     searchless(monkeypatch)
-    assert _MergeTrace(UNDECIDED, s, full, BranchCaps(),
+    assert _MergeTrace(UNDECIDED, s, full, DEFAULT_NODE_CAP,
                        index)._settle(0) is None
     # the same merge in a solve: the isolated vertex 5 keeps the bag S + 5
     # out of the child bag of all five vertices, so the two do not contract,
@@ -526,7 +526,7 @@ def test_the_search_backtracks_past_the_greedy(monkeypatch):
     calls = counting_traces(monkeypatch)
     s, a = 0b11011, 0b1
     assert a in frozenset(m & s for m in enumerate_mis(BACKTRACK))
-    test = _MergeTrace(BACKTRACK, s, BACKTRACK.vertex_mask, BranchCaps(),
+    test = _MergeTrace(BACKTRACK, s, BACKTRACK.vertex_mask, DEFAULT_NODE_CAP,
                        _blocking_index(BACKTRACK))
     assert test._settle(a) is True
     assert a in test
@@ -542,7 +542,8 @@ def test_a_search_that_spends_its_budget_hands_over_to_the_trace(
     pairs = [(i, 7 + i) for i in range(6)] + [(i, 13 + i) for i in range(6)]
     h = Graph.from_pairs(20, pairs + [(6, 19), (7, 19), (13, 19)])
     s = 0b1111111
-    test = _MergeTrace(h, s, h.vertex_mask, BranchCaps(), _blocking_index(h))
+    test = _MergeTrace(h, s, h.vertex_mask, DEFAULT_NODE_CAP,
+                       _blocking_index(h))
     assert test._search(0, s) is None
     calls = counting_traces(monkeypatch)
     assert 0 not in test
@@ -1129,7 +1130,8 @@ def test_mwis_merge_matches_per_pair_formula():
             trace = frozenset(a1 & a2 for a1 in tabs[0] for a2 in tabs[1]
                               if rng.random() < 0.6)
         else:
-            trace = _MergeTrace(h, s, full, BranchCaps(), _blocking_index(h))
+            trace = _MergeTrace(h, s, full, DEFAULT_NODE_CAP,
+                                _blocking_index(h))
         # a table stores the weight outside its key: the reference reads
         # full weights, so w(a) is added to both sides
         got = with_key_weight(w, dp.merge(trace, tabs[0], tabs[1], s))

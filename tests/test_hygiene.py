@@ -106,11 +106,8 @@ def test_every_private_definition_is_read_in_the_package():
 # random instance generators, which the tests and the benchmark read.
 REFERENCE_MODULES = ("oracles", "generate")
 
-# The program runs from cli.main.  The walk does not follow selftest: it
-# runs the references against the program, so a definition that only it
-# reads is not program code.
+# The program runs from cli.main.
 ENTRY = "cli.main"
-NOT_FOLLOWED = {"cli._cmd_selftest"}
 
 # Each definition of a program module that cli.main does not reach, with
 # why it stays where it is.
@@ -171,7 +168,7 @@ class Program:
             module, name = self.imported[module, name]
         return f"{module}.{name}"
 
-    def reach(self, entry: str, not_followed=frozenset()):
+    def reach(self, entry: str):
         """``(reached, globals_read)``: the qualified names of the
         definitions reached from ``entry``, and the ``(module, name)`` of
         each bare name that reached code reads and that resolves.
@@ -183,15 +180,13 @@ class Program:
         attribute read reaches every method or property of that name.  A
         reached class reads its bases, decorators and class-level
         statements, and reaches its dunder methods; its other methods are
-        reached by name.  A definition in ``not_followed`` is reached, but
-        what it reads is not."""
+        reached by name."""
         reached, todo, globals_read = {entry}, [entry], set()
 
         def visit(name):
             if name is not None and name not in reached:
                 reached.add(name)
-                if name not in not_followed:
-                    todo.append(name)
+                todo.append(name)
 
         while todo:
             qualified = todo.pop()
@@ -225,7 +220,7 @@ class Program:
         return reached, globals_read
 
 
-def test_the_walk_misses_what_only_tests_or_selftest_read():
+def test_the_walk_misses_what_only_tests_read():
     sources = {
         "text": ("def join(parts):\n    return '+'.join(parts)\n"
                  "def shout(s):\n    return s.upper()\n"
@@ -242,16 +237,14 @@ def test_the_walk_misses_what_only_tests_or_selftest_read():
                 "def _cmd_run(args):\n"
                 "    return (','.join(args), text.shout('a'), quiet('B'),\n"
                 "            Line(2).ends())\n"
-                "def _cmd_selftest(args):\n    return check(args)\n"
-                "def check(args):\n    return 1\n"
-                "_DISPATCH = {'run': _cmd_run, 'selftest': _cmd_selftest}\n"
+                "_DISPATCH = {'run': _cmd_run}\n"
                 "def main(argv):\n    return _DISPATCH[argv[0]](argv[1:])\n"),
     }
     program = Program(sources)
-    reached, globals_read = program.reach("cli.main", {"cli._cmd_selftest"})
+    reached, globals_read = program.reach("cli.main")
     assert sorted(set(program.nodes) - reached) == [
-        "cli.check", "shapes.Line.lmap", "shapes.reference", "text.join"]
-    assert "cli._cmd_selftest" in reached and "shapes.Line.__len__" in reached
+        "shapes.Line.lmap", "shapes.reference", "text.join"]
+    assert "shapes.Line.__len__" in reached
     # text.shout is read as an attribute of the module, not as a name of cli
     assert ("cli", "quiet") in globals_read
     assert ("cli", "shout") not in globals_read
@@ -264,7 +257,7 @@ def program_sources() -> dict[str, str]:
 
 def test_cli_main_reaches_every_program_definition():
     program = Program(program_sources())
-    reached, _ = program.reach(ENTRY, NOT_FOLLOWED)
+    reached, _ = program.reach(ENTRY)
     unreached = [name for name in program.nodes if name not in reached
                  and name.split(".")[0] not in REFERENCE_MODULES]
     assert sorted(unreached) == sorted(KEPT_UNREACHED)
@@ -289,7 +282,7 @@ def test_every_patched_name_is_reached_from_cli_main():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     program = Program(program_sources())
-    reached, globals_read = program.reach(ENTRY, NOT_FOLLOWED)
+    reached, globals_read = program.reach(ENTRY)
 
     def looked_up(owner, name: str) -> bool:
         if isinstance(owner, types.ModuleType):
@@ -361,8 +354,6 @@ def test_every_recursive_function_is_listed_with_its_depth_bound():
 # it is kept.  An entry names a parameter, or a function or class whose
 # parameters all stay unread.
 UNREAD = {
-    "dp.BlockerReadable":
-        "the interface stubs, which only raise NotImplementedError",
     "dp.MwisDP.leaf_init.s":
         "the interface passes the bag; the leaf sets already lie in it",
     "dp.CoverDP.merge.trace":
