@@ -146,10 +146,16 @@ def _parse_caps(spec: str, defaults: dict) -> dict:
 
 def _read(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}")
+    # the parsers split lines with str.splitlines, so "\r\n" needs no
+    # newline translation
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError:
+        raise InputError(f"{path} is not UTF-8 text")
 
 
 def _load_hypergraph(path: str) -> Hypergraph:
@@ -382,8 +388,26 @@ def _file_bag_id(exc: ResourceError) -> ResourceError:
     return ResourceError(f"{stem} {bag}", **{**exc.stats, "bag": bag})
 
 
+def _parse(argv) -> argparse.Namespace:
+    """``argv`` parsed as the top-level parser would, but a first word that
+    names a subcommand sends the rest straight to that subcommand's parser:
+    the top-level parse would only scan every word for its own options
+    before handing them on.  An unrecognized argument is then reported under
+    the subcommand's usage."""
+    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    commands = parser._subparsers._group_actions[0].choices
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse(argv)
     report = _Report(args)
     try:
         _DISPATCH[args.command](args, report)

@@ -93,7 +93,8 @@ DEFAULT_TABLE_CAP = 200_000
 # maximal independent sets of F form an antichain, so the arity |i(F)| of
 # its tables is at most C(10, 5) = 252.  That does not bound leaf_init's
 # walk, which can build |i(H[bag])|^(arity - 1) prefixes before any table
-# check; colouring, of arity k, has no target cap at all
+# check; colouring has no target cap, but its arity is min(k, n), since a
+# colouring of n vertices uses at most n colours
 TARGET_CAP = 10
 
 
@@ -718,6 +719,13 @@ def chromatic_decide(h: Hypergraph, k: int, t: TreeDecomposition,
     """True iff H has a colouring with k colours and no monochromatic edge."""
     if k < 1:
         raise InputError("k must be positive")
+    # n colours colour every n-vertex H that k > n colours do
+    k = min(k, h.n)
+    if not k:
+        # n = 0: any edge is empty, and every colouring leaves it
+        # monochromatic
+        _validated(h, t)
+        return not h.edges
     final = run_dp(h, t, CoverDP(k, [[i] for i in range(k)], h.vertex_mask),
                    table_cap=table_cap)
     return bool(final)

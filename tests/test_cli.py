@@ -6,7 +6,7 @@ import pytest
 
 import mmtw.dp
 from mmtw._bits import bits, mask_of
-from mmtw.cli import main
+from mmtw.cli import _build_parser, _parse, main
 from mmtw.formats import parse_td, serialize_hypergraph, serialize_td
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_cobipartite, random_decomposition,
@@ -730,3 +730,78 @@ def test_solve_reads_one_bag_of_many_vertices(files, capsys, tmp_path,
     code, _, _ = run(capsys, "solve", "--problem", "mwis", hg, td,
                      "--caps", "table=0")
     assert code == 20
+
+
+def test_a_hypergraph_that_is_not_utf8_is_invalid_input(tmp_path, capsys):
+    hg = tmp_path / "bad.hg"
+    hg.write_bytes(b"p hg 2 1\ne 1 2\nc \xff\n")
+    code, out, err = run(capsys, "stats", str(hg), "--json")
+    assert code == 2
+    assert json.loads(out)["status"] == "invalid-input"
+    assert f"{hg} is not UTF-8 text" in err
+
+
+def test_a_decomposition_that_is_not_utf8_is_invalid_input(files, tmp_path,
+                                                           capsys):
+    hg = files("p3.hg", serialize_hypergraph(path_graph(3)))
+    td = tmp_path / "bad.td"
+    td.write_bytes(b"s td 1 3 3\nb 1 1 2 3\xfe\n")
+    code, out, err = run(capsys, "solve", "--problem", "color", "-k", "2",
+                         hg, str(td), "--json")
+    assert code == 2
+    assert json.loads(out)["status"] == "invalid-input"
+    assert f"{td} is not UTF-8 text" in err
+
+
+def test_crlf_line_ends_read_as_newlines(tmp_path, capsys):
+    hg, td = tmp_path / "p3.hg", tmp_path / "p3.td"
+    hg.write_bytes(b"p hg 3 2\r\ne 1 2\r\ne 2 3\r\n")
+    td.write_bytes(b"s td 2 2 3\r\nb 1 1 2\r\nb 2 2 3\r\n1 2\r\n")
+    code, out, _ = run(capsys, "validate", str(hg), str(td), "--json")
+    assert code == 0 and json.loads(out)["valid"]
+
+
+# valid argvs over every subcommand and its options, files named but not read
+ROUTED_ARGVS = [
+    ["decompose", "h.hg", "-k", "2"],
+    ["decompose", "-k", "-1", "h.hg", "--measure", "alpha", "--json"],
+    ["decompose", "h.hg", "-k", "1", "-o", "out.td", "--measure=rho"],
+    ["decompose", "-k1", "--outp", "out.td", "--js", "--", "-h.hg"],
+    ["validate", "h.hg", "t.td"],
+    ["validate", "--json", "h.hg", "t.td", "--output", "o"],
+    ["width", "h.hg", "t.td"],
+    ["width", "h.hg", "t.td", "--measure", "kappa", "--json", "-o", "w"],
+    ["trace", "h.hg", "-S", "1,3"],
+    ["trace", "-S", "", "h.hg", "--caps", "nodes=5", "--json", "-o", "x"],
+    ["solve", "h.hg", "t.td", "--problem", "mwis"],
+    ["solve", "--problem", "color", "-k", "3", "h.hg", "t.td",
+     "--caps", "table=9,nodes=2", "--json"],
+    ["solve", "h.hg", "t.td", "--problem=hom", "--target", "f.hg", "-o", "r"],
+    ["reduce", "h.hg", "m"],
+    ["reduce", "h.hg", "l2", "--json", "--output", "l.hg"],
+    ["stats", "h.hg"],
+    ["stats", "--json", "h.hg", "-o", "s.txt"],
+]
+
+
+@pytest.mark.parametrize("argv", ROUTED_ARGVS)
+def test_a_subcommand_argv_parses_as_the_top_level_parser_does(argv):
+    assert vars(_parse(argv)) == vars(_build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["-h"], 0), (["--version"], 0), ([], 2), (["bogus", "h.hg"], 2),
+    (["solve", "h.hg", "t.td"], 2), (["stats", "-h"], 0)])
+def test_argvs_that_name_no_runnable_command_exit(argv, code, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == code
+
+
+def test_an_unrecognized_argument_is_reported_under_the_subcommand(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["stats", "h.hg", "--bogus"])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: mmtw stats ")
+    assert "mmtw stats: error: unrecognized arguments: --bogus" in err

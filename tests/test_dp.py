@@ -86,6 +86,29 @@ def test_chromatic_random_vs_oracle():
         assert chromatic_decide(h, k, t) == chromatic_bruteforce(h, k)
 
 
+def test_chromatic_far_more_colours_than_vertices():
+    # a colouring of n vertices uses at most n colours, so k = 10**6 answers
+    # as k = n does, without tables over 10**6 components
+    rng = rng_from_seed(53)
+    cases = [path_graph(3), cycle_graph(5), complete_graph(4),
+             Hypergraph(3, [0b001, 0b110]), Hypergraph(2, [0, 0b11])]
+    cases += [random_hypergraph(rng, 6, 5, rank=3) for _ in range(4)]
+    for h in cases:
+        t = random_decomposition(rng, h)
+        assert chromatic_decide(h, 10**6, t) == chromatic_bruteforce(h, 10**6)
+
+
+def test_chromatic_without_vertices():
+    # the answers need no DP, but the decomposition is still validated
+    empty, empty_edge = Hypergraph(0, []), Hypergraph(0, [0])
+    assert chromatic_decide(empty, 3, single_bag(empty))
+    assert not chromatic_decide(empty_edge, 3, single_bag(empty_edge))
+    assert chromatic_bruteforce(empty, 3)
+    assert not chromatic_bruteforce(empty_edge, 3)
+    with pytest.raises(InputError):
+        chromatic_decide(empty, 3, TreeDecomposition([0, 1], [(0, 1)]))
+
+
 def test_hom_examples():
     p3, k2, c5 = path_graph(3), complete_graph(2), cycle_graph(5)
     assert hom_decide(p3, k2, single_bag(p3))
