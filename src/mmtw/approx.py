@@ -274,11 +274,6 @@ class SeparatorResult:
         return self.separator is not None
 
 
-@dataclass(frozen=True)
-class Refutation:
-    message: str = "lambda-tw exceeds k"
-
-
 def _independent_sets_with_neighbourhoods(adj, universe: int, size: int):
     """Yield (I, N[I]) for every independent set I of the graph with at
     most ``size`` vertices, the empty set first, then depth first by
@@ -583,8 +578,8 @@ def _big_k(k: int) -> int:
 
 
 def approx_decomposition(h: Hypergraph, k: int, m: WellBehavedMeasure):
-    """Tree decomposition of lambda-width <= 2k^3+2k^2+3k+3, or a Refutation
-    that lambda-tw(H) > k.
+    """Tree decomposition of lambda-width <= 2k^3+2k^2+3k+3, or None, the
+    refutation lambda-tw(H) > k.
 
     A set V whose measure exceeds big_K first gets a min-fill elimination
     checked at k (``_min_fill_elimination``).  If every bag passes, its
@@ -604,17 +599,17 @@ def approx_decomposition(h: Hypergraph, k: int, m: WellBehavedMeasure):
 
 def _recurse(h: Hypergraph, k: int, m: WellBehavedMeasure, w: int,
              big_k: int):
-    """A TreeDecomposition whose bag 0 contains w, or a Refutation."""
+    """A TreeDecomposition whose bag 0 contains w, or None, a refutation."""
     full = h.vertex_mask
     if m.decide(h, full, big_k):
         return single_bag(h)
     wstar, overshoot = _grow_wstar(h, m, w, big_k)
     if overshoot:
         # a single vertex has unbounded measure; no decomposition of width k
-        return Refutation()
+        return None
     split = balanced_split(h, wstar, k, m, r=big_k)
     if split is None:
-        return Refutation()
+        return None
     a, b, sep = split
     # V1: the components of the Gaifman graph minus S that meet A
     v1 = reach(h.gaifman_adj(), a, full & ~sep)
@@ -629,8 +624,8 @@ def _recurse(h: Hypergraph, k: int, m: WellBehavedMeasure, w: int,
         # Ai + S lies inside Vi + S
         sub, remap = induced(h, vi | sep)
         td = _recurse(sub, k, m, _remap_mask(ai | sep, remap), big_k)
-        if isinstance(td, Refutation):
-            return td
+        if td is None:
+            return None
         offset = len(bags)
         back = list(bits(vi | sep))
         bags.extend(_remap_mask(bmask, back) for bmask in td.bags)

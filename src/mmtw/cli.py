@@ -3,7 +3,9 @@
 Subcommands: decompose, validate, width, trace, solve, reduce, stats.  Exit
 codes: 0 ok, 10 refuted, 20 resource cap exceeded, 2 invalid input.  With
 --json the report goes to stdout as a single JSON object with a "schema"
-field; diagnostics always go to stderr.
+field, and the payload of decompose or reduce is its "payload" field;
+without it, that payload is all of stdout and the report goes to stderr.
+Diagnostics always go to stderr.
 
 ``--caps`` exists on trace and solve only, the two subcommands that read it:
 nodes bounds the blocker trace, and table, which solve alone takes, bounds
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from . import __version__
 from ._bits import bits
-from .approx import Refutation, approx_decomposition, width_bound
+from .approx import approx_decomposition, width_bound
 from .blocker import DEFAULT_NODE_CAP, trace_blocker
 from .decomposition import validate, width
 from .dp import (DEFAULT_TABLE_CAP, chromatic_decide, hom_decide, mwis)
@@ -54,8 +56,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--json", action="store_true",
                         help="emit a JSON report on stdout")
-        sp.add_argument("-o", "--output", metavar="PATH",
-                        help="write the main payload to PATH instead of stdout")
 
     def caps(sp, more=""):
         sp.add_argument("--caps", metavar="K=V[,K=V...]", default="",
@@ -195,15 +195,6 @@ class _Report:
         print(f"error: {exc}", file=sys.stderr)
 
     def emit(self) -> int:
-        # the payload file is written first, so a path that cannot be
-        # written is reported like an input file that cannot be read
-        if self.args.output and self.payload_text is not None:
-            try:
-                with open(self.args.output, "w", encoding="utf-8") as fh:
-                    fh.write(self.payload_text)
-            except OSError as exc:
-                self.fail("invalid-input", InputError(
-                    f"cannot write {self.args.output}: {exc.strerror}"))
         code = {"ok": EXIT_OK, "refuted": EXIT_REFUTED,
                 "resource-exceeded": EXIT_RESOURCE,
                 "invalid-input": EXIT_INVALID}[self.status]
@@ -217,7 +208,7 @@ class _Report:
         else:
             lines = [f"status: {self.status}"]
             lines += [f"{k}: {_jsonable(v)}" for k, v in self.fields.items()]
-            if text is not None and not self.args.output:
+            if text is not None:
                 # keep stdout clean for the payload; report goes to stderr
                 print("\n".join(lines), file=sys.stderr)
                 print(text, end="")
@@ -239,9 +230,10 @@ def _cmd_decompose(args, report: _Report) -> None:
     else:
         out = approx_decomposition(h, args.k, MEASURES[args.measure])
         measure_name = args.measure
-    if isinstance(out, Refutation):
+    if out is None:
         report.status = "refuted"
-        report.fields["reason"] = out.message
+        report.fields["reason"] = ("mu-tw exceeds k" if args.measure is None
+                                   else "lambda-tw exceeds k")
         report.fields["k"] = args.k
         return
     try:
@@ -302,11 +294,17 @@ def _cmd_trace(args, report: _Report) -> None:
 
 
 def _cmd_solve(args, report: _Report) -> None:
+    # each problem reads its own option; another problem's is an error, not
+    # an option silently ignored
+    if args.k is not None and args.problem != "color":
+        raise InputError(f"-k is read by color only, not {args.problem}")
+    if args.target is not None and args.problem != "hom":
+        raise InputError(f"--target is read by hom only, not {args.problem}")
     h = _load_hypergraph(args.hypergraph)
     t = parse_td(_read(args.decomposition))
     caps = _parse_caps(args.caps, SOLVE_CAPS)
     if args.problem == "mwis":
-        val, wit = mwis(h, None, t, caps["nodes"], caps["table"])
+        val, wit = mwis(h, t, caps["nodes"], caps["table"])
         report.fields["problem"] = "mwis"
         report.fields["value"] = val
         report.fields["witness"] = sorted(v + 1 for v in bits(wit))
@@ -334,8 +332,7 @@ def _cmd_reduce(args, report: _Report) -> None:
     h = _load_hypergraph(args.hypergraph)
     g = _as_graph(h)
     if args.kind == "m":
-        x = pendant_extend(g)
-        out = x.extended
+        out = pendant_extend(g)
         maps = [f"c map {v + g.n + 1} pendant-of {v + 1}" for v in range(g.n)]
         report.fields["kind"] = "pendant-extension"
     else:

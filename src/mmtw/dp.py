@@ -507,14 +507,12 @@ class MwisDP:
         return {a: got for a, got in best.items() if a in trace}
 
 
-def mwis(h: Hypergraph, weights, t: TreeDecomposition,
+def mwis(h: Hypergraph, t: TreeDecomposition,
          node_cap: int = DEFAULT_NODE_CAP,
          table_cap: int = DEFAULT_TABLE_CAP) -> tuple[Fraction, int]:
-    """Max weight of an independent set of H and a witness set."""
-    w = [Fraction(x) for x in weights] if weights is not None else \
-        (h.weights if h.weights is not None else [Fraction(1)] * h.n)
-    if len(w) != h.n:
-        raise InputError("weight vector length differs from vertex count")
+    """Max weight of an independent set of H under ``h.weights`` (unit
+    weights when None) and a witness set."""
+    w = h.weights or [Fraction(1)] * h.n
     neg = 0
     for v in range(h.n):
         if w[v] < 0:
@@ -742,10 +740,12 @@ def hom_decide(h: Hypergraph, f: Hypergraph, t: TreeDecomposition,
         raise InputError("hypergraphs must be uniform of the same rank")
     if f.n > TARGET_CAP:
         raise ResourceError(f"target cap {TARGET_CAP} exceeded (n={f.n})", n=f.n)
-    # the answers that need no DP still need a valid decomposition
+    # the answers that need no DP still need a valid decomposition.  An H
+    # without vertices maps to F unless it has the empty edge and F has
+    # vertices, as in hom_bruteforce (and no colouring takes that edge)
     if h.n == 0 or f.n == 0:
         _validated(h, t)
-        return h.n == 0
+        return h.n == 0 and (f.n == 0 or not h.edges)
     # i(F) in the order of a greedy cover of V(F), each set the one that
     # holds the most vertices not yet held (the first in sorted order on
     # ties), then the rest: the walk of leaf_init cuts from the level at

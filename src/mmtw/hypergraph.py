@@ -236,12 +236,10 @@ def _remap_mask(mask: int, table) -> int:
 
 
 def induced(h: Hypergraph, s: int) -> tuple[Hypergraph, dict[int, int]]:
-    """H[S]: keep only edges contained in S; vertices reindexed, map returned."""
+    """H[S] without weights: keep only edges contained in S; vertices
+    reindexed, map returned."""
     if s & ~h.vertex_mask:
         raise InputError("S contains an unknown vertex id")
     remap = removal_remap(h.n, h.vertex_mask & ~s)
     edges = [_remap_mask(e, remap) for e in h.edges if e & ~s == 0]
-    weights = None
-    if h.weights is not None:
-        weights = tuple(h.weights[v] for v in remap)
-    return Hypergraph(s.bit_count(), edges, weights), remap
+    return Hypergraph(s.bit_count(), edges), remap

@@ -25,9 +25,8 @@ from ._bits import bits, reach
 from .blocker import enumerate_mis
 from .decomposition import TreeDecomposition, from_elimination_order
 from .errors import InputError, ResourceError
-from .hypergraph import (Clutter, Hypergraph, _minimal_masks, _remap_mask,
-                         removal_remap)
-from .reductions import PendantExtension
+from .hypergraph import (Clutter, Graph, Hypergraph, _minimal_masks,
+                         _remap_mask, removal_remap)
 
 Measure = Callable[[int], object]
 
@@ -287,10 +286,10 @@ def lambda_tw_exact(h: Hypergraph, lam: Measure,
     return cost[full], from_elimination_order(h, order)
 
 
-def pendant_pullback(x: PendantExtension, t: TreeDecomposition) -> TreeDecomposition:
-    """The pendant reduction's way back: delete every pendant vertex from
-    every bag; the tree is unchanged."""
-    n = x.original.n
+def pendant_pullback(g: Graph, t: TreeDecomposition) -> TreeDecomposition:
+    """The pendant reduction's way back from a decomposition of M(G): delete
+    every pendant vertex from every bag; the tree is unchanged."""
+    n = g.n
     for bag in t.bags:
         if bag >> (2 * n):
             raise InputError("bag contains a vertex outside the extension")

@@ -20,26 +20,19 @@ from functools import reduce
 from operator import or_
 
 from ._bits import bits, mask_of
-from .approx import Refutation, approx_decomposition
+from .approx import approx_decomposition
 from .decomposition import TreeDecomposition
 from .errors import InputError
 from .hypergraph import Graph
 from .measures import ALPHA
 
 
-@dataclass(frozen=True)
-class PendantExtension:
+def pendant_extend(g: Graph) -> Graph:
     """M(G): V(M) = V(G) + one pendant v' per vertex; v' has id v + n."""
-
-    original: Graph
-    extended: Graph
-
-
-def pendant_extend(g: Graph) -> PendantExtension:
     n = g.n
     edges = list(g.edges)
     edges += [(1 << v) | (1 << (v + n)) for v in range(n)]
-    return PendantExtension(g, Graph(2 * n, edges))
+    return Graph(2 * n, edges)
 
 
 @dataclass(frozen=True)
@@ -75,12 +68,10 @@ def line_square_pullback(x: LineSquare, t: TreeDecomposition
 
 
 def approximate_mu_tw(g: Graph, k: int):
-    """Decomposition of G with mu-width <= 2k^3+2k^2+3k+3, or a Refutation
-    meaning mu-tw(G) > k.  Runs the alpha pipeline on L^2(G) and pulls back."""
+    """Decomposition of G with mu-width <= 2k^3+2k^2+3k+3, or None, meaning
+    mu-tw(G) > k.  Runs the alpha pipeline on L^2(G) and pulls back."""
     if k < 1:
         raise InputError("k must be at least 1")
     ls = line_square(g)
     out = approx_decomposition(ls.line, k, ALPHA)
-    if isinstance(out, Refutation):
-        return Refutation("mu-tw exceeds k")
-    return line_square_pullback(ls, out)
+    return None if out is None else line_square_pullback(ls, out)

@@ -84,12 +84,17 @@ def test_solve_refuted_exit_code(files, capsys):
     assert code == 10
 
 
-def test_decompose_revalidates_as_separate_invocations(files, capsys, tmp_path):
+def test_decompose_revalidates_as_separate_invocations(files, capsys):
+    # plain mode: stdout is the decomposition alone, the report goes to
+    # stderr, and the payload is the one that --json carries
     k8 = complete_graph(8)
     hg = files("k8.hg", serialize_hypergraph(k8))
-    out_td = str(tmp_path / "k8.td")
-    code, out, _ = run(capsys, "decompose", "-k", "1", hg, "-o", out_td)
+    code, out, err = run(capsys, "decompose", "-k", "1", hg)
     assert code == 0
+    assert err.splitlines()[0] == "status: ok" and "width: " in err
+    _, doc, _ = run(capsys, "decompose", "-k", "1", hg, "--json")
+    assert json.loads(doc)["payload"] == out
+    out_td = files("k8.td", out)
     code, _, _ = run(capsys, "validate", hg, out_td, "--json")
     assert code == 0
     code, out, _ = run(capsys, "width", hg, out_td, "--measure", "mu", "--json")
@@ -106,43 +111,6 @@ def test_decompose_json_payload_validates(files, capsys):
     t = parse_td(doc["payload"])
     assert validate(c5, t)
     assert width(c5, t, "mu").width <= doc["width_bound"] == 33
-
-
-def test_decompose_output_file_in_both_modes(files, capsys, tmp_path):
-    c5 = cycle_graph(5)
-    hg = files("c5.hg", serialize_hypergraph(c5))
-    # --json -o: stdout is the report with its payload, the file the payload
-    path = tmp_path / "json.td"
-    code, out, _ = run(capsys, "decompose", "-k", "2", hg, "--json",
-                       "-o", str(path))
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["status"] == "ok"
-    assert path.read_text() == doc["payload"]
-    assert validate(c5, parse_td(doc["payload"]))
-    # -o alone: stdout is the plain report, the file the decomposition
-    path = tmp_path / "plain.td"
-    code, out, _ = run(capsys, "decompose", "-k", "2", hg, "-o", str(path))
-    assert code == 0
-    assert out.splitlines()[0] == "status: ok"
-    assert path.read_text() == doc["payload"]
-
-
-@pytest.mark.parametrize("flag", [(), ("--json",)])
-def test_unwritable_output_is_invalid_input(files, capsys, tmp_path, flag):
-    # the payload is written before the report, so the report says it failed
-    hg = files("p3.hg", serialize_hypergraph(path_graph(3)))
-    path = str(tmp_path / "missing" / "out.td")
-    code, out, err = run(capsys, "decompose", "-k", "1", hg, "-o", path,
-                         *flag)
-    assert code == 2
-    assert f"cannot write {path}" in err
-    if flag:
-        doc = json.loads(out)
-        assert doc["status"] == "invalid-input" and path in doc["error"]
-        assert "payload" not in doc
-    else:
-        assert out.splitlines()[0] == "status: invalid-input"
 
 
 def test_invalid_emitted_decomposition_is_an_internal_error(files, capsys,
@@ -695,8 +663,7 @@ def _two_colourable(adj):
                                         ("cobipartite", 4, 0.0),
                                         ("cobipartite", 12, 0.3),
                                         ("cobipartite", 40, 0.3)])
-def test_solve_reads_one_bag_of_many_vertices(files, capsys, tmp_path,
-                                              family, n, p):
+def test_solve_reads_one_bag_of_many_vertices(files, capsys, family, n, p):
     # mu <= 2 on both families, so decompose -k 2 answers with one bag of n
     # vertices; the solves bound its leaf table by the table cap, not by n.
     # Two cliques of two vertices and no cross edge are 2-colourable.
@@ -708,11 +675,10 @@ def test_solve_reads_one_bag_of_many_vertices(files, capsys, tmp_path,
         weights, colours = [rng.randint(0, 9) for _ in range(n)], 2
     hg = files(f"{family}{n}.hg",
                serialize_hypergraph(Hypergraph(n, g.edges, weights)))
-    td = str(tmp_path / f"{family}{n}.td")
-    code, _, _ = run(capsys, "decompose", "-k", "2", hg, "-o", td)
+    code, out, _ = run(capsys, "decompose", "-k", "2", hg)
     assert code == 0
-    with open(td) as fh:
-        assert list(parse_td(fh.read()).bags) == [g.vertex_mask]
+    assert list(parse_td(out).bags) == [g.vertex_mask]
+    td = files(f"{family}{n}.td", out)
     # an independent set meets each of the two cliques at most once
     adj = g.gaifman_adj()
     best = max(weights)
@@ -765,22 +731,22 @@ def test_crlf_line_ends_read_as_newlines(tmp_path, capsys):
 ROUTED_ARGVS = [
     ["decompose", "h.hg", "-k", "2"],
     ["decompose", "-k", "-1", "h.hg", "--measure", "alpha", "--json"],
-    ["decompose", "h.hg", "-k", "1", "-o", "out.td", "--measure=rho"],
-    ["decompose", "-k1", "--outp", "out.td", "--js", "--", "-h.hg"],
+    ["decompose", "h.hg", "-k", "1", "--measure=rho"],
+    ["decompose", "-k1", "--js", "--", "-h.hg"],
     ["validate", "h.hg", "t.td"],
-    ["validate", "--json", "h.hg", "t.td", "--output", "o"],
+    ["validate", "--json", "h.hg", "t.td"],
     ["width", "h.hg", "t.td"],
-    ["width", "h.hg", "t.td", "--measure", "kappa", "--json", "-o", "w"],
+    ["width", "h.hg", "t.td", "--measure", "kappa", "--json"],
     ["trace", "h.hg", "-S", "1,3"],
-    ["trace", "-S", "", "h.hg", "--caps", "nodes=5", "--json", "-o", "x"],
+    ["trace", "-S", "", "h.hg", "--caps", "nodes=5", "--json"],
     ["solve", "h.hg", "t.td", "--problem", "mwis"],
     ["solve", "--problem", "color", "-k", "3", "h.hg", "t.td",
      "--caps", "table=9,nodes=2", "--json"],
-    ["solve", "h.hg", "t.td", "--problem=hom", "--target", "f.hg", "-o", "r"],
+    ["solve", "h.hg", "t.td", "--problem=hom", "--target", "f.hg"],
     ["reduce", "h.hg", "m"],
-    ["reduce", "h.hg", "l2", "--json", "--output", "l.hg"],
+    ["reduce", "h.hg", "l2", "--json"],
     ["stats", "h.hg"],
-    ["stats", "--json", "h.hg", "-o", "s.txt"],
+    ["stats", "--json", "h.hg"],
 ]
 
 
@@ -805,3 +771,111 @@ def test_an_unrecognized_argument_is_reported_under_the_subcommand(capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: mmtw stats ")
     assert "mmtw stats: error: unrecognized arguments: --bogus" in err
+
+
+# one argv per subcommand, files named but not read
+ONE_ARGV_PER_SUBCOMMAND = [
+    ["decompose", "h.hg", "-k", "1"],
+    ["validate", "h.hg", "t.td"],
+    ["width", "h.hg", "t.td"],
+    ["trace", "h.hg", "-S", "1"],
+    ["solve", "h.hg", "t.td", "--problem", "mwis"],
+    ["reduce", "h.hg", "m"],
+    ["stats", "h.hg"],
+]
+
+
+def test_one_argv_per_subcommand_names_them_all():
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    assert sorted(argv[0] for argv in ONE_ARGV_PER_SUBCOMMAND) == \
+        sorted(commands)
+
+
+@pytest.mark.parametrize("flag", ["-o", "--output"])
+@pytest.mark.parametrize("argv", ONE_ARGV_PER_SUBCOMMAND)
+def test_no_subcommand_takes_an_output_file(argv, flag, capsys):
+    # a payload goes to stdout, or into the JSON report with --json
+    with pytest.raises(SystemExit) as info:
+        main([*argv, flag, "out.txt"])
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag} out.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem, extra, option", [
+    ("mwis", ["-k", "2"], "-k"),
+    ("hom", ["-k", "2"], "-k"),
+    ("mwis", ["--target", "missing.hg"], "--target"),
+    ("color", ["-k", "2", "--target", "missing.hg"], "--target"),
+])
+def test_solve_refuses_an_option_its_problem_does_not_read(
+        files, capsys, problem, extra, option):
+    hg = files("p3.hg", serialize_hypergraph(path_graph(3)))
+    td = files("p3.td", "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
+    if problem == "hom":
+        extra = [*extra, "--target",
+                 files("k2.hg", serialize_hypergraph(complete_graph(2)))]
+    code, out, _ = run(capsys, "solve", "--problem", problem, hg, td,
+                       *extra, "--json")
+    assert code == 2
+    doc = json.loads(out)
+    assert doc["status"] == "invalid-input"
+    assert doc["error"].startswith(f"{option} is read by ")
+    assert doc["error"].endswith(f"not {problem}")
+
+
+@pytest.mark.parametrize("problem, error", [("color", "color needs -k"),
+                                            ("hom", "hom needs --target")])
+def test_solve_without_the_option_its_problem_reads(files, capsys, problem,
+                                                    error):
+    hg = files("p3.hg", serialize_hypergraph(path_graph(3)))
+    td = files("p3.td", "s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n")
+    code, out, err = run(capsys, "solve", "--problem", problem, hg, td,
+                         "--json")
+    assert code == 2
+    assert json.loads(out) == {"schema": 1, "status": "invalid-input",
+                               "error": error}
+    assert err == f"error: {error}\n"
+
+
+def test_hom_on_a_hypergraph_that_is_not_uniform(files, capsys):
+    # edges {1, 2} and {1, 2, 3} have two ranks
+    hg = files("mixed.hg", serialize_hypergraph(Hypergraph(3, [0b011,
+                                                               0b111])))
+    td = files("one.td", "s td 1 3 3\nb 1 1 2 3\n")
+    k2 = files("k2.hg", serialize_hypergraph(complete_graph(2)))
+    code, out, _ = run(capsys, "solve", "--problem", "hom", hg, td,
+                       "--target", k2, "--json")
+    assert code == 2
+    assert json.loads(out)["error"] == "hypergraphs must be uniform"
+
+
+@pytest.mark.parametrize("flag", [(), ("--json",)])
+def test_validate_reports_an_invalid_decomposition(files, capsys, flag):
+    # the one bag misses vertex 3, so it covers neither 3 nor the edge {2, 3}
+    p3 = path_graph(3)
+    hg = files("p3.hg", serialize_hypergraph(p3))
+    text = "s td 1 2 3\nb 1 1 2\n"
+    reason = validate(p3, parse_td(text)).reason
+    assert reason
+    code, out, _ = run(capsys, "validate", hg, files("bad.td", text), *flag)
+    assert code == 2
+    if flag:
+        assert json.loads(out) == {"schema": 1, "status": "invalid-input",
+                                   "valid": False, "reason": reason}
+    else:
+        assert out.splitlines() == ["status: invalid-input", "valid: False",
+                                    f"reason: {reason}"]
+
+
+def test_decompose_words_each_refutation(files, capsys):
+    # C30 has mu-tw above 1; without --measure the refutation names mu
+    hg = files("c30.hg", serialize_hypergraph(cycle_graph(30)))
+    code, out, _ = run(capsys, "decompose", "-k", "1", hg, "--json")
+    assert code == 10
+    assert json.loads(out) == {"schema": 1, "status": "refuted",
+                               "reason": "mu-tw exceeds k", "k": 1}
+    code, out, _ = run(capsys, "decompose", "-k", "1", "--measure", "alpha",
+                       hg, "--json")
+    assert code == 10
+    assert json.loads(out) == {"schema": 1, "status": "refuted",
+                               "reason": "lambda-tw exceeds k", "k": 1}

@@ -25,13 +25,18 @@ def wsum(w, mask):
     return sum((Fraction(w[v]) for v in bits(mask)), Fraction(0))
 
 
+def weighted(h, w):
+    """H carrying the vertex weights ``w``, which ``mwis`` reads."""
+    return type(h)(h.n, h.edges, w)
+
+
 def test_mwis_examples():
     p3 = path_graph(3)
     t = TreeDecomposition([0b011, 0b110], [(0, 1)])
-    assert mwis(p3, [1, 1, 1], t) == (2, mask_of((0, 2)))
+    assert mwis(p3, t) == (2, mask_of((0, 2)))
     k5 = complete_graph(5)
-    assert mwis(k5, [1, 2, 3, 4, 5], single_bag(k5)) == (5, 1 << 4)
-    assert mwis(p3, [-1, -2, -3], t) == (0, 0)
+    assert mwis(weighted(k5, [1, 2, 3, 4, 5]), single_bag(k5)) == (5, 1 << 4)
+    assert mwis(weighted(p3, [-1, -2, -3]), t) == (0, 0)
 
 
 def test_single_bag_equals_direct():
@@ -41,7 +46,7 @@ def test_single_bag_equals_direct():
         h = random_hypergraph(rng, n, rng.randrange(0, n + 2))
         w = random_weights(rng, n, lo=0)
         best = max((wsum(w, j) for j in enumerate_mis(h)), default=Fraction(0))
-        assert mwis(h, w, single_bag(h))[0] == best
+        assert mwis(weighted(h, w), single_bag(h))[0] == best
 
 
 def test_mwis_random_vs_oracle():
@@ -54,7 +59,7 @@ def test_mwis_random_vs_oracle():
             h = random_hypergraph(rng, n, rng.randrange(1, n + 3), rank=3)
         w = random_weights(rng, n)
         t = random_decomposition(rng, h)
-        val, wit = mwis(h, w, t)
+        val, wit = mwis(weighted(h, w), t)
         assert val == mwis_bruteforce(h, w)[0]
         assert independent_in(h, wit)
         assert wsum(w, wit) == val
@@ -109,6 +114,18 @@ def test_chromatic_without_vertices():
         chromatic_decide(empty, 3, TreeDecomposition([0, 1], [(0, 1)]))
 
 
+def test_hom_without_vertices_matches_the_oracle():
+    # an H with no vertices maps to every F, unless it has the empty edge
+    # and F has vertices: then, as no colouring takes that edge, no map does
+    empty, empty_edge = Hypergraph(0, []), Hypergraph(0, [0])
+    targets = (Hypergraph(2, [0]), Hypergraph(2, []), Hypergraph(0, []))
+    assert [hom_decide(empty_edge, f, single_bag(empty_edge))
+            for f in targets] == [False, False, True]
+    for h in (empty, empty_edge):
+        for f in targets:
+            assert hom_decide(h, f, single_bag(h)) == hom_bruteforce(h, f)
+
+
 def test_hom_examples():
     p3, k2, c5 = path_graph(3), complete_graph(2), cycle_graph(5)
     assert hom_decide(p3, k2, single_bag(p3))
@@ -148,7 +165,8 @@ def test_decomposition_invariance():
         w = random_weights(rng, n)
         t1 = random_decomposition(rng, h)
         t2 = random_decomposition(rng, h)
-        assert mwis(h, w, t1)[0] == mwis(h, w, t2)[0]
+        hw = weighted(h, w)
+        assert mwis(hw, t1)[0] == mwis(hw, t2)[0]
         k = rng.randrange(1, 4)
         assert chromatic_decide(h, k, t1) == chromatic_decide(h, k, t2)
 
@@ -157,7 +175,7 @@ def test_run_dp_rejects_invalid_decomposition():
     p3 = path_graph(3)
     bad = TreeDecomposition([0b001, 0b110], [(0, 1)])
     with pytest.raises(InputError):
-        mwis(p3, [1, 1, 1], bad)
+        mwis(p3, bad)
 
 
 def test_table_cap():
@@ -242,7 +260,7 @@ def test_nested_bags_match_the_oracles(monkeypatch):
         copies += sum(t.bags.count(t.bags[i]) - 1 for i in top)
         w = random_weights(rng, n)
         built.clear()
-        val, wit = mwis(h, w, t)
+        val, wit = mwis(weighted(h, w), t)
         assert val == mwis_bruteforce(h, w)[0]
         assert independent_in(h, wit) and wsum(w, wit) == val
         assert sorted(built) == top
@@ -267,7 +285,7 @@ def test_nothing_contracts_on_a_path(monkeypatch):
     n = 60
     t = TreeDecomposition([0b11 << i for i in range(n - 1)],
                           [(i, i + 1) for i in range(n - 2)])
-    assert mwis(path_graph(n), None, t)[0] == n // 2
+    assert mwis(path_graph(n), t)[0] == n // 2
     assert [args[2] for args in built] == list(range(n - 2, -1, -1))
     assert len(merged) == n - 2
 
@@ -425,7 +443,7 @@ def test_mwis_still_computes_the_trace(monkeypatch):
     monkeypatch.setattr(mmtw.dp, "trace_blocker", counting)
     p3 = path_graph(3)
     t = TreeDecomposition([0b011, 0b110], [(0, 1)])
-    assert mwis(p3, [1, 1, 1], t) == (2, mask_of((0, 2)))
+    assert mwis(p3, t) == (2, mask_of((0, 2)))
     assert len(calls) == 1
 
 
@@ -480,7 +498,7 @@ def test_a_merge_whose_candidates_all_settle_runs_no_trace(monkeypatch):
     calls = counting_traces(monkeypatch)
     p3 = path_graph(3)
     t = TreeDecomposition([0b011, 0b110], [(0, 1)])
-    assert mwis(p3, [1, 1, 1], t) == (2, mask_of((0, 2)))
+    assert mwis(p3, t) == (2, mask_of((0, 2)))
     assert calls == []
 
 
@@ -501,7 +519,7 @@ def test_a_bag_whose_merges_all_settle_builds_no_copy(monkeypatch):
     spy_on("_closed_neighbourhood")
     p3 = path_graph(3)
     t = TreeDecomposition([0b011, 0b110], [(0, 1)])
-    assert mwis(p3, [1, 1, 1], t) == (2, mask_of((0, 2)))
+    assert mwis(p3, t) == (2, mask_of((0, 2)))
     assert calls == []
 
 
@@ -534,7 +552,7 @@ def test_an_undecided_candidate_runs_the_trace_once(monkeypatch):
     calls = counting_traces(monkeypatch)
     t = TreeDecomposition([s | 1 << 5, full], [(0, 1)])
     w = [1, 2, 1, 1, 1, 1]
-    assert mwis(h, w, t)[0] == mwis_bruteforce(h, w)[0]
+    assert mwis(weighted(h, w), t)[0] == mwis_bruteforce(h, w)[0]
     assert len(calls) == 1
 
 
@@ -625,7 +643,7 @@ def test_table_keys_that_are_candidates_are_members(monkeypatch):
         if rng.random() < 0.5:
             h, t = _with_padded_leaves(rng, h, t)
         w = random_weights(rng, h.n)
-        val, wit = mwis(h, w, t)
+        val, wit = mwis(weighted(h, w), t)
         assert val == mwis_bruteforce(h, w)[0]
         assert independent_in(h, wit) and wsum(w, wit) == val
     assert seen["acc"] > 10000 and seen["child"] > 7000
@@ -651,7 +669,7 @@ def test_a_padded_key_that_is_not_independent_is_never_asked(monkeypatch):
 
     monkeypatch.setattr(MwisDP, "merge", spy)
     w = [1, 5, 2]
-    assert mwis(h, w, t) == mwis_bruteforce(h, w) == (2, 0b100)
+    assert mwis(weighted(h, w), t) == mwis_bruteforce(h, w) == (2, 0b100)
     assert set(asked) == {0b001, 0}
 
 
@@ -678,7 +696,7 @@ def test_the_blocking_index_is_built_once_per_solve(monkeypatch):
     t = TreeDecomposition([0b11 << i for i in range(n - 1)],
                           [(i, i + 1) for i in range(n - 2)])
     for _ in range(2):
-        assert mwis(p, None, t)[0] == n // 2
+        assert mwis(p, t)[0] == n // 2
     assert len(built) == 2
     assert len(settled) == 2 * (n - 2)
 
@@ -692,8 +710,8 @@ def test_a_merge_whose_candidates_are_all_keys_settles_nothing(monkeypatch):
     h = Graph.from_pairs(4, [(0, 1), (1, 2)])
     t = TreeDecomposition([0b1010, 0b0011, 0b0110], [(0, 1), (0, 2)])
     assert t.node_count == 3
-    assert mwis(h, [1, 1, 1, 1], t) == (3, 0b1101)
-    assert mwis(h, [1, 3, 1, 1], t) == (4, 0b1010)
+    assert mwis(h, t) == (3, 0b1101)
+    assert mwis(weighted(h, [1, 3, 1, 1]), t) == (4, 0b1010)
     assert settled == []
 
 
@@ -799,7 +817,7 @@ def test_leaf_sets_come_from_enumerate_mis(monkeypatch):
     p = path_graph(n)
     t = TreeDecomposition([0b11 << i for i in range(n - 1)],
                           [(i, i + 1) for i in range(n - 2)])
-    assert mwis(p, None, t)[0] == 4
+    assert mwis(p, t)[0] == 4
     assert sorted(calls) == sorted(t.bags)
     calls.clear()
     assert chromatic_decide(p, 2, t)
@@ -828,7 +846,7 @@ def test_run_dp_stops_at_the_first_empty_leaf(monkeypatch):
     e = Hypergraph(3, [0, 0b011])
     te = TreeDecomposition([0b011, 0b110], [(0, 1)])
     calls.clear()
-    assert mwis(e, [1, 2, 3], te) == (Fraction(0), 0)
+    assert mwis(weighted(e, [1, 2, 3]), te) == (Fraction(0), 0)
     assert calls == [0b110]
 
 
@@ -1216,7 +1234,7 @@ def test_mwis_traces_only_the_closed_neighbourhood(monkeypatch):
     bound = max((b | mask_of(u for v in bits(b) for u in bits(adj[v])))
                 .bit_count() for b in t.bags)
     assert bound == 4
-    val, wit = mwis(p, [1] * n, t)
+    val, wit = mwis(p, t)
     assert val == n // 2 and independent_in(p, wit)
     assert len(calls) == t.node_count - 1
     assert max(calls) <= bound
@@ -1280,7 +1298,7 @@ def test_each_traced_merge_copies_its_own_closed_neighbourhood(monkeypatch):
             want.append(near)
         w = random_weights(rng, h.n, lo=0)
         copies.clear()
-        assert mwis(h, w, t)[0] == mwis_bruteforce(h, w)[0]
+        assert mwis(weighted(h, w), t)[0] == mwis_bruteforce(h, w)[0]
         assert copies == want
         grew += len(set(want)) > 1
     assert grew >= 10
@@ -1303,7 +1321,7 @@ def test_mwis_fractional_weights_vs_oracle():
             h = random_hypergraph(rng, n, rng.randrange(1, n + 3), rank=3)
         w = [rng.choice(FRACTIONS) for _ in range(n)]
         t = random_decomposition(rng, h)
-        val, wit = mwis(h, w, t)
+        val, wit = mwis(weighted(h, w), t)
         assert isinstance(val, Fraction)
         assert val == mwis_bruteforce(h, w)[0]
         assert independent_in(h, wit)

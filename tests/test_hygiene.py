@@ -7,13 +7,17 @@ every name the benchmark's tracer patches, every function of ``mmtw`` that calls
 itself is listed with what bounds its depth, every parameter that a
 function of ``mmtw`` never reads is listed with why it is kept, and the
 measures and reductions build no per-vertex index and no per-edge conflict
-masks of their own, and no function keeps a memo from one request to the
-next."""
+masks of their own, no function keeps a memo from one request to the
+next, and every option of a subcommand is read by that subcommand's
+handler."""
 
+import argparse
 import ast
 import importlib.util
 import types
 from pathlib import Path
+
+from mmtw.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mmtw"
@@ -652,3 +656,46 @@ def test_no_memo_outlives_a_request():
              for path in sorted(SRC.glob("*.py"))
              for name in lasting_memos(path.read_text(encoding="utf-8"))]
     assert sorted(found) == sorted(KEPT_MEMOS)
+
+
+# The options every subcommand has, read for all of them by cli._Report.
+SHARED_OPTIONS = {"help", "json"}
+
+
+def unread_options(parser: argparse.ArgumentParser, source: str) -> list[str]:
+    """``command.dest`` for each option of a subcommand of ``parser``
+    (``SHARED_OPTIONS`` aside) that the function ``_cmd_<command>`` of
+    ``source`` never reads as ``args.<dest>``.  A read in one branch only
+    counts as a read."""
+    handlers = {node.name: node for node in ast.walk(ast.parse(source))
+                if isinstance(node, FUNCTIONS)}
+    found = []
+    for command, sub in parser._subparsers._group_actions[0].choices.items():
+        handler = handlers.get(f"_cmd_{command}")
+        read = set() if handler is None else {
+            node.attr for node in ast.walk(handler)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+        found += [f"{command}.{action.dest}" for action in sub._actions
+                  if action.dest not in SHARED_OPTIONS | read]
+    return found
+
+
+def test_unread_options_are_caught():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers(dest="command")
+    sp = sub.add_parser("run")
+    sp.add_argument("path")
+    sp.add_argument("-v", "--verbose", action="store_true")
+    sp.add_argument("--json", action="store_true")
+    sp = sub.add_parser("show")
+    sp.add_argument("-k", type=int)
+    source = ("def _cmd_run(args, report):\n    return open(args.path)\n"
+              "def _cmd_show(args, report):\n"
+              "    return report.k if args.json else 0\n")
+    assert unread_options(parser, source) == ["run.verbose", "show.k"]
+
+
+def test_every_option_is_read_by_its_subcommand():
+    source = (SRC / "cli.py").read_text(encoding="utf-8")
+    assert unread_options(_build_parser(), source) == []

@@ -1,7 +1,6 @@
 """Pendant extension and squared line graph, with decomposition pullbacks."""
 
 from mmtw._bits import bits, mask_of
-from mmtw.approx import Refutation
 from mmtw.decomposition import (TreeDecomposition, single_bag, validate,
                                 width)
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
@@ -18,18 +17,17 @@ def test_pendant_identity():
     rng = rng_from_seed(40)
     for _ in range(30):
         g = random_graph(rng, rng.randrange(1, 7), 0.5)
-        x = pendant_extend(g)
+        m = pendant_extend(g)
         for s in range(1 << g.n):
-            assert ALPHA.value(g, s) == MU.value(x.extended, s)
+            assert ALPHA.value(g, s) == MU.value(m, s)
 
 
 def test_pendant_pullback_valid():
     rng = rng_from_seed(41)
     for _ in range(30):
         g = random_graph(rng, rng.randrange(1, 8), 0.4)
-        x = pendant_extend(g)
-        t = random_decomposition(rng, x.extended)
-        back = pendant_pullback(x, t)
+        t = random_decomposition(rng, pendant_extend(g))
+        back = pendant_pullback(g, t)
         assert validate(g, back)
 
 
@@ -60,7 +58,7 @@ def test_approximate_mu_tw_small():
     for _ in range(20):
         g = random_graph(rng, rng.randrange(1, 9), 0.5)
         out = approximate_mu_tw(g, 2)
-        assert not isinstance(out, Refutation)
+        assert out is not None
         assert validate(g, out)
         assert width(g, out, "mu").width <= 33
 
@@ -78,10 +76,10 @@ def test_approximate_mu_tw_families():
 
 def test_pendant_ids():
     g = path_graph(3)
-    x = pendant_extend(g)
-    assert x.extended.n == 6
+    m = pendant_extend(g)
+    assert m.n == 6
     # the pendant of v is v + n, joined to v alone
-    assert [x.extended.gaifman_adj()[v + 3] for v in range(3)] == [1, 2, 4]
+    assert [m.gaifman_adj()[v + 3] for v in range(3)] == [1, 2, 4]
 
 
 def _pair_rule_l2(g):
