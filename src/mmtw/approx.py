@@ -588,19 +588,18 @@ def approx_decomposition(h: Hypergraph, k: int, m: WellBehavedMeasure):
     """
     if k < 1:
         raise InputError("k must be at least 1")
-    big_k = _big_k(k)
-    if m.decide(h, h.vertex_mask, big_k):
+    if m.decide(h, h.vertex_mask, _big_k(k)):
         return single_bag(h)
     eliminated = _min_fill_elimination(h, k, m)
     if eliminated is not None:
         return elimination_tree(*eliminated)
-    return _recurse(h, k, m, 0, big_k)
+    return _recurse(h, k, m, 0)
 
 
-def _recurse(h: Hypergraph, k: int, m: WellBehavedMeasure, w: int,
-             big_k: int):
+def _recurse(h: Hypergraph, k: int, m: WellBehavedMeasure, w: int):
     """A TreeDecomposition whose bag 0 contains w, or None, a refutation."""
     full = h.vertex_mask
+    big_k = _big_k(k)
     if m.decide(h, full, big_k):
         return single_bag(h)
     wstar, overshoot = _grow_wstar(h, m, w, big_k)
@@ -623,11 +622,12 @@ def _recurse(h: Hypergraph, k: int, m: WellBehavedMeasure, w: int,
         # a separator keeps A and B in different components, so
         # Ai + S lies inside Vi + S
         sub, remap = induced(h, vi | sep)
-        td = _recurse(sub, k, m, _remap_mask(ai | sep, remap), big_k)
+        td = _recurse(sub, k, m, _remap_mask(ai | sep, remap))
         if td is None:
             return None
         offset = len(bags)
-        back = list(bits(vi | sep))
+        # ``induced`` numbers the kept ids in increasing order
+        back = list(remap)
         bags.extend(_remap_mask(bmask, back) for bmask in td.bags)
         tree.extend((x + offset, y + offset) for x, y in td.tree_edges)
         tree.append((0, offset))

@@ -221,15 +221,14 @@ def _cmd_decompose(args, report: _Report) -> None:
     h = _load_hypergraph(args.hypergraph)
     if args.k < 1:
         raise InputError("-k must be at least 1")
+    measure_name = args.measure or "mu"
     if args.measure is None:
         # the width check below runs on this Graph too, so it reads the
         # conflict index that line_square built
         h = _as_graph(h)
         out = approximate_mu_tw(h, args.k)
-        measure_name = "mu"
     else:
         out = approx_decomposition(h, args.k, MEASURES[args.measure])
-        measure_name = args.measure
     if out is None:
         report.status = "refuted"
         report.fields["reason"] = ("mu-tw exceeds k" if args.measure is None
@@ -265,9 +264,9 @@ def _cmd_validate(args, report: _Report) -> None:
 def _cmd_width(args, report: _Report) -> None:
     h = _load_hypergraph(args.hypergraph)
     rep = width(h, parse_td(_read(args.decomposition)), args.measure)
-    report.fields["measure"] = rep.measure
+    report.fields["measure"] = args.measure
     report.fields["width"] = rep.width
-    report.fields["witness_bag"] = rep.witness_bag + 1
+    report.fields["witness_bag"] = rep.per_bag.index(rep.width) + 1
     report.fields["per_bag"] = [_jsonable(v) for v in rep.per_bag]
 
 
@@ -336,11 +335,10 @@ def _cmd_reduce(args, report: _Report) -> None:
         maps = [f"c map {v + g.n + 1} pendant-of {v + 1}" for v in range(g.n)]
         report.fields["kind"] = "pendant-extension"
     else:
-        x = line_square(g)
-        out = x.line
+        out = line_square(g).line
         maps = [f"c map {i + 1} edge " +
                 " ".join(str(v + 1) for v in bits(e))
-                for i, e in enumerate(x.original.edges)]
+                for i, e in enumerate(g.edges)]
         report.fields["kind"] = "squared-line-graph"
     report.fields["n"] = out.n
     report.fields["m"] = len(out.edges)

@@ -120,10 +120,8 @@ def validate(h: Hypergraph, t: TreeDecomposition) -> Validity:
 
 @dataclass(frozen=True)
 class WidthReport:
-    measure: str
     per_bag: tuple
     width: float | int
-    witness_bag: int
 
 
 def width(h: Hypergraph, t: TreeDecomposition, measure: str) -> WidthReport:
@@ -142,8 +140,7 @@ def width(h: Hypergraph, t: TreeDecomposition, measure: str) -> WidthReport:
         except ResourceError as exc:
             raise ResourceError(f"width oracle cap exceeded on bag {i}",
                                 bag=i, **exc.stats) from exc
-    w = max(values)
-    return WidthReport(measure, tuple(values), w, values.index(w))
+    return WidthReport(tuple(values), max(values))
 
 
 def single_bag(h: Hypergraph) -> TreeDecomposition:

@@ -70,10 +70,17 @@ subhypergraph of H[A], so B's leaf is empty only when A's is.  A table cap
 bounds the tables of the maximal bags, and a merged table over a larger bag
 can go over a cap that the input tree's tables stay under.
 
-MWIS weights are scaled to integers by the least common multiple of their
-denominators before the DP runs, so the tables add and compare ints.  An
-MWIS table stores, per key, the weight outside it, so that only
-``restrict`` adds weights.
+MWIS runs on H itself, under w+ = max(w, 0): a negative weight clamps at
+0, and the negative vertices, neg, leave the witness at the end.  This is
+exact.  As w+ >= 0, every independent set grows to a maximal one without
+losing w+ weight, so the DP's witness M, the best maximal independent set,
+has the largest w+ weight of any independent set.  M - neg is independent,
+and w(M - neg) = w+(M) >= w+(I) >= w(I) for every independent I.  So the
+tables, leaf caps and traces depend on (H, T) alone, not on the signs of
+the weights.  The weights are scaled to integers by the least common
+multiple of their denominators before the DP runs, so the tables add and
+compare ints.  An MWIS table stores, per key, the weight outside it, so
+that only ``restrict`` adds weights.
 """
 
 from __future__ import annotations
@@ -513,18 +520,15 @@ def mwis(h: Hypergraph, t: TreeDecomposition,
     """Max weight of an independent set of H under ``h.weights`` (unit
     weights when None) and a witness set."""
     w = h.weights or [Fraction(1)] * h.n
-    neg = 0
-    for v in range(h.n):
-        if w[v] < 0:
-            neg |= 1 << v
-    h2 = Hypergraph(h.n, (e for e in h.edges if not e & neg)) if neg else h
-    # scaling by a positive d keeps every comparison, hence every witness
+    # scaling by a positive d keeps every comparison, hence every witness;
+    # a negative weight clamps at 0 (see the module docstring)
     d = lcm(*(x.denominator for x in w))
     w2 = [x.numerator * (d // x.denominator) if x >= 0 else 0 for x in w]
-    final = run_dp(h2, t, MwisDP(w2), node_cap, table_cap)
+    final = run_dp(h, t, MwisDP(w2), node_cap, table_cap)
     if not final:
         return Fraction(0), 0
     val, wit = final[0]
+    neg = sum(1 << v for v, x in enumerate(w) if x < 0)
     return Fraction(val, d), wit & ~neg
 
 
@@ -556,7 +560,7 @@ class CoverDP:
     and ``merge`` ORs the tuple shifted by each onto component 0, while
     ``leaf_init`` carries the union as it fixes components.  ``cover``, and
     so any other target (C5, a loop that lies in no component), walks
-    ``incidence``.
+    ``parts``: per x, the shifts i * |full| of the i in incidence[x].
 
     The order of i(F) is free: ``hom_decide`` takes a greedy cover of V(F)
     first, so that the walk of ``leaf_init`` cuts from an early level.
@@ -572,7 +576,6 @@ class CoverDP:
 
     def __init__(self, arity: int, incidence, full_mask: int):
         self.arity = arity
-        self.incidence = incidence
         self.full = full_mask
         self.shift = full_mask.bit_length()
         self.ones = sum(1 << (i * self.shift) for i in range(arity))
@@ -622,9 +625,9 @@ class CoverDP:
         Root check: in such a tuple every vertex of s is covered, and a
         target vertex x covers at most max |j & s| of them, being inside a
         component of i(F).  So the table is empty when |s| is above
-        |incidence| times that maximum.  A vertex in no component
-        (incidence [], a loop {x} of a rank-1 F) covers all of s, and the
-        check then never fires.
+        |V(F)| times that maximum.  A vertex in no component (incidence [],
+        a loop {x} of a rank-1 F) covers all of s, and the check then never
+        fires.
 
         The walk fixes one component per level, and the components not yet
         fixed count as ``full``, so the coverage of a prefix bounds that of
@@ -648,9 +651,9 @@ class CoverDP:
         fixed before it: the walk carries that union with each prefix, and
         keeps j iff it holds s minus the union.
         """
-        if mis and all(self.incidence):
+        if mis and all(self.parts):
             most = max((j & s).bit_count() for j in mis)
-            if s.bit_count() > len(self.incidence) * most:
+            if s.bit_count() > len(self.parts) * most:
                 return []
         shift, last = self.shift, self.arity - 1
         if self.fold is not None:
@@ -732,20 +735,20 @@ def chromatic_decide(h: Hypergraph, k: int, t: TreeDecomposition,
 def hom_decide(h: Hypergraph, f: Hypergraph, t: TreeDecomposition,
                table_cap: int = DEFAULT_TABLE_CAP) -> bool:
     """True iff there is a homomorphism from H to F (both r-uniform)."""
-    ranks_h = {e.bit_count() for e in h.edges}
-    ranks_f = {e.bit_count() for e in f.edges}
-    if len(ranks_h) > 1 or len(ranks_f) > 1:
+    (low, rank), (low_f, rank_f) = h.edge_sizes(), f.edge_sizes()
+    if low != rank or low_f != rank_f:
         raise InputError("hypergraphs must be uniform")
-    if ranks_h and ranks_f and ranks_h != ranks_f:
+    if h.edges and f.edges and rank != rank_f:
         raise InputError("hypergraphs must be uniform of the same rank")
     if f.n > TARGET_CAP:
         raise ResourceError(f"target cap {TARGET_CAP} exceeded (n={f.n})", n=f.n)
-    # the answers that need no DP still need a valid decomposition.  An H
-    # without vertices maps to F unless it has the empty edge and F has
-    # vertices, as in hom_bruteforce (and no colouring takes that edge)
-    if h.n == 0 or f.n == 0:
+    # the answers that need no DP still need a valid decomposition.  A map
+    # sends the empty edge to the empty edge, as in hom_bruteforce, so an
+    # empty edge of H needs that of F.  An F with the empty edge has no
+    # other (it is uniform) and no independent set for the DP to index by
+    if h.n == 0 or f.n == 0 or 0 in f.edges:
         _validated(h, t)
-        return h.n == 0 and (f.n == 0 or not h.edges)
+        return (h.n == 0 or f.n > 0) and (not h.edges or 0 in f.edges)
     # i(F) in the order of a greedy cover of V(F), each set the one that
     # holds the most vertices not yet held (the first in sorted order on
     # ties), then the rest: the walk of leaf_init cuts from the level at
@@ -757,12 +760,6 @@ def hom_decide(h: Hypergraph, f: Hypergraph, t: TreeDecomposition,
         target_mis.insert(i, best)
         left &= ~best
     arity = len(target_mis)
-    if arity == 0:
-        _validated(h, t)
-        # F has an empty edge: no independent sets at all, and any map sends
-        # edges of H nowhere useful; only edgeless H maps (vacuously) -- but
-        # an r-uniform F with an empty edge forces r=0 for H too
-        return not h.edges
     incidence = [[i for i, mi in enumerate(target_mis) if (mi >> x) & 1]
                  for x in range(f.n)]
     final = run_dp(h, t, CoverDP(arity, incidence, h.vertex_mask),

@@ -40,10 +40,6 @@ def _canonical_edges(n: int, edges: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _size_range(sizes: set[int]) -> tuple[int, int]:
-    return (min(sizes), max(sizes)) if sizes else (0, 0)
-
-
 def _minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     # masks of one size never contain each other, so sorting by size alone
     # meets every subset before its supersets
@@ -93,7 +89,8 @@ class Hypergraph:
         """The smallest and the largest edge size, (0, 0) without edges
         (cached)."""
         if self._edge_sizes is None:
-            self._edge_sizes = _size_range(set(map(int.bit_count, self.edges)))
+            sizes = set(map(int.bit_count, self.edges))
+            self._edge_sizes = (min(sizes, default=0), max(sizes, default=0))
         return self._edge_sizes
 
     def gaifman_adj(self) -> tuple[int, ...]:
@@ -141,9 +138,6 @@ class Hypergraph:
             self._conflicts = tuple(out)
         return self._conflicts
 
-    def edge_sets(self) -> list[frozenset[int]]:
-        return [to_set(h) for h in self.edges]
-
     # -- equality / hashing / repr --------------------------------------
 
     def _key(self):
@@ -157,7 +151,8 @@ class Hypergraph:
 
     def __repr__(self):
         name = type(self).__name__
-        body = ", ".join("{" + ",".join(map(str, sorted(e))) + "}" for e in self.edge_sets())
+        body = ", ".join("{" + ",".join(map(str, bits(e))) + "}"
+                         for e in self.edges)
         return f"{name}(n={self.n}, edges=[{body}])"
 
 
@@ -168,15 +163,13 @@ class Clutter(Hypergraph):
 
     def __init__(self, n: int, edges: Iterable[int] = (), weights: Weights = None):
         super().__init__(n, edges, weights)
-        es = self.edges
-        sizes = set(map(int.bit_count, es))
-        self._edge_sizes = _size_range(sizes)
-        if len(sizes) <= 1:
+        low, high = self.edge_sizes()
+        if low == high:
             return  # deduplicated uniform families are antichains
-        by_size = sorted(es, key=lambda m: m.bit_count())
+        by_size = sorted(self.edges, key=int.bit_count)
         for i, h in enumerate(by_size):
             for g in by_size[:i]:
-                if g != h and g & h == g:
+                if g & h == g:
                     raise InputError("edge set is not an antichain: "
                                      f"{sorted(to_set(g))} is contained in {sorted(to_set(h))}")
 
@@ -188,7 +181,7 @@ class Graph(Clutter):
 
     def __init__(self, n: int, edges: Iterable[int] = (), weights: Weights = None):
         super().__init__(n, edges, weights)
-        if self.edges and self._edge_sizes != (2, 2):
+        if self.edges and self.edge_sizes() != (2, 2):
             raise InputError("graph edge of size != 2")
 
     @classmethod

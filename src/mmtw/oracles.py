@@ -194,17 +194,17 @@ def chromatic_bruteforce(h: Hypergraph, k: int) -> bool:
 
 
 def hom_bruteforce(h: Hypergraph, f: Hypergraph) -> bool:
-    """Is there a map V(H) -> V(F) sending every edge of H onto an edge of F?"""
-    if f.n == 0:
-        return h.n == 0
+    """Is there a map φ: V(H) -> V(F) sending every edge of H onto an edge
+    of F?  φ(∅) = ∅, so an empty edge of H needs the empty edge of F."""
     n = h.n
     f_edges = set(f.edges)
+    if 0 in h.edges and 0 not in f_edges:
+        return False
     image = [-1] * n
-    by_last = [[] for _ in range(n)] if n else []
+    by_last = [[] for _ in range(n)]
     for e in h.edges:
-        if e == 0:
-            return False
-        by_last[max(bits(e))].append(e)
+        if e:
+            by_last[max(bits(e))].append(e)
 
     def assign(v: int) -> bool:
         if v == n:

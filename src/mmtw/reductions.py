@@ -38,24 +38,24 @@ def pendant_extend(g: Graph) -> Graph:
 @dataclass(frozen=True)
 class LineSquare:
     """L^2(G): one vertex per edge of G, joined when the edges touch or are
-    bridged by a third edge.  Isolated vertices of G have no image."""
+    bridged by a third edge.  Isolated vertices of G have no image.  The
+    wrapper holds only ``line``, which the benchmark's ``reductions.l2_edges``
+    counter reads as ``out.line`` (``perfbench/tracing.py``)."""
 
-    original: Graph
-    line: Graph  # vertex i is the edge original.edges[i]
+    line: Graph  # vertex i is the edge g.edges[i] of the G it was built from
 
 
 def line_square(g: Graph) -> LineSquare:
     # the adjacency of L-vertex i is g's conflict mask of edge i
-    return LineSquare(g, Graph.from_adj(g.conflicts()))
+    return LineSquare(Graph.from_adj(g.conflicts()))
 
 
-def line_square_pullback(x: LineSquare, t: TreeDecomposition
-                         ) -> TreeDecomposition:
-    """Bags S_t = vertices of G all of whose incident edges lie in B_t.
+def line_square_pullback(g: Graph, t: TreeDecomposition) -> TreeDecomposition:
+    """Bags S_t = vertices of G all of whose incident edges lie in B_t, T a
+    decomposition of L^2(G).
 
     Isolated vertices of G are appended to bag 0.
     """
-    g = x.original
     inc = g.incidence()
     bags = []
     for bag in t.bags:
@@ -72,6 +72,5 @@ def approximate_mu_tw(g: Graph, k: int):
     mu-tw(G) > k.  Runs the alpha pipeline on L^2(G) and pulls back."""
     if k < 1:
         raise InputError("k must be at least 1")
-    ls = line_square(g)
-    out = approx_decomposition(ls.line, k, ALPHA)
-    return None if out is None else line_square_pullback(ls, out)
+    out = approx_decomposition(line_square(g).line, k, ALPHA)
+    return None if out is None else line_square_pullback(g, out)

@@ -554,7 +554,7 @@ def _check_first_pass(h, k, m, name, out) -> bool:
     validates with width at most k, and the recursion never refutes it.
     True iff the answer came from the first pass."""
     eliminated = _min_fill_elimination(h, k, m)
-    recursed = _recurse(h, k, m, 0, _big_k(k))
+    recursed = _recurse(h, k, m, 0)
     assert (out is None) == (recursed is None)
     if eliminated is None:
         return False
@@ -674,7 +674,7 @@ def test_recursion_alone_on_paths_cycles_grids_and_chains():
     recursed = refuted = 0
     for h, m, k in cases:
         recursed += not m.decide(h, h.vertex_mask, _big_k(k))
-        out = _recurse(h, k, m, 0, _big_k(k))
+        out = _recurse(h, k, m, 0)
         if out is None:
             refuted += 1
             if h.n <= 14:

@@ -65,6 +65,48 @@ def test_mwis_random_vs_oracle():
         assert wsum(w, wit) == val
 
 
+def test_mwis_matches_a_search_of_every_subset(monkeypatch):
+    # a reference that shares no code with the DP: the best of all 2^n
+    # subsets of V that hold no edge.  The weights are signed and the
+    # negative vertices lie inside edges; the DP clamps them at 0 on H
+    # itself, so every leaf and merged table has the keys it has under unit
+    # weights
+    keys = []
+    for name in ("leaf_init", "merge"):
+        def spy(*args, original=getattr(MwisDP, name)):
+            out = original(*args)
+            keys.append(frozenset(out))
+            return out
+
+        monkeypatch.setattr(MwisDP, name, spy)
+    rng = rng_from_seed(58)
+    signed = 0
+    for it in range(200):
+        n = rng.randrange(1, 13)
+        if it % 2:
+            h = random_graph(rng, n, rng.uniform(0.2, 0.7))
+        else:
+            h = random_hypergraph(rng, n, rng.randrange(1, n + 3), rank=3)
+        w = random_weights(rng, n)
+        t = random_decomposition(rng, h)
+        signed += any(w[v] < 0 for e in h.edges for v in bits(e))
+        weight = [Fraction(0)] * (1 << n)
+        for sub in range(1, 1 << n):
+            low = sub & -sub
+            weight[sub] = weight[sub ^ low] + w[low.bit_length() - 1]
+        best = max(weight[sub] for sub in range(1 << n)
+                   if all(e & ~sub for e in h.edges))
+        keys.clear()
+        val, wit = mwis(weighted(h, w), t)
+        assert val == best
+        assert all(e & ~wit for e in h.edges) and weight[wit] == val
+        signed_keys = list(keys)
+        keys.clear()
+        mwis(h, t)
+        assert signed_keys == keys
+    assert signed > 100
+
+
 def test_chromatic_examples():
     k3 = complete_graph(3)
     assert chromatic_decide(k3, 3, single_bag(k3))
@@ -115,12 +157,12 @@ def test_chromatic_without_vertices():
 
 
 def test_hom_without_vertices_matches_the_oracle():
-    # an H with no vertices maps to every F, unless it has the empty edge
-    # and F has vertices: then, as no colouring takes that edge, no map does
+    # an H with no vertices maps to every F, unless it has the empty edge:
+    # a map sends it to the empty edge, which F must then have
     empty, empty_edge = Hypergraph(0, []), Hypergraph(0, [0])
     targets = (Hypergraph(2, [0]), Hypergraph(2, []), Hypergraph(0, []))
     assert [hom_decide(empty_edge, f, single_bag(empty_edge))
-            for f in targets] == [False, False, True]
+            for f in targets] == [True, False, False]
     for h in (empty, empty_edge):
         for f in targets:
             assert hom_decide(h, f, single_bag(h)) == hom_bruteforce(h, f)

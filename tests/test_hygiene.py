@@ -8,12 +8,14 @@ itself is listed with what bounds its depth, every parameter that a
 function of ``mmtw`` never reads is listed with why it is kept, and the
 measures and reductions build no per-vertex index and no per-edge conflict
 masks of their own, no function keeps a memo from one request to the
-next, and every option of a subcommand is read by that subcommand's
-handler."""
+next, every option of a subcommand is read by that subcommand's handler,
+and every module stays under the parser's 4,096-token buffer."""
 
 import argparse
 import ast
 import importlib.util
+import io
+import tokenize
 import types
 from pathlib import Path
 
@@ -699,3 +701,31 @@ def test_unread_options_are_caught():
 def test_every_option_is_read_by_its_subcommand():
     source = (SRC / "cli.py").read_text(encoding="utf-8")
     assert unread_options(_build_parser(), source) == []
+
+
+# CPython's parser doubles its token buffer past 4,096 tokens, and a module
+# that crosses it costs memory at every import: ``dp.py`` at 4,199 tokens
+# took 1,734 KB to compile against 1,413 KB, and the benchmark's
+# ``decompose_sparse`` ``peak_rss_mb`` rose from 30.33 to 30.57 MB.  The
+# count is that of CHANGES.md: the tokenize tokens without COMMENT and NL.
+TOKEN_LIMIT = 4096
+
+
+def token_count(source: str) -> int:
+    """The tokens of ``source`` other than comments and non-logical line
+    ends."""
+    skip = (tokenize.COMMENT, tokenize.NL)
+    tokens = tokenize.generate_tokens(io.StringIO(source).readline)
+    return sum(t.type not in skip for t in tokens)
+
+
+def test_token_count_skips_comments_and_blank_lines():
+    source = "x = 1  # one\n\n# two\ny = (x,\n     2)\n"
+    # x = 1 NEWLINE, y = ( x , 2 ) NEWLINE, ENDMARKER
+    assert token_count(source) == 13
+
+
+def test_every_module_stays_under_the_token_buffer():
+    counts = {path.name: token_count(path.read_text(encoding="utf-8"))
+              for path in sorted(SRC.glob("*.py"))}
+    assert {name: n for name, n in counts.items() if n >= TOKEN_LIMIT} == {}

@@ -46,7 +46,7 @@ def test_line_square_pullback_valid():
         g = random_graph(rng, rng.randrange(1, 9), 0.4)
         x = line_square(g)
         t = random_decomposition(rng, x.line) if x.line.n else single_bag(x.line)
-        back = line_square_pullback(x, t)
+        back = line_square_pullback(g, t)
         assert validate(g, back)
         for v in range(g.n):
             if g.gaifman_adj()[v] == 0:
@@ -113,17 +113,16 @@ def test_line_square_matches_pair_rule():
         assert x.line.gaifman_adj() == want.gaifman_adj()
 
 
-def _old_lmap(x, s):
+def _old_lmap(g, s):
     """L(S) by a scan of every edge of G."""
-    return mask_of(i for i, e in enumerate(x.original.edges) if e & s)
+    return mask_of(i for i, e in enumerate(g.edges) if e & s)
 
 
-def _old_pullback_bags(x, t):
+def _old_pullback_bags(g, t):
     """The pullback's bags by a scan of every vertex of G per bag: the
     vertices whose incident edges all lie in the bag, isolated vertices
     added to bag 0."""
-    g = x.original
-    incident = [mask_of(i for i, e in enumerate(x.original.edges) if e >> v & 1)
+    incident = [mask_of(i for i, e in enumerate(g.edges) if e >> v & 1)
                 for v in range(g.n)]
     bags = [mask_of(v for v in range(g.n)
                     if incident[v] and not incident[v] & ~bag)
@@ -141,8 +140,8 @@ def test_lmap_and_pullback_match_the_old_rules():
         x = line_square(g)
         for _ in range(4):
             s = rng.getrandbits(g.n)
-            assert g.edges_meeting(s) == _old_lmap(x, s)
+            assert g.edges_meeting(s) == _old_lmap(g, s)
         t = random_decomposition(rng, x.line) if x.line.n else single_bag(x.line)
-        back = line_square_pullback(x, t)
-        want = TreeDecomposition(_old_pullback_bags(x, t), t.tree_edges)
+        back = line_square_pullback(g, t)
+        want = TreeDecomposition(_old_pullback_bags(g, t), t.tree_edges)
         assert (back.bags, back.tree_edges) == (want.bags, want.tree_edges)
