@@ -13,7 +13,8 @@ DP tables.  The trace has no depth cap, since nodes bounds its depth too
 (see ``errors.ResourceError``).  The other caps (separator guesses in
 decompose, per-set oracle steps) are fixed module constants and still exit
 20 when hit.  A cap that fires at a bag names it by its 1-based id, as the
-``b`` lines of a ``.td`` file do.
+``b`` lines of a ``.td`` file do.  A memory limit set on the process (such
+as ``RLIMIT_AS``) counts as a cap: running out of memory exits 20 too.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .dp import (DEFAULT_TABLE_CAP, chromatic_decide, hom_decide, mwis)
 from .errors import InputError, ResourceError
 from .formats import (parse_hypergraph, parse_td, serialize_hypergraph,
                       serialize_td)
-from .hypergraph import Graph, Hypergraph
+from .hypergraph import Hypergraph
 from .measures import BAG_MEASURES, MEASURES
 from .reductions import approximate_mu_tw, line_square, pendant_extend
 
@@ -162,10 +163,10 @@ def _load_hypergraph(path: str) -> Hypergraph:
     return parse_hypergraph(_read(path))
 
 
-def _as_graph(h: Hypergraph) -> Graph:
-    try:
-        return Graph(h.n, h.edges, h.weights)
-    except InputError:
+def _check_graph(h: Hypergraph) -> None:
+    """Raise unless every edge of ``h`` has two vertices: the parser has
+    already put the edges in canonical form, so ``h`` is the graph."""
+    if h.edges and h.edge_sizes() != (2, 2):
         raise InputError("input is not 2-uniform; pass --measure for the "
                          "generic pipeline")
 
@@ -223,9 +224,9 @@ def _cmd_decompose(args, report: _Report) -> None:
         raise InputError("-k must be at least 1")
     measure_name = args.measure or "mu"
     if args.measure is None:
-        # the width check below runs on this Graph too, so it reads the
+        # the width check below runs on this h too, so it reads the
         # conflict index that line_square built
-        h = _as_graph(h)
+        _check_graph(h)
         out = approximate_mu_tw(h, args.k)
     else:
         out = approx_decomposition(h, args.k, MEASURES[args.measure])
@@ -328,8 +329,8 @@ def _cmd_solve(args, report: _Report) -> None:
 
 
 def _cmd_reduce(args, report: _Report) -> None:
-    h = _load_hypergraph(args.hypergraph)
-    g = _as_graph(h)
+    g = _load_hypergraph(args.hypergraph)
+    _check_graph(g)
     if args.kind == "m":
         out = pendant_extend(g)
         maps = [f"c map {v + g.n + 1} pendant-of {v + 1}" for v in range(g.n)]
@@ -350,7 +351,7 @@ def _cmd_stats(args, report: _Report) -> None:
     adj = h.gaifman_adj()
     report.fields["n"] = h.n
     report.fields["m"] = len(h.edges)
-    report.fields["rank"] = h.rank
+    report.fields["rank"] = h.edge_sizes()[1]
     report.fields["gaifman_edges"] = sum(a.bit_count() for a in adj) // 2
     # a vertex is isolated when it lies in no edge, a singleton edge included
     touched = 0
@@ -413,6 +414,10 @@ def main(argv=None) -> int:
     except RecursionError as exc:
         # an input deeper than the interpreter's stack is a resource limit too
         report.fail("resource-exceeded", exc)
+    except MemoryError:
+        # and so is a memory limit set on the process; a MemoryError seldom
+        # carries a message, so the report names the cause
+        report.fail("resource-exceeded", MemoryError("out of memory"))
     return report.emit()
 
 

@@ -63,11 +63,12 @@ class TreeDecomposition:
 
 @dataclass(frozen=True)
 class Validity:
-    ok: bool
+    """Valid iff ``reason`` is empty; otherwise it says what fails."""
+
     reason: str = ""
 
     def __bool__(self):
-        return self.ok
+        return not self.reason
 
 
 def validate(h: Hypergraph, t: TreeDecomposition) -> Validity:
@@ -95,9 +96,9 @@ def validate(h: Hypergraph, t: TreeDecomposition) -> Validity:
     if inside != sum(map(int.bit_count, bags)) - h.n or not all(nodes_of):
         for v, nodes in enumerate(nodes_of):
             if not nodes:
-                return Validity(False, f"vertex {v} appears in no bag")
+                return Validity(f"vertex {v} appears in no bag")
             if reach(t._adj, nodes & -nodes, nodes) != nodes:
-                return Validity(False, f"bags containing vertex {v} are "
+                return Validity(f"bags containing vertex {v} are "
                                 "disconnected")
     for e in h.edges:
         common = -1
@@ -110,8 +111,8 @@ def validate(h: Hypergraph, t: TreeDecomposition) -> Validity:
             u, v = next((u, v) for u in range(h.n)
                         for v in bits(adj[u] & ~((2 << u) - 1))
                         if not nodes_of[u] & nodes_of[v])
-            return Validity(False, f"edge ({u}, {v}) covered by no bag")
-    return Validity(True)
+            return Validity(f"edge ({u}, {v}) covered by no bag")
+    return Validity()
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,20 @@
 """Dynamic programming over tree decompositions, reading tables from the
 blocker.
 
-A problem plugs into ``run_dp`` through four operations (its docstring
+A problem plugs into ``run_dp`` through three operations (its docstring
 gives the contract): tables are indexed by p-tuples of traces of maximal
-independent sets, and leaf initialisation from i(H), restriction to a
-smaller base, adding isolated vertices, and merging across a separator are
-enough to evaluate the root table of any valid decomposition.  An empty
-table is final: ``run_dp`` builds every leaf table before the first merge,
-stops at the first empty leaf, and otherwise merges and stops at the first
-empty merged table.  Three instances are provided: maximum weighted
-independent set, k-colouring and uniform hypergraph homomorphism.  All
-vertex sets are ambient bitmasks of the input hypergraph; a trace is the
-frozenset of its member masks, and a ``CoverDP`` tuple is one int that
-packs its components.  When each target vertex lies in exactly one
-component (K_k, and any complete multipartite F), a tuple's coverage is one
-fold of that int.
+independent sets, and leaf initialisation from i(H), re-basing (restriction
+to a smaller base, with isolated vertices added to it in the same pass), and
+merging across a separator are enough to evaluate the root table of any
+valid decomposition.  An empty table is final: ``run_dp`` builds every leaf
+table before the first merge, stops at the first empty leaf, and otherwise
+merges and stops at the first empty merged table.  Three instances are
+provided: maximum weighted independent set, k-colouring and uniform
+hypergraph homomorphism.  All vertex sets are ambient bitmasks of the input
+hypergraph; a trace is the frozenset of its member masks, and a ``CoverDP``
+tuple is one int that packs its components.  When each target vertex lies
+in exactly one component (K_k, and any complete multipartite F), a tuple's
+coverage is one fold of that int.
 
 Only a problem whose merge reads the blocker trace tr_S(i(H)) pays for it.
 When the problem's ``reads_trace`` is true (MWIS), ``run_dp`` passes each
@@ -126,13 +126,13 @@ class _MergeTrace:
       V1 ∩ V_c ⊆ S, and every edge of H[V] lies in V1 or in V_c.  A key a1
       of the accumulated table is the trace of a maximal independent I of
       H[V1], and a maximal independent set of H[V] that contains I adds no
-      vertex of S: a1 is a member.  A key a2 of the padded child table is
+      vertex of S: a1 is a member.  A key a2 of the re-based child table is
       (I_c ∩ S) ∪ (S - V_c), I_c maximal independent in H[V_c].  If a2 is
       independent, M = I_c ∪ a2 is independent in H[V] (its part in V1 is
       a2, its part in V_c is I_c), meets S in a2 and blocks S ∩ V_c - a2
-      through I_c, so a2 is a member.  A padded key that is not independent
-      is no member (with the singleton edge {1}, no trace holds 1), so the
-      keys are taken as members only because ``in`` is asked of
+      through I_c, so a2 is a member.  A re-based key that is not
+      independent is no member (with the singleton edge {1}, no trace holds
+      1), so the keys are taken as members only because ``in`` is asked of
       candidates alone;
     - certify: grow an independent M from a with M ∩ S = a.  For each
       v ∈ S - a in id order that M does not block yet (no edge e ∋ v with
@@ -296,11 +296,11 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f,
            table_cap: int = DEFAULT_TABLE_CAP):
     """Table of f over the empty base set, computed bottom-up over T.
 
-    The problem f supplies four operations.  ``f.leaf_init(mis, s)`` builds
-    the table of H[s] from its maximal independent sets,
-    ``f.restrict(table, s)`` the table over the smaller base ``s``, and
-    ``f.add_isolated(table, vs)`` the table with the vertices of the mask
-    ``vs`` added to the base, each isolated and outside it.
+    The problem f supplies three operations.  ``f.leaf_init(mis, s)`` builds
+    the table of H[s] from its maximal independent sets, and
+    ``f.restrict(table, s, vs)`` the table over the smaller base ``s`` with
+    the vertices of the mask ``vs`` added to it, each isolated and outside
+    the old base (``vs`` is 0 unless given).
     ``f.merge(trace, t1, t2, s)`` receives a membership test for
     tr_S(i(H)) of the merged subtree (``a in trace``) when
     ``f.reads_trace`` is true, and ``None`` when it is false; a problem
@@ -314,22 +314,23 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f,
     out raises from inside ``merge``.
 
     An empty table is final: the leaf tables are built first, in
-    post-order, and the first empty one is returned as the answer, over the
-    empty base, with no merge run; with every leaf nonempty, the merges run
-    and the first empty merged table is returned without visiting the
-    remaining bags.  So an empty table at a subtree must mean an empty
-    table for H.  It does for ``CoverDP``, since a homomorphism of H
-    restricts to every subhypergraph, and for ``MwisDP``, whose tables are
-    empty only where H[bag] holds an empty edge (in every bag, so the first
-    leaf is empty) and the answer is (0, 0) anyway.
+    post-order, and the first empty one is returned as the answer (an empty
+    table is the same over every base), with no merge run; with every leaf
+    nonempty, the merges run and the first empty merged table is returned
+    without visiting the remaining bags.  So an empty table at a subtree
+    must mean an empty table for H.  It does for ``CoverDP``, since a
+    homomorphism of H restricts to every subhypergraph, and for ``MwisDP``,
+    whose tables are empty only where H[bag] holds an empty edge (in every
+    bag, so the first leaf is empty) and the answer is (0, 0) anyway.
 
     T is validated first, and each bag that lies inside or equals a
     neighbour's bag is then contracted into it (see the module docstring),
     so the DP visits one node per maximal bag, each under the lowest input
     id that holds it.  The contracted tree is rooted at the node that holds
     node 0; each node's hypergraph is the subhypergraph of H induced by its
-    descendant bags, and child tables are restricted to the shared bag part,
-    padded with isolated vertices and merged in increasing child order.
+    descendant bags, and each child table is re-based in one ``restrict``
+    call (to the shared bag part, with the rest of the bag added as isolated
+    vertices) and merged in increasing child order.
     Every table, leaf tables included, holds at most ``table_cap`` entries,
     and a leaf's maximal independent sets are enumerated under the same cap;
     past it, ResourceError names the bag.
@@ -389,7 +390,7 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f,
             # the merges run first: this leaf raises again when they reach it
             break
         if not leaf:
-            return f.restrict(leaf, 0)
+            return leaf
         leaves[node] = leaf
     tables: dict[int, object] = {}
     subtree_v: dict[int, int] = {}
@@ -401,10 +402,7 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f,
             acc = _leaf(h, bag, node, f, table_cap)
         acc_v = bag
         for c in children[node]:
-            tbl = f.restrict(tables.pop(c), bag & bags[c])
-            missing = bag & ~bags[c]
-            if missing:
-                tbl = f.add_isolated(tbl, missing)
+            tbl = f.restrict(tables.pop(c), bag & bags[c], bag & ~bags[c])
             acc_v |= subtree_v[c]
             trace = None
             if f.reads_trace:
@@ -420,7 +418,7 @@ def run_dp(h: Hypergraph, t: TreeDecomposition, f,
                                     bag=node, **exc.stats) from exc
             _check_table(acc, node, table_cap)
             if not acc:
-                return f.restrict(acc, 0)
+                return acc
         subtree_v[node] = acc_v
         tables[node] = acc
     return f.restrict(tables[root], 0)
@@ -459,9 +457,10 @@ class MwisDP:
     witness set): an entry (x, W) is the independent set W with
     W ∩ base = A and weight x + w(A).  The entries of one key are shifted
     by the same w(A), so they compare as their full weights do and keep the
-    same witnesses.  ``leaf_init`` stores 0, ``add_isolated`` and ``merge``
-    add no weight, ``restrict`` adds w(A - s), and over the empty base the
-    weight is the full one."""
+    same witnesses.  Of the three operations, ``leaf_init`` stores 0,
+    ``merge`` adds no weight and ``restrict`` adds w(A - s), since the
+    vertices it adds join both A and W; over the empty base the weight is
+    the full one."""
 
     reads_trace = True
 
@@ -482,19 +481,17 @@ class MwisDP:
         # weight outside it
         return {j: (0, j) for j in mis}
 
-    def restrict(self, table, s):
+    def restrict(self, table, s, vs=0):
         wsum = self.wsum
         out = {}
         for a, (x, wit) in table.items():
             key = a & s
             x += wsum(a ^ key)
+            key |= vs
             got = out.get(key)
             if got is None or got[0] < x:
-                out[key] = (x, wit)
+                out[key] = (x, wit | vs)
         return out
-
-    def add_isolated(self, table, vs):
-        return {a | vs: (x, wit | vs) for a, (x, wit) in table.items()}
 
     def merge(self, trace, t1, t2, s):
         # the pair (a1, a2) has witness (W1 - S) ∪ (W2 - S) ∪ a, a = a1 & a2,
@@ -566,8 +563,8 @@ class CoverDP:
     first, so that the walk of ``leaf_init`` cuts from an early level.
     Permuting the components maps each table one-to-one onto the table
     under the other order, since the coverage reads only which components
-    hold each target vertex, and ``leaf_init``, ``restrict``,
-    ``add_isolated``, ``merge`` and ``_compress`` act componentwise.  So
+    hold each target vertex, and the three operations (``leaf_init``,
+    ``restrict`` and ``merge``) and ``_compress`` act componentwise.  So
     every table keeps its size, and the table caps and their ``size``
     fire where they did, with the same answers.
     """
@@ -684,13 +681,11 @@ class CoverDP:
         # ``_compress`` would do here
         return sorted(rows, key=int.bit_count, reverse=True)
 
-    def restrict(self, table, s):
-        spread = s * self.ones
-        return self._compress(p & spread for p in table)
-
-    def add_isolated(self, table, vs):
-        spread = vs * self.ones
-        return [p | spread for p in table]
+    def restrict(self, table, s, vs=0):
+        # the padding adds the same bits to every tuple, so it can only
+        # reorder tuples of equal size, and no answer reads that order
+        spread, pad = s * self.ones, vs * self.ones
+        return self._compress(p & spread | pad for p in table)
 
     def merge(self, trace, t1, t2, s):
         out = []

@@ -81,10 +81,6 @@ class Hypergraph:
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 
-    @property
-    def rank(self) -> int:
-        return self.edge_sizes()[1]
-
     def edge_sizes(self) -> tuple[int, int]:
         """The smallest and the largest edge size, (0, 0) without edges
         (cached)."""

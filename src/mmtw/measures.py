@@ -150,7 +150,7 @@ def _rho(h: Hypergraph, s: int, k: int | None = None):
     """
     # at least 1, so that the bound below divides by a positive size when
     # every edge is empty
-    rank = max(1, h.rank)
+    rank = max(1, h.edge_sizes()[1])
     edges, inc, adj = h.edges, h.incidence(), h.gaifman_adj()
     if not all(inc[v] for v in bits(s)):
         return math.inf

@@ -1,6 +1,10 @@
 """End-to-end CLI behavior: subcommands, exit codes, JSON reports."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -187,6 +191,37 @@ def test_recursion_depth_is_a_resource_exit(files, capsys):
     assert code == 20
     doc = json.loads(out)
     assert doc["status"] == "resource-exceeded" and doc["error"]
+
+
+def _limit_memory():
+    # runs in the child only, before it starts Python
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+@pytest.mark.parametrize("case", ["color", "decompose"])
+def test_out_of_memory_is_a_resource_exit(files, case):
+    # under a 256 MB address-space limit, the 7-colouring of C8 in one bag
+    # builds leaf rows past the limit, and so does the edge list of L^2 over
+    # K_100's 4,950 edges; each must end in exit 20 with a report, not a
+    # MemoryError traceback
+    if case == "color":
+        c8 = cycle_graph(8)
+        hg = files("c8.hg", serialize_hypergraph(c8))
+        td = files("c8.td", serialize_td(
+            TreeDecomposition([c8.vertex_mask], []), 8))
+        argv = ["solve", hg, td, "--problem", "color", "-k", "7"]
+    else:
+        hg = files("k100.hg", serialize_hypergraph(complete_graph(100)))
+        argv = ["decompose", hg, "-k", "1"]
+    src = os.path.dirname(os.path.dirname(mmtw.dp.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "mmtw.cli", *argv, "--json"],
+                          capture_output=True, text=True, env=env,
+                          preexec_fn=_limit_memory, timeout=60)
+    assert done.returncode == 20, done.stderr
+    doc = json.loads(done.stdout)
+    assert doc["status"] == "resource-exceeded"
+    assert doc["error"] == "out of memory"
 
 
 def test_trace_searches_only_the_closed_neighbourhood(files, capsys):

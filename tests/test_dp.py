@@ -390,7 +390,7 @@ def test_restrict_composes():
     assert covered >= 20
 
 
-def test_add_isolated_commutes_with_restrict():
+def test_restrict_adds_isolated_vertices_in_the_same_pass():
     rng = rng_from_seed(58)
     covered = 0
     for it in range(30):
@@ -400,18 +400,20 @@ def test_add_isolated_commutes_with_restrict():
         dp = MwisDP(w)
         full = h.vertex_mask
         s1 = rng.getrandbits(n) & full
-        v = n  # a fresh vertex, disjoint from the restriction
+        bv = 1 << n  # a fresh vertex, outside the table's base
         tab = _leaf_table(h, dp, full)
-        a = dp.add_isolated(dp.restrict(tab, s1), 1 << v)
-        b = dp.restrict(dp.add_isolated(tab, 1 << v), s1 | (1 << v))
-        assert {k: v[0] for k, v in a.items()} == {k: v[0] for k, v in b.items()}
+        plain = dp.restrict(tab, s1)
+        assert dp.restrict(tab, s1, bv) == {
+            a | bv: (x, wit | bv) for a, (x, wit) in plain.items()}
+        assert dp.restrict(tab, s1, 0) == plain
         # the colouring table's ambient set holds the fresh vertex too
-        cdp, tab = _colouring_table(h, it % 3 + 1, full | 1 << v)
-        a = cdp.add_isolated(cdp.restrict(tab, s1), 1 << v)
-        b = cdp.restrict(cdp.add_isolated(tab, 1 << v), s1 | (1 << v))
-        assert set(decode(cdp, a)) == set(decode(cdp, b))
-        assert decode(cdp, cdp.add_isolated(tab, 1 << v)) == [
-            tuple(x | 1 << v for x in t) for t in decode(cdp, tab)]
+        cdp, tab = _colouring_table(h, it % 3 + 1, full | bv)
+        plain = cdp.restrict(tab, s1)
+        padded = decode(cdp, cdp.restrict(tab, s1, bv))
+        assert len(padded) == len(plain)
+        assert set(padded) == {tuple(x | bv for x in t)
+                               for t in decode(cdp, plain)}
+        assert cdp.restrict(tab, s1, 0) == plain
         covered += bool(tab)
     assert covered >= 20
 
