@@ -9,12 +9,15 @@ driven (A,B)-separator search, and a balanced split of a working set W.
 One walk, ``_bits.reach``, serves the components, the atoms, the
 separator checks, the sides of a split in ``_recurse`` and the 2-SAT
 solver, an implication closure (``two_sat_solve``).
-When V is too large for one bag, a min-fill elimination (Bodlaender and
-Koster, "Treewidth computations I. Upper bounds", 2010) is tried first and
-answers if each of its bags has measure at most k; the recursion runs only
-when one does not, so it alone refutes.  The pipeline reads the measure
-only through the bounded-budget question lambda(S) <= k?, which
-``WellBehavedMeasure.decide`` answers.
+Unless lambda(V) <= k, a min-fill elimination (Bodlaender and Koster,
+"Treewidth computations I. Upper bounds", 2010) is tried before one bag of
+V and answers if each of its bags has measure at most k.  The recursion
+runs only when it does not and lambda(V) > big_K, so it alone refutes.
+Where lambda(V) <= big_K, the elimination is checked again at
+lambda(V) - 1 and answers in place of one bag if it is narrower.  The
+pipeline reads the measure through the bounded-budget question
+lambda(S) <= k?, which ``WellBehavedMeasure.decide`` answers, and the
+exact ``value`` only of V in that last step.
 
 One ``balanced_split`` builds one closure graph for its (H, k, lambda)
 and asks ``find_separator`` for many sides (A, B) on it.  The guesses (I,
@@ -31,14 +34,13 @@ meet A or B and the forced set they imply.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
 
 from ._bits import bits, mask_of, reach
-from .decomposition import (TreeDecomposition, elimination_tree, eliminate,
-                            single_bag)
+from .decomposition import (TreeDecomposition, _mcs_m, elimination_tree,
+                            eliminate, single_bag)
 from .errors import InputError, ResourceError
 from .hypergraph import Hypergraph, _remap_mask, induced
 from .measures import WellBehavedMeasure
@@ -119,46 +121,6 @@ def closure(h: Hypergraph, k: int, m: WellBehavedMeasure) -> ClosureGraph:
 
 # ---------------------------------------------------------------------------
 # clique-separator atoms
-
-
-def _mcs_m(adj, universe: int):
-    """Minimal triangulation by MCS-M.
-
-    Returns (fill adjacency masks, position map alpha) where alpha numbers
-    vertices 1..n and alpha(x) < alpha(y) means x is eliminated before y.
-    """
-    vs = list(bits(universe))
-    n = len(vs)
-    weight = {v: 0 for v in vs}
-    fill = {v: adj[v] & universe for v in vs}
-    alpha = {}
-    unnumbered = set(vs)
-    for number in range(n, 0, -1):
-        x = max(sorted(unnumbered), key=weight.__getitem__)
-        unnumbered.discard(x)
-        # minimax internal weight of unnumbered paths from x
-        dist: dict[int, int] = {}
-        heap = []
-        for u in bits(adj[x] & universe):
-            if u in unnumbered:
-                dist[u] = -1
-                heapq.heappush(heap, (-1, u))
-        while heap:
-            d, u = heapq.heappop(heap)
-            if d > dist.get(u, n):
-                continue
-            through = max(d, weight[u])
-            for u2 in bits(adj[u] & universe):
-                if u2 in unnumbered and through < dist.get(u2, n):
-                    dist[u2] = through
-                    heapq.heappush(heap, (through, u2))
-        reached = [u for u, d in dist.items() if d < weight[u]]
-        for u in reached:
-            weight[u] += 1
-            fill[x] |= 1 << u
-            fill[u] |= 1 << x
-        alpha[x] = number
-    return fill, alpha
 
 
 def _is_clique(adj, mask: int) -> bool:
@@ -525,10 +487,14 @@ def _grow_wstar(h: Hypergraph, m: WellBehavedMeasure, w: int, big_k: int):
 
 def _fill_in(adj, v: int, live: int) -> int:
     """Pairs of v's live neighbours that are not adjacent in ``adj``."""
-    near = adj[v] & live
-    missing = 0
-    for u in bits(near):
-        missing += (near & ~adj[u]).bit_count() - 1
+    near = rest = adj[v] & live
+    # each neighbour u counts itself once in near & ~adj[u]; the walk is
+    # inline, as a bits() generator per call cost more than the count
+    missing = -near.bit_count()
+    while rest:
+        low = rest & -rest
+        missing += (near & ~adj[low.bit_length() - 1]).bit_count()
+        rest ^= low
     return missing // 2
 
 
@@ -581,19 +547,29 @@ def approx_decomposition(h: Hypergraph, k: int, m: WellBehavedMeasure):
     """Tree decomposition of lambda-width <= 2k^3+2k^2+3k+3, or None, the
     refutation lambda-tw(H) > k.
 
-    A set V whose measure exceeds big_K first gets a min-fill elimination
-    checked at k (``_min_fill_elimination``).  If every bag passes, its
-    decomposition proves lambda-tw(H) <= k and is returned; otherwise the
-    paper's recursion runs, so every refutation comes from it.
+    The first step that answers, with V the vertex set: one bag if
+    lambda(V) <= k; the min-fill elimination (``_min_fill_elimination``)
+    if each of its bags has measure at most k, which proves
+    lambda-tw(H) <= k; the paper's recursion if lambda(V) > big_K, so
+    every refutation comes from it; else the same elimination checked at
+    lambda(V) - 1, or one bag if a bag of it reaches lambda(V).  No answer
+    is wider than lambda(V) or than the one bag the recursion would give.
     """
     if k < 1:
         raise InputError("k must be at least 1")
-    if m.decide(h, h.vertex_mask, _big_k(k)):
+    full = h.vertex_mask
+    if m.decide(h, full, k):
         return single_bag(h)
     eliminated = _min_fill_elimination(h, k, m)
-    if eliminated is not None:
-        return elimination_tree(*eliminated)
-    return _recurse(h, k, m, 0)
+    if eliminated is None:
+        if not m.decide(h, full, _big_k(k)):
+            return _recurse(h, k, m, 0)
+        lam = m.value(h, full)
+        if lam - 1 > k:
+            eliminated = _min_fill_elimination(h, lam - 1, m)
+        if eliminated is None:
+            return single_bag(h)
+    return elimination_tree(*eliminated)
 
 
 def _recurse(h: Hypergraph, k: int, m: WellBehavedMeasure, w: int):

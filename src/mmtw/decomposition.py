@@ -1,9 +1,10 @@
 """Tree decompositions: representation, validation, width evaluation under the
-bag measures of ``mmtw.measures``, and decompositions from elimination
-orders."""
+bag measures of ``mmtw.measures``, decompositions from elimination
+orders, and the MCS-M minimal triangulation that ``approx.atoms`` reads."""
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -200,3 +201,43 @@ def from_elimination_order(h: Hypergraph, order: Sequence[int]) -> TreeDecomposi
         bags.append(eliminate(adj, v, live))
         live &= ~(1 << v)
     return elimination_tree(order, bags)
+
+
+def _mcs_m(adj, universe: int):
+    """Minimal triangulation by MCS-M.
+
+    Returns (fill adjacency masks, position map alpha) where alpha numbers
+    vertices 1..n and alpha(x) < alpha(y) means x is eliminated before y.
+    """
+    vs = list(bits(universe))
+    n = len(vs)
+    weight = {v: 0 for v in vs}
+    fill = {v: adj[v] & universe for v in vs}
+    alpha = {}
+    unnumbered = set(vs)
+    for number in range(n, 0, -1):
+        x = max(sorted(unnumbered), key=weight.__getitem__)
+        unnumbered.discard(x)
+        # minimax internal weight of unnumbered paths from x
+        dist: dict[int, int] = {}
+        heap = []
+        for u in bits(adj[x] & universe):
+            if u in unnumbered:
+                dist[u] = -1
+                heapq.heappush(heap, (-1, u))
+        while heap:
+            d, u = heapq.heappop(heap)
+            if d > dist.get(u, n):
+                continue
+            through = max(d, weight[u])
+            for u2 in bits(adj[u] & universe):
+                if u2 in unnumbered and through < dist.get(u2, n):
+                    dist[u2] = through
+                    heapq.heappush(heap, (through, u2))
+        reached = [u for u, d in dist.items() if d < weight[u]]
+        for u in reached:
+            weight[u] += 1
+            fill[x] |= 1 << u
+            fill[u] |= 1 << x
+        alpha[x] = number
+    return fill, alpha

@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # workload -> requests in its seed-5 pool at seconds=30
 POOLS = {"decompose_sparse": 210, "solve_mwis": 690, "solve_cover": 1440}
-DIGEST = "cb094658096faf2646417e7b0102d34ea5ca6b96a28466005655176766758d26"
+DIGEST = "6aacfa99dcc3fedb4ec0f49fff3e2b0cb606339636a77d88a48dc74a0212eb97"
 
 
 def _workloads():

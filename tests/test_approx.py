@@ -13,7 +13,7 @@ from mmtw.approx import (SeparatorResult, _big_k,
                          balanced_split, closure, find_separator,
                          approx_decomposition, two_sat_solve, width_bound)
 from mmtw.decomposition import (elimination_tree, from_elimination_order,
-                                validate, width)
+                                single_bag, validate, width)
 from mmtw.errors import InputError, ResourceError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_graph, random_hypergraph, rng_from_seed)
@@ -548,34 +548,49 @@ def _first_pass_cases(seed, count):
         yield h, k
 
 
-def _check_first_pass(h, k, m, name, out) -> bool:
+def _check_first_pass(h, k, m, name, out) -> str:
     """``out`` is approx_decomposition's answer on (h, k, m).  It refutes iff
     the recursion run alone refutes; a min-fill elimination that passes at k
     validates with width at most k, and the recursion never refutes it.
-    True iff the answer came from the first pass."""
+    Where lambda(V) <= big_K, the answer is one bag iff lambda(V) <= k or a
+    bag of the whole min-fill elimination measures lambda(V) or more, else
+    that elimination, and never wider than lambda(V).  Returns "k" if the
+    answer is the elimination checked at k, "narrower" if it is the one
+    that replaced one bag, else ""."""
     eliminated = _min_fill_elimination(h, k, m)
     recursed = _recurse(h, k, m, 0)
     assert (out is None) == (recursed is None)
+    if m.decide(h, h.vertex_mask, _big_k(k)):
+        lam = m.value(h, h.vertex_mask)
+        # kappa at n passes every bag, so the whole order is built
+        order, bags = _min_fill_elimination(h, h.n, KAPPA)
+        one_bag = lam <= k or max(m.value(h, b) for b in bags) >= lam
+        assert (out == single_bag(h)) == one_bag
+        if not one_bag:
+            assert out == elimination_tree(order, bags)
+        assert width(h, out, name).width <= lam
+        if eliminated is None and not one_bag:
+            return "narrower"
     if eliminated is None:
-        return False
+        return ""
     td = elimination_tree(*eliminated)
     assert validate(h, td)
     assert width(h, td, name).width <= k
     assert recursed is not None
-    if m.decide(h, h.vertex_mask, _big_k(k)):
-        return False
+    if m.decide(h, h.vertex_mask, k):
+        return ""
     assert td == out
-    return True
+    return "k"
 
 
 def test_first_pass_refutes_iff_the_recursion_refutes():
-    answered = refuted = 0
+    answered, refuted = {"k": 0, "narrower": 0, "": 0}, 0
     for h, k in _first_pass_cases(41, 80):
         for m in (ALPHA, RHO):
             out = approx_decomposition(h, k, m)
-            answered += _check_first_pass(h, k, m, m.name, out)
+            answered[_check_first_pass(h, k, m, m.name, out)] += 1
             refuted += out is None
-    assert answered >= 4 and refuted >= 5
+    assert answered["k"] >= 4 and answered["narrower"] >= 4 and refuted >= 5
 
 
 def test_first_pass_through_the_line_square_refutes_iff_the_recursion_does():
@@ -594,6 +609,22 @@ def test_first_pass_through_the_line_square_refutes_iff_the_recursion_does():
         if mu_out is not None:
             assert width(g, mu_out, "mu").width <= width_bound(k)
     assert graphs >= 20
+
+
+def test_one_bag_gives_way_only_to_a_narrower_elimination():
+    # alpha at k = 1, where big_K = 9 bounds alpha(V) and the min-fill
+    # bags fail at k: C6 (alpha 3, bags of alpha 2) takes the elimination
+    # checked at alpha(V) - 1; C4 (alpha 2 = k + 1) and K_{3,3} (a bag
+    # holds one whole side) keep one bag
+    c6 = cycle_graph(6)
+    out = approx_decomposition(c6, 1, ALPHA)
+    assert out == elimination_tree(*_min_fill_elimination(c6, 2, ALPHA))
+    assert width(c6, out, "alpha").width == 2
+    k33 = Graph.from_pairs(6, [(a, b) for a in range(3) for b in range(3, 6)])
+    for h, lam in ((cycle_graph(4), 2), (k33, 3)):
+        assert _min_fill_elimination(h, 1, ALPHA) is None
+        assert approx_decomposition(h, 1, ALPHA) == single_bag(h)
+        assert ALPHA.value(h, h.vertex_mask) == lam
 
 
 def test_first_pass_stops_at_its_first_failing_bag(monkeypatch):

@@ -15,8 +15,9 @@ from mmtw.formats import parse_td, serialize_hypergraph, serialize_td
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_cobipartite, random_decomposition,
                            rng_from_seed)
-from mmtw.decomposition import TreeDecomposition, validate, width
-from mmtw.hypergraph import Hypergraph
+from mmtw.decomposition import (TreeDecomposition, single_bag, validate,
+                                width)
+from mmtw.hypergraph import Graph, Hypergraph
 from mmtw.oracles import (chromatic_bruteforce, hom_bruteforce, independent_in,
                           mwis_bruteforce)
 
@@ -139,7 +140,29 @@ def test_decompose_long_cycles_exact_mu_width(files, capsys, n):
     assert validate(cn, t)
     assert doc["width"] == width(cn, t, "mu").width <= 33
     if n == 40:
-        assert doc["width"] == 13
+        # one bag of C40 measures 13, and the min-fill elimination that
+        # answers in its place 2
+        assert doc["width"] == 2
+        assert width(cn, single_bag(cn), "mu").width == 13
+
+
+def test_decompose_output_on_the_grid_is_solvable(files, capsys):
+    # one bag of the 10x10 grid has mu-width 25, past what mwis can tabulate
+    pairs = [(v, v + step) for v in range(100) for step in (1, 10)
+             if v + step < 100 and (step == 10 or v % 10 < 9)]
+    grid = Graph.from_pairs(100, pairs)
+    hg = files("grid.hg", serialize_hypergraph(grid))
+    code, out, _ = run(capsys, "decompose", "-k", "2", hg, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["width"] == 8
+    td = files("grid.td", doc["payload"])
+    code, out, _ = run(capsys, "solve", "--problem", "mwis", hg, td, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["value"] == "50"
+    wit = mask_of(v - 1 for v in doc["witness"])
+    assert wit.bit_count() == 50 and independent_in(grid, wit)
 
 
 def test_invalid_input_exit_code(files, capsys):
