@@ -9,15 +9,15 @@ driven (A,B)-separator search, and a balanced split of a working set W.
 One walk, ``_bits.reach``, serves the components, the atoms, the
 separator checks, the sides of a split in ``_recurse`` and the 2-SAT
 solver, an implication closure (``two_sat_solve``).
-Unless lambda(V) <= k, a min-fill elimination (Bodlaender and Koster,
-"Treewidth computations I. Upper bounds", 2010) is tried before one bag of
-V and answers if each of its bags has measure at most k.  The recursion
-runs only when it does not and lambda(V) > big_K, so it alone refutes.
-Where lambda(V) <= big_K, the elimination is checked again at
-lambda(V) - 1 and answers in place of one bag if it is narrower.  The
-pipeline reads the measure through the bounded-budget question
-lambda(S) <= k?, which ``WellBehavedMeasure.decide`` answers, and the
-exact ``value`` only of V in that last step.
+Unless lambda(V) <= k, the bags of one min-fill elimination (Bodlaender
+and Koster, "Treewidth computations I. Upper bounds", 2010) are checked
+against k, and the elimination answers if each fits.  The recursion runs
+only when a bag does not and lambda(V) > big_K, so it alone refutes.  Where
+lambda(V) <= big_K, the same walk goes on under a limit raised one at a
+time, and the elimination answers in place of one bag if every bag
+measures below lambda(V).  The pipeline reads the measure only through the
+bounded-budget question lambda(S) <= k?, which
+``WellBehavedMeasure.decide`` answers.
 
 One ``balanced_split`` builds one closure graph for its (H, k, lambda)
 and asks ``find_separator`` for many sides (A, B) on it.  The guesses (I,
@@ -498,22 +498,20 @@ def _fill_in(adj, v: int, live: int) -> int:
     return missing // 2
 
 
-def _min_fill_elimination(h: Hypergraph, k: int, m: WellBehavedMeasure):
-    """(order, bags) of a min-fill elimination of the Gaifman graph if every
-    bag has measure at most k, else None.
+def _min_fill(h: Hypergraph):
+    """Yield (vertex, bag) for each step of a min-fill elimination of the
+    Gaifman graph, lazily, so a caller that stops early forms no more bags.
 
     Each step eliminates the live vertex whose neighbours need the fewest
     fill edges, the lowest id on ties; a vertex with fill 0 is taken as soon
-    as the scan meets it.  Its bag, the vertex plus its live neighbours in
-    the filled graph, is checked as it is formed and the pass stops at the
-    first bag above k.  A fill count is recomputed only after a step that
+    as the scan meets it.  Its bag is the vertex plus its live neighbours in
+    the filled graph.  A fill count is recomputed only after a step that
     changed the vertex's neighbourhood: it is a neighbour of the eliminated
     vertex or adjacent to one.
     """
     adj = list(h.gaifman_adj())
     live = h.vertex_mask
     fill: list[Optional[int]] = [None] * h.n
-    order, bags = [], []
     while live:
         best = best_fill = None
         for v in bits(live):
@@ -525,17 +523,13 @@ def _min_fill_elimination(h: Hypergraph, k: int, m: WellBehavedMeasure):
                 if f == 0:
                     break
         bag = eliminate(adj, best, live)
-        if not m.decide(h, bag, k):
-            return None
+        yield best, bag
         live &= ~(1 << best)
-        order.append(best)
-        bags.append(bag)
         stale = bag
         for u in bits(bag):
             stale |= adj[u]
         for u in bits(stale & live):
             fill[u] = None
-    return order, bags
 
 
 def _big_k(k: int) -> int:
@@ -547,29 +541,45 @@ def approx_decomposition(h: Hypergraph, k: int, m: WellBehavedMeasure):
     """Tree decomposition of lambda-width <= 2k^3+2k^2+3k+3, or None, the
     refutation lambda-tw(H) > k.
 
-    The first step that answers, with V the vertex set: one bag if
-    lambda(V) <= k; the min-fill elimination (``_min_fill_elimination``)
-    if each of its bags has measure at most k, which proves
-    lambda-tw(H) <= k; the paper's recursion if lambda(V) > big_K, so
-    every refutation comes from it; else the same elimination checked at
-    lambda(V) - 1, or one bag if a bag of it reaches lambda(V).  No answer
-    is wider than lambda(V) or than the one bag the recursion would give.
+    With V the vertex set: one bag if lambda(V) <= k.  Otherwise the bags
+    of one min-fill elimination (``_min_fill``) are taken in turn under a
+    limit that starts at k.  Invariant: lambda(V) > limit, and every bag
+    taken measures at most limit.  The first bag above k sends the input to
+    the paper's recursion if lambda(V) > big_K, so every refutation comes
+    from it, and exactly when a bag exceeds k and lambda(V) > big_K.  Else
+    each bag above the limit raises it by one; if then lambda(V) <= limit,
+    one bag answers, and if not the bag is checked again.  The elimination
+    answers once every bag is taken.
+
+    So the answer is the elimination if each of its bags measures at most
+    k, which proves lambda-tw(H) <= k.  Else, with k < lambda(V) <= big_K,
+    it is the elimination if each bag measures below lambda(V), and one bag
+    otherwise.  Proof: the limit rises by one at a time and only while
+    lambda(V) exceeds it, so one bag answers exactly when it reaches
+    lambda(V).  It rises from L only past a bag above L, so it never
+    exceeds the largest bag, and a bag is a subset of V, so it measures at
+    most lambda(V); the limit therefore reaches lambda(V) iff some bag
+    measures lambda(V).  No answer is wider than lambda(V), or than the one
+    bag the recursion would give.  Every call asks the bounded question
+    lambda(S) <= limit?, and one whose answer is no stops at its first
+    witness; the elimination is built once, and only as far as it is read.
     """
     if k < 1:
         raise InputError("k must be at least 1")
     full = h.vertex_mask
     if m.decide(h, full, k):
         return single_bag(h)
-    eliminated = _min_fill_elimination(h, k, m)
-    if eliminated is None:
-        if not m.decide(h, full, _big_k(k)):
-            return _recurse(h, k, m, 0)
-        lam = m.value(h, full)
-        if lam - 1 > k:
-            eliminated = _min_fill_elimination(h, lam - 1, m)
-        if eliminated is None:
-            return single_bag(h)
-    return elimination_tree(*eliminated)
+    limit, order, bags = k, [], []
+    for v, bag in _min_fill(h):
+        while not m.decide(h, bag, limit):
+            if limit == k and not m.decide(h, full, _big_k(k)):
+                return _recurse(h, k, m, 0)
+            limit += 1
+            if m.decide(h, full, limit):
+                return single_bag(h)
+        order.append(v)
+        bags.append(bag)
+    return elimination_tree(order, bags)
 
 
 def _recurse(h: Hypergraph, k: int, m: WellBehavedMeasure, w: int):

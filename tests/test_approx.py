@@ -9,7 +9,7 @@ from mmtw import approx
 from mmtw._bits import bits, mask_of, reach
 from mmtw.approx import (SeparatorResult, _big_k,
                          _independent_sets_with_neighbourhoods,
-                         _min_fill_elimination, _recurse, atoms,
+                         _min_fill, _recurse, atoms,
                          balanced_split, closure, find_separator,
                          approx_decomposition, two_sat_solve, width_bound)
 from mmtw.decomposition import (elimination_tree, from_elimination_order,
@@ -18,7 +18,7 @@ from mmtw.errors import InputError, ResourceError
 from mmtw.generate import (complete_graph, cycle_graph, path_graph,
                            random_graph, random_hypergraph, rng_from_seed)
 from mmtw.hypergraph import Graph, Hypergraph
-from mmtw.measures import ALPHA, KAPPA, MU, RHO, WellBehavedMeasure
+from mmtw.measures import ALPHA, MU, RHO, WellBehavedMeasure
 from mmtw.reductions import line_square
 from mmtw.oracles import (_fill_neighborhood, _separates, lambda_tw_exact,
                           separator_exists_bruteforce)
@@ -554,26 +554,30 @@ def _check_first_pass(h, k, m, name, out) -> str:
     validates with width at most k, and the recursion never refutes it.
     Where lambda(V) <= big_K, the answer is one bag iff lambda(V) <= k or a
     bag of the whole min-fill elimination measures lambda(V) or more, else
-    that elimination, and never wider than lambda(V).  Returns "k" if the
-    answer is the elimination checked at k, "narrower" if it is the one
-    that replaced one bag, else ""."""
-    eliminated = _min_fill_elimination(h, k, m)
+    that elimination, and never wider than lambda(V); elsewhere it is the
+    recursion's unless the elimination passes at k.  Exact values, read
+    with ``m.value``, define the answer here.  Returns "k" if the answer is
+    the elimination checked at k, "narrower" if it is the one that replaced
+    one bag, else ""."""
+    order, bags = zip(*_min_fill(h)) if h.n else ((), ())
+    widest = max((m.value(h, b) for b in bags), default=0)
+    fits = widest <= k
     recursed = _recurse(h, k, m, 0)
     assert (out is None) == (recursed is None)
-    if m.decide(h, h.vertex_mask, _big_k(k)):
-        lam = m.value(h, h.vertex_mask)
-        # kappa at n passes every bag, so the whole order is built
-        order, bags = _min_fill_elimination(h, h.n, KAPPA)
-        one_bag = lam <= k or max(m.value(h, b) for b in bags) >= lam
+    lam = m.value(h, h.vertex_mask)
+    if lam <= _big_k(k):
+        one_bag = lam <= k or widest >= lam
         assert (out == single_bag(h)) == one_bag
         if not one_bag:
             assert out == elimination_tree(order, bags)
         assert width(h, out, name).width <= lam
-        if eliminated is None and not one_bag:
+        if not fits and not one_bag:
             return "narrower"
-    if eliminated is None:
+    elif not fits:
+        assert out == recursed
+    if not fits:
         return ""
-    td = elimination_tree(*eliminated)
+    td = elimination_tree(order, bags)
     assert validate(h, td)
     assert width(h, td, name).width <= k
     assert recursed is not None
@@ -583,11 +587,33 @@ def _check_first_pass(h, k, m, name, out) -> str:
     return "k"
 
 
+def _answer(h, k, m):
+    """approx_decomposition(h, k, m) with WellBehavedMeasure.value raising,
+    so that it reads the measure only through ``decide``; it must eliminate
+    each vertex at most once."""
+    eliminated = []
+    eliminate = approx.eliminate
+
+    def counted(adj, v, live):
+        eliminated.append(v)
+        return eliminate(adj, v, live)
+
+    def no_value(self, h, s):
+        raise AssertionError("approx_decomposition read an exact value")
+
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(approx, "eliminate", counted)
+        patched.setattr(WellBehavedMeasure, "value", no_value)
+        out = approx_decomposition(h, k, m)
+    assert len(eliminated) == len(set(eliminated))
+    return out
+
+
 def test_first_pass_refutes_iff_the_recursion_refutes():
     answered, refuted = {"k": 0, "narrower": 0, "": 0}, 0
     for h, k in _first_pass_cases(41, 80):
         for m in (ALPHA, RHO):
-            out = approx_decomposition(h, k, m)
+            out = _answer(h, k, m)
             answered[_check_first_pass(h, k, m, m.name, out)] += 1
             refuted += out is None
     assert answered["k"] >= 4 and answered["narrower"] >= 4 and refuted >= 5
@@ -602,13 +628,17 @@ def test_first_pass_through_the_line_square_refutes_iff_the_recursion_does():
         graphs += 1
         g = Graph(h.n, h.edges)
         line = line_square(g).line
-        out = approx_decomposition(line, k, ALPHA)
+        out = _answer(line, k, ALPHA)
         _check_first_pass(line, k, ALPHA, "alpha", out)
         mu_out = approximate_mu_tw(g, k)
         assert (mu_out is None) == (out is None)
         if mu_out is not None:
             assert width(g, mu_out, "mu").width <= width_bound(k)
     assert graphs >= 20
+
+
+def _k33():
+    return Graph.from_pairs(6, [(a, b) for a in range(3) for b in range(3, 6)])
 
 
 def test_one_bag_gives_way_only_to_a_narrower_elimination():
@@ -618,27 +648,40 @@ def test_one_bag_gives_way_only_to_a_narrower_elimination():
     # holds one whole side) keep one bag
     c6 = cycle_graph(6)
     out = approx_decomposition(c6, 1, ALPHA)
-    assert out == elimination_tree(*_min_fill_elimination(c6, 2, ALPHA))
+    assert out == elimination_tree(*zip(*_min_fill(c6)))
     assert width(c6, out, "alpha").width == 2
-    k33 = Graph.from_pairs(6, [(a, b) for a in range(3) for b in range(3, 6)])
-    for h, lam in ((cycle_graph(4), 2), (k33, 3)):
-        assert _min_fill_elimination(h, 1, ALPHA) is None
+    for h, lam in ((cycle_graph(4), 2), (_k33(), 3)):
+        assert not all(ALPHA.decide(h, b, 1) for _, b in _min_fill(h))
         assert approx_decomposition(h, 1, ALPHA) == single_bag(h)
         assert ALPHA.value(h, h.vertex_mask) == lam
 
 
 def test_first_pass_stops_at_its_first_failing_bag(monkeypatch):
-    checks = []
-    decide = WellBehavedMeasure.decide
+    # alpha(C40) = 20 > big_K(1), so the first bag above k = 1 hands the
+    # input to the recursion, here a sentinel
+    drawn = []
+    min_fill = approx._min_fill
 
-    def counted(self, h, s, k):
-        checks.append(k)
-        return decide(self, h, s, k)
+    def counted(h):
+        for step in min_fill(h):
+            drawn.append(step)
+            yield step
 
-    monkeypatch.setattr(WellBehavedMeasure, "decide", counted)
-    c40 = cycle_graph(40)
-    assert _min_fill_elimination(c40, 1, ALPHA) is None
-    assert 0 < len(checks) < 40
+    recursed = object()
+    monkeypatch.setattr(approx, "_min_fill", counted)
+    monkeypatch.setattr(approx, "_recurse", lambda *args: recursed)
+    assert approx_decomposition(cycle_graph(40), 1, ALPHA) is recursed
+    assert 0 < len(drawn) < 40
+
+
+def test_the_walk_asks_no_exact_value_and_eliminates_once():
+    # k < lambda(V) <= big_K on each: the 10x10 grid's L^2 at k = 2 and C6
+    # take the elimination in place of one bag, C4 and K_{3,3} keep one bag
+    # (the seeded pools run through _answer in the two tests above)
+    cases = [(line_square(_grid(10, 10)).line, 2)]
+    cases += [(h, 1) for h in (cycle_graph(6), cycle_graph(4), _k33())]
+    for h, k in cases:
+        _check_first_pass(h, k, ALPHA, "alpha", _answer(h, k, ALPHA))
 
 
 def test_first_pass_bags_match_the_elimination_order():
@@ -649,8 +692,7 @@ def test_first_pass_bags_match_the_elimination_order():
             h = random_graph(rng, n, rng.uniform(0.1, 0.6))
         else:
             h = random_hypergraph(rng, n, rng.randrange(1, n + 2))
-        # kappa at k = n - 1 passes every bag, so the whole order is built
-        order, bags = _min_fill_elimination(h, n, KAPPA)
+        order, bags = zip(*_min_fill(h))
         assert sorted(order) == list(range(n))
         assert elimination_tree(order, bags) == from_elimination_order(h, order)
         adj = h.gaifman_adj()
@@ -664,9 +706,9 @@ def test_first_pass_takes_min_fill_steps():
     # C4 plus a pendant vertex 4 on 0: 4 (fill 0) goes first, then the
     # cycle's lowest id; every bag of the cycle holds a fill edge or two
     g = Graph.from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
-    order, bags = _min_fill_elimination(g, 4, KAPPA)
-    assert order[:2] == [4, 0]
-    assert bags[:2] == [0b10001, 0b01011]
+    order, bags = zip(*_min_fill(g))
+    assert order[:2] == (4, 0)
+    assert bags[:2] == (0b10001, 0b01011)
 
 
 # ---------------------------------------------------------------------------

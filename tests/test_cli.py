@@ -146,11 +146,15 @@ def test_decompose_long_cycles_exact_mu_width(files, capsys, n):
         assert width(cn, single_bag(cn), "mu").width == 13
 
 
+def _grid(n):
+    pairs = [(v, v + step) for v in range(n * n) for step in (1, n)
+             if v + step < n * n and (step == n or v % n < n - 1)]
+    return Graph.from_pairs(n * n, pairs)
+
+
 def test_decompose_output_on_the_grid_is_solvable(files, capsys):
     # one bag of the 10x10 grid has mu-width 25, past what mwis can tabulate
-    pairs = [(v, v + step) for v in range(100) for step in (1, 10)
-             if v + step < 100 and (step == 10 or v % 10 < 9)]
-    grid = Graph.from_pairs(100, pairs)
+    grid = _grid(10)
     hg = files("grid.hg", serialize_hypergraph(grid))
     code, out, _ = run(capsys, "decompose", "-k", "2", hg, "--json")
     assert code == 0
@@ -163,6 +167,23 @@ def test_decompose_output_on_the_grid_is_solvable(files, capsys):
     assert doc["value"] == "50"
     wit = mask_of(v - 1 for v in doc["witness"])
     assert wit.bit_count() == 50 and independent_in(grid, wit)
+
+
+def test_decompose_answers_the_14x14_grid_with_bounded_questions(files,
+                                                                 capsys):
+    # mu(V) lies above k = 3 and at most 60, under big_K(3) = 66; a search
+    # for its exact value (alpha of L^2) exceeds the oracle cap, while the
+    # bounded questions "alpha(S) <= limit?" settle on the min-fill
+    # elimination, of mu-width 13
+    grid = _grid(14)
+    hg = files("grid14.hg", serialize_hypergraph(grid))
+    code, out, _ = run(capsys, "decompose", "-k", "3", hg, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    t = parse_td(doc["payload"])
+    assert validate(grid, t)
+    assert doc["width"] == width(grid, t, "mu").width == 13
+    assert doc["width"] <= doc["width_bound"] == 84
 
 
 def test_invalid_input_exit_code(files, capsys):
